@@ -35,6 +35,7 @@ from .families import (
     coth_scaled_cf,
     lagrange_binomial,
     log_ratio_cf,
+    oracle_value,
     symmetric_binomial,
     tan_cf,
     tan_multiple,
@@ -46,7 +47,6 @@ from .oracles import (
     binomial_power,
     coth_scaled_lhs,
     log_ratio_lhs,
-    oracle_value,
     series_ratio_coth,
     symmetric_lhs,
     tan_multiple_lhs,
@@ -60,7 +60,6 @@ from .scalars import (
     as_fraction,
     mode_of,
     nearly_equal,
-    scalar_from_ratio,
 )
 from .verify import CheckResult, run_checks
 
@@ -102,7 +101,6 @@ __all__ = [
     "nearly_equal",
     "oracle_value",
     "run_checks",
-    "scalar_from_ratio",
     "series_ratio_coth",
     "symmetric_binomial",
     "symmetric_lhs",

@@ -25,14 +25,14 @@ from .engine import (
     DEFAULT_MAX_DEPTH,
     Convergent,
     EvalReport,
+    _relative_change,
     convergents,
     eval_backward,
     eval_convergents,
     eval_lentz,
 )
 from .errors import DomainError, ModeMismatchError, PoleError
-from .families import Family, FamilySpec
-from .oracles import oracle_value
+from .families import Family, FamilySpec, oracle_value
 from .scalars import (
     DEFAULT_TOLERANCE,
     Mode,
@@ -170,12 +170,15 @@ def build_config(args: argparse.Namespace) -> CommandConfig:
         if args.depth < floor:
             raise UsageError(f"--depth must be >= {floor} for {args.command}")
 
-    if args.tol is not None:
-        tol = ToleranceSpec(rel_tol=args.tol, abs_tol=args.abs_tol or 0.0)
-    elif args.abs_tol is not None:
-        tol = ToleranceSpec(rel_tol=0.0, abs_tol=args.abs_tol)
-    else:
-        tol = DEFAULT_TOLERANCE
+    try:
+        if args.tol is not None:
+            tol = ToleranceSpec(rel_tol=args.tol, abs_tol=args.abs_tol or 0.0)
+        elif args.abs_tol is not None:
+            tol = ToleranceSpec(rel_tol=0.0, abs_tol=args.abs_tol)
+        else:
+            tol = DEFAULT_TOLERANCE
+    except ValueError as exc:
+        raise UsageError(f"bad tolerance: {exc}") from None
 
     fmt = args.fmt or ("json" if args.command == "eval" else "csv")
     return CommandConfig(
@@ -197,11 +200,9 @@ def _backward_report(cfg: CommandConfig) -> EvalReport:
     if level is not None:
         return EvalReport(value, level - 1, converged=True, terminated=True, residual=0.0)
     previous = eval_backward(stream, cfg.depth - 1) if cfg.depth >= 2 else stream.b0
-    diff = abs(value - previous)
-    scale = max(abs(value), abs(previous))
-    residual = float(diff / scale) if scale else 0.0
     converged = nearly_equal(value, previous, cfg.tol)
-    return EvalReport(value, cfg.depth, converged=converged, terminated=False, residual=residual)
+    return EvalReport(value, cfg.depth, converged=converged, terminated=False,
+                      residual=_relative_change(value, previous))
 
 
 def run_eval(cfg: CommandConfig, out: TextIO) -> int:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import ModeMismatchError, PoleError
 from .scalars import (
@@ -195,6 +195,26 @@ def _rescale(p, q, p_prev, q_prev):
     return p * factor, q * factor, p_prev * factor, q_prev * factor
 
 
+def _forward(cf: CFStream, depth: int) -> Iterator[tuple[int, Scalar, Scalar]]:
+    # The forward recurrence: yields (k, p_k, q_k) for k = 0..depth, lazily,
+    # and stops early at the first vanishing partial numerator or at the end
+    # of a finite stream, so a last k below depth means termination.
+    one_ = one(cf.mode)
+    floating = cf.mode is not Mode.RATIONAL
+    p_prev, q_prev = one_, zero(cf.mode)
+    p, q = cf.b0, one_
+    yield 0, p, q
+    for k in range(1, depth + 1):
+        t = cf.term(k)
+        if t is None or t.a == 0:
+            return
+        p, p_prev = t.b * p + t.a * p_prev, p
+        q, q_prev = t.b * q + t.a * q_prev, q
+        if floating:
+            p, q, p_prev, q_prev = _rescale(p, q, p_prev, q_prev)
+        yield k, p, q
+
+
 def convergents(cf: CFStream, depth: int) -> list[Convergent]:
     """Convergents 0..depth by the forward recurrence.
 
@@ -205,21 +225,7 @@ def convergents(cf: CFStream, depth: int) -> list[Convergent]:
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    one_ = one(cf.mode)
-    floating = cf.mode is not Mode.RATIONAL
-    p_prev, q_prev = one_, zero(cf.mode)
-    p, q = cf.b0, one_
-    out = [Convergent(p=p, q=q, k=0)]
-    for k in range(1, depth + 1):
-        t = cf.term(k)
-        if t is None or t.a == 0:
-            break
-        p, p_prev = t.b * p + t.a * p_prev, p
-        q, q_prev = t.b * q + t.a * q_prev, q
-        if floating:
-            p, q, p_prev, q_prev = _rescale(p, q, p_prev, q_prev)
-        out.append(Convergent(p=p, q=q, k=k))
-    return out
+    return [Convergent(p=p, q=q, k=k) for k, p, q in _forward(cf, depth)]
 
 
 def eval_convergents(
@@ -236,35 +242,23 @@ def eval_convergents(
     """
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-    one_ = one(cf.mode)
-    floating = cf.mode is not Mode.RATIONAL
-    p_prev, q_prev = one_, zero(cf.mode)
-    p, q = cf.b0, one_
-    prev_value = cf.b0  # convergent 0 (q0 = 1 is never a pole)
-    prev_is_pole = False
+    prev_value = None  # the previous convergent's value; None while it is a pole
     residual = math.inf
-    for k in range(1, max_depth + 1):
-        t = cf.term(k)
-        if t is None or t.a == 0:
-            if prev_is_pole:
-                raise PoleError(f"terminated fraction has a pole at level {k - 1}")
-            return EvalReport(prev_value, k - 1, converged=True, terminated=True, residual=0.0)
-        p, p_prev = t.b * p + t.a * p_prev, p
-        q, q_prev = t.b * q + t.a * q_prev, q
-        if floating:
-            p, q, p_prev, q_prev = _rescale(p, q, p_prev, q_prev)
+    for k, p, q in _forward(cf, max_depth):
         if q == 0:
-            prev_is_pole = True
+            prev_value = None
             continue
-        value = p / q
-        if not prev_is_pole:
+        value = p / q if k else p  # q_0 = 1: convergent 0 is b0 itself
+        if prev_value is not None:
             residual = _relative_change(value, prev_value)
             if nearly_equal(value, prev_value, tol):
                 return EvalReport(value, k, converged=True, terminated=False, residual=residual)
-        prev_value, prev_is_pole = value, False
-    if prev_is_pole:
-        raise PoleError(f"convergent at requested depth {max_depth} is a pole")
-    return EvalReport(prev_value, max_depth, converged=False, terminated=False, residual=residual)
+        prev_value = value
+    if prev_value is None:
+        raise PoleError(f"convergent {k}, the value to report, is a pole (q = 0)")
+    if k < max_depth:
+        return EvalReport(prev_value, k, converged=True, terminated=True, residual=0.0)
+    return EvalReport(prev_value, k, converged=False, terminated=False, residual=residual)
 
 
 def eval_lentz(

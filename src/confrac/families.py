@@ -39,6 +39,10 @@ partial numerator is an exact zero even in floating point and termination
 is never lost to rounding.  Termination levels: ``symmetric_binomial`` at
 |n|, ``uniform_binomial`` at |n|+1, ``lagrange_binomial`` at 2n (n > 0) or
 2|n|+1 (n < 0), ``tan_multiple`` at |n|+1.
+
+:class:`Family` is the one table that maps each family to its generator
+and its oracle (from :mod:`confrac.oracles`); :class:`FamilySpec` and
+:func:`oracle_value` read it.
 """
 
 from __future__ import annotations
@@ -47,10 +51,20 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .engine import CFStream, CFTerm
 from .errors import DomainError
+from .oracles import (
+    OracleResult,
+    arctan_lhs,
+    binomial_power,
+    coth_scaled_lhs,
+    log_ratio_lhs,
+    symmetric_lhs,
+    tan_lhs,
+    tan_multiple_lhs,
+)
 from .scalars import Mode, Scalar, as_fraction, coerce, mode_of, one, zero
 
 #: Reject tan_cf arguments closer than this to an odd multiple of pi/2.
@@ -223,20 +237,35 @@ def coth_scaled_cf(v: Scalar) -> CFStream:
 
 
 class Family(enum.Enum):
-    """The eight families, named as on the command line."""
+    """The eight families, named as on the command line.
 
-    LAGRANGE_BINOMIAL = "lagrange-binomial"
-    UNIFORM_BINOMIAL = "uniform-binomial"
-    SYMMETRIC_BINOMIAL = "symmetric-binomial"
-    TAN_MULTIPLE = "tan-multiple"
-    ARCTAN = "arctan"
-    TAN = "tan"
-    LOG_RATIO = "log-ratio"
-    COTH_SCALED = "coth-scaled"
+    This is the family table: each member holds its generator, the oracle
+    for its left-hand side, and whether both take the exponent n ahead of
+    the argument.
+    """
 
-    @property
-    def takes_n(self) -> bool:
-        return self in _FAMILIES_WITH_N
+    LAGRANGE_BINOMIAL = ("lagrange-binomial", lagrange_binomial, binomial_power, True)
+    UNIFORM_BINOMIAL = ("uniform-binomial", uniform_binomial, binomial_power, True)
+    SYMMETRIC_BINOMIAL = ("symmetric-binomial", symmetric_binomial, symmetric_lhs, True)
+    TAN_MULTIPLE = ("tan-multiple", tan_multiple, tan_multiple_lhs, True)
+    ARCTAN = ("arctan", arctan_cf, arctan_lhs, False)
+    TAN = ("tan", tan_cf, tan_lhs, False)
+    LOG_RATIO = ("log-ratio", log_ratio_cf, log_ratio_lhs, False)
+    COTH_SCALED = ("coth-scaled", coth_scaled_cf, coth_scaled_lhs, False)
+
+    def __new__(
+        cls,
+        name: str,
+        generator: Callable[..., CFStream],
+        oracle: Callable[..., OracleResult],
+        takes_n: bool,
+    ) -> "Family":
+        member = object.__new__(cls)
+        member._value_ = name
+        member.generator = generator
+        member.oracle = oracle
+        member.takes_n = takes_n
+        return member
 
     @classmethod
     def from_name(cls, name: str) -> "Family":
@@ -245,28 +274,6 @@ class Family(enum.Enum):
         except ValueError:
             known = ", ".join(f.value for f in cls)
             raise DomainError(f"unknown family {name!r}; known families: {known}") from None
-
-
-_FAMILIES_WITH_N = {
-    Family.LAGRANGE_BINOMIAL,
-    Family.UNIFORM_BINOMIAL,
-    Family.SYMMETRIC_BINOMIAL,
-    Family.TAN_MULTIPLE,
-}
-
-_GENERATORS_WITH_N = {
-    Family.LAGRANGE_BINOMIAL: lagrange_binomial,
-    Family.UNIFORM_BINOMIAL: uniform_binomial,
-    Family.SYMMETRIC_BINOMIAL: symmetric_binomial,
-    Family.TAN_MULTIPLE: tan_multiple,
-}
-
-_GENERATORS_PLAIN = {
-    Family.ARCTAN: arctan_cf,
-    Family.TAN: tan_cf,
-    Family.LOG_RATIO: log_ratio_cf,
-    Family.COTH_SCALED: coth_scaled_cf,
-}
 
 
 @dataclass(frozen=True)
@@ -296,7 +303,17 @@ class FamilySpec:
     def mode(self) -> Mode:
         return mode_of(self.arg)
 
+    def _params(self) -> tuple:
+        return (self.n, self.arg) if self.family.takes_n else (self.arg,)
+
     def stream(self) -> CFStream:
-        if self.family.takes_n:
-            return _GENERATORS_WITH_N[self.family](self.n, self.arg)
-        return _GENERATORS_PLAIN[self.family](self.arg)
+        return self.family.generator(*self._params())
+
+
+def oracle_value(spec: FamilySpec) -> Scalar:
+    """Reference value for a family spec via the family's oracle.
+
+    Raises :class:`DomainError` where no oracle applies (complex-mode
+    arguments, or parameter combinations outside the oracle's domain).
+    """
+    return spec.family.oracle(*spec._params()).value

@@ -10,6 +10,9 @@ The removable singularities (z = 0 for the symmetric form, v = 0 for the
 scaled cotangent) are opt-in: the limit value is returned only when the
 caller passes ``allow_limit=True``, so tests can tell a formula value from
 a limit value.
+
+This module holds only the closed forms; which one serves which family is
+decided by the family table in :mod:`confrac.families`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from . import families
 from .errors import DomainError
 from .scalars import Mode, Scalar, as_fraction, mode_of
 
@@ -106,6 +108,16 @@ def tan_multiple_lhs(n: Union[int, float, Fraction], t: Scalar) -> OracleResult:
     return OracleResult(math.tan(angle), OracleMethod.CLOSED_FORM)
 
 
+def arctan_lhs(t: Scalar) -> OracleResult:
+    """arctan t for real t."""
+    return OracleResult(math.atan(_real(t, "t")), OracleMethod.CLOSED_FORM)
+
+
+def tan_lhs(theta: Scalar) -> OracleResult:
+    """tan θ for real θ."""
+    return OracleResult(math.tan(_real(theta, "theta")), OracleMethod.CLOSED_FORM)
+
+
 def log_ratio_lhs(z: Scalar) -> OracleResult:
     """log((1+z)/(1-z)) for real |z| < 1."""
     if abs(z) >= 1:
@@ -148,25 +160,3 @@ def series_ratio_coth(v: Scalar, terms: int) -> OracleResult:
 def _limit_one(at: Scalar) -> Scalar:
     # Limit value 1 in the mode of the argument.
     return Fraction(1) if mode_of(at) is Mode.RATIONAL else 1.0
-
-
-def oracle_value(spec: "families.FamilySpec") -> Scalar:
-    """Reference value for a family spec via the matching closed form.
-
-    Raises :class:`DomainError` where no oracle applies (complex-mode
-    arguments, or parameter combinations outside the oracle's domain).
-    """
-    fam = spec.family
-    if fam in (families.Family.LAGRANGE_BINOMIAL, families.Family.UNIFORM_BINOMIAL):
-        return binomial_power(spec.n, spec.arg).value
-    if fam is families.Family.SYMMETRIC_BINOMIAL:
-        return symmetric_lhs(spec.n, spec.arg).value
-    if fam is families.Family.TAN_MULTIPLE:
-        return tan_multiple_lhs(spec.n, spec.arg).value
-    if fam is families.Family.ARCTAN:
-        return math.atan(_real(spec.arg, "t"))
-    if fam is families.Family.TAN:
-        return math.tan(_real(spec.arg, "theta"))
-    if fam is families.Family.LOG_RATIO:
-        return log_ratio_lhs(spec.arg).value
-    return coth_scaled_lhs(spec.arg).value

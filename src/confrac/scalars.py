@@ -91,15 +91,6 @@ def one(mode: Mode) -> Scalar:
     return coerce(Fraction(1), mode)
 
 
-def scalar_from_ratio(num: int, den: int, mode: Mode = Mode.RATIONAL) -> Scalar:
-    """Exact value num/den in the requested mode.
-
-    In FLOAT mode the result is the nearest double.  Raises
-    :class:`ZeroDivisionError` when ``den == 0``.
-    """
-    return coerce(Fraction(num, den), mode)
-
-
 def as_fraction(value: Scalar) -> Fraction:
     """Exact rational equal to *value*.
 

@@ -80,11 +80,11 @@ class CheckResult:
 
 
 def _float_diff(got: Scalar, want: Scalar, relative: bool) -> float:
+    # Relative errors are taken against the reference value *want*.
     diff = abs(got - want)
-    if not relative:
-        return float(diff)
-    scale = max(abs(got), abs(want))
-    return float(diff / scale) if scale != 0 else float(diff)
+    if relative and want != 0:
+        diff /= abs(want)
+    return float(diff)
 
 
 def _exact(group: str, name: str, got: Scalar, want: Scalar) -> CheckResult:
@@ -138,7 +138,7 @@ def _check_termination() -> list[CheckResult]:
     g = "termination"
     out = []
     for n in (1, -1):
-        for z in (Fraction(1, 3), Fraction(2, 5)):
+        for z in (Fraction(1, 3), Fraction(2, 5), Fraction(-2, 7)):
             val = _rational_value(symmetric_binomial(n, z))
             out.append(_exact(g, f"symmetric n={n} z={z} -> 1", val, Fraction(1)))
     for n in (2, -2):
@@ -397,7 +397,7 @@ def _check_series_ratio() -> list[CheckResult]:
     out.append(_exact(g, "three-term ratio at v=1/2", got, Fraction(2165, 2001)))
     got = series_ratio_coth(0.7, 20).value
     out.append(_close(g, "twenty-term ratio at v=0.7 vs closed form", "float",
-                      got, coth_scaled_lhs(0.7).value, 1e-12))
+                      got, coth_scaled_lhs(0.7).value, 1e-12, relative=False))
     for v in (Fraction(3, 10), Fraction(7, 10), Fraction(1)):
         reference = series_ratio_coth(v, 40).value
         errs = [abs(series_ratio_coth(v, t).value - reference) for t in range(1, 16)]
@@ -503,7 +503,8 @@ GROUPS: dict[str, Callable[[], list[CheckResult]]] = {
 
 def run_checks(only: Optional[str] = None, mode: Optional[str] = None) -> list[CheckResult]:
     """Run the identity checks, optionally restricted to one group and/or
-    one scalar mode.  Failures are reported in the results, not raised."""
+    one scalar mode.  Failures are reported in the results, not raised;
+    filters that select no check raise :class:`DomainError`."""
     if only is not None and only not in GROUPS:
         known = ", ".join(sorted(GROUPS))
         raise DomainError(f"unknown check group {only!r}; known groups: {known}")
@@ -511,4 +512,6 @@ def run_checks(only: Optional[str] = None, mode: Optional[str] = None) -> list[C
     results = [result for name in groups for result in GROUPS[name]()]
     if mode is not None:
         results = [r for r in results if r.mode == mode]
+    if not results:
+        raise DomainError(f"no check matches only={only!r}, mode={mode!r}")
     return results

@@ -1,45 +1,22 @@
 """Acceptance gate: one test per shipping criterion, each printing a
 PASS/FAIL line (visible with ``pytest -s`` or in failure output).
 
-Exact fixtures run at zero tolerance in rational mode; floating-point
-identities run at the stated tolerances against independently computed
-references.
+Criteria 1-9 rest on the identity checks behind ``confrac verify``, where
+their fixtures and bounds live: each names the verify group, the
+check-name prefixes and the exact number of checks it rests on, and fails
+if any of those checks is missing or fails.  Criterion 10 drives the
+command line itself.
 """
 
 import csv
 import io
 import json
 import math
-from fractions import Fraction
 
-from confrac import (
-    EXACT,
-    CFStream,
-    CFTerm,
-    ToleranceSpec,
-    arctan_cf,
-    binomial_power,
-    convergents,
-    coth_scaled_cf,
-    coth_scaled_lhs,
-    equivalence_transform,
-    eval_backward,
-    eval_convergents,
-    eval_lentz,
-    lagrange_binomial,
-    log_ratio_cf,
-    series_ratio_coth,
-    symmetric_binomial,
-    symmetric_lhs,
-    tail,
-    tan_cf,
-    tan_multiple,
-    tan_multiple_lhs,
-    uniform_binomial,
-)
+import pytest
+
+from confrac import convergents, run_checks, tan_cf
 from confrac.cli import main
-
-LENTZ_TOL = ToleranceSpec(rel_tol=1e-12)
 
 
 def check(cid: int, description: str, ok: bool, detail: str = "") -> None:
@@ -49,185 +26,72 @@ def check(cid: int, description: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {cid} failed: {description} {detail}"
 
 
-def exact_value(stream):
-    return eval_convergents(stream, EXACT, 64).value
+@pytest.fixture(scope="module")
+def results():
+    return run_checks()
 
 
-def rel_err(got, want):
-    return abs(got - want) / abs(want)
+def gate(results, cid: int, description: str, *parts: tuple[str, tuple[str, ...], int]) -> None:
+    """Criterion *cid* passes when, for every ``(group, prefixes, count)``
+    part, exactly *count* checks of *group* have a name starting with one
+    of *prefixes*, and all of them pass."""
+    problems = []
+    for group, prefixes, count in parts:
+        chosen = [r for r in results if r.group == group and r.name.startswith(prefixes)]
+        if len(chosen) != count:
+            problems.append(f"{group}: {len(chosen)} checks match {prefixes}, want {count}")
+        problems += [f"{group}: {r.name} failed ({r.detail})" for r in chosen if not r.passed]
+    check(cid, description, not problems, "; ".join(problems))
 
 
-def test_criterion_01_symmetric_exact_termination_fixtures():
-    ok = True
-    detail = ""
-    fixtures = []
-    for n in (1, -1):
-        for z in (Fraction(1, 3), Fraction(2, 5), Fraction(-2, 7)):
-            fixtures.append((n, z, Fraction(1)))
-    for n in (2, -2):
-        for z in (Fraction(1, 3), Fraction(2, 5)):
-            fixtures.append((n, z, 1 + z * z))
-    for n in (3, -3):
-        for z in (Fraction(1, 2), Fraction(1, 4)):
-            fixtures.append((n, z, 3 * (1 + 3 * z * z) / (3 + z * z)))
-    for n, z, want in fixtures:
-        got = exact_value(symmetric_binomial(n, z))
-        if got != want:
-            ok, detail = False, f"n={n}, z={z}: got {got}, want {want}"
-            break
-    check(1, "symmetric fixtures terminate to the exact rational values", ok, detail)
+def test_criterion_01_symmetric_exact_termination_fixtures(results):
+    gate(results, 1, "symmetric fixtures terminate to the exact rational values",
+         ("termination", tuple(f"symmetric n={n} z=" for n in (1, -1, 2, -2, 3, -3)), 14))
 
 
-def test_criterion_02_lagrange_exactness_and_termination_levels():
-    ok = True
-    detail = ""
-    for n in (-3, -2, -1, 1, 2, 3):
-        for x in (Fraction(1, 2), Fraction(1, 3), Fraction(-1, 4)):
-            stream = lagrange_binomial(n, x)
-            got = exact_value(stream)
-            want = (1 + x) ** n
-            predicted = 2 * n if n > 0 else 2 * abs(n) + 1
-            level = stream.termination_level(64)
-            if got != want or level != predicted:
-                ok = False
-                detail = f"n={n}, x={x}: value {got} vs {want}, level {level} vs {predicted}"
-                break
-        if not ok:
-            break
-    check(2, "alternating binomial stream is exactly (1+x)^n with the predicted level", ok, detail)
+def test_criterion_02_lagrange_exactness_and_termination_levels(results):
+    gate(results, 2, "alternating binomial stream is exactly (1+x)^n with the predicted level",
+         ("termination", ("lagrange n=",), 36))
 
 
-def test_criterion_03_cross_family_chain():
-    n, x = Fraction(1, 2), 0.25
-    power = binomial_power(n, x).value
-    lag = eval_lentz(lagrange_binomial(n, x), LENTZ_TOL, 4000).value
-    uni = eval_lentz(uniform_binomial(n, x), LENTZ_TOL, 4000).value
-    z = x / (2 + x)
-    sym = eval_lentz(symmetric_binomial(n, z), LENTZ_TOL, 4000).value
-    sym_want = symmetric_lhs(n, z).value
-    errs = (rel_err(lag, power), rel_err(uni, power), rel_err(sym, sym_want))
-    ok = all(e <= 1e-11 for e in errs)
-    check(3, "alternating, uniform and symmetric forms match their closed forms at n=1/2, x=1/4",
-          ok, f"rel errors {errs}")
+def test_criterion_03_cross_family_chain(results):
+    gate(results, 3, "alternating, uniform and symmetric forms match their closed forms at n=1/2, x=1/4",
+         ("cross-family", ("lagrange matches (1+x)^n at n=1/2,", "uniform matches (1+x)^n at n=1/2,",
+                           "symmetric matches its closed form at n=1/2,"), 3))
 
 
-def test_criterion_04_tangent_multiples():
-    got2 = exact_value(tan_multiple(2, Fraction(1, 4)))
-    got3 = exact_value(tan_multiple(3, Fraction(1, 5)))
-    got52 = eval_lentz(tan_multiple(Fraction(5, 2), 0.2), LENTZ_TOL, 4000).value
-    want52 = tan_multiple_lhs(Fraction(5, 2), 0.2).value
-    ok = got2 == Fraction(8, 15) and got3 == Fraction(37, 55) and rel_err(got52, want52) <= 1e-11
-    check(4, "tangent multiples: 8/15 and 37/55 exactly, n=5/2 within 1e-11",
-          ok, f"got {got2}, {got3}, rel {rel_err(got52, want52):.2e}")
+def test_criterion_04_tangent_multiples(results):
+    gate(results, 4, "tangent multiples: 8/15 and 37/55 exactly, n=5/2 within 1e-11",
+         ("tangent-multiples", ("tan 2φ fixture", "tan 3φ fixture", "non-integer multiple n=5/2"), 3))
 
 
-def test_criterion_05_limit_families_depth_bounds():
-    vals = {
-        "arctan": (convergents(arctan_cf(1.0), 50)[-1].value, math.pi / 4, 1e-12),
-        "tan": (convergents(tan_cf(1.0), 30)[-1].value, math.tan(1.0), 1e-12),
-        "log": (convergents(log_ratio_cf(1 / 3), 40)[-1].value, math.log(2.0), 1e-12),
-        "coth": (convergents(coth_scaled_cf(1.0), 20)[-1].value,
-                 (math.e**2 + 1) / (math.e**2 - 1), 1e-13),
-    }
-    bad = {name: abs(got - want) for name, (got, want, bound) in vals.items()
-           if abs(got - want) > bound}
-    check(5, "arctan/tan/log/coth streams hit their targets within the depth caps",
-          not bad, f"errors {bad}")
+def test_criterion_05_limit_families_depth_bounds(results):
+    gate(results, 5, "arctan/tan/log/coth streams hit their targets within the depth caps",
+         ("limit-families", ("arctan(1) ", "tan(1) ", "log ratio at z=1/3 ", "scaled coth at v=1 "), 4))
 
 
-def test_criterion_06_imaginary_argument_reality():
-    n, t = Fraction(5, 2), 0.4
-    report = eval_lentz(symmetric_binomial(n, complex(0.0, t)), ToleranceSpec(rel_tol=1e-13), 4000)
-    want = float(n) * t / math.tan(float(n) * math.atan(t))
-    ok = abs(report.value.imag) < 1e-12 and abs(report.value.real - want) < 1e-10
-    check(6, "purely imaginary argument keeps the symmetric stream real",
-          ok, f"imag {report.value.imag:.2e}, real err {abs(report.value.real - want):.2e}")
+def test_criterion_06_imaginary_argument_reality(results):
+    gate(results, 6, "purely imaginary argument keeps the symmetric stream real",
+         ("imaginary", ("imaginary argument keeps the value real at n=5/2, t=0.4",
+                        "real part matches nt/tan(n arctan t) at n=5/2, t=0.4"), 2))
 
 
-def test_criterion_07_series_ratio():
-    close = abs(series_ratio_coth(0.7, 20).value - coth_scaled_lhs(0.7).value) <= 1e-12
-    # hand-reduced: (1 + 1/8 + 1/384) / (1 + 1/24 + 1/1920)
-    exact = series_ratio_coth(Fraction(1, 2), 3).value == Fraction(2165, 2001)
-    check(7, "series ratio matches the exponential form and the 3-term fixture", close and exact)
+def test_criterion_07_series_ratio(results):
+    gate(results, 7, "series ratio matches the exponential form and the 3-term fixture",
+         ("series-ratio", ("three-term ratio at v=1/2", "twenty-term ratio at v=0.7"), 2))
 
 
-def _rational_sample_streams():
-    return [
-        lagrange_binomial(Fraction(1, 2), Fraction(1, 4)),
-        uniform_binomial(Fraction(1, 2), Fraction(1, 4)),
-        symmetric_binomial(Fraction(5, 2), Fraction(1, 5)),
-        tan_multiple(Fraction(5, 2), Fraction(1, 7)),
-        arctan_cf(Fraction(1, 3)),
-        tan_cf(Fraction(1, 3)),
-        log_ratio_cf(Fraction(1, 3)),
-        coth_scaled_cf(Fraction(1, 2)),
-    ]
+def test_criterion_08_engine_properties(results):
+    gate(results, 8, "engine properties: determinant, equivalence, backward fold, Lentz agreement",
+         ("determinant", ("determinant identity levels 1..20: ",), 8),
+         ("substitution", ("value-preserving transform keeps every convergent",), 1),
+         ("engine", ("backward fold equals forward recurrence: ",
+                     "lentz agrees with the forward recurrence: "), 10))
 
 
-def _shifted_uniform(n: Fraction, y: Fraction) -> CFStream:
-    # 1 + y + (n^2-1)y^2/(3(1+y) + (n^2-4)y^2/(5(1+y) + ...))
-    def term(k):
-        return CFTerm((n * n - k * k) * y * y, (2 * k + 1) * (1 + y))
-
-    return CFStream(1 + y, term)
-
-
-def test_criterion_08_engine_properties():
-    # determinant identity, exact, levels 1..20, all eight families
-    det_ok = True
-    for stream in _rational_sample_streams():
-        convs = convergents(stream, 20)
-        product = Fraction(1)
-        for k in range(1, len(convs)):
-            product *= stream.term(k).a
-            det = convs[k].p * convs[k - 1].q - convs[k - 1].p * convs[k].q
-            if det != (-1) ** (k - 1) * product:
-                det_ok = False
-    # equivalence transform with c_k = 1/(1+y) preserves every convergent
-    n, y = Fraction(1, 2), Fraction(1, 8)
-    shifted = _shifted_uniform(n, y)
-    transformed = equivalence_transform(shifted, lambda k: 1 / (1 + y))
-    equiv_ok = all(
-        a.value == b.value for a, b in zip(convergents(shifted, 15), convergents(transformed, 15))
-    )
-    # backward fold equals the forward recurrence exactly in rational mode
-    backward_ok = all(
-        eval_backward(stream, 12) == convergents(stream, 12)[-1].value
-        for stream in (coth_scaled_cf(Fraction(1, 2)), symmetric_binomial(Fraction(5, 2), Fraction(1, 5)))
-    )
-    # Lentz agrees with the forward recurrence within 10x the tolerance
-    float_samples = [
-        lagrange_binomial(Fraction(1, 2), 0.25),
-        uniform_binomial(Fraction(1, 3), 0.3),
-        symmetric_binomial(Fraction(5, 2), 0.3),
-        tan_multiple(Fraction(5, 2), 0.2),
-        arctan_cf(1.0),
-        tan_cf(1.0),
-        log_ratio_cf(1 / 3),
-        coth_scaled_cf(1.0),
-    ]
-    lentz_ok = True
-    for stream in float_samples:
-        a = eval_lentz(stream, LENTZ_TOL, 4000)
-        b = eval_convergents(stream, LENTZ_TOL, 4000)
-        scale = max(abs(a.value), abs(b.value))
-        if not (a.converged and b.converged and abs(a.value - b.value) <= 10 * LENTZ_TOL.rel_tol * scale):
-            lentz_ok = False
-    ok = det_ok and equiv_ok and backward_ok and lentz_ok
-    check(8, "engine properties: determinant, equivalence, backward fold, Lentz agreement",
-          ok, f"det={det_ok} equiv={equiv_ok} backward={backward_ok} lentz={lentz_ok}")
-
-
-def test_criterion_09_tail_reduction_identity():
-    n, x = 0.5, 0.25
-    cf = lagrange_binomial(n, x)
-    tol = ToleranceSpec(rel_tol=1e-13)
-    a_val = eval_lentz(tail(cf, 1), tol, 4000).value
-    b_val = eval_lentz(tail(cf, 3), tol, 4000).value
-    rhs = 1 + (1 - n) * x / 2 + ((n * n - 1) * x * x / 4) / (b_val + (1 + n) * x / 2)
-    err = rel_err(a_val, rhs)
-    check(9, "first tail satisfies the two-level reduction through the next tail",
-          err <= 1e-11, f"rel err {err:.2e}")
+def test_criterion_09_tail_reduction_identity(results):
+    gate(results, 9, "first tail satisfies the two-level reduction through the next tail",
+         ("tail-reduction", ("A reduces through B at n=0.5, x=0.25",), 1))
 
 
 def test_criterion_10_cli_contract(capsys):

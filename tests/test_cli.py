@@ -101,6 +101,9 @@ class TestUsageErrors:
             ("table", "--family", "arctan", "--arg", "1"),
             ("compare", "--family", "arctan", "--arg", "1"),
             ("eval", "--family", "arctan", "--arg", "1", "--depth", "0"),
+            ("eval", "--family", "arctan", "--arg", "1", "--tol", "-1"),
+            ("eval", "--family", "arctan", "--arg", "1", "--tol", "nan"),
+            ("eval", "--family", "arctan", "--arg", "1", "--abs-tol", "inf"),
         ],
     )
     def test_exit_code_one(self, capsys, argv):

@@ -111,6 +111,14 @@ class TestEvalConvergents:
         assert not report.converged
         assert report.depth_used == 5
 
+    @pytest.mark.parametrize("max_depth, terminated", [(3, True), (2, False)])
+    def test_termination_at_the_depth_cap(self, max_depth, terminated):
+        # a_3 = 0: the vanishing numerator is seen only when level 3 is in reach
+        report = eval_convergents(symmetric_binomial(3, Fraction(1, 2)), EXACT, max_depth)
+        assert report.terminated is terminated and report.converged is terminated
+        assert report.depth_used == 2
+        assert report.value == Fraction(21, 13)
+
     def test_depth_bound_respected(self):
         report = eval_convergents(arctan_cf(1.0), TIGHT, 200)
         assert report.depth_used <= 200

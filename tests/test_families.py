@@ -263,10 +263,24 @@ class TestFamilySpec:
         spec = FamilySpec(Family.SYMMETRIC_BINOMIAL, 0.3, n=2.5)
         assert spec.n == Fraction(5, 2)
 
-    def test_stream_dispatch_matches_generator(self):
-        spec = FamilySpec(Family.SYMMETRIC_BINOMIAL, Fraction(1, 3), n=2)
-        direct = symmetric_binomial(2, Fraction(1, 3))
-        assert exact_value(spec.stream()) == exact_value(direct)
+    @pytest.mark.parametrize("family", list(Family))
+    def test_stream_dispatch_matches_generator(self, family):
+        generator = {
+            Family.LAGRANGE_BINOMIAL: lagrange_binomial,
+            Family.UNIFORM_BINOMIAL: uniform_binomial,
+            Family.SYMMETRIC_BINOMIAL: symmetric_binomial,
+            Family.TAN_MULTIPLE: tan_multiple,
+            Family.ARCTAN: arctan_cf,
+            Family.TAN: tan_cf,
+            Family.LOG_RATIO: log_ratio_cf,
+            Family.COTH_SCALED: coth_scaled_cf,
+        }[family]
+        arg = Fraction(1, 3)
+        if family.takes_n:
+            spec, direct = FamilySpec(family, arg, n=2), generator(2, arg)
+        else:
+            spec, direct = FamilySpec(family, arg), generator(arg)
+        assert convergents(spec.stream(), 8) == convergents(direct, 8)
 
     def test_unknown_family_name(self):
         with pytest.raises(DomainError):

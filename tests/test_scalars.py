@@ -16,7 +16,6 @@ from confrac import (
     as_fraction,
     mode_of,
     nearly_equal,
-    scalar_from_ratio,
 )
 from confrac.scalars import coerce, one, zero
 
@@ -35,32 +34,6 @@ class TestModeOf:
     def test_rejects_strings(self):
         with pytest.raises(ModeMismatchError):
             mode_of("1/2")
-
-
-class TestScalarFromRatio:
-    def test_exact_third(self):
-        assert scalar_from_ratio(1, 3, Mode.RATIONAL) == Fraction(1, 3)
-
-    def test_reduces(self):
-        v = scalar_from_ratio(2, 4, Mode.RATIONAL)
-        assert v == Fraction(1, 2)
-        assert v.numerator == 1 and v.denominator == 2
-
-    def test_float_is_nearest_double(self):
-        assert scalar_from_ratio(1, 3, Mode.FLOAT) == 1 / 3
-
-    def test_complex(self):
-        assert scalar_from_ratio(-3, 2, Mode.COMPLEX) == complex(-1.5)
-
-    def test_zero_denominator(self):
-        with pytest.raises(ZeroDivisionError):
-            scalar_from_ratio(1, 0, Mode.RATIONAL)
-
-    @given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9).filter(lambda d: d != 0))
-    def test_always_lowest_terms_positive_denominator(self, num, den):
-        v = scalar_from_ratio(num, den, Mode.RATIONAL)
-        assert v.denominator > 0
-        assert math.gcd(abs(v.numerator), v.denominator) == 1
 
 
 class TestNearlyEqual:

@@ -29,6 +29,11 @@ def test_unknown_group_rejected():
         run_checks(only="no-such-group")
 
 
+def test_empty_selection_rejected():
+    with pytest.raises(DomainError):
+        run_checks(only="termination", mode="float")
+
+
 def test_mode_filter():
     results = run_checks(only="termination", mode="rational")
     assert results
