@@ -132,14 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 @dataclass
 class CommandConfig:
-    command: str
-    spec: Optional[FamilySpec]
-    mode: Mode
+    spec: FamilySpec
     method: str
     depth: Optional[int]
     tol: ToleranceSpec
     fmt: str
-    output: Optional[str]
 
 
 def build_config(args: argparse.Namespace) -> CommandConfig:
@@ -181,16 +178,7 @@ def build_config(args: argparse.Namespace) -> CommandConfig:
         raise UsageError(f"bad tolerance: {exc}") from None
 
     fmt = args.fmt or ("json" if args.command == "eval" else "csv")
-    return CommandConfig(
-        command=args.command,
-        spec=spec,
-        mode=mode,
-        method=method,
-        depth=args.depth,
-        tol=tol,
-        fmt=fmt,
-        output=args.output,
-    )
+    return CommandConfig(spec=spec, method=method, depth=args.depth, tol=tol, fmt=fmt)
 
 
 def _backward_report(cfg: CommandConfig) -> EvalReport:
@@ -249,7 +237,7 @@ def _params_payload(cfg: CommandConfig) -> dict:
     return {
         "n": None if spec.n is None else str(spec.n),
         "arg": _json_scalar(spec.arg),
-        "mode": cfg.mode.value,
+        "mode": spec.mode.value,
         "depth": cfg.depth,
     }
 
@@ -357,7 +345,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             with open(args.output, "w", encoding="utf-8", newline="") as handle:
                 return _dispatch(args, handle)
         return _dispatch(args, sys.stdout)
-    except (UsageError, DomainError, ModeMismatchError, PoleError, ZeroDivisionError) as exc:
+    except (UsageError, DomainError, ModeMismatchError, PoleError, ZeroDivisionError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

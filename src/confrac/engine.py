@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import ModeMismatchError, PoleError
 from .scalars import (
@@ -56,6 +56,10 @@ DEFAULT_MAX_DEPTH = 10_000
 # max(|p|, |q|) inside [2^-256, 2^256] leaves headroom for one step with
 # term magnitudes up to about 1e230 before anything can overflow.
 _RESCALE_BOUND = 2.0**256
+
+#: Stand-in the Lentz iteration puts in place of an exactly-zero
+#: intermediate (each one is counted in ``tiny_substitutions``).
+LENTZ_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -122,11 +126,8 @@ class CFStream:
         """Level of the first vanishing partial numerator, scanning at most
         ``within`` levels; the end of a finite stream counts too.  ``None``
         if the stream runs past ``within`` levels without terminating."""
-        for k in range(1, within + 1):
-            t = self.term(k)
-            if t is None or t.a == 0:
-                return k
-        return None
+        levels = sum(1 for _ in _levels(self, within))
+        return levels + 1 if levels < within else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = f" {self.description!r}" if self.description else ""
@@ -195,19 +196,27 @@ def _rescale(p, q, p_prev, q_prev):
     return p * factor, q * factor, p_prev * factor, q_prev * factor
 
 
+def _levels(cf: CFStream, depth: int) -> Iterator[tuple[int, CFTerm]]:
+    # The one walk over a fraction's levels: yields (k, term) for
+    # k = 1..depth, lazily, and stops before the first vanishing partial
+    # numerator or at the end of a finite stream, so a last k below depth
+    # means the fraction terminated.
+    for k in range(1, depth + 1):
+        t = cf.term(k)
+        if t is None or t.a == 0:
+            return
+        yield k, t
+
+
 def _forward(cf: CFStream, depth: int) -> Iterator[tuple[int, Scalar, Scalar]]:
-    # The forward recurrence: yields (k, p_k, q_k) for k = 0..depth, lazily,
-    # and stops early at the first vanishing partial numerator or at the end
-    # of a finite stream, so a last k below depth means termination.
+    # The forward recurrence: yields (k, p_k, q_k) for k = 0..depth along
+    # _levels, so a last k below depth means termination.
     one_ = one(cf.mode)
     floating = cf.mode is not Mode.RATIONAL
     p_prev, q_prev = one_, zero(cf.mode)
     p, q = cf.b0, one_
     yield 0, p, q
-    for k in range(1, depth + 1):
-        t = cf.term(k)
-        if t is None or t.a == 0:
-            return
+    for k, t in _levels(cf, depth):
         p, p_prev = t.b * p + t.a * p_prev, p
         q, q_prev = t.b * q + t.a * q_prev, q
         if floating:
@@ -265,12 +274,14 @@ def eval_lentz(
     cf: CFStream,
     tol: ToleranceSpec = DEFAULT_TOLERANCE,
     max_depth: int = DEFAULT_MAX_DEPTH,
-    tiny: float = 1e-300,
 ) -> EvalReport:
     """Modified Lentz evaluation (floating-point and complex modes only).
 
-    Exactly-zero intermediates are replaced by ``tiny`` and counted in the
-    report.  Agrees with :func:`eval_convergents` within a small multiple
+    Exactly-zero intermediates are replaced by :data:`LENTZ_TINY` and
+    counted in the report.  Like :func:`eval_convergents` it stops early at
+    a vanishing partial numerator (``terminated`` set, residual 0); a
+    fraction that terminates at level 1 reports ``b0`` itself, never the
+    stand-in.  Agrees with :func:`eval_convergents` within a small multiple
     of the tolerance whenever both converge.
     """
     if cf.mode is Mode.RATIONAL:
@@ -282,24 +293,20 @@ def eval_lentz(
     substitutions = 0
     f = cf.b0
     if f == 0:
-        f = tiny
+        f = LENTZ_TINY
         substitutions += 1
     c = f
     d = zero(cf.mode)
     residual = math.inf
-    for j in range(1, max_depth + 1):
-        t = cf.term(j)
-        if t is None or t.a == 0:
-            value = cf.b0 if j == 1 else f
-            return EvalReport(value, j - 1, converged=True, terminated=True,
-                              residual=0.0, tiny_substitutions=substitutions)
+    k = 0
+    for k, t in _levels(cf, max_depth):
         d = t.b + t.a * d
         if d == 0:
-            d = tiny
+            d = LENTZ_TINY
             substitutions += 1
         c = t.b + t.a / c
         if c == 0:
-            c = tiny
+            c = LENTZ_TINY
             substitutions += 1
         d = 1 / d
         delta = c * d
@@ -307,8 +314,11 @@ def eval_lentz(
         f = f * delta
         residual = float(abs(delta - 1))
         if nearly_equal(f, f_prev, tol):
-            return EvalReport(f, j, converged=True, terminated=False,
+            return EvalReport(f, k, converged=True, terminated=False,
                               residual=residual, tiny_substitutions=substitutions)
+    if k < max_depth:
+        return EvalReport(f if k else cf.b0, k, converged=True, terminated=True,
+                          residual=0.0, tiny_substitutions=substitutions)
     return EvalReport(f, max_depth, converged=False, terminated=False,
                       residual=residual, tiny_substitutions=substitutions)
 
@@ -323,12 +333,7 @@ def eval_backward(cf: CFStream, depth: int) -> Scalar:
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    terms: list[CFTerm] = []
-    for k in range(1, depth + 1):
-        t = cf.term(k)
-        if t is None or t.a == 0:
-            break
-        terms.append(t)
+    terms = [t for _, t in _levels(cf, depth)]
     if not terms:
         return cf.b0
     r = terms[-1].b
@@ -359,13 +364,12 @@ def tail(cf: CFStream, start_level: int) -> CFStream:
 
 def equivalence_transform(
     cf: CFStream,
-    scale: Union[Callable[[int], Scalar], Sequence[Scalar]],
+    scale: Callable[[int], Scalar],
     c0: Scalar = 1,
 ) -> CFStream:
     """Rescale levels: ``a'_k = c_k c_{k-1} a_k``, ``b'_k = c_k b_k``.
 
-    ``scale`` supplies the nonzero factors ``c_k`` for ``k >= 1``, either
-    as a callable of ``k`` or as a sequence (index 0 holds ``c_1``).  With
+    ``scale(k)`` supplies the nonzero factor ``c_k`` for ``k >= 1``.  With
     the default ``c0 = 1`` every convergent value of the result equals the
     original's.  A non-unit ``c0`` additionally multiplies the leading term
     and the first partial numerator -- the classical "divide every partial
@@ -374,20 +378,8 @@ def equivalence_transform(
     """
     if c0 == 0:
         raise ValueError("zero scale factor c0")
-    if callable(scale):
-        factor_fn = scale
-    else:
-        factors = list(scale)
-
-        def factor_fn(k: int) -> Scalar:
-            if k > len(factors):
-                raise ValueError(
-                    f"scale sequence exhausted at level {k} (have {len(factors)} factors)"
-                )
-            return factors[k - 1]
-
     def factor(k: int) -> Scalar:
-        v = c0 if k == 0 else factor_fn(k)
+        v = c0 if k == 0 else scale(k)
         if v == 0:
             raise ValueError(f"zero scale factor at level {k}")
         return v

@@ -34,7 +34,8 @@ leading term.
 
 Exponents are carried as exact rationals regardless of evaluation mode:
 the level coefficients (k ± n) and (n² - k²) are computed exactly and only
-then converted into the argument's mode, so for integer n the vanishing
+then cast once into the argument's mode (``Fraction``, ``float`` or
+``complex``, resolved once per stream), so for integer n the vanishing
 partial numerator is an exact zero even in floating point and termination
 is never lost to rounding.  Termination levels: ``symmetric_binomial`` at
 |n|, ``uniform_binomial`` at |n|+1, ``lagrange_binomial`` at 2n (n > 0) or
@@ -65,7 +66,7 @@ from .oracles import (
     tan_lhs,
     tan_multiple_lhs,
 )
-from .scalars import Mode, Scalar, as_fraction, coerce, mode_of, one, zero
+from .scalars import Mode, Scalar, as_fraction, mode_of
 
 #: Reject tan_cf arguments closer than this to an odd multiple of pi/2.
 TAN_POLE_GUARD = 1e-8
@@ -84,10 +85,19 @@ def _require_real(value: Scalar, name: str) -> None:
         raise DomainError(f"{name} must be real, got {value!r}")
 
 
-def _coef(value: Union[int, Fraction], mode: Mode) -> Scalar:
-    # Exact coefficient converted into the target mode; an exact rational
-    # zero stays an exact zero in every mode.
-    return coerce(Fraction(value), mode)
+_CAST: dict[Mode, Callable[[Union[int, Fraction]], Scalar]] = {
+    Mode.RATIONAL: Fraction,
+    Mode.FLOAT: float,
+    Mode.COMPLEX: complex,
+}
+
+
+def _cast_for(arg: Scalar, name: str) -> Callable[[Union[int, Fraction]], Scalar]:
+    # Checks that the argument is finite, then returns the constructor of its
+    # mode.  Generators apply it to exact coefficients: an exact rational zero
+    # stays an exact zero in every mode, and float(Fraction) rounds correctly.
+    _require_finite(arg, name)
+    return _CAST[mode_of(arg)]
 
 
 def lagrange_binomial(n: Union[int, float, Fraction], x: Scalar) -> CFStream:
@@ -99,17 +109,16 @@ def lagrange_binomial(n: Union[int, float, Fraction], x: Scalar) -> CFStream:
     finite x.
     """
     n = as_fraction(n)
-    _require_finite(x, "x")
-    mode = mode_of(x)
-    one_ = one(mode)
+    cast = _cast_for(x, "x")
+    one_, two = cast(1), cast(2)
 
     def term(k: int) -> CFTerm:
         if k == 1:
-            return CFTerm(_coef(n, mode) * x, one_)
+            return CFTerm(cast(n) * x, one_)
         m = k // 2
         if k % 2 == 0:
-            return CFTerm(_coef(m - n, mode) * x, _coef(2, mode))
-        return CFTerm(_coef(m + n, mode) * x, _coef(2 * m + 1, mode))
+            return CFTerm(cast(m - n) * x, two)
+        return CFTerm(cast(m + n) * x, cast(2 * m + 1))
 
     return CFStream(one_, term, description=f"lagrange-binomial(n={n}, x={x!r})")
 
@@ -117,17 +126,16 @@ def lagrange_binomial(n: Union[int, float, Fraction], x: Scalar) -> CFStream:
 def uniform_binomial(n: Union[int, float, Fraction], x: Scalar) -> CFStream:
     """Uniform-law stream for (1+x)^n; terminates at level |n|+1 for integer n."""
     n = as_fraction(n)
-    _require_finite(x, "x")
-    mode = mode_of(x)
-    half = _coef(Fraction(1, 2), mode)
+    cast = _cast_for(x, "x")
+    one_, half = cast(1), cast(Fraction(1, 2))
 
     def term(k: int) -> CFTerm:
         if k == 1:
-            return CFTerm(_coef(n, mode) * x, one(mode) + _coef((1 - n) / 2, mode) * x)
-        num = _coef((n * n - (k - 1) ** 2) / 4, mode)
-        return CFTerm(num * x * x, _coef(2 * k - 1, mode) * (one(mode) + half * x))
+            return CFTerm(cast(n) * x, one_ + cast((1 - n) / 2) * x)
+        num = cast((n * n - (k - 1) ** 2) / 4)
+        return CFTerm(num * x * x, cast(2 * k - 1) * (one_ + half * x))
 
-    return CFStream(one(mode), term, description=f"uniform-binomial(n={n}, x={x!r})")
+    return CFStream(one_, term, description=f"uniform-binomial(n={n}, x={x!r})")
 
 
 def symmetric_binomial(n: Union[int, float, Fraction], z: Scalar) -> CFStream:
@@ -138,13 +146,12 @@ def symmetric_binomial(n: Union[int, float, Fraction], z: Scalar) -> CFStream:
     purely imaginary z since z only appears squared).
     """
     n = as_fraction(n)
-    _require_finite(z, "z")
-    mode = mode_of(z)
+    cast = _cast_for(z, "z")
 
     def term(k: int) -> CFTerm:
-        return CFTerm(_coef(n * n - k * k, mode) * z * z, _coef(2 * k + 1, mode))
+        return CFTerm(cast(n * n - k * k) * z * z, cast(2 * k + 1))
 
-    return CFStream(one(mode), term, description=f"symmetric-binomial(n={n}, z={z!r})")
+    return CFStream(cast(1), term, description=f"symmetric-binomial(n={n}, z={z!r})")
 
 
 def tan_multiple(n: Union[int, float, Fraction], t: Scalar) -> CFStream:
@@ -155,31 +162,29 @@ def tan_multiple(n: Union[int, float, Fraction], t: Scalar) -> CFStream:
     denominator, not here.
     """
     n = as_fraction(n)
-    _require_finite(t, "t")
+    cast = _cast_for(t, "t")
     _require_real(t, "t")
-    mode = mode_of(t)
 
     def term(k: int) -> CFTerm:
         if k == 1:
-            return CFTerm(_coef(n, mode) * t, one(mode))
+            return CFTerm(cast(n) * t, cast(1))
         j = k - 1
-        return CFTerm(_coef(j * j - n * n, mode) * t * t, _coef(2 * j + 1, mode))
+        return CFTerm(cast(j * j - n * n) * t * t, cast(2 * j + 1))
 
-    return CFStream(zero(mode), term, description=f"tan-multiple(n={n}, t={t!r})")
+    return CFStream(cast(0), term, description=f"tan-multiple(n={n}, t={t!r})")
 
 
 def arctan_cf(t: Scalar) -> CFStream:
     """Full fraction t/(1 + t²/(3 + 4t²/(5 + 9t²/(7 + ...)))) = arctan t."""
-    _require_finite(t, "t")
+    cast = _cast_for(t, "t")
     _require_real(t, "t")
-    mode = mode_of(t)
 
     def term(k: int) -> CFTerm:
         if k == 1:
-            return CFTerm(t, one(mode))
-        return CFTerm(_coef((k - 1) ** 2, mode) * t * t, _coef(2 * k - 1, mode))
+            return CFTerm(t, cast(1))
+        return CFTerm(cast((k - 1) ** 2) * t * t, cast(2 * k - 1))
 
-    return CFStream(zero(mode), term, description=f"arctan({t!r})")
+    return CFStream(cast(0), term, description=f"arctan({t!r})")
 
 
 def tan_cf(theta: Scalar) -> CFStream:
@@ -189,9 +194,8 @@ def tan_cf(theta: Scalar) -> CFStream:
     rejected: the true function has a pole there and truncations are
     meaningless.
     """
-    _require_finite(theta, "theta")
+    cast = _cast_for(theta, "theta")
     _require_real(theta, "theta")
-    mode = mode_of(theta)
     residue = math.fmod(abs(float(theta.real if isinstance(theta, complex) else theta)), math.pi)
     if abs(residue - math.pi / 2) < TAN_POLE_GUARD:
         raise DomainError(
@@ -200,10 +204,10 @@ def tan_cf(theta: Scalar) -> CFStream:
 
     def term(k: int) -> CFTerm:
         if k == 1:
-            return CFTerm(theta, one(mode))
-        return CFTerm(-(theta * theta), _coef(2 * k - 1, mode))
+            return CFTerm(theta, cast(1))
+        return CFTerm(-(theta * theta), cast(2 * k - 1))
 
-    return CFStream(zero(mode), term, description=f"tan({theta!r})")
+    return CFStream(cast(0), term, description=f"tan({theta!r})")
 
 
 def log_ratio_cf(z: Scalar) -> CFStream:
@@ -211,29 +215,27 @@ def log_ratio_cf(z: Scalar) -> CFStream:
 
     Requires real |z| < 1, mirroring the left-hand side's domain.
     """
-    _require_finite(z, "z")
+    cast = _cast_for(z, "z")
     _require_real(z, "z")
     if abs(z) >= 1:
         raise DomainError(f"log_ratio_cf requires |z| < 1, got {z!r}")
-    mode = mode_of(z)
 
     def term(k: int) -> CFTerm:
         if k == 1:
-            return CFTerm(_coef(2, mode) * z, one(mode))
-        return CFTerm(_coef(-((k - 1) ** 2), mode) * z * z, _coef(2 * k - 1, mode))
+            return CFTerm(cast(2) * z, cast(1))
+        return CFTerm(cast(-((k - 1) ** 2)) * z * z, cast(2 * k - 1))
 
-    return CFStream(zero(mode), term, description=f"log-ratio({z!r})")
+    return CFStream(cast(0), term, description=f"log-ratio({z!r})")
 
 
 def coth_scaled_cf(v: Scalar) -> CFStream:
     """Stream 1 + v²/(3 + v²/(5 + v²/(7 + ...))) = v coth v  (value 1 at v = 0)."""
-    _require_finite(v, "v")
-    mode = mode_of(v)
+    cast = _cast_for(v, "v")
 
     def term(k: int) -> CFTerm:
-        return CFTerm(v * v, _coef(2 * k + 1, mode))
+        return CFTerm(v * v, cast(2 * k + 1))
 
-    return CFStream(one(mode), term, description=f"coth-scaled({v!r})")
+    return CFStream(cast(1), term, description=f"coth-scaled({v!r})")
 
 
 class Family(enum.Enum):

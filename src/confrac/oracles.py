@@ -7,9 +7,8 @@ possible, and a truncated power-series ratio for the scaled hyperbolic
 cotangent.  Exact-rational paths never touch floating point.
 
 The removable singularities (z = 0 for the symmetric form, v = 0 for the
-scaled cotangent) are opt-in: the limit value is returned only when the
-caller passes ``allow_limit=True``, so tests can tell a formula value from
-a limit value.
+scaled cotangent) are 0/0 forms and raise :class:`DomainError`: an oracle
+returns formula values only, never a limit value.
 
 This module holds only the closed forms; which one serves which family is
 decided by the family table in :mod:`confrac.families`.
@@ -68,13 +67,11 @@ def binomial_power(n: Union[int, float, Fraction], x: Scalar) -> OracleResult:
     return OracleResult(math.pow(1 + xf, float(n)), OracleMethod.CLOSED_FORM)
 
 
-def symmetric_lhs(
-    n: Union[int, float, Fraction], z: Scalar, allow_limit: bool = False
-) -> OracleResult:
+def symmetric_lhs(n: Union[int, float, Fraction], z: Scalar) -> OracleResult:
     """nz[(1+z)^n + (1-z)^n] / [(1+z)^n - (1-z)^n] for 0 < |z| < 1, n != 0.
 
-    An even function of n.  At z = 0 the quotient is 0/0 with limit 1,
-    returned only under ``allow_limit``.  At n = 0 the expression is 0/0
+    An even function of n.  At z = 0 the quotient is 0/0 with limit 1 and
+    raises :class:`DomainError`.  At n = 0 the expression is 0/0
     whose limit is the log-ratio form; use :func:`log_ratio_lhs` instead.
     Exact rational for integer n and rational z.
     """
@@ -84,9 +81,7 @@ def symmetric_lhs(
     if abs(z) >= 1:
         raise DomainError(f"symmetric form needs |z| < 1, got {z!r}")
     if z == 0:
-        if allow_limit:
-            return OracleResult(_limit_one(z), OracleMethod.CLOSED_FORM)
-        raise DomainError("z = 0 is a 0/0 form with limit 1; pass allow_limit=True for it")
+        raise DomainError("z = 0 is a 0/0 form with limit 1")
     if n.denominator == 1 and mode_of(z) is Mode.RATIONAL:
         zq = Fraction(z)
         ni = int(n)
@@ -126,12 +121,11 @@ def log_ratio_lhs(z: Scalar) -> OracleResult:
     return OracleResult(math.log1p(zf) - math.log1p(-zf), OracleMethod.CLOSED_FORM)
 
 
-def coth_scaled_lhs(v: Scalar, allow_limit: bool = False) -> OracleResult:
-    """v(e^{2v}+1)/(e^{2v}-1) = v coth v; even in v, limit 1 at v = 0."""
+def coth_scaled_lhs(v: Scalar) -> OracleResult:
+    """v(e^{2v}+1)/(e^{2v}-1) = v coth v; even in v.  v = 0, a 0/0 form
+    with limit 1, raises :class:`DomainError`."""
     if v == 0:
-        if allow_limit:
-            return OracleResult(_limit_one(v), OracleMethod.CLOSED_FORM)
-        raise DomainError("v = 0 is a 0/0 form with limit 1; pass allow_limit=True for it")
+        raise DomainError("v = 0 is a 0/0 form with limit 1")
     vf = _real(v, "v")
     em = math.expm1(2 * vf)
     return OracleResult(vf * (em + 2) / em, OracleMethod.CLOSED_FORM)
@@ -155,8 +149,3 @@ def series_ratio_coth(v: Scalar, terms: int) -> OracleResult:
     num = sum(v2**k / math.factorial(2 * k) for k in range(terms))
     den = sum(v2**k / math.factorial(2 * k + 1) for k in range(terms))
     return OracleResult(num / den, OracleMethod.TRUNCATED_SERIES, terms_used=terms)
-
-
-def _limit_one(at: Scalar) -> Scalar:
-    # Limit value 1 in the mode of the argument.
-    return Fraction(1) if mode_of(at) is Mode.RATIONAL else 1.0

@@ -140,9 +140,11 @@ EXACT = ToleranceSpec()
 def nearly_equal(a: Scalar, b: Scalar, tol: ToleranceSpec = DEFAULT_TOLERANCE) -> bool:
     """True iff ``|a-b| <= abs_tol`` or ``|a-b| <= rel_tol * max(|a|, |b|)``.
 
-    *a* and *b* must share a mode.  In rational mode the whole comparison is
-    carried out in exact arithmetic (the tolerances are converted to exact
-    fractions), so zero tolerances mean exact equality.
+    An infinite or NaN difference is never within tolerance, even though
+    ``inf <= rel_tol * inf`` holds.  *a* and *b* must share a mode.  In
+    rational mode the whole comparison is carried out in exact arithmetic
+    (the tolerances are converted to exact fractions), so zero tolerances
+    mean exact equality.
     """
     mode = same_mode(a, b)
     if mode is Mode.RATIONAL:
@@ -150,4 +152,6 @@ def nearly_equal(a: Scalar, b: Scalar, tol: ToleranceSpec = DEFAULT_TOLERANCE) -
         diff = abs(fa - fb)
         return diff <= Fraction(tol.abs_tol) or diff <= Fraction(tol.rel_tol) * max(abs(fa), abs(fb))
     diff = abs(a - b)
+    if not math.isfinite(diff):
+        return False
     return diff <= tol.abs_tol or diff <= tol.rel_tol * max(abs(a), abs(b))

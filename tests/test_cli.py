@@ -56,6 +56,11 @@ class TestEval:
         assert payload["converged"] is False
         assert payload["depth_used"] == 5
 
+    def test_overflow_to_infinity_exits_two(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "--family", "arctan", "--arg", "1e10")
+        assert code == 2
+        assert '"converged": false' in out
+
     def test_backward_method(self, capsys):
         code, out, _ = run_cli(
             capsys, "eval", "--family", "coth-scaled", "--arg", "1",
@@ -104,6 +109,7 @@ class TestUsageErrors:
             ("eval", "--family", "arctan", "--arg", "1", "--tol", "-1"),
             ("eval", "--family", "arctan", "--arg", "1", "--tol", "nan"),
             ("eval", "--family", "arctan", "--arg", "1", "--abs-tol", "inf"),
+            ("eval", "--family", "arctan", "--arg", "1", "--output", "/nonexistent/dir/x"),
         ],
     )
     def test_exit_code_one(self, capsys, argv):

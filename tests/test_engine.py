@@ -111,13 +111,25 @@ class TestEvalConvergents:
         assert not report.converged
         assert report.depth_used == 5
 
-    @pytest.mark.parametrize("max_depth, terminated", [(3, True), (2, False)])
-    def test_termination_at_the_depth_cap(self, max_depth, terminated):
+    @pytest.mark.parametrize(
+        "evaluate, z, tol, want, max_depth, terminated",
+        [
+            pytest.param(eval_convergents, Fraction(1, 2), EXACT, Fraction(21, 13), 3, True,
+                         id="3-True"),
+            pytest.param(eval_convergents, Fraction(1, 2), EXACT, Fraction(21, 13), 2, False,
+                         id="2-False"),
+            pytest.param(eval_lentz, 0.5, TIGHT, pytest.approx(21 / 13, rel=1e-15), 3, True,
+                         id="lentz-3-True"),
+            pytest.param(eval_lentz, 0.5, TIGHT, pytest.approx(21 / 13, rel=1e-15), 2, False,
+                         id="lentz-2-False"),
+        ],
+    )
+    def test_termination_at_the_depth_cap(self, evaluate, z, tol, want, max_depth, terminated):
         # a_3 = 0: the vanishing numerator is seen only when level 3 is in reach
-        report = eval_convergents(symmetric_binomial(3, Fraction(1, 2)), EXACT, max_depth)
+        report = evaluate(symmetric_binomial(3, z), tol, max_depth)
         assert report.terminated is terminated and report.converged is terminated
         assert report.depth_used == 2
-        assert report.value == Fraction(21, 13)
+        assert report.value == want
 
     def test_depth_bound_respected(self):
         report = eval_convergents(arctan_cf(1.0), TIGHT, 200)
@@ -163,6 +175,18 @@ class TestEvalLentz:
         report = eval_lentz(arctan_cf(1.0), TIGHT, 200)
         assert report.tiny_substitutions >= 1
         assert abs(report.value - math.pi / 4) < 1e-12
+
+    def test_termination_at_level_one_reports_the_leading_term(self):
+        # arctan 0: a_1 = 0, so the value is b0 = 0.0, not the tiny stand-in
+        report = eval_lentz(arctan_cf(0.0), TIGHT, 50)
+        assert report.value == 0.0 and type(report.value) is float
+        assert report.depth_used == 0 and report.terminated
+        assert report.tiny_substitutions == 1
+
+    def test_overflow_to_infinity_is_not_convergence(self):
+        # the first step divides t by the tiny stand-in and overflows
+        report = eval_lentz(arctan_cf(1e9), TIGHT, 50)
+        assert not report.converged and not report.terminated
 
     def test_rational_mode_rejected(self):
         with pytest.raises(ModeMismatchError):
@@ -249,14 +273,6 @@ class TestEquivalenceTransform:
         out = equivalence_transform(cf, lambda k: c)
         assert [x.value for x in convergents(out, 8)] == [x.value for x in convergents(cf, 8)]
 
-    def test_sequence_scale_accepted(self):
-        cf = coth_scaled_cf(Fraction(1, 2))
-        factors = [Fraction(1, 2)] * 6
-        out = equivalence_transform(cf, factors)
-        assert convergents(out, 6)[-1].value == convergents(cf, 6)[-1].value
-        with pytest.raises(ValueError):
-            convergents(out, 7)  # sequence exhausted
-
     def test_zero_scale_rejected(self):
         cf = coth_scaled_cf(Fraction(1, 2))
         with pytest.raises(ValueError):
@@ -279,6 +295,11 @@ class TestTerminationSemantics:
     def test_terminated_report_implies_converged(self):
         report = eval_convergents(symmetric_binomial(2, 0.4), TIGHT, 50)
         assert report.terminated and report.converged
+
+    def test_termination_level_within_reach(self):
+        cf = symmetric_binomial(3, Fraction(1, 2))
+        assert cf.termination_level(3) == 3
+        assert cf.termination_level(2) is None
 
     def test_term_request_below_one_rejected(self):
         with pytest.raises(ValueError):

@@ -282,6 +282,16 @@ class TestFamilySpec:
             spec, direct = FamilySpec(family, arg), generator(arg)
         assert convergents(spec.stream(), 8) == convergents(direct, 8)
 
+    @pytest.mark.parametrize("family", list(Family))
+    def test_terms_have_the_argument_type(self, family):
+        for arg in (0.3, Fraction(3, 10), 0.3 + 0j):
+            stream = family.generator(Fraction(5, 2), arg) if family.takes_n else family.generator(arg)
+            values = [stream.b0]
+            for k in range(1, 7):
+                t = stream.term(k)
+                values += [t.a, t.b]
+            assert all(type(v) is type(arg) for v in values), (family, arg)
+
     def test_unknown_family_name(self):
         with pytest.raises(DomainError):
             Family.from_name("nope")

@@ -73,10 +73,9 @@ class TestSymmetricLhs:
         with pytest.raises(DomainError):
             symmetric_lhs(2, Fraction(3, 2))
 
-    def test_zero_argument_needs_explicit_limit(self):
+    def test_zero_argument_rejected(self):
         with pytest.raises(DomainError):
             symmetric_lhs(2, Fraction(0))
-        assert symmetric_lhs(2, Fraction(0), allow_limit=True).value == 1
 
 
 class TestTanMultipleLhs:
@@ -120,10 +119,9 @@ class TestCothScaledLhs:
         want = v * (math.exp(2 * v) + 1) / (math.exp(2 * v) - 1)
         assert coth_scaled_lhs(v).value == pytest.approx(want, rel=1e-14)
 
-    def test_zero_needs_explicit_limit(self):
+    def test_zero_argument_rejected(self):
         with pytest.raises(DomainError):
             coth_scaled_lhs(0.0)
-        assert coth_scaled_lhs(0.0, allow_limit=True).value == 1.0
 
 
 class TestSeriesRatioCoth:

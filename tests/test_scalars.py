@@ -54,6 +54,11 @@ class TestNearlyEqual:
         with pytest.raises(ModeMismatchError):
             nearly_equal(1.0, Fraction(1), DEFAULT_TOLERANCE)
 
+    def test_infinite_difference_is_never_within_tolerance(self):
+        # inf <= rel_tol * inf holds, so the relative test alone would pass
+        assert not nearly_equal(math.inf, 1.0, ToleranceSpec(rel_tol=1e-12))
+        assert not nearly_equal(1.0, -math.inf, ToleranceSpec(rel_tol=1e-12))
+
     def test_exact_mode_discriminates_below_float_resolution(self):
         a = Fraction(1, 3)
         b = a + Fraction(1, 10**40)
