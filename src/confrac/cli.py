@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,22 +25,14 @@ from typing import Optional, Sequence, TextIO
 from .engine import (
     DEFAULT_MAX_DEPTH,
     Convergent,
-    EvalReport,
-    _relative_change,
+    _backward_report,
     convergents,
-    eval_backward,
     eval_convergents,
     eval_lentz,
 )
 from .errors import DomainError, ModeMismatchError, PoleError
 from .families import Family, FamilySpec, oracle_value
-from .scalars import (
-    DEFAULT_TOLERANCE,
-    Mode,
-    Scalar,
-    ToleranceSpec,
-    nearly_equal,
-)
+from .scalars import DEFAULT_TOLERANCE, Mode, Scalar, ToleranceSpec
 from .verify import run_checks
 
 TABLE_HEADER = "k,p,q,value,abs_err,rel_err"
@@ -93,7 +86,8 @@ def _format_scalar(value: Scalar) -> str:
 
 
 def _json_scalar(value: Scalar):
-    if isinstance(value, float):
+    # JSON has no inf or nan: non-finite floats are text, as complex are.
+    if isinstance(value, float) and math.isfinite(value):
         return value
     return _format_scalar(value)
 
@@ -181,23 +175,11 @@ def build_config(args: argparse.Namespace) -> CommandConfig:
     return CommandConfig(spec=spec, method=method, depth=args.depth, tol=tol, fmt=fmt)
 
 
-def _backward_report(cfg: CommandConfig) -> EvalReport:
-    stream = cfg.spec.stream()
-    value = eval_backward(stream, cfg.depth)
-    level = stream.termination_level(cfg.depth)
-    if level is not None:
-        return EvalReport(value, level - 1, converged=True, terminated=True, residual=0.0)
-    previous = eval_backward(stream, cfg.depth - 1) if cfg.depth >= 2 else stream.b0
-    converged = nearly_equal(value, previous, cfg.tol)
-    return EvalReport(value, cfg.depth, converged=converged, terminated=False,
-                      residual=_relative_change(value, previous))
-
-
 def run_eval(cfg: CommandConfig, out: TextIO) -> int:
+    stream = cfg.spec.stream()
     if cfg.method == "backward":
-        report = _backward_report(cfg)
+        report = _backward_report(stream, cfg.depth, cfg.tol)
     else:
-        stream = cfg.spec.stream()
         max_depth = cfg.depth if cfg.depth is not None else DEFAULT_MAX_DEPTH
         evaluate = eval_convergents if cfg.method == "convergents" else eval_lentz
         report = evaluate(stream, cfg.tol, max_depth)
@@ -206,10 +188,10 @@ def run_eval(cfg: CommandConfig, out: TextIO) -> int:
         "depth_used": report.depth_used,
         "converged": report.converged,
         "terminated": report.terminated,
-        "residual": report.residual,
+        "residual": _json_scalar(report.residual),
     }
     if cfg.fmt == "json":
-        out.write(json.dumps(payload, indent=2) + "\n")
+        out.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     else:
         out.write("value,depth_used,converged,terminated,residual\n")
         out.write(
@@ -225,7 +207,7 @@ def _error_columns(value: Optional[Scalar], oracle: Optional[Scalar]):
         return None, None
     abs_err = abs(value - oracle)
     rel_err = abs_err / abs(oracle) if oracle != 0 else None
-    return float(abs_err), None if rel_err is None else float(rel_err)
+    return _json_scalar(float(abs_err)), None if rel_err is None else _json_scalar(float(rel_err))
 
 
 def _convergent_value(c: Convergent) -> Optional[Scalar]:
@@ -293,9 +275,7 @@ def run_compare(cfg: CommandConfig, out: TextIO) -> int:
 def _number_cell(value: Scalar):
     # Table cells are decimal (floats); exact values are shown as their
     # nearest double, full fractions stay in the p/q columns.
-    if isinstance(value, complex):
-        return _format_scalar(value)
-    return float(value)
+    return _json_scalar(value if isinstance(value, complex) else float(value))
 
 
 def _emit_rows(cfg: CommandConfig, out: TextIO, header: str, rows: list[dict]) -> None:
@@ -305,7 +285,7 @@ def _emit_rows(cfg: CommandConfig, out: TextIO, header: str, rows: list[dict]) -
             "params": _params_payload(cfg),
             "rows": rows,
         }
-        out.write(json.dumps(payload, indent=2) + "\n")
+        out.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
         return
     out.write(header + "\n")
     columns = header.split(",")

@@ -25,6 +25,10 @@ Three evaluation routes with different trade-offs:
   fixed depth; reproduces the depth-truncated convergent exactly in
   rational mode.
 
+Every route's report comes from one stopping rule, ``_settle``: stop at
+the first two successive values that agree or at the first non-finite one
+(not converged); a walk that runs out has terminated, unless at the cap.
+
 Plus two structural operations: :func:`tail` (the sub-fraction hanging off
 a given level) and :func:`equivalence_transform` (level-wise rescaling that
 leaves every convergent value unchanged).
@@ -32,6 +36,7 @@ leaves every convergent value unchanged).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Union
@@ -60,6 +65,9 @@ _RESCALE_BOUND = 2.0**256
 #: Stand-in the Lentz iteration puts in place of an exactly-zero
 #: intermediate (each one is counted in ``tiny_substitutions``).
 LENTZ_TINY = 1e-300
+
+# The stopping rule's per-mode finiteness test; exact values are always finite.
+_FINITE = {Mode.FLOAT: math.isfinite, Mode.COMPLEX: cmath.isfinite, Mode.RATIONAL: lambda _: True}
 
 
 @dataclass(frozen=True)
@@ -162,9 +170,10 @@ class Convergent:
 class EvalReport:
     """Outcome of an iterative evaluation.
 
-    ``residual`` is the relative change of the last step (0 when the
-    fraction terminated).  ``tiny_substitutions`` counts the zero
-    intermediates the Lentz iteration had to nudge away from zero.
+    ``residual`` is ``|v - u| / max(|v|, |u|)`` for the reported value and
+    the one before it in every evaluator: 0 when the fraction terminated,
+    inf after a pole, nan at a non-finite value.  ``tiny_substitutions``
+    counts the zero intermediates the Lentz iteration had to nudge away from zero.
     """
 
     value: Scalar
@@ -184,6 +193,30 @@ def _relative_change(value: Scalar, previous: Scalar) -> float:
         return float(diff / scale)
     except OverflowError:
         return math.inf
+
+
+def _settle(cf: CFStream, steps: Iterable[tuple[int, Optional[Scalar], int]],
+            tol: ToleranceSpec, max_depth: int) -> EvalReport:
+    # The one stopping rule (see the module docstring).  ``steps`` yields
+    # (k, value, substitutions), value None at a pole, and runs out before
+    # max_depth only when the fraction terminates.
+    if max_depth < 1:
+        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
+    finite = _FINITE[cf.mode]
+    value = None
+    for k, step, substitutions in steps:
+        prev, value = value, step
+        if value is None:
+            continue
+        if not finite(value) or prev is not None and nearly_equal(value, prev, tol):
+            converged, terminated = finite(value), False
+            break
+    else:
+        if value is None:
+            raise PoleError(f"convergent {k}, the value to report, is a pole (q = 0)")
+        converged = terminated = k < max_depth
+    residual = 0.0 if terminated else math.inf if prev is None else _relative_change(value, prev)
+    return EvalReport(value, k, converged, terminated, residual, substitutions)
 
 
 def _rescale(p, q, p_prev, q_prev):
@@ -245,29 +278,34 @@ def eval_convergents(
     """Iterate the forward recurrence until two successive convergents agree.
 
     Terminates early at a vanishing partial numerator (``terminated`` set,
-    residual 0).  If ``max_depth`` is reached first, ``converged`` is False
-    and the value is the deepest convergent.  Raises :class:`PoleError`
+    residual 0).  At ``max_depth`` or a non-finite convergent ``converged``
+    is False and that convergent is the value.  Raises :class:`PoleError`
     when the value that would be reported sits on a pole.
     """
-    if max_depth < 1:
-        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-    prev_value = None  # the previous convergent's value; None while it is a pole
-    residual = math.inf
-    for k, p, q in _forward(cf, max_depth):
-        if q == 0:
-            prev_value = None
-            continue
-        value = p / q if k else p  # q_0 = 1: convergent 0 is b0 itself
-        if prev_value is not None:
-            residual = _relative_change(value, prev_value)
-            if nearly_equal(value, prev_value, tol):
-                return EvalReport(value, k, converged=True, terminated=False, residual=residual)
-        prev_value = value
-    if prev_value is None:
-        raise PoleError(f"convergent {k}, the value to report, is a pole (q = 0)")
-    if k < max_depth:
-        return EvalReport(prev_value, k, converged=True, terminated=True, residual=0.0)
-    return EvalReport(prev_value, k, converged=False, terminated=False, residual=residual)
+    # q_0 = 1: convergent 0 is b0 itself
+    steps = ((k, None if q == 0 else p / q if k else p, 0) for k, p, q in _forward(cf, max_depth))
+    return _settle(cf, steps, tol, max_depth)
+
+
+def _lentz(cf: CFStream, depth: int) -> Iterator[tuple[int, Scalar, int]]:
+    # Modified Lentz along _levels: yields (k, f_k, substitutions so far)
+    # for k = 0..depth; f_0 is b0 itself, never the stand-in.
+    substitutions = int(cf.b0 == 0)
+    yield 0, cf.b0, substitutions
+    f = c = cf.b0 or LENTZ_TINY
+    d = zero(cf.mode)
+    for k, t in _levels(cf, depth):
+        d = t.b + t.a * d
+        if d == 0:
+            d = LENTZ_TINY
+            substitutions += 1
+        c = t.b + t.a / c
+        if c == 0:
+            c = LENTZ_TINY
+            substitutions += 1
+        d = 1 / d
+        f *= c * d
+        yield k, f, substitutions
 
 
 def eval_lentz(
@@ -278,8 +316,8 @@ def eval_lentz(
     """Modified Lentz evaluation (floating-point and complex modes only).
 
     Exactly-zero intermediates are replaced by :data:`LENTZ_TINY` and
-    counted in the report.  Like :func:`eval_convergents` it stops early at
-    a vanishing partial numerator (``terminated`` set, residual 0); a
+    counted in the report.  Ends like :func:`eval_convergents`: early at a
+    vanishing partial numerator (``terminated`` set, residual 0); a
     fraction that terminates at level 1 reports ``b0`` itself, never the
     stand-in.  Agrees with :func:`eval_convergents` within a small multiple
     of the tolerance whenever both converge.
@@ -288,39 +326,18 @@ def eval_lentz(
         raise ModeMismatchError(
             "eval_lentz needs float or complex mode; use eval_convergents for rational streams"
         )
-    if max_depth < 1:
-        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-    substitutions = 0
-    f = cf.b0
-    if f == 0:
-        f = LENTZ_TINY
-        substitutions += 1
-    c = f
-    d = zero(cf.mode)
-    residual = math.inf
-    k = 0
-    for k, t in _levels(cf, max_depth):
-        d = t.b + t.a * d
-        if d == 0:
-            d = LENTZ_TINY
-            substitutions += 1
-        c = t.b + t.a / c
-        if c == 0:
-            c = LENTZ_TINY
-            substitutions += 1
-        d = 1 / d
-        delta = c * d
-        f_prev = f
-        f = f * delta
-        residual = float(abs(delta - 1))
-        if nearly_equal(f, f_prev, tol):
-            return EvalReport(f, k, converged=True, terminated=False,
-                              residual=residual, tiny_substitutions=substitutions)
-    if k < max_depth:
-        return EvalReport(f if k else cf.b0, k, converged=True, terminated=True,
-                          residual=0.0, tiny_substitutions=substitutions)
-    return EvalReport(f, max_depth, converged=False, terminated=False,
-                      residual=residual, tiny_substitutions=substitutions)
+    return _settle(cf, _lentz(cf, max_depth), tol, max_depth)
+
+
+def _fold(b0: Scalar, terms: list[CFTerm]) -> Scalar:
+    # Backward fold of b0 + a_1/(b_1 + ... + a_m/b_m) from an assumed-zero tail.
+    r = terms[-1].b if terms else b0
+    for i in range(len(terms) - 1, -1, -1):
+        if r == 0:
+            where = f"level {i}" if i else "the leading term"
+            raise PoleError(f"zero denominator while folding into {where}")
+        r = (terms[i - 1].b if i else b0) + terms[i].a / r
+    return r
 
 
 def eval_backward(cf: CFStream, depth: int) -> Scalar:
@@ -333,17 +350,19 @@ def eval_backward(cf: CFStream, depth: int) -> Scalar:
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
+    return _fold(cf.b0, [t for _, t in _levels(cf, depth)])
+
+
+def _backward_report(cf: CFStream, depth: int, tol: ToleranceSpec) -> EvalReport:
+    # The folds at depth - 1 (None at a pole) and depth, or the one terminated fold.
     terms = [t for _, t in _levels(cf, depth)]
-    if not terms:
-        return cf.b0
-    r = terms[-1].b
-    for i in range(len(terms) - 1, 0, -1):
-        if r == 0:
-            raise PoleError(f"zero denominator while folding into level {i}")
-        r = terms[i - 1].b + terms[i].a / r
-    if r == 0:
-        raise PoleError("zero denominator while folding into the leading term")
-    return cf.b0 + terms[0].a / r
+    steps = [(len(terms), _fold(cf.b0, terms), 0)]
+    if len(terms) == depth:
+        try:
+            steps.insert(0, (depth - 1, _fold(cf.b0, terms[:-1]), 0))
+        except PoleError:
+            steps.insert(0, (depth - 1, None, 0))
+    return _settle(cf, steps, tol, depth)
 
 
 def tail(cf: CFStream, start_level: int) -> CFStream:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from confrac import convergents
+from confrac import Family, convergents
 from confrac.cli import TABLE_HEADER, main
 
 
@@ -16,6 +16,12 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 class TestEval:
@@ -58,8 +64,56 @@ class TestEval:
 
     def test_overflow_to_infinity_exits_two(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--family", "arctan", "--arg", "1e10")
+        payload = strict_json(out)
         assert code == 2
-        assert '"converged": false' in out
+        assert payload["converged"] is False and payload["terminated"] is False
+        assert payload["value"] in ("inf", "-inf", "nan")
+        assert payload["depth_used"] == 1
+
+    @pytest.mark.parametrize(
+        "argv, depth_used",
+        [
+            (("--family", "coth-scaled", "--arg", "1e160"), 1),
+            (("--family", "lagrange-binomial", "--n", "3", "--arg", "1e10"), None),
+            (("--family", "uniform-binomial", "--n", "3", "--arg", "1e160",
+              "--method", "convergents"), None),
+        ],
+        ids=["coth-scaled", "lagrange-binomial", "uniform-binomial"],
+    )
+    def test_non_finite_value_exits_two_with_strict_json(self, capsys, argv, depth_used):
+        code, out, _ = run_cli(capsys, "eval", *argv)
+        payload = strict_json(out)
+        assert code == 2
+        assert payload["converged"] is False and payload["terminated"] is False
+        assert payload["value"] in ("inf", "-inf", "nan")
+        if depth_used is not None:
+            assert payload["depth_used"] == depth_used
+
+    @pytest.mark.parametrize("method", ["convergents", "backward"])
+    def test_pole_before_the_cap_is_skipped(self, capsys, method):
+        # convergent 2 of lagrange n=3 at x=1 is a pole; convergent 3 is 8.5
+        code, out, _ = run_cli(
+            capsys, "eval", "--family", "lagrange-binomial", "--n", "3", "--arg", "1",
+            "--method", method, "--depth", "3",
+        )
+        payload = strict_json(out)
+        assert code == 2
+        assert payload["value"] == pytest.approx(8.5, rel=1e-15)
+        assert payload["depth_used"] == 3 and payload["residual"] == "inf"
+
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    @pytest.mark.parametrize("mode", ["float", "complex"])
+    @pytest.mark.parametrize("method", ["lentz", "convergents", "backward"])
+    def test_contract_matrix(self, capsys, family, mode, method):
+        argv = ["eval", "--family", family.value, "--arg", "0.3", "--mode", mode,
+                "--method", method]
+        if family.takes_n:
+            argv += ["--n", "5/2"]
+        if method == "backward":
+            argv += ["--depth", "30"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert strict_json(out)["converged"] is True
 
     def test_backward_method(self, capsys):
         code, out, _ = run_cli(
@@ -181,6 +235,15 @@ class TestTable:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert rows and all(r["abs_err"] == "" and r["rel_err"] == "" for r in rows)
+
+    def test_non_finite_cells_are_json_strings(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "table", "--family", "arctan", "--arg", "1e300", "--depth", "3",
+            "--format", "json",
+        )
+        assert code == 0
+        rows = strict_json(out)["rows"]
+        assert rows[-1]["value"] == rows[-1]["abs_err"] == rows[-1]["rel_err"] == "nan"
 
     def test_json_mirrors_csv_columns(self, capsys):
         code, out, _ = run_cli(

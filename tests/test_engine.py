@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from confrac import (
+    DEFAULT_TOLERANCE,
     EXACT,
     CFStream,
     CFTerm,
@@ -25,9 +26,12 @@ from confrac import (
     eval_convergents,
     eval_lentz,
     lagrange_binomial,
+    log_ratio_cf,
     symmetric_binomial,
     tail,
     tan_cf,
+    tan_multiple,
+    uniform_binomial,
 )
 
 TIGHT = ToleranceSpec(rel_tol=1e-13)
@@ -186,11 +190,25 @@ class TestEvalLentz:
     def test_overflow_to_infinity_is_not_convergence(self):
         # the first step divides t by the tiny stand-in and overflows
         report = eval_lentz(arctan_cf(1e9), TIGHT, 50)
+        assert not math.isfinite(report.value)
         assert not report.converged and not report.terminated
+        assert report.depth_used == 1
 
     def test_rational_mode_rejected(self):
         with pytest.raises(ModeMismatchError):
             eval_lentz(coth_scaled_cf(Fraction(1, 2)), TIGHT, 50)
+
+    @pytest.mark.parametrize(
+        "build",
+        [arctan_cf, tan_cf, log_ratio_cf, lambda t: tan_multiple(2.5, t)],
+        ids=["arctan", "tan", "log-ratio", "tan-multiple"],
+    )
+    def test_complex_mode_with_zero_leading_term(self, build):
+        # b0 = 0j: the first value is compared with b0, not the float stand-in
+        got = eval_lentz(build(0.3 + 0j), TIGHT, 200)
+        want = eval_lentz(build(0.3), TIGHT, 200)
+        assert type(got.value) is complex and got.value.imag == 0
+        assert got.converged and abs(got.value.real - want.value) <= 1e-13 * abs(want.value)
 
     def test_agrees_with_forward_recurrence(self):
         for stream in (coth_scaled_cf(0.8), arctan_cf(0.9), tan_cf(0.7)):
@@ -199,6 +217,30 @@ class TestEvalLentz:
             b = eval_convergents(stream, tol, 500)
             assert a.converged and b.converged
             assert abs(a.value - b.value) <= 10 * tol.rel_tol * max(abs(a.value), abs(b.value))
+
+
+class TestStoppingRule:
+    """The one stopping rule every evaluator ends through."""
+
+    @pytest.mark.parametrize("evaluate", [eval_lentz, eval_convergents])
+    def test_residual_is_the_relative_change_of_the_last_step(self, evaluate):
+        # arctan 1: values 0 then 1 at depth 1
+        report = evaluate(arctan_cf(1.0), TIGHT, 1)
+        assert report.value == pytest.approx(1.0, rel=1e-15) and report.residual == 1.0
+
+    @pytest.mark.parametrize(
+        "evaluate, stream, depth_used",
+        [
+            pytest.param(eval_lentz, coth_scaled_cf(1e160), 1, id="lentz-coth"),
+            pytest.param(eval_lentz, lagrange_binomial(3, 1e10), 5, id="lentz-lagrange"),
+            pytest.param(eval_convergents, uniform_binomial(3, 1e160), 2, id="convergents-uniform"),
+        ],
+    )
+    def test_first_non_finite_value_ends_the_walk(self, evaluate, stream, depth_used):
+        report = evaluate(stream, DEFAULT_TOLERANCE, 10_000)
+        assert not math.isfinite(report.value)
+        assert not report.converged and not report.terminated
+        assert report.depth_used == depth_used
 
 
 class TestEvalBackward:
