@@ -64,15 +64,10 @@ def _parse_exact(text: str, what: str, reject_decimal: bool) -> Fraction:
 def _parse_scalar(text: str, mode: Mode, what: str) -> Scalar:
     if mode is Mode.RATIONAL:
         return _parse_exact(text, what, reject_decimal=True)
-    if mode is Mode.FLOAT:
-        try:
-            return float(text)
-        except ValueError:
-            return float(_parse_exact(text, what, reject_decimal=False))
     try:
-        return complex(text)
+        return mode.cast(text)
     except ValueError:
-        return complex(_parse_exact(text, what, reject_decimal=False))
+        return mode.cast(_parse_exact(text, what, reject_decimal=False))
 
 
 def _format_scalar(value: Scalar) -> str:
@@ -326,7 +321,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 return _dispatch(args, handle)
         return _dispatch(args, sys.stdout)
     except (UsageError, DomainError, ModeMismatchError, PoleError, ZeroDivisionError,
-            OSError) as exc:
+            OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,6 +10,9 @@ termination signal: if ``a_m == 0`` the value of the fraction is the
 convergent truncated immediately before level ``m`` and deeper levels are
 never consulted.  Family generators arrange for that zero to be exact in
 every mode, so termination is a hard event, not a rounding accident.
+The stream's :class:`~confrac.scalars.Mode` supplies the seeds
+(``cf.mode.cast(0)``, ``cf.mode.cast(1)``) and the stopping rule's
+finiteness test (``cf.mode.isfinite``).  Terms are computed on each pull.
 
 Three evaluation routes with different trade-offs:
 
@@ -23,7 +26,7 @@ Three evaluation routes with different trade-offs:
   complex modes only.
 * :func:`eval_backward` -- backward folding from an assumed-zero tail at a
   fixed depth; reproduces the depth-truncated convergent exactly in
-  rational mode.
+  rational mode, also when an inner partial value is infinite.
 
 Every route's report comes from one stopping rule, ``_settle``: stop at
 the first two successive values that agree or at the first non-finite one
@@ -36,7 +39,6 @@ leaves every convergent value unchanged).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Union
@@ -49,8 +51,6 @@ from .scalars import (
     ToleranceSpec,
     mode_of,
     nearly_equal,
-    one,
-    zero,
 )
 
 #: Depth bound used when callers do not supply one.  Desk-scale arguments
@@ -65,9 +65,6 @@ _RESCALE_BOUND = 2.0**256
 #: Stand-in the Lentz iteration puts in place of an exactly-zero
 #: intermediate (each one is counted in ``tiny_substitutions``).
 LENTZ_TINY = 1e-300
-
-# The stopping rule's per-mode finiteness test; exact values are always finite.
-_FINITE = {Mode.FLOAT: math.isfinite, Mode.COMPLEX: cmath.isfinite, Mode.RATIONAL: lambda _: True}
 
 
 @dataclass(frozen=True)
@@ -87,9 +84,9 @@ TermFn = Callable[[int], Optional[CFTerm]]
 class CFStream:
     """A continued fraction: leading term plus lazy levels.
 
-    ``term_fn(k)`` must deterministically return the level-``k`` term
-    (``k >= 1``) or ``None`` once a finite stream is exhausted.  Terms are
-    cached, so requesting a level twice is cheap and guaranteed identical.
+    ``term_fn(k)`` must be pure: it returns the level-``k`` term (``k >= 1``)
+    or ``None`` once a finite stream is exhausted, and it is called on each
+    pull, with no cache.  Each term is checked to be in the mode of ``b0``.
     Streams are immutable once constructed and safe to share.
     """
 
@@ -98,7 +95,6 @@ class CFStream:
         self.mode = mode_of(b0)
         self.description = description
         self._term_fn = term_fn
-        self._cache: dict[int, Optional[CFTerm]] = {}
 
     @classmethod
     def from_terms(
@@ -119,15 +115,12 @@ class CFStream:
         """Level-``k`` term, or ``None`` past the end of a finite stream."""
         if k < 1:
             raise ValueError(f"term levels start at 1, got {k}")
-        if k in self._cache:
-            return self._cache[k]
         t = self._term_fn(k)
         if t is not None:
             if mode_of(t.a) is not self.mode or mode_of(t.b) is not self.mode:
                 raise ModeMismatchError(
                     f"term {k} of {self.description or 'stream'} is not in {self.mode} mode"
                 )
-        self._cache[k] = t
         return t
 
     def termination_level(self, within: int) -> Optional[int]:
@@ -202,7 +195,7 @@ def _settle(cf: CFStream, steps: Iterable[tuple[int, Optional[Scalar], int]],
     # max_depth only when the fraction terminates.
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-    finite = _FINITE[cf.mode]
+    finite = cf.mode.isfinite
     value = None
     for k, step, substitutions in steps:
         prev, value = value, step
@@ -244,9 +237,9 @@ def _levels(cf: CFStream, depth: int) -> Iterator[tuple[int, CFTerm]]:
 def _forward(cf: CFStream, depth: int) -> Iterator[tuple[int, Scalar, Scalar]]:
     # The forward recurrence: yields (k, p_k, q_k) for k = 0..depth along
     # _levels, so a last k below depth means termination.
-    one_ = one(cf.mode)
+    one_ = cf.mode.cast(1)
     floating = cf.mode is not Mode.RATIONAL
-    p_prev, q_prev = one_, zero(cf.mode)
+    p_prev, q_prev = one_, cf.mode.cast(0)
     p, q = cf.b0, one_
     yield 0, p, q
     for k, t in _levels(cf, depth):
@@ -293,7 +286,7 @@ def _lentz(cf: CFStream, depth: int) -> Iterator[tuple[int, Scalar, int]]:
     substitutions = int(cf.b0 == 0)
     yield 0, cf.b0, substitutions
     f = c = cf.b0 or LENTZ_TINY
-    d = zero(cf.mode)
+    d = cf.mode.cast(0)
     for k, t in _levels(cf, depth):
         d = t.b + t.a * d
         if d == 0:
@@ -331,12 +324,13 @@ def eval_lentz(
 
 def _fold(b0: Scalar, terms: list[CFTerm]) -> Scalar:
     # Backward fold of b0 + a_1/(b_1 + ... + a_m/b_m) from an assumed-zero tail.
+    # r is None where a partial value is infinite; the level above folds to its b (a/inf = 0).
     r = terms[-1].b if terms else b0
     for i in range(len(terms) - 1, -1, -1):
-        if r == 0:
-            where = f"level {i}" if i else "the leading term"
-            raise PoleError(f"zero denominator while folding into {where}")
-        r = (terms[i - 1].b if i else b0) + terms[i].a / r
+        b = terms[i - 1].b if i else b0
+        r = None if r == 0 else b if r is None else b + terms[i].a / r
+    if r is None:
+        raise PoleError("zero denominator while folding into the leading term")
     return r
 
 
@@ -345,8 +339,9 @@ def eval_backward(cf: CFStream, depth: int) -> Scalar:
 
     The tail beyond ``depth`` is taken as zero; a vanishing partial
     numerator at or before ``depth`` shortens the fold accordingly.  Exact
-    in rational mode.  Raises :class:`PoleError` if a fold step divides by
-    an exact zero.
+    in rational mode.  An exact zero met inside the fold makes that partial
+    value infinite and the level above it folds to its own ``b``; raises
+    :class:`PoleError` only when the truncated value itself is infinite.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")

@@ -73,10 +73,7 @@ TAN_POLE_GUARD = 1e-8
 
 
 def _require_finite(value: Scalar, name: str) -> None:
-    if isinstance(value, complex):
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise DomainError(f"{name} must be finite, got {value!r}")
-    elif isinstance(value, float) and not math.isfinite(value):
+    if not mode_of(value).isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
 
 
@@ -85,19 +82,12 @@ def _require_real(value: Scalar, name: str) -> None:
         raise DomainError(f"{name} must be real, got {value!r}")
 
 
-_CAST: dict[Mode, Callable[[Union[int, Fraction]], Scalar]] = {
-    Mode.RATIONAL: Fraction,
-    Mode.FLOAT: float,
-    Mode.COMPLEX: complex,
-}
-
-
 def _cast_for(arg: Scalar, name: str) -> Callable[[Union[int, Fraction]], Scalar]:
     # Checks that the argument is finite, then returns the constructor of its
     # mode.  Generators apply it to exact coefficients: an exact rational zero
     # stays an exact zero in every mode, and float(Fraction) rounds correctly.
     _require_finite(arg, name)
-    return _CAST[mode_of(arg)]
+    return mode_of(arg).cast
 
 
 def lagrange_binomial(n: Union[int, float, Fraction], x: Scalar) -> CFStream:

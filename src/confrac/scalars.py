@@ -9,10 +9,12 @@ All arithmetic in this package runs in one of three scalar modes:
 * ``Mode.COMPLEX``  -- double-precision complex (:class:`complex`).
 
 Values are ordinary Python numbers and the mode is carried by the type.
-Modes never mix silently: an operation that meets two different modes
-raises :class:`~confrac.errors.ModeMismatchError` instead of promoting,
-because the exactness guarantees downstream rest on rational computations
-staying rational.
+:class:`Mode` is the one table of what a mode means: its constructor
+(``cast``) and its finiteness test (``isfinite``).  Modes never mix
+silently: an operation that meets two different modes raises
+:class:`~confrac.errors.ModeMismatchError` instead of promoting, because
+the exactness guarantees downstream rest on rational computations staying
+rational.
 
 Division by an exact zero is an error in every mode (Python's native
 behaviour), never an infinity; pole detection in the fraction engine
@@ -21,11 +23,12 @@ depends on that.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 from .errors import ModeMismatchError
 
@@ -33,11 +36,20 @@ Scalar = Union[Fraction, int, float, complex]
 
 
 class Mode(enum.Enum):
-    """Arithmetic mode a scalar lives in."""
+    """Arithmetic mode a scalar lives in.  Each member holds ``cast``, its
+    constructor, and ``isfinite``, its finiteness test (always true for
+    exact values)."""
 
-    FLOAT = "float"
-    RATIONAL = "rational"
-    COMPLEX = "complex"
+    FLOAT = ("float", float, math.isfinite)
+    RATIONAL = ("rational", Fraction, lambda _: True)
+    COMPLEX = ("complex", complex, cmath.isfinite)
+
+    def __new__(cls, name: str, cast: Callable, isfinite: Callable) -> "Mode":
+        member = object.__new__(cls)
+        member._value_ = name
+        member.cast = cast
+        member.isfinite = isfinite
+        return member
 
     def __str__(self) -> str:
         return self.value
@@ -45,23 +57,15 @@ class Mode(enum.Enum):
 
 def mode_of(value: Scalar) -> Mode:
     """Mode of *value*; integers count as exact rationals."""
-    if isinstance(value, bool):
-        raise ModeMismatchError(f"not a scalar: {value!r}")
-    if isinstance(value, (int, Fraction)):
-        return Mode.RATIONAL
     if isinstance(value, float):
         return Mode.FLOAT
     if isinstance(value, complex):
         return Mode.COMPLEX
+    if isinstance(value, bool):
+        raise ModeMismatchError(f"not a scalar: {value!r}")
+    if isinstance(value, (int, Fraction)):
+        return Mode.RATIONAL
     raise ModeMismatchError(f"unsupported scalar type {type(value).__name__!s}")
-
-
-def same_mode(a: Scalar, b: Scalar) -> Mode:
-    """Common mode of *a* and *b*, raising on a mismatch."""
-    ma, mb = mode_of(a), mode_of(b)
-    if ma is not mb:
-        raise ModeMismatchError(f"mode mismatch: {ma} vs {mb}")
-    return ma
 
 
 def coerce(value: Scalar, mode: Mode) -> Scalar:
@@ -71,24 +75,9 @@ def coerce(value: Scalar, mode: Mode) -> Scalar:
     FLOAT and COMPLEX, and to RATIONAL through their exact binary expansion.
     Complex values only stay complex.
     """
-    src = mode_of(value)
-    if mode is Mode.RATIONAL:
-        if src is Mode.COMPLEX:
-            raise ModeMismatchError("cannot convert complex to rational")
-        return Fraction(value)
-    if mode is Mode.FLOAT:
-        if src is Mode.COMPLEX:
-            raise ModeMismatchError("cannot convert complex to float")
-        return float(value)
-    return complex(value)
-
-
-def zero(mode: Mode) -> Scalar:
-    return coerce(Fraction(0), mode)
-
-
-def one(mode: Mode) -> Scalar:
-    return coerce(Fraction(1), mode)
+    if mode_of(value) is Mode.COMPLEX and mode is not Mode.COMPLEX:
+        raise ModeMismatchError(f"cannot convert complex to {mode}")
+    return mode.cast(value)
 
 
 def as_fraction(value: Scalar) -> Fraction:
@@ -146,11 +135,12 @@ def nearly_equal(a: Scalar, b: Scalar, tol: ToleranceSpec = DEFAULT_TOLERANCE) -
     (the tolerances are converted to exact fractions), so zero tolerances
     mean exact equality.
     """
-    mode = same_mode(a, b)
+    mode, other = mode_of(a), mode_of(b)
+    if mode is not other:
+        raise ModeMismatchError(f"mode mismatch: {mode} vs {other}")
     if mode is Mode.RATIONAL:
-        fa, fb = Fraction(a), Fraction(b)
-        diff = abs(fa - fb)
-        return diff <= Fraction(tol.abs_tol) or diff <= Fraction(tol.rel_tol) * max(abs(fa), abs(fb))
+        diff = abs(a - b)
+        return diff <= Fraction(tol.abs_tol) or diff <= Fraction(tol.rel_tol) * max(abs(a), abs(b))
     diff = abs(a - b)
     if not math.isfinite(diff):
         return False

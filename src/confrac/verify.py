@@ -63,7 +63,7 @@ from .oracles import (
     symmetric_lhs,
     tan_multiple_lhs,
 )
-from .scalars import EXACT, Scalar, ToleranceSpec, coerce, mode_of, one
+from .scalars import EXACT, Scalar, ToleranceSpec, mode_of
 
 _TOL = ToleranceSpec(rel_tol=1e-13, abs_tol=0.0)
 
@@ -121,11 +121,11 @@ def _shifted_uniform(n: Fraction, y: Scalar) -> CFStream:
     # 1 + y + (n^2-1)y^2/(3(1+y) + (n^2-4)y^2/(5(1+y) + ...)); its value is
     # n*y*(1 + (1+2y)^n) / ((1+2y)^n - 1).
     mode = mode_of(y)
-    one_ = one(mode)
+    one_ = mode.cast(1)
 
     def term(k: int) -> CFTerm:
-        a = coerce(Fraction(n * n - k * k), mode) * y * y
-        return CFTerm(a, coerce(2 * k + 1, mode) * (one_ + y))
+        a = mode.cast(n * n - k * k) * y * y
+        return CFTerm(a, mode.cast(2 * k + 1) * (one_ + y))
 
     return CFStream(one_ + y, term, description=f"shifted-uniform(n={n}, y={y!r})")
 

@@ -144,6 +144,16 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["value"] == "3/4"
 
+    def test_rational_backward_through_an_inner_zero(self, capsys):
+        argv = ["eval", "--family", "tan-multiple", "--n", "10", "--arg", "1/3",
+                "--mode", "rational", "--depth", "5"]
+        code, out, _ = run_cli(capsys, *argv, "--method", "backward")
+        assert code == 2
+        payload = strict_json(out)
+        assert payload["value"] == "13/192" and payload["residual"] == 1.0
+        _, forward, _ = run_cli(capsys, *argv, "--method", "convergents")
+        assert strict_json(forward) == payload
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -164,6 +174,11 @@ class TestUsageErrors:
             ("eval", "--family", "arctan", "--arg", "1", "--tol", "nan"),
             ("eval", "--family", "arctan", "--arg", "1", "--abs-tol", "inf"),
             ("eval", "--family", "arctan", "--arg", "1", "--output", "/nonexistent/dir/x"),
+            ("eval", "--family", "lagrange-binomial", "--n", "1e400", "--arg", "0.5"),
+            ("eval", "--family", "symmetric-binomial", "--n", "1e200", "--arg", "0.5"),
+            ("table", "--family", "tan-multiple", "--n", "1e300", "--arg", "0.5", "--depth", "2"),
+            ("table", "--family", "coth-scaled", "--arg", "1" + "0" * 400, "--mode", "rational",
+             "--depth", "1"),
         ],
     )
     def test_exit_code_one(self, capsys, argv):

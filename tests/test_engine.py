@@ -262,6 +262,12 @@ class TestEvalBackward:
         cf = coth_scaled_cf(1.0)
         assert abs(eval_backward(cf, 25) - eval_backward(cf, 24)) < 1e-13
 
+    @pytest.mark.parametrize("depth", range(1, 12))
+    def test_inner_zero_folds_through(self, depth):
+        # the depth-4 fold of tan(10 arctan(1/3)) meets an exact inner zero
+        cf = tan_multiple(10, Fraction(1, 3))
+        assert eval_backward(cf, depth) == convergents(cf, depth)[-1].value
+
     def test_zero_fold_denominator_raises(self):
         cf = CFStream.from_terms(Fraction(1), [(Fraction(1), Fraction(1)), (Fraction(-1), Fraction(1))])
         with pytest.raises(PoleError):

@@ -17,7 +17,7 @@ from confrac import (
     mode_of,
     nearly_equal,
 )
-from confrac.scalars import coerce, one, zero
+from confrac.scalars import coerce
 
 
 class TestModeOf:
@@ -34,6 +34,23 @@ class TestModeOf:
     def test_rejects_strings(self):
         with pytest.raises(ModeMismatchError):
             mode_of("1/2")
+
+    def test_float_subclass_is_float_and_bool_is_rejected(self):
+        class Tagged(float):
+            pass
+
+        assert mode_of(Tagged(0.5)) is Mode.FLOAT
+        with pytest.raises(ModeMismatchError):
+            mode_of(True)
+
+
+class TestModeTable:
+    @pytest.mark.parametrize("mode", list(Mode), ids=str)
+    def test_cast_and_finiteness(self, mode):
+        assert mode_of(mode.cast(1)) is mode
+        assert mode.isfinite(mode.cast(1))
+        if mode is not Mode.RATIONAL:
+            assert not mode.isfinite(mode.cast(math.inf))
 
 
 class TestNearlyEqual:
@@ -105,8 +122,8 @@ class TestCoerce:
             coerce(1j, Mode.RATIONAL)
 
     def test_zero_one_are_in_mode(self):
-        assert zero(Mode.COMPLEX) == 0j and isinstance(zero(Mode.COMPLEX), complex)
-        assert one(Mode.RATIONAL) == 1 and isinstance(one(Mode.RATIONAL), Fraction)
+        assert Mode.COMPLEX.cast(0) == 0j and isinstance(Mode.COMPLEX.cast(0), complex)
+        assert Mode.RATIONAL.cast(1) == 1 and isinstance(Mode.RATIONAL.cast(1), Fraction)
 
 
 class TestAsFraction:
