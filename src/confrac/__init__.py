@@ -61,9 +61,17 @@ from .scalars import (
     mode_of,
     nearly_equal,
 )
-from .verify import CheckResult, run_checks
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # confrac.verify loads on first use, so eval, table and compare skip it.
+    if name in ("CheckResult", "run_checks"):
+        from . import verify
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CFStream",

@@ -33,7 +33,6 @@ from .engine import (
 from .errors import DomainError, ModeMismatchError, PoleError
 from .families import Family, FamilySpec, oracle_value
 from .scalars import DEFAULT_TOLERANCE, Mode, Scalar, ToleranceSpec
-from .verify import run_checks
 
 TABLE_HEADER = "k,p,q,value,abs_err,rel_err"
 COMPARE_HEADER = "depth,cf_value,oracle_value,rel_err"
@@ -298,6 +297,7 @@ def _emit_rows(cfg: CommandConfig, out: TextIO, header: str, rows: list[dict]) -
 
 
 def run_verify(args: argparse.Namespace, out: TextIO) -> int:
+    from .verify import run_checks
     results = run_checks(only=args.only, mode=args.mode)
     failed = 0
     for r in results:

@@ -18,15 +18,19 @@ Three evaluation routes with different trade-offs:
 
 * :func:`convergents` / :func:`eval_convergents` -- the forward three-term
   recurrence ``p_k = b_k p_{k-1} + a_k p_{k-2}`` (likewise ``q_k``), seeded
-  with ``p_{-1} = 1, q_{-1} = 0, p_0 = b0, q_0 = 1``.  Exact in rational
-  mode; in floating point the pair ``(p, q)`` is occasionally rescaled by a
-  power of two to dodge overflow (the factor cancels in ``p/q``).
+  with ``p_{-1} = 1, q_{-1} = 0, p_0 = b0, q_0 = 1``.  In floating point
+  the pair ``(p, q)`` is occasionally rescaled by a power of two to dodge
+  overflow (the factor cancels in ``p/q``).
 * :func:`eval_lentz` -- the modified Lentz iteration, which sidesteps the
   magnitude growth of the forward recurrence entirely.  Floating-point and
   complex modes only.
 * :func:`eval_backward` -- backward folding from an assumed-zero tail at a
   fixed depth; reproduces the depth-truncated convergent exactly in
   rational mode, also when an inner partial value is infinite.
+
+Rational routes run on Python ints: level ``k`` is first multiplied through
+by the lcm of its term denominators (an equivalence transform), and a value
+is reduced, to one ``Fraction``, only when it is read.
 
 Every route's report comes from one stopping rule, ``_settle``: stop at
 the first two successive values that agree or at the first non-finite one
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import ModeMismatchError, PoleError
@@ -135,28 +140,51 @@ class CFStream:
         return f"CFStream(b0={self.b0!r}, mode={self.mode}{label})"
 
 
-@dataclass(frozen=True)
 class Convergent:
     """Numerator/denominator pair of the depth-``k`` truncation.
 
     ``q == 0`` marks a pole of the truncation, not corruption.  In
     floating-point modes ``p`` and ``q`` may carry a common power-of-two
-    rescaling; the ratio is unaffected.
+    rescaling; the ratio is unaffected.  In rational mode it holds the ints
+    ``s·p``, ``s·q`` and ``s``, and reduces on each read: ``p`` and ``q``
+    in lowest terms, ``value`` as one ``Fraction``.  Immutable.
     """
 
-    p: Scalar
-    q: Scalar
-    k: int
+    __slots__ = ("_p", "_q", "_scale", "_k")
+
+    def __init__(self, p: Scalar, q: Scalar, k: int):
+        self._p, self._q, self._scale, self._k = p, q, None, k
+
+    @classmethod
+    def _exact(cls, p: int, q: int, scale: int, k: int) -> "Convergent":
+        c = cls(p, q, k)
+        c._scale = scale
+        return c
+
+    p = property(lambda self: self._p if self._scale is None else Fraction(self._p, self._scale))
+    q = property(lambda self: self._q if self._scale is None else Fraction(self._q, self._scale))
+    k = property(lambda self: self._k)
 
     @property
     def is_pole(self) -> bool:
-        return self.q == 0
+        return self._q == 0
 
     @property
     def value(self) -> Scalar:
         if self.is_pole:
             raise PoleError(f"convergent {self.k} is a pole (q = 0)")
-        return self.p / self.q
+        return self._p / self._q if self._scale is None else Fraction(self._p, self._q)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Convergent):
+            return NotImplemented
+        return (self.p, self.q, self.k) == (other.p, other.q, other.k)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q, self.k))
+
+    def __repr__(self) -> str:
+        return f"Convergent(p={self.p!r}, q={self.q!r}, k={self.k!r})"
 
 
 @dataclass(frozen=True)
@@ -235,19 +263,37 @@ def _levels(cf: CFStream, depth: int) -> Iterator[tuple[int, CFTerm]]:
 
 
 def _forward(cf: CFStream, depth: int) -> Iterator[tuple[int, Scalar, Scalar]]:
-    # The forward recurrence: yields (k, p_k, q_k) for k = 0..depth along
-    # _levels, so a last k below depth means termination.
+    # The forward recurrence (float and complex modes): yields (k, p_k, q_k)
+    # for k = 0..depth along _levels, so a last k below depth means termination.
     one_ = cf.mode.cast(1)
-    floating = cf.mode is not Mode.RATIONAL
     p_prev, q_prev = one_, cf.mode.cast(0)
     p, q = cf.b0, one_
     yield 0, p, q
     for k, t in _levels(cf, depth):
         p, p_prev = t.b * p + t.a * p_prev, p
         q, q_prev = t.b * q + t.a * q_prev, q
-        if floating:
-            p, q, p_prev, q_prev = _rescale(p, q, p_prev, q_prev)
+        p, q, p_prev, q_prev = _rescale(p, q, p_prev, q_prev)
         yield k, p, q
+
+
+def _cleared(a: Scalar, b: Scalar) -> tuple[int, int, int]:
+    # (l, l·a, l·b) as ints, l = lcm of the denominators of two exact terms
+    l = math.lcm(a.denominator, b.denominator)
+    return l, a.numerator * (l // a.denominator), b.numerator * (l // b.denominator)
+
+
+def _forward_exact(cf: CFStream, depth: int) -> Iterator[tuple[int, int, int, int]]:
+    # _forward on Python ints (rational mode): yields (k, s·p_k, s·q_k, s),
+    # s = denominator(b0)·l_1···l_k with l_k the lcm from _cleared.
+    s = cf.b0.denominator
+    p_prev, q_prev, p, q = s, 0, cf.b0.numerator, s
+    yield 0, p, q, s
+    for k, t in _levels(cf, depth):
+        l, a, b = _cleared(t.a, t.b)
+        p, p_prev = b * p + a * p_prev, l * p
+        q, q_prev = b * q + a * q_prev, l * q
+        s *= l
+        yield k, p, q, s
 
 
 def convergents(cf: CFStream, depth: int) -> list[Convergent]:
@@ -260,6 +306,8 @@ def convergents(cf: CFStream, depth: int) -> list[Convergent]:
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
+    if cf.mode is Mode.RATIONAL:
+        return [Convergent._exact(p, q, s, k) for k, p, q, s in _forward_exact(cf, depth)]
     return [Convergent(p=p, q=q, k=k) for k, p, q in _forward(cf, depth)]
 
 
@@ -275,8 +323,10 @@ def eval_convergents(
     is False and that convergent is the value.  Raises :class:`PoleError`
     when the value that would be reported sits on a pole.
     """
-    # q_0 = 1: convergent 0 is b0 itself
-    steps = ((k, None if q == 0 else p / q if k else p, 0) for k, p, q in _forward(cf, max_depth))
+    if cf.mode is Mode.RATIONAL:
+        steps = ((k, None if q == 0 else Fraction(p, q), 0) for k, p, q, _ in _forward_exact(cf, max_depth))
+    else:  # q_0 = 1: convergent 0 is b0 itself
+        steps = ((k, None if q == 0 else p / q if k else p, 0) for k, p, q in _forward(cf, max_depth))
     return _settle(cf, steps, tol, max_depth)
 
 
@@ -322,13 +372,20 @@ def eval_lentz(
     return _settle(cf, _lentz(cf, max_depth), tol, max_depth)
 
 
-def _fold(b0: Scalar, terms: list[CFTerm]) -> Scalar:
+def _fold(cf: CFStream, terms: list[CFTerm]) -> Scalar:
     # Backward fold of b0 + a_1/(b_1 + ... + a_m/b_m) from an assumed-zero tail.
     # r is None where a partial value is infinite; the level above folds to its b (a/inf = 0).
-    r = terms[-1].b if terms else b0
-    for i in range(len(terms) - 1, -1, -1):
-        b = terms[i - 1].b if i else b0
-        r = None if r == 0 else b if r is None else b + terms[i].a / r
+    r = terms[-1].b if terms else cf.b0
+    if cf.mode is Mode.RATIONAL:  # on ints, r = num/den: an inner zero is den = 0
+        num, den = r.numerator, r.denominator
+        for i in range(len(terms) - 1, -1, -1):
+            l, a, b = _cleared(terms[i].a, terms[i - 1].b if i else cf.b0)
+            num, den = b * num + a * den, l * num
+        r = Fraction(num, den) if den else None
+    else:
+        for i in range(len(terms) - 1, -1, -1):
+            b = terms[i - 1].b if i else cf.b0
+            r = None if r == 0 else b if r is None else b + terms[i].a / r
     if r is None:
         raise PoleError("zero denominator while folding into the leading term")
     return r
@@ -345,16 +402,16 @@ def eval_backward(cf: CFStream, depth: int) -> Scalar:
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    return _fold(cf.b0, [t for _, t in _levels(cf, depth)])
+    return _fold(cf, [t for _, t in _levels(cf, depth)])
 
 
 def _backward_report(cf: CFStream, depth: int, tol: ToleranceSpec) -> EvalReport:
     # The folds at depth - 1 (None at a pole) and depth, or the one terminated fold.
     terms = [t for _, t in _levels(cf, depth)]
-    steps = [(len(terms), _fold(cf.b0, terms), 0)]
+    steps = [(len(terms), _fold(cf, terms), 0)]
     if len(terms) == depth:
         try:
-            steps.insert(0, (depth - 1, _fold(cf.b0, terms[:-1]), 0))
+            steps.insert(0, (depth - 1, _fold(cf, terms[:-1]), 0))
         except PoleError:
             steps.insert(0, (depth - 1, None, 0))
     return _settle(cf, steps, tol, depth)

@@ -4,10 +4,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import confrac
 from confrac import Family, convergents
 from confrac.cli import TABLE_HEADER, main
 
@@ -328,6 +333,21 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--only", "bogus")
         assert code == 1
         assert "known groups" in err
+
+    def test_check_suite_loads_on_first_use(self):
+        # a fresh interpreter: this one has confrac.verify loaded already
+        child = (
+            "import sys, confrac.cli\n"
+            "for command in ('eval', 'table', 'compare'):\n"
+            "    confrac.cli.main([command, '--family', 'arctan', '--arg', '0.5', '--depth', '3'])\n"
+            "assert 'confrac.verify' not in sys.modules, 'imported before use'\n"
+            "from confrac import CheckResult, run_checks\n"
+            "assert run_checks.__module__ == CheckResult.__module__ == 'confrac.verify'\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(confrac.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestOutputFile:

@@ -278,6 +278,85 @@ class TestEvalBackward:
             eval_backward(coth_scaled_cf(1.0), 0)
 
 
+EXACT_SCALARS = st.one_of(
+    st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=7)
+)
+
+
+def _reference_convergents(cf, depth):
+    # the forward recurrence in plain Fraction arithmetic, one level at a time
+    p_prev, q_prev, p, q = Fraction(1), Fraction(0), Fraction(cf.b0), Fraction(1)
+    out = [(p, q)]
+    for k in range(1, depth + 1):
+        t = cf.term(k)
+        if t is None or t.a == 0:
+            break
+        p, p_prev = t.b * p + t.a * p_prev, p
+        q, q_prev = t.b * q + t.a * q_prev, q
+        out.append((p, q))
+    return out
+
+
+def _reference_fold(cf, depth):
+    # the truncated value folded from the bottom; None is an infinite partial value
+    levels = len(_reference_convergents(cf, depth)) - 1
+    bs = [Fraction(cf.b0)] + [Fraction(cf.term(k).b) for k in range(1, levels + 1)]
+    r = bs[-1]
+    for k in range(levels, 0, -1):
+        r = bs[k - 1] if r is None else None if r == 0 else bs[k - 1] + cf.term(k).a / r
+    return r
+
+
+def _assert_exact_routes_match_reference(cf, depth):
+    convs = convergents(cf, depth)
+    assert [(c.k, c.p, c.q) for c in convs] == [(k, p, q) for k, (p, q) in
+                                                enumerate(_reference_convergents(cf, depth))]
+    for c in convs:
+        assert type(c.p) is Fraction and type(c.q) is Fraction
+        assert c.is_pole == (c.q == 0)
+        if c.is_pole:
+            with pytest.raises(PoleError, match=f"convergent {c.k} is a pole"):
+                c.value
+        else:
+            assert type(c.value) is Fraction and c.value == c.p / c.q
+    want = _reference_fold(cf, depth)
+    if want is None:
+        with pytest.raises(PoleError, match="zero denominator while folding into the leading term"):
+            eval_backward(cf, depth)
+    else:
+        got = eval_backward(cf, depth)
+        assert type(got) is Fraction and got == want
+
+
+class TestExactKernel:
+    """Rational routes run on Python ints; these pin them to plain Fraction arithmetic."""
+
+    @given(EXACT_SCALARS, st.lists(st.tuples(EXACT_SCALARS, EXACT_SCALARS), max_size=8),
+           st.integers(1, 10))
+    def test_explicit_streams(self, b0, terms, depth):
+        _assert_exact_routes_match_reference(CFStream.from_terms(b0, terms), depth)
+
+    @given(st.fractions(min_value=-4, max_value=4, max_denominator=6),
+           st.fractions(min_value=-2, max_value=2, max_denominator=6).filter(lambda f: f != 0),
+           st.integers(1, 3), st.integers(1, 10))
+    def test_tails_of_a_family(self, n, z, start, depth):
+        _assert_exact_routes_match_reference(tail(symmetric_binomial(n, z), start), depth)
+
+    @given(st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(lambda f: f != 0),
+           EXACT_SCALARS.filter(lambda c: c != 0), st.integers(1, 10))
+    def test_transforms_of_a_family(self, v, c, depth):
+        cf = equivalence_transform(coth_scaled_cf(v), lambda k: c * Fraction(2 * k + 1, 3), c0=c)
+        _assert_exact_routes_match_reference(cf, depth)
+
+    def test_integer_stream_values_are_fractions(self):
+        # int / int would be a float; every rational route returns a Fraction
+        cf = CFStream.from_terms(1, [(1, 2), (3, 4)])
+        assert convergents(cf, 2)[-1].value == eval_backward(cf, 2) == Fraction(15, 11)
+        assert type(convergents(cf, 2)[-1].value) is Fraction
+        assert type(eval_backward(cf, 2)) is Fraction
+        assert type(eval_convergents(cf, EXACT, 5).value) is Fraction
+
+
 class TestTail:
     def test_leading_term_is_original_b1(self):
         cf = lagrange_binomial(Fraction(1, 2), Fraction(1, 4))
