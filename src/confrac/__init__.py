@@ -42,7 +42,6 @@ from .families import (
     uniform_binomial,
 )
 from .oracles import (
-    OracleMethod,
     OracleResult,
     binomial_power,
     coth_scaled_lhs,
@@ -87,7 +86,6 @@ __all__ = [
     "FamilySpec",
     "Mode",
     "ModeMismatchError",
-    "OracleMethod",
     "OracleResult",
     "PoleError",
     "Scalar",

@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence, TextIO
 
@@ -34,6 +35,7 @@ from .errors import DomainError, ModeMismatchError, PoleError
 from .families import Family, FamilySpec, oracle_value
 from .scalars import DEFAULT_TOLERANCE, Mode, Scalar, ToleranceSpec
 
+EVAL_HEADER = "value,depth_used,converged,terminated,residual"
 TABLE_HEADER = "k,p,q,value,abs_err,rel_err"
 COMPARE_HEADER = "depth,cf_value,oracle_value,rel_err"
 
@@ -73,7 +75,11 @@ def _format_scalar(value: Scalar) -> str:
     """Text form that round-trips: exact fractions verbatim, floats with 17
     significant digits, complex as re+imj."""
     if isinstance(value, (int, Fraction)):
-        return str(value)
+        # Decimal writes an int of any size exactly; str() stops at the
+        # interpreter's limit on int-to-text digits.
+        value = Fraction(value)
+        text = str(Decimal(value.numerator))
+        return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
     if isinstance(value, complex):
         return f"{value.real:.17g}{value.imag:+.17g}j"
     return f"{value:.17g}"
@@ -177,22 +183,14 @@ def run_eval(cfg: CommandConfig, out: TextIO) -> int:
         max_depth = cfg.depth if cfg.depth is not None else DEFAULT_MAX_DEPTH
         evaluate = eval_convergents if cfg.method == "convergents" else eval_lentz
         report = evaluate(stream, cfg.tol, max_depth)
-    payload = {
+    row = {
         "value": _json_scalar(report.value),
         "depth_used": report.depth_used,
         "converged": report.converged,
         "terminated": report.terminated,
         "residual": _json_scalar(report.residual),
     }
-    if cfg.fmt == "json":
-        out.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
-    else:
-        out.write("value,depth_used,converged,terminated,residual\n")
-        out.write(
-            f"{_format_scalar(report.value)},{report.depth_used},"
-            f"{str(report.converged).lower()},{str(report.terminated).lower()},"
-            f"{report.residual:.17g}\n"
-        )
+    _emit_rows(cfg, out, EVAL_HEADER, [row], row)
     return 0 if report.converged or report.terminated else 2
 
 
@@ -208,14 +206,15 @@ def _convergent_value(c: Convergent) -> Optional[Scalar]:
     return None if c.is_pole else c.value
 
 
-def _params_payload(cfg: CommandConfig) -> dict:
+def _rows_document(cfg: CommandConfig, rows: list[dict]) -> dict:
     spec = cfg.spec
-    return {
+    params = {
         "n": None if spec.n is None else str(spec.n),
         "arg": _json_scalar(spec.arg),
         "mode": spec.mode.value,
         "depth": cfg.depth,
     }
+    return {"family": spec.family.value, "params": params, "rows": rows}
 
 
 def run_table(cfg: CommandConfig, out: TextIO) -> int:
@@ -240,7 +239,7 @@ def run_table(cfg: CommandConfig, out: TextIO) -> int:
                 "rel_err": rel_err,
             }
         )
-    _emit_rows(cfg, out, TABLE_HEADER, rows)
+    _emit_rows(cfg, out, TABLE_HEADER, rows, _rows_document(cfg, rows))
     return 0
 
 
@@ -262,7 +261,7 @@ def run_compare(cfg: CommandConfig, out: TextIO) -> int:
                 "rel_err": rel_err,
             }
         )
-    _emit_rows(cfg, out, COMPARE_HEADER, rows)
+    _emit_rows(cfg, out, COMPARE_HEADER, rows, _rows_document(cfg, rows))
     return 0
 
 
@@ -272,14 +271,12 @@ def _number_cell(value: Scalar):
     return _json_scalar(value if isinstance(value, complex) else float(value))
 
 
-def _emit_rows(cfg: CommandConfig, out: TextIO, header: str, rows: list[dict]) -> None:
+def _emit_rows(cfg: CommandConfig, out: TextIO, header: str, rows: list[dict],
+               document: dict) -> None:
+    """The one writer of command output: JSON writes ``document``, CSV the
+    header and one line per row."""
     if cfg.fmt == "json":
-        payload = {
-            "family": cfg.spec.family.value,
-            "params": _params_payload(cfg),
-            "rows": rows,
-        }
-        out.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+        out.write(json.dumps(document, indent=2, allow_nan=False) + "\n")
         return
     out.write(header + "\n")
     columns = header.split(",")
@@ -289,6 +286,8 @@ def _emit_rows(cfg: CommandConfig, out: TextIO, header: str, rows: list[dict]) -
             v = row[col]
             if v is None:
                 cells.append("")
+            elif isinstance(v, bool):
+                cells.append(str(v).lower())
             elif isinstance(v, float):
                 cells.append(f"{v:.17g}")
             else:

@@ -32,14 +32,31 @@ there is no separate sign convention.  The four full-fraction families
 whose first level holds the top numerator over the inner fraction's
 leading term.
 
+Every generator is one call of a private builder, ``_stream``, with its row
+of the law table.  After an optional head level, inner level j is
+``a_j = α(j)·x^p`` over ``b_j = β(j)·(1 + s·x)``; with a head, inner level
+j is stream level j+1, without one it is level j:
+
+    family              b0  head (level 1)     α(j)              p  β(j)           s
+    lagrange-binomial   1   nx/1               (j+1)/2 - n odd,  1  2 odd,         -
+                                               j/2 + n even         j+1 even
+    uniform-binomial    1   nx/(1 + (1-n)x/2)  (n² - j²)/4       2  2j+1           1/2
+    symmetric-binomial  1   -                  n² - j²           2  2j+1           -
+    tan-multiple        0   nt/1               j² - n²           2  2j+1           -
+    arctan              0   t/1                j²                2  2j+1           -
+    tan                 0   θ/1                a_j = -(θ·θ)         2j+1           -
+    log-ratio           0   2z/1               -j²               2  2j+1           -
+    coth-scaled         1   -                  a_j = v·v            2j+1           -
+
 Exponents are carried as exact rationals regardless of evaluation mode:
-the level coefficients (k ± n) and (n² - k²) are computed exactly and only
-then cast once into the argument's mode (``Fraction``, ``float`` or
-``complex``, resolved once per stream), so for integer n the vanishing
-partial numerator is an exact zero even in floating point and termination
-is never lost to rounding.  Termination levels: ``symmetric_binomial`` at
-|n|, ``uniform_binomial`` at |n|+1, ``lagrange_binomial`` at 2n (n > 0) or
-2|n|+1 (n < 0), ``tan_multiple`` at |n|+1.
+α(j) and β(j) are computed exactly (n² and (1-n)/2 once per stream) and
+only then cast, once per level, into the argument's mode (``Fraction``,
+``float`` or ``complex``, looked up once per stream), so for integer n the
+vanishing partial numerator is an exact zero even in floating point and
+termination is never lost to rounding.  Termination levels:
+``symmetric_binomial`` at |n|, ``uniform_binomial`` at |n|+1,
+``lagrange_binomial`` at 2n (n > 0) or 2|n|+1 (n < 0), ``tan_multiple`` at
+|n|+1.
 
 :class:`Family` is the one table that maps each family to its generator
 and its oracle (from :mod:`confrac.oracles`); :class:`FamilySpec` and
@@ -82,12 +99,52 @@ def _require_real(value: Scalar, name: str) -> None:
         raise DomainError(f"{name} must be real, got {value!r}")
 
 
-def _cast_for(arg: Scalar, name: str) -> Callable[[Union[int, Fraction]], Scalar]:
-    # Checks that the argument is finite, then returns the constructor of its
-    # mode.  Generators apply it to exact coefficients: an exact rational zero
-    # stays an exact zero in every mode, and float(Fraction) rounds correctly.
-    _require_finite(arg, name)
-    return mode_of(arg).cast
+#: An exact coefficient law: inner level j -> int or Fraction.
+_Law = Callable[[int], Union[int, Fraction]]
+
+
+def _stream(family: str, name: str, x: Scalar, b0: int, alpha: Union[_Law, int], *,
+            n: Optional[Fraction] = None, beta: Optional[_Law] = None, power: int = 2,
+            scale: Optional[Fraction] = None, head: Optional[tuple] = None) -> CFStream:
+    """The one builder of family streams: a row of the law table.
+
+    Inner level j is ``cast(alpha(j))·x^power / (cast(beta(j))·(1 + scale·x))``,
+    where ``beta(j)`` defaults to 2j+1 and the factor ``(1 + scale·x)`` is
+    there only when ``scale`` is given.  An int ``alpha`` is a fixed sign
+    instead: every inner numerator is the one value ``x·x`` or ``-(x·x)``.
+    With ``head = (h, d)`` level 1 is ``h·x / (1 + d·x)`` and inner level j
+    is level j+1; without a head it is level j.  ``h = None`` puts x itself
+    on top (``complex(1)·x`` would turn a ``-0.0`` imaginary part into
+    ``+0.0``) and ``d = None`` leaves the bare 1.  Each exact coefficient is
+    cast once per level and multiplied in the order ``cast(alpha)·x·x``
+    (``x·x`` first rounds differently, and overflows to ``0·inf``), so an
+    exact zero stays exact in every mode.  The finiteness check comes
+    first, so a generator's own domain checks, which follow the call, only
+    see finite arguments.
+    """
+    _require_finite(x, name)
+    cast = mode_of(x).cast
+    one = cast(1)
+    fixed = None if callable(alpha) else (x * x if alpha > 0 else -(x * x))
+    unit = None if scale is None else one + cast(scale) * x
+    shift = 0 if head is None else 1
+
+    def term(k: int) -> CFTerm:
+        j = k - shift
+        if j == 0:
+            h, d = head
+            return CFTerm(x if h is None else cast(h) * x, one if d is None else one + cast(d) * x)
+        if fixed is None:
+            a = cast(alpha(j)) * x
+            if power == 2:
+                a = a * x
+        else:
+            a = fixed
+        b = cast(2 * j + 1 if beta is None else beta(j))
+        return CFTerm(a, b if unit is None else b * unit)
+
+    label = f"{family}({x!r})" if n is None else f"{family}(n={n}, {name}={x!r})"
+    return CFStream(cast(b0), term, description=label)
 
 
 def lagrange_binomial(n: Union[int, float, Fraction], x: Scalar) -> CFStream:
@@ -99,33 +156,16 @@ def lagrange_binomial(n: Union[int, float, Fraction], x: Scalar) -> CFStream:
     finite x.
     """
     n = as_fraction(n)
-    cast = _cast_for(x, "x")
-    one_, two = cast(1), cast(2)
-
-    def term(k: int) -> CFTerm:
-        if k == 1:
-            return CFTerm(cast(n) * x, one_)
-        m = k // 2
-        if k % 2 == 0:
-            return CFTerm(cast(m - n) * x, two)
-        return CFTerm(cast(m + n) * x, cast(2 * m + 1))
-
-    return CFStream(one_, term, description=f"lagrange-binomial(n={n}, x={x!r})")
+    return _stream("lagrange-binomial", "x", x, 1,
+                   lambda j, n=n: (j + 1) // 2 - n if j % 2 else j // 2 + n,
+                   n=n, beta=lambda j: 2 if j % 2 else j + 1, power=1, head=(n, None))
 
 
 def uniform_binomial(n: Union[int, float, Fraction], x: Scalar) -> CFStream:
     """Uniform-law stream for (1+x)^n; terminates at level |n|+1 for integer n."""
     n = as_fraction(n)
-    cast = _cast_for(x, "x")
-    one_, half = cast(1), cast(Fraction(1, 2))
-
-    def term(k: int) -> CFTerm:
-        if k == 1:
-            return CFTerm(cast(n) * x, one_ + cast((1 - n) / 2) * x)
-        num = cast((n * n - (k - 1) ** 2) / 4)
-        return CFTerm(num * x * x, cast(2 * k - 1) * (one_ + half * x))
-
-    return CFStream(one_, term, description=f"uniform-binomial(n={n}, x={x!r})")
+    return _stream("uniform-binomial", "x", x, 1, lambda j, n2=n * n: (n2 - j * j) / 4,
+                   n=n, scale=Fraction(1, 2), head=(n, (1 - n) / 2))
 
 
 def symmetric_binomial(n: Union[int, float, Fraction], z: Scalar) -> CFStream:
@@ -136,12 +176,7 @@ def symmetric_binomial(n: Union[int, float, Fraction], z: Scalar) -> CFStream:
     purely imaginary z since z only appears squared).
     """
     n = as_fraction(n)
-    cast = _cast_for(z, "z")
-
-    def term(k: int) -> CFTerm:
-        return CFTerm(cast(n * n - k * k) * z * z, cast(2 * k + 1))
-
-    return CFStream(cast(1), term, description=f"symmetric-binomial(n={n}, z={z!r})")
+    return _stream("symmetric-binomial", "z", z, 1, lambda j, n2=n * n: n2 - j * j, n=n)
 
 
 def tan_multiple(n: Union[int, float, Fraction], t: Scalar) -> CFStream:
@@ -152,29 +187,17 @@ def tan_multiple(n: Union[int, float, Fraction], t: Scalar) -> CFStream:
     denominator, not here.
     """
     n = as_fraction(n)
-    cast = _cast_for(t, "t")
+    stream = _stream("tan-multiple", "t", t, 0, lambda j, n2=n * n: j * j - n2,
+                     n=n, head=(n, None))
     _require_real(t, "t")
-
-    def term(k: int) -> CFTerm:
-        if k == 1:
-            return CFTerm(cast(n) * t, cast(1))
-        j = k - 1
-        return CFTerm(cast(j * j - n * n) * t * t, cast(2 * j + 1))
-
-    return CFStream(cast(0), term, description=f"tan-multiple(n={n}, t={t!r})")
+    return stream
 
 
 def arctan_cf(t: Scalar) -> CFStream:
     """Full fraction t/(1 + t²/(3 + 4t²/(5 + 9t²/(7 + ...)))) = arctan t."""
-    cast = _cast_for(t, "t")
+    stream = _stream("arctan", "t", t, 0, lambda j: j * j, head=(None, None))
     _require_real(t, "t")
-
-    def term(k: int) -> CFTerm:
-        if k == 1:
-            return CFTerm(t, cast(1))
-        return CFTerm(cast((k - 1) ** 2) * t * t, cast(2 * k - 1))
-
-    return CFStream(cast(0), term, description=f"arctan({t!r})")
+    return stream
 
 
 def tan_cf(theta: Scalar) -> CFStream:
@@ -184,20 +207,14 @@ def tan_cf(theta: Scalar) -> CFStream:
     rejected: the true function has a pole there and truncations are
     meaningless.
     """
-    cast = _cast_for(theta, "theta")
+    stream = _stream("tan", "theta", theta, 0, -1, head=(None, None))
     _require_real(theta, "theta")
     residue = math.fmod(abs(float(theta.real if isinstance(theta, complex) else theta)), math.pi)
     if abs(residue - math.pi / 2) < TAN_POLE_GUARD:
         raise DomainError(
             f"theta={theta!r} is within {TAN_POLE_GUARD} of an odd multiple of pi/2 (tangent pole)"
         )
-
-    def term(k: int) -> CFTerm:
-        if k == 1:
-            return CFTerm(theta, cast(1))
-        return CFTerm(-(theta * theta), cast(2 * k - 1))
-
-    return CFStream(cast(0), term, description=f"tan({theta!r})")
+    return stream
 
 
 def log_ratio_cf(z: Scalar) -> CFStream:
@@ -205,27 +222,16 @@ def log_ratio_cf(z: Scalar) -> CFStream:
 
     Requires real |z| < 1, mirroring the left-hand side's domain.
     """
-    cast = _cast_for(z, "z")
+    stream = _stream("log-ratio", "z", z, 0, lambda j: -j * j, head=(2, None))
     _require_real(z, "z")
     if abs(z) >= 1:
         raise DomainError(f"log_ratio_cf requires |z| < 1, got {z!r}")
-
-    def term(k: int) -> CFTerm:
-        if k == 1:
-            return CFTerm(cast(2) * z, cast(1))
-        return CFTerm(cast(-((k - 1) ** 2)) * z * z, cast(2 * k - 1))
-
-    return CFStream(cast(0), term, description=f"log-ratio({z!r})")
+    return stream
 
 
 def coth_scaled_cf(v: Scalar) -> CFStream:
     """Stream 1 + v²/(3 + v²/(5 + v²/(7 + ...))) = v coth v  (value 1 at v = 0)."""
-    cast = _cast_for(v, "v")
-
-    def term(k: int) -> CFTerm:
-        return CFTerm(v * v, cast(2 * k + 1))
-
-    return CFStream(cast(1), term, description=f"coth-scaled({v!r})")
+    return _stream("coth-scaled", "v", v, 1, 1)
 
 
 class Family(enum.Enum):

@@ -16,29 +16,20 @@ decided by the family table in :mod:`confrac.families`.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .errors import DomainError
 from .scalars import Mode, Scalar, as_fraction, mode_of
 
 
-class OracleMethod(enum.Enum):
-    CLOSED_FORM = "closed-form"
-    EXACT_RATIONAL = "exact-rational"
-    TRUNCATED_SERIES = "truncated-series"
-
-
 @dataclass(frozen=True)
 class OracleResult:
-    """Reference value plus how it was obtained."""
+    """Reference value of a left-hand side."""
 
     value: Scalar
-    method: OracleMethod
-    terms_used: Optional[int] = None
 
 
 def _real(value: Scalar, name: str) -> float:
@@ -56,15 +47,15 @@ def binomial_power(n: Union[int, float, Fraction], x: Scalar) -> OracleResult:
             base = 1 + Fraction(x)
             if ni < 0 and base == 0:
                 raise DomainError("x = -1 with a negative exponent")
-            return OracleResult(base**ni, OracleMethod.EXACT_RATIONAL)
+            return OracleResult(base**ni)
         xf = _real(x, "x")
         if ni < 0 and 1 + xf == 0:
             raise DomainError("x = -1 with a negative exponent")
-        return OracleResult((1 + xf) ** ni, OracleMethod.CLOSED_FORM)
+        return OracleResult((1 + xf) ** ni)
     xf = _real(x, "x")
     if 1 + xf <= 0:
         raise DomainError(f"1 + x must be positive for non-integer n, got x={x!r}")
-    return OracleResult(math.pow(1 + xf, float(n)), OracleMethod.CLOSED_FORM)
+    return OracleResult(math.pow(1 + xf, float(n)))
 
 
 def symmetric_lhs(n: Union[int, float, Fraction], z: Scalar) -> OracleResult:
@@ -86,11 +77,11 @@ def symmetric_lhs(n: Union[int, float, Fraction], z: Scalar) -> OracleResult:
         zq = Fraction(z)
         ni = int(n)
         plus, minus = (1 + zq) ** ni, (1 - zq) ** ni
-        return OracleResult(n * zq * (plus + minus) / (plus - minus), OracleMethod.EXACT_RATIONAL)
+        return OracleResult(n * zq * (plus + minus) / (plus - minus))
     zf = _real(z, "z")
     nf = float(n)
     plus, minus = (1 + zf) ** nf, (1 - zf) ** nf
-    return OracleResult(nf * zf * (plus + minus) / (plus - minus), OracleMethod.CLOSED_FORM)
+    return OracleResult(nf * zf * (plus + minus) / (plus - minus))
 
 
 def tan_multiple_lhs(n: Union[int, float, Fraction], t: Scalar) -> OracleResult:
@@ -100,17 +91,17 @@ def tan_multiple_lhs(n: Union[int, float, Fraction], t: Scalar) -> OracleResult:
     angle = nf * math.atan(tf)
     if abs(math.cos(angle)) < 1e-12:
         raise DomainError(f"tan({nf} * arctan {tf}) sits on a tangent pole")
-    return OracleResult(math.tan(angle), OracleMethod.CLOSED_FORM)
+    return OracleResult(math.tan(angle))
 
 
 def arctan_lhs(t: Scalar) -> OracleResult:
     """arctan t for real t."""
-    return OracleResult(math.atan(_real(t, "t")), OracleMethod.CLOSED_FORM)
+    return OracleResult(math.atan(_real(t, "t")))
 
 
 def tan_lhs(theta: Scalar) -> OracleResult:
     """tan θ for real θ."""
-    return OracleResult(math.tan(_real(theta, "theta")), OracleMethod.CLOSED_FORM)
+    return OracleResult(math.tan(_real(theta, "theta")))
 
 
 def log_ratio_lhs(z: Scalar) -> OracleResult:
@@ -118,7 +109,7 @@ def log_ratio_lhs(z: Scalar) -> OracleResult:
     if abs(z) >= 1:
         raise DomainError(f"log ratio needs |z| < 1, got {z!r}")
     zf = _real(z, "z")
-    return OracleResult(math.log1p(zf) - math.log1p(-zf), OracleMethod.CLOSED_FORM)
+    return OracleResult(math.log1p(zf) - math.log1p(-zf))
 
 
 def coth_scaled_lhs(v: Scalar) -> OracleResult:
@@ -128,7 +119,7 @@ def coth_scaled_lhs(v: Scalar) -> OracleResult:
         raise DomainError("v = 0 is a 0/0 form with limit 1")
     vf = _real(v, "v")
     em = math.expm1(2 * vf)
-    return OracleResult(vf * (em + 2) / em, OracleMethod.CLOSED_FORM)
+    return OracleResult(vf * (em + 2) / em)
 
 
 def series_ratio_coth(v: Scalar, terms: int) -> OracleResult:
@@ -143,9 +134,9 @@ def series_ratio_coth(v: Scalar, terms: int) -> OracleResult:
         v2 = Fraction(v) ** 2
         num = sum((v2**k) * Fraction(1, math.factorial(2 * k)) for k in range(terms))
         den = sum((v2**k) * Fraction(1, math.factorial(2 * k + 1)) for k in range(terms))
-        return OracleResult(num / den, OracleMethod.EXACT_RATIONAL, terms_used=terms)
+        return OracleResult(num / den)
     vf = _real(v, "v")
     v2 = vf * vf
     num = sum(v2**k / math.factorial(2 * k) for k in range(terms))
     den = sum(v2**k / math.factorial(2 * k + 1) for k in range(terms))
-    return OracleResult(num / den, OracleMethod.TRUNCATED_SERIES, terms_used=terms)
+    return OracleResult(num / den)

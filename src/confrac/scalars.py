@@ -113,10 +113,6 @@ class ToleranceSpec:
             if not math.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be finite and nonnegative, got {v!r}")
 
-    @property
-    def is_exact(self) -> bool:
-        return self.rel_tol == 0 and self.abs_tol == 0
-
 
 #: Default comparison tolerance for the verify suite: comfortably inside
 #: double precision for desk-scale arguments.

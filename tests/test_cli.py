@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -246,6 +247,23 @@ class TestTable:
         last = rows[-1]
         assert Fraction(last["p"]) / Fraction(last["q"]) == Fraction(21, 13)
         assert float(last["rel_err"]) == 0.0
+
+    def test_exact_text_past_the_int_digit_limit(self, capsys):
+        # p and q of the last row have over 9000 digits, more than the
+        # interpreter's default limit for int-to-text conversion.
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(
+            capsys, "table", "--family", "arctan", "--arg", f"1/{10**80}",
+            "--mode", "rational", "--depth", "60",
+        )
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        last = list(csv.DictReader(io.StringIO(out)))[-1]
+        want = convergents(confrac.arctan_cf(Fraction(1, 10**80)), 60)[-1]
+        for column, value in (("p", want.p), ("q", want.q)):
+            num, _, den = last[column].partition("/")
+            assert value.numerator > 10**limit
+            assert (int(Decimal(num)), int(Decimal(den or "1"))) == (value.numerator, value.denominator)
 
     def test_complex_mode_has_no_error_columns(self, capsys):
         code, out, _ = run_cli(

@@ -9,7 +9,6 @@ from confrac import (
     DomainError,
     Family,
     FamilySpec,
-    OracleMethod,
     binomial_power,
     coth_scaled_lhs,
     log_ratio_lhs,
@@ -24,7 +23,6 @@ class TestBinomialPower:
     def test_exact_square(self):
         result = binomial_power(2, Fraction(1, 2))
         assert result.value == Fraction(9, 4)
-        assert result.method is OracleMethod.EXACT_RATIONAL
         assert isinstance(result.value, Fraction)
 
     def test_zero_exponent(self):
@@ -36,7 +34,7 @@ class TestBinomialPower:
 
     def test_square_root(self):
         result = binomial_power(Fraction(1, 2), 0.2)
-        assert result.method is OracleMethod.CLOSED_FORM
+        assert isinstance(result.value, float)
         assert abs(result.value - math.sqrt(1.2)) < 1e-15
 
     def test_minus_one_with_negative_exponent_rejected(self):
@@ -52,7 +50,7 @@ class TestSymmetricLhs:
     def test_exact_quadratic(self):
         result = symmetric_lhs(2, Fraction(1, 3))
         assert result.value == Fraction(10, 9)
-        assert result.method is OracleMethod.EXACT_RATIONAL
+        assert isinstance(result.value, Fraction)
 
     def test_exact_cubic(self):
         assert symmetric_lhs(3, Fraction(1, 2)).value == Fraction(21, 13)
@@ -133,8 +131,6 @@ class TestSeriesRatioCoth:
         # (1 + 1/8 + 1/384) / (1 + 1/24 + 1/1920) reduced by hand
         result = series_ratio_coth(Fraction(1, 2), 3)
         assert result.value == Fraction(2165, 2001)
-        assert result.method is OracleMethod.EXACT_RATIONAL
-        assert result.terms_used == 3
         assert isinstance(result.value, Fraction)
 
     def test_twenty_terms_match_closed_form(self):

@@ -104,10 +104,6 @@ class TestToleranceSpec:
         with pytest.raises(ValueError):
             ToleranceSpec(abs_tol=float("nan"))
 
-    def test_exact_flag(self):
-        assert EXACT.is_exact
-        assert not DEFAULT_TOLERANCE.is_exact
-
 
 class TestCoerce:
     def test_exact_to_all_modes(self):
