@@ -106,8 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="evaluator (default: lentz for float/complex, convergents for rational)")
     common.add_argument("--depth", type=int, default=None,
                         help="truncation depth (table/compare/backward) or iteration cap (eval)")
-    common.add_argument("--tol", type=float, default=None, help="relative tolerance")
-    common.add_argument("--abs-tol", type=float, default=None, help="absolute tolerance")
+    common.add_argument("--tol", type=float, default=None,
+                        help="relative tolerance (default 1e-12)")
     common.add_argument("--format", dest="fmt", choices=["csv", "json"], default=None,
                         help="output format (default: json for eval, csv for table/compare)")
     common.add_argument("--output", default=None, help="write output to this path instead of stdout")
@@ -162,12 +162,7 @@ def build_config(args: argparse.Namespace) -> CommandConfig:
             raise UsageError(f"--depth must be >= {floor} for {args.command}")
 
     try:
-        if args.tol is not None:
-            tol = ToleranceSpec(rel_tol=args.tol, abs_tol=args.abs_tol or 0.0)
-        elif args.abs_tol is not None:
-            tol = ToleranceSpec(rel_tol=0.0, abs_tol=args.abs_tol)
-        else:
-            tol = DEFAULT_TOLERANCE
+        tol = DEFAULT_TOLERANCE if args.tol is None else ToleranceSpec(rel_tol=args.tol)
     except ValueError as exc:
         raise UsageError(f"bad tolerance: {exc}") from None
 

@@ -192,9 +192,12 @@ class EvalReport:
     """Outcome of an iterative evaluation.
 
     ``residual`` is ``|v - u| / max(|v|, |u|)`` for the reported value and
-    the one before it in every evaluator: 0 when the fraction terminated,
-    inf after a pole, nan at a non-finite value.  ``tiny_substitutions``
-    counts the zero intermediates the Lentz iteration had to nudge away from zero.
+    the one before it in every evaluator: 0 when the fraction terminated
+    (or the step was exactly 0), inf after a pole, nan at a non-finite
+    value; a nonzero step is never reported as 0.  ``converged`` means that
+    step was within the relative tolerance, or the fraction terminated; it
+    is not an error bound.  ``tiny_substitutions`` counts the zero
+    intermediates the Lentz iteration had to nudge away from zero.
     """
 
     value: Scalar
@@ -206,14 +209,14 @@ class EvalReport:
 
 
 def _relative_change(value: Scalar, previous: Scalar) -> float:
+    # A nonzero step too small for a float is reported as the smallest
+    # positive float, so a residual of 0 means the step was exactly 0.
     diff = abs(value - previous)
     scale = max(abs(value), abs(previous))
     if scale == 0:
         return 0.0
-    try:
-        return float(diff / scale)
-    except OverflowError:
-        return math.inf
+    change = float(diff / scale)
+    return math.ulp(0.0) if change == 0 and diff != 0 else change
 
 
 def _settle(cf: CFStream, steps: Iterable[tuple[int, Optional[Scalar], int]],
@@ -332,22 +335,26 @@ def eval_convergents(
 
 def _lentz(cf: CFStream, depth: int) -> Iterator[tuple[int, Scalar, int]]:
     # Modified Lentz along _levels: yields (k, f_k, substitutions so far)
-    # for k = 0..depth; f_0 is b0 itself, never the stand-in.
-    substitutions = int(cf.b0 == 0)
-    yield 0, cf.b0, substitutions
-    f = c = cf.b0 or LENTZ_TINY
+    # for k = 0..depth.  A full fraction (b0 = 0) starts at level 1 with
+    # f_1 = a_1/b_1 and C_1 = A_1/A_0 = inf, so that C_2 = b_2 exactly.
+    substitutions = 0
+    f = c = cf.b0
     d = cf.mode.cast(0)
+    yield 0, f, substitutions
     for k, t in _levels(cf, depth):
         d = t.b + t.a * d
         if d == 0:
             d = LENTZ_TINY
             substitutions += 1
-        c = t.b + t.a / c
-        if c == 0:
-            c = LENTZ_TINY
-            substitutions += 1
         d = 1 / d
-        f *= c * d
+        if k == 1 and f == 0:
+            f, c = t.a * d, math.inf
+        else:
+            c = t.b + t.a / c
+            if c == 0:
+                c = LENTZ_TINY
+                substitutions += 1
+            f *= c * d
         yield k, f, substitutions
 
 
@@ -358,12 +365,12 @@ def eval_lentz(
 ) -> EvalReport:
     """Modified Lentz evaluation (floating-point and complex modes only).
 
-    Exactly-zero intermediates are replaced by :data:`LENTZ_TINY` and
-    counted in the report.  Ends like :func:`eval_convergents`: early at a
-    vanishing partial numerator (``terminated`` set, residual 0); a
-    fraction that terminates at level 1 reports ``b0`` itself, never the
-    stand-in.  Agrees with :func:`eval_convergents` within a small multiple
-    of the tolerance whenever both converge.
+    Exactly-zero intermediates inside the fraction are replaced by
+    :data:`LENTZ_TINY` and counted in the report; a zero leading term needs
+    no stand-in, level 1 is ``a_1/b_1`` itself.  Ends like
+    :func:`eval_convergents`: early at a vanishing partial numerator
+    (``terminated`` set, residual 0).  Agrees with :func:`eval_convergents`
+    within a small multiple of the tolerance whenever both converge.
     """
     if cf.mode is Mode.RATIONAL:
         raise ModeMismatchError(

@@ -96,48 +96,41 @@ def as_fraction(value: Scalar) -> Fraction:
 
 @dataclass(frozen=True)
 class ToleranceSpec:
-    """Relative/absolute tolerance pair for :func:`nearly_equal`.
+    """Relative tolerance for :func:`nearly_equal`, the one stopping
+    tolerance.
 
-    Both fields may be zero, in which case comparison means exact equality
-    (the natural setting for rational mode).
+    Zero means exact equality (the natural setting for rational mode).
     """
 
     rel_tol: float = 0.0
-    abs_tol: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("rel_tol", "abs_tol"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValueError(f"{name} must be a number, got {v!r}")
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and nonnegative, got {v!r}")
+        v = self.rel_tol
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"rel_tol must be a number, got {v!r}")
+        if not math.isfinite(v) or v < 0:
+            raise ValueError(f"rel_tol must be finite and nonnegative, got {v!r}")
 
 
-#: Default comparison tolerance for the verify suite: comfortably inside
-#: double precision for desk-scale arguments.
-DEFAULT_TOLERANCE = ToleranceSpec(rel_tol=1e-12, abs_tol=1e-14)
+#: Tolerance the evaluators and the CLI use when none is given: comfortably
+#: inside double precision for desk-scale arguments.
+DEFAULT_TOLERANCE = ToleranceSpec(rel_tol=1e-12)
 
-#: Exact comparison (zero tolerances); meaningful mainly in rational mode.
+#: Exact comparison (zero tolerance); meaningful mainly in rational mode.
 EXACT = ToleranceSpec()
 
 
 def nearly_equal(a: Scalar, b: Scalar, tol: ToleranceSpec = DEFAULT_TOLERANCE) -> bool:
-    """True iff ``|a-b| <= abs_tol`` or ``|a-b| <= rel_tol * max(|a|, |b|)``.
+    """True iff ``|a-b| <= rel_tol * max(|a|, |b|)``.
 
-    An infinite or NaN difference is never within tolerance, even though
-    ``inf <= rel_tol * inf`` holds.  *a* and *b* must share a mode.  In
-    rational mode the whole comparison is carried out in exact arithmetic
-    (the tolerances are converted to exact fractions), so zero tolerances
-    mean exact equality.
+    *a* and *b* must share a mode.  An infinite or NaN difference is never
+    within tolerance, even though ``inf <= rel_tol * inf`` holds.  In
+    rational mode the tolerance is made an exact fraction, so the whole
+    comparison is exact and a zero tolerance means exact equality.
     """
     mode, other = mode_of(a), mode_of(b)
     if mode is not other:
         raise ModeMismatchError(f"mode mismatch: {mode} vs {other}")
-    if mode is Mode.RATIONAL:
-        diff = abs(a - b)
-        return diff <= Fraction(tol.abs_tol) or diff <= Fraction(tol.rel_tol) * max(abs(a), abs(b))
+    rel_tol = Fraction(tol.rel_tol) if mode is Mode.RATIONAL else tol.rel_tol
     diff = abs(a - b)
-    if not math.isfinite(diff):
-        return False
-    return diff <= tol.abs_tol or diff <= tol.rel_tol * max(abs(a), abs(b))
+    return mode.isfinite(diff) and diff <= rel_tol * max(abs(a), abs(b))

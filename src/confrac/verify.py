@@ -65,7 +65,7 @@ from .oracles import (
 )
 from .scalars import EXACT, Scalar, ToleranceSpec, mode_of
 
-_TOL = ToleranceSpec(rel_tol=1e-13, abs_tol=0.0)
+_TOL = ToleranceSpec(rel_tol=1e-13)
 
 
 @dataclass(frozen=True)

@@ -14,20 +14,29 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # Importing layers and workloads touches every name perfbench imports.  One
-# block of each in-process workload runs through the workload's own checks;
-# the cli block (subprocess ops) is only built.
+# block of each in-process workload runs through the workload's own checks,
+# untraced and as ``--trace 1`` runs it (a timed stream under each op), and
+# the traced run's scalar, oracle and wrapper probes run once each; the cli
+# block (subprocess ops) is only built.
 SCRIPT = """
 import layers, workloads
 ran, failed = 0, []
+traced = layers.TracedRun(1)
 for name in ("float-eval", "exact-deep", "cli"):
     block = next(workloads.WORKLOADS[name][0](1))
     if name == "cli":
         continue
     for op in block:
-        ran += 1
-        _, problem = op.check(op.run())
-        if problem is not None:
-            failed.append(f"{op.label}: {problem}")
+        _, result, problem = traced.execute_engine(op)
+        for result, problem in ((op.run(), None), (result, problem)):
+            ran += 1
+            if problem is None:
+                _, problem = op.check(result)
+            if problem is not None:
+                failed.append(f"{op.label}: {problem}")
+layers.scalar_probes(1)
+layers.oracle_probe(1)
+layers.wrapper_us_per_level()
 print(ran, len(failed))
 print("\\n".join(failed))
 """

@@ -69,12 +69,42 @@ class TestEval:
         assert payload["depth_used"] == 5
 
     def test_overflow_to_infinity_exits_two(self, capsys):
-        code, out, _ = run_cli(capsys, "eval", "--family", "arctan", "--arg", "1e10")
+        # a_2 = t² overflows at level 2
+        code, out, _ = run_cli(capsys, "eval", "--family", "arctan", "--arg", "1e300")
         payload = strict_json(out)
         assert code == 2
         assert payload["converged"] is False and payload["terminated"] is False
         assert payload["value"] in ("inf", "-inf", "nan")
-        assert payload["depth_used"] == 1
+        assert payload["depth_used"] == 2
+
+    @pytest.mark.parametrize(
+        "argv, value, depth_used",
+        [
+            (("--family", "tan-multiple", "--n", "1/1000000000000000", "--arg", "1"),
+             7.8539816339742654e-16, 18),
+            (("--family", "tan", "--arg", "3.141592653589793"), -4.431535901171005e-17, 22),
+            (("--family", "tan-multiple", "--n", "1", "--arg", "1e9"), 1e9, 1),
+            (("--family", "arctan", "--arg", "1e-300"), 1e-300, 1),
+        ],
+        ids=["tan-multiple-small-n", "tan-pi", "tan-multiple-1e9", "arctan-1e-300"],
+    )
+    def test_small_and_large_values_under_the_default_tolerance(self, capsys, argv, value,
+                                                                depth_used):
+        # the stopping test is relative only, and Lentz needs no stand-in
+        # for b0 = 0: each of these once stopped early or overflowed
+        code, out, _ = run_cli(capsys, "eval", *argv)
+        payload = strict_json(out)
+        assert code == 0
+        assert payload["value"] == value and payload["depth_used"] == depth_used
+        assert payload["terminated"] or payload["residual"] <= 1e-12
+
+    def test_step_to_zero_is_not_convergence(self, capsys):
+        # (1 + -1)^(5/2) = 0: no relative step from a nonzero value to 0 is small
+        code, out, _ = run_cli(capsys, "eval", "--family", "uniform-binomial", "--n", "5/2",
+                               "--arg", "-1")
+        payload = strict_json(out)
+        assert code == 2
+        assert payload["converged"] is False and payload["residual"] > 1e-12
 
     @pytest.mark.parametrize(
         "argv, depth_used",
@@ -178,13 +208,19 @@ class TestUsageErrors:
             ("eval", "--family", "arctan", "--arg", "1", "--depth", "0"),
             ("eval", "--family", "arctan", "--arg", "1", "--tol", "-1"),
             ("eval", "--family", "arctan", "--arg", "1", "--tol", "nan"),
-            ("eval", "--family", "arctan", "--arg", "1", "--abs-tol", "inf"),
+            ("eval", "--family", "arctan", "--arg", "1", "--tol", "inf"),
             ("eval", "--family", "arctan", "--arg", "1", "--output", "/nonexistent/dir/x"),
             ("eval", "--family", "lagrange-binomial", "--n", "1e400", "--arg", "0.5"),
             ("eval", "--family", "symmetric-binomial", "--n", "1e200", "--arg", "0.5"),
             ("table", "--family", "tan-multiple", "--n", "1e300", "--arg", "0.5", "--depth", "2"),
             ("table", "--family", "coth-scaled", "--arg", "1" + "0" * 400, "--mode", "rational",
              "--depth", "1"),
+            (),
+            ("bogus",),
+            ("eval", "--family", "arctan", "--arg", "1", "--mode", "bogus"),
+            ("eval", "--family", "arctan", "--arg", "1", "--depth", "x"),
+            ("verify", "--only"),
+            ("eval", "--family", "arctan", "--arg", "1", "--abs-tol", "1e-14"),
         ],
     )
     def test_exit_code_one(self, capsys, argv):

@@ -14,6 +14,8 @@ from confrac import (
     CFStream,
     CFTerm,
     Convergent,
+    Family,
+    FamilySpec,
     ModeMismatchError,
     PoleError,
     ToleranceSpec,
@@ -175,22 +177,37 @@ class TestEvalLentz:
         assert report.value == 7.0
         assert report.terminated and report.converged and report.residual == 0.0
 
-    def test_zero_leading_term_counts_tiny_substitution(self):
+    def test_zero_leading_term_needs_no_stand_in(self):
+        # b0 = 0: level 1 is a_1/b_1 itself, so nothing is substituted
         report = eval_lentz(arctan_cf(1.0), TIGHT, 200)
-        assert report.tiny_substitutions >= 1
+        assert report.tiny_substitutions == 0
         assert abs(report.value - math.pi / 4) < 1e-12
 
+    @pytest.mark.parametrize(
+        "stream, value",
+        [
+            pytest.param(tan_multiple(1, 1e9), 1e9, id="tan-multiple-1e9"),
+            pytest.param(arctan_cf(1e-300), 1e-300, id="arctan-1e-300"),
+            pytest.param(tan_cf(1e-300), 1e-300, id="tan-1e-300"),
+            pytest.param(log_ratio_cf(1e-290), 2e-290, id="log-ratio-1e-290"),
+        ],
+    )
+    def test_full_fraction_level_one_is_exact(self, stream, value):
+        # a_1/(b_1 + ...) from b0 = 0: the stand-in made these inf or 2x
+        report = eval_lentz(stream, DEFAULT_TOLERANCE, 50)
+        assert report.value == value and report.converged
+
     def test_termination_at_level_one_reports_the_leading_term(self):
-        # arctan 0: a_1 = 0, so the value is b0 = 0.0, not the tiny stand-in
+        # arctan 0: a_1 = 0, so the value is b0 = 0.0
         report = eval_lentz(arctan_cf(0.0), TIGHT, 50)
         assert report.value == 0.0 and type(report.value) is float
         assert report.depth_used == 0 and report.terminated
-        assert report.tiny_substitutions == 1
+        assert report.tiny_substitutions == 0
 
     def test_overflow_to_infinity_is_not_convergence(self):
-        # the first step divides t by the tiny stand-in and overflows
-        report = eval_lentz(arctan_cf(1e9), TIGHT, 50)
-        assert not math.isfinite(report.value)
+        # b0 + a_1/b_1 = 1 + 1e300/1e-300 overflows at the first step
+        report = eval_lentz(CFStream.from_terms(1.0, [(1e300, 1e-300)]), TIGHT, 50)
+        assert report.value == math.inf
         assert not report.converged and not report.terminated
         assert report.depth_used == 1
 
@@ -227,6 +244,31 @@ class TestStoppingRule:
         # arctan 1: values 0 then 1 at depth 1
         report = evaluate(arctan_cf(1.0), TIGHT, 1)
         assert report.value == pytest.approx(1.0, rel=1e-15) and report.residual == 1.0
+
+    def test_small_value_is_judged_relatively(self):
+        # tan(1e-6·pi/4) ~ 7.9e-7: the default tolerance is relative only
+        report = eval_lentz(tan_multiple(1e-6, 1.0))
+        want = math.tan(1e-6 * math.pi / 4)
+        assert report.converged and report.residual <= DEFAULT_TOLERANCE.rel_tol
+        assert abs(report.value - want) <= 1e-13 * want
+
+    @given(
+        st.sampled_from(list(Family)),
+        st.sampled_from(["1/2", "5/2", "-3/2", "1e-15", "2"]),
+        st.floats(min_value=1e-300, max_value=0.5),
+        st.sampled_from([eval_lentz, eval_convergents]),
+    )
+    def test_converged_report_never_shows_a_residual_above_tol(self, family, n, x, evaluate):
+        spec = FamilySpec(family, x, Fraction(n) if family.takes_n else None)
+        report = evaluate(spec.stream(), max_depth=2000)
+        if report.converged and not report.terminated:
+            assert report.residual <= DEFAULT_TOLERANCE.rel_tol
+
+    def test_exact_step_below_float_range_is_not_reported_as_zero(self):
+        # the last exact step is nonzero but under 5e-324 relative
+        report = eval_convergents(coth_scaled_cf(Fraction(4, 3)), EXACT, 100)
+        assert not report.converged
+        assert report.residual == math.ulp(0.0)
 
     @pytest.mark.parametrize(
         "evaluate, stream, depth_used",

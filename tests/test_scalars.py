@@ -63,9 +63,12 @@ class TestNearlyEqual:
     def test_forced_false(self):
         assert not nearly_equal(1.0, 1.0 + 1e-9, ToleranceSpec(rel_tol=1e-12))
 
-    def test_abs_tolerance_near_zero(self):
-        assert nearly_equal(0.0, 5e-15, ToleranceSpec(abs_tol=1e-14))
-        assert not nearly_equal(0.0, 5e-15, ToleranceSpec(rel_tol=1e-3))
+    def test_relative_tolerance_near_zero(self):
+        # the only tolerance is relative: a step away from 0 is never
+        # within it, and tiny values compare like any others
+        assert not nearly_equal(0.0, 5e-15, DEFAULT_TOLERANCE)
+        assert nearly_equal(1e-300, 1e-300 * (1 + 1e-13), DEFAULT_TOLERANCE)
+        assert not nearly_equal(1e-300, 1e-300 * (1 + 1e-11), DEFAULT_TOLERANCE)
 
     def test_mode_mismatch(self):
         with pytest.raises(ModeMismatchError):
@@ -102,7 +105,7 @@ class TestToleranceSpec:
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
-            ToleranceSpec(abs_tol=float("nan"))
+            ToleranceSpec(rel_tol=float("nan"))
 
 
 class TestCoerce:
