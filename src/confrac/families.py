@@ -35,28 +35,29 @@ leading term.
 Every generator is one call of a private builder, ``_stream``, with its row
 of the law table.  After an optional head level, inner level j is
 ``a_j = α(j)·x^p`` over ``b_j = β(j)·(1 + s·x)``; with a head, inner level
-j is stream level j+1, without one it is level j:
+j is stream level j+1, without one it is level j.  α(j) is an integer
+numerator over the stream's denominator, with N/D = n (lagrange) or n²
+in lowest terms:
 
-    family              b0  head (level 1)     α(j)              p  β(j)           s
-    lagrange-binomial   1   nx/1               (j+1)/2 - n odd,  1  2 odd,         -
-                                               j/2 + n even         j+1 even
-    uniform-binomial    1   nx/(1 + (1-n)x/2)  (n² - j²)/4       2  2j+1           1/2
-    symmetric-binomial  1   -                  n² - j²           2  2j+1           -
-    tan-multiple        0   nt/1               j² - n²           2  2j+1           -
-    arctan              0   t/1                j²                2  2j+1           -
-    tan                 0   θ/1                a_j = -(θ·θ)         2j+1           -
-    log-ratio           0   2z/1               -j²               2  2j+1           -
-    coth-scaled         1   -                  a_j = v·v            2j+1           -
+    family              b0  head (level 1)     α(j)                   p  β(j)       s
+    lagrange-binomial   1   nx/1               ((j+1)/2·D - N)/D odd, 1  2 odd,     -
+                                               (j/2·D + N)/D even        j+1 even
+    uniform-binomial    1   nx/(1 + (1-n)x/2)  (N - j²D)/4D           2  2j+1       1/2
+    symmetric-binomial  1   -                  (N - j²D)/D            2  2j+1       -
+    tan-multiple        0   nt/1               (j²D - N)/D            2  2j+1       -
+    arctan              0   t/1                j²/1                   2  2j+1       -
+    tan                 0   θ/1                a_j = -(θ·θ)              2j+1       -
+    log-ratio           0   2z/1               -j²/1                  2  2j+1       -
+    coth-scaled         1   -                  a_j = v·v                 2j+1       -
 
-Exponents are carried as exact rationals regardless of evaluation mode:
-α(j) and β(j) are computed exactly (n² and (1-n)/2 once per stream) and
-only then cast, once per level, into the argument's mode (``Fraction``,
-``float`` or ``complex``, looked up once per stream), so for integer n the
-vanishing partial numerator is an exact zero even in floating point and
-termination is never lost to rounding.  Termination levels:
-``symmetric_binomial`` at |n|, ``uniform_binomial`` at |n|+1,
-``lagrange_binomial`` at 2n (n > 0) or 2|n|+1 (n < 0), ``tan_multiple`` at
-|n|+1.
+Each α(j) becomes a scalar of the argument's mode once per level, by a
+rule fixed once per stream: ``Fraction(num, den)`` in rational mode, else
+the correctly rounded int true division ``num / den`` cast to ``float`` or
+``complex``.  So for integer n the vanishing partial numerator is an exact
+zero even in floating point and termination is never lost to rounding.
+Termination levels: ``symmetric_binomial`` at |n|, ``uniform_binomial`` at
+|n|+1, ``lagrange_binomial`` at 2n (n > 0) or 2|n|+1 (n < 0),
+``tan_multiple`` at |n|+1.
 
 :class:`Family` is the one table that maps each family to its generator
 and its oracle (from :mod:`confrac.oracles`); :class:`FamilySpec` and
@@ -99,24 +100,24 @@ def _require_real(value: Scalar, name: str) -> None:
         raise DomainError(f"{name} must be real, got {value!r}")
 
 
-#: An exact coefficient law: inner level j -> int or Fraction.
-_Law = Callable[[int], Union[int, Fraction]]
+#: An integer coefficient law: inner level j -> α's numerator, or β itself.
+_Law = Callable[[int], int]
 
 
 def _stream(family: str, name: str, x: Scalar, b0: int, alpha: Union[_Law, int], *,
-            n: Optional[Fraction] = None, beta: Optional[_Law] = None, power: int = 2,
-            scale: Optional[Fraction] = None, head: Optional[tuple] = None) -> CFStream:
+            den: int = 1, n: Optional[Fraction] = None, beta: Optional[_Law] = None,
+            power: int = 2, scale: Optional[Fraction] = None, head: Optional[tuple] = None) -> CFStream:
     """The one builder of family streams: a row of the law table.
 
-    Inner level j is ``cast(alpha(j))·x^power / (cast(beta(j))·(1 + scale·x))``,
-    where ``beta(j)`` defaults to 2j+1 and the factor ``(1 + scale·x)`` is
-    there only when ``scale`` is given.  An int ``alpha`` is a fixed sign
-    instead: every inner numerator is the one value ``x·x`` or ``-(x·x)``.
-    With ``head = (h, d)`` level 1 is ``h·x / (1 + d·x)`` and inner level j
-    is level j+1; without a head it is level j.  ``h = None`` puts x itself
-    on top (``complex(1)·x`` would turn a ``-0.0`` imaginary part into
-    ``+0.0``) and ``d = None`` leaves the bare 1.  Each exact coefficient is
-    cast once per level and multiplied in the order ``cast(alpha)·x·x``
+    Inner level j is ``ratio(alpha(j), den)·x^power / (cast(beta(j))·(1 + scale·x))``,
+    where ``ratio`` is x's mode rule from the module docstring, ``beta(j)``
+    defaults to 2j+1 and ``(1 + scale·x)`` is there only when ``scale`` is
+    given.  An int ``alpha`` is a fixed sign instead: every inner numerator
+    is the one value ``x·x`` or ``-(x·x)``.  With ``head = (h, d)`` level 1
+    is ``h·x / (1 + d·x)`` and inner level j is level j+1; without a head
+    it is level j.  ``h = None`` puts x itself on top (``complex(1)·x``
+    would turn a ``-0.0`` imaginary part into ``+0.0``) and ``d = None``
+    leaves the bare 1.  Each level multiplies in the order ``ratio·x·x``
     (``x·x`` first rounds differently, and overflows to ``0·inf``), so an
     exact zero stays exact in every mode.  The finiteness check comes
     first, so a generator's own domain checks, which follow the call, only
@@ -124,6 +125,7 @@ def _stream(family: str, name: str, x: Scalar, b0: int, alpha: Union[_Law, int],
     """
     _require_finite(x, name)
     cast = mode_of(x).cast
+    ratio = Fraction if cast is Fraction else lambda num, den: cast(num / den)
     one = cast(1)
     fixed = None if callable(alpha) else (x * x if alpha > 0 else -(x * x))
     unit = None if scale is None else one + cast(scale) * x
@@ -135,7 +137,7 @@ def _stream(family: str, name: str, x: Scalar, b0: int, alpha: Union[_Law, int],
             h, d = head
             return CFTerm(x if h is None else cast(h) * x, one if d is None else one + cast(d) * x)
         if fixed is None:
-            a = cast(alpha(j)) * x
+            a = ratio(alpha(j), den) * x
             if power == 2:
                 a = a * x
         else:
@@ -156,15 +158,17 @@ def lagrange_binomial(n: Union[int, float, Fraction], x: Scalar) -> CFStream:
     finite x.
     """
     n = as_fraction(n)
+    N, D = n.as_integer_ratio()
     return _stream("lagrange-binomial", "x", x, 1,
-                   lambda j, n=n: (j + 1) // 2 - n if j % 2 else j // 2 + n,
+                   lambda j: (j + 1) // 2 * D - N if j % 2 else j // 2 * D + N, den=D,
                    n=n, beta=lambda j: 2 if j % 2 else j + 1, power=1, head=(n, None))
 
 
 def uniform_binomial(n: Union[int, float, Fraction], x: Scalar) -> CFStream:
     """Uniform-law stream for (1+x)^n; terminates at level |n|+1 for integer n."""
     n = as_fraction(n)
-    return _stream("uniform-binomial", "x", x, 1, lambda j, n2=n * n: (n2 - j * j) / 4,
+    N, D = (n * n).as_integer_ratio()
+    return _stream("uniform-binomial", "x", x, 1, lambda j: N - j * j * D, den=4 * D,
                    n=n, scale=Fraction(1, 2), head=(n, (1 - n) / 2))
 
 
@@ -176,7 +180,8 @@ def symmetric_binomial(n: Union[int, float, Fraction], z: Scalar) -> CFStream:
     purely imaginary z since z only appears squared).
     """
     n = as_fraction(n)
-    return _stream("symmetric-binomial", "z", z, 1, lambda j, n2=n * n: n2 - j * j, n=n)
+    N, D = (n * n).as_integer_ratio()
+    return _stream("symmetric-binomial", "z", z, 1, lambda j: N - j * j * D, den=D, n=n)
 
 
 def tan_multiple(n: Union[int, float, Fraction], t: Scalar) -> CFStream:
@@ -187,7 +192,8 @@ def tan_multiple(n: Union[int, float, Fraction], t: Scalar) -> CFStream:
     denominator, not here.
     """
     n = as_fraction(n)
-    stream = _stream("tan-multiple", "t", t, 0, lambda j, n2=n * n: j * j - n2,
+    N, D = (n * n).as_integer_ratio()
+    stream = _stream("tan-multiple", "t", t, 0, lambda j: j * j * D - N, den=D,
                      n=n, head=(n, None))
     _require_real(t, "t")
     return stream

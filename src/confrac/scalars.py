@@ -14,7 +14,9 @@ Values are ordinary Python numbers and the mode is carried by the type.
 silently: an operation that meets two different modes raises
 :class:`~confrac.errors.ModeMismatchError` instead of promoting, because
 the exactness guarantees downstream rest on rational computations staying
-rational.
+rational.  The stopping comparison has one home, the private
+``_within(mode, tol)``: :func:`nearly_equal` checks that its arguments
+share a mode and calls it, and the evaluators resolve it once per evaluation.
 
 Division by an exact zero is an error in every mode (Python's native
 behaviour), never an infinity; pole detection in the fraction engine
@@ -55,16 +57,20 @@ class Mode(enum.Enum):
         return self.value
 
 
+#: Scalar types and their modes, looked up by exact type first.
+_MODE_OF_TYPE = {float: Mode.FLOAT, complex: Mode.COMPLEX, int: Mode.RATIONAL, Fraction: Mode.RATIONAL}
+
+
 def mode_of(value: Scalar) -> Mode:
-    """Mode of *value*; integers count as exact rationals."""
-    if isinstance(value, float):
-        return Mode.FLOAT
-    if isinstance(value, complex):
-        return Mode.COMPLEX
+    """Mode of *value*; integers count as exact rationals.  Subclasses of
+    the scalar types count as their base, except ``bool``."""
+    if (mode := _MODE_OF_TYPE.get(type(value))) is not None:
+        return mode
     if isinstance(value, bool):
         raise ModeMismatchError(f"not a scalar: {value!r}")
-    if isinstance(value, (int, Fraction)):
-        return Mode.RATIONAL
+    for cls, mode in _MODE_OF_TYPE.items():
+        if isinstance(value, cls):
+            return mode
     raise ModeMismatchError(f"unsupported scalar type {type(value).__name__!s}")
 
 
@@ -131,6 +137,13 @@ def nearly_equal(a: Scalar, b: Scalar, tol: ToleranceSpec = DEFAULT_TOLERANCE) -
     mode, other = mode_of(a), mode_of(b)
     if mode is not other:
         raise ModeMismatchError(f"mode mismatch: {mode} vs {other}")
+    return _within(mode, tol)(a, b)
+
+
+def _within(mode: Mode, tol: ToleranceSpec) -> Callable[[Scalar, Scalar], bool]:
     rel_tol = Fraction(tol.rel_tol) if mode is Mode.RATIONAL else tol.rel_tol
-    diff = abs(a - b)
-    return mode.isfinite(diff) and diff <= rel_tol * max(abs(a), abs(b))
+    finite = mode.isfinite
+    def within(a: Scalar, b: Scalar) -> bool:
+        diff = abs(a - b)
+        return finite(diff) and diff <= rel_tol * max(abs(a), abs(b))
+    return within

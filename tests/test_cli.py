@@ -77,6 +77,18 @@ class TestEval:
         assert payload["value"] in ("inf", "-inf", "nan")
         assert payload["depth_used"] == 2
 
+    def test_overflow_past_a_rescale_exits_two(self, capsys, monkeypatch):
+        # 1 + 1e300/1e-300 overflows; a rescale that flushed q_1 to 0.0
+        # made this a pole (exit 1) instead of a non-finite value
+        stream = confrac.CFStream.from_terms(1.0, [(1e300, 1e-300)])
+        monkeypatch.setattr(confrac.FamilySpec, "stream", lambda spec: stream)
+        code, out, _ = run_cli(capsys, "eval", "--family", "coth-scaled", "--arg", "1",
+                               "--method", "convergents")
+        payload = strict_json(out)
+        assert code == 2
+        assert payload["value"] == "inf" and payload["converged"] is False
+        assert payload["depth_used"] == 1
+
     @pytest.mark.parametrize(
         "argv, value, depth_used",
         [

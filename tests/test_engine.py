@@ -16,6 +16,7 @@ from confrac import (
     Convergent,
     Family,
     FamilySpec,
+    Mode,
     ModeMismatchError,
     PoleError,
     ToleranceSpec,
@@ -29,6 +30,8 @@ from confrac import (
     eval_lentz,
     lagrange_binomial,
     log_ratio_cf,
+    mode_of,
+    nearly_equal,
     symmetric_binomial,
     tail,
     tan_cf,
@@ -87,6 +90,17 @@ class TestConvergents:
         value = out[-1].value
         assert math.isfinite(value)
         assert value == pytest.approx(eval_backward(cf, 40), rel=1e-12)
+
+    def test_rescale_never_flushes_a_nonzero_q_to_zero(self):
+        # p_1 = 1e300, q_1 = 1e-300: rescaling by 2^-997 would flush q_1 to
+        # 0.0, a fake pole; the ratio overflows, as under eval_lentz
+        cf = CFStream.from_terms(1.0, [(1e300, 1e-300)])
+        (_, last) = convergents(cf, 1)
+        assert last.q != 0 and not last.is_pole
+        report = eval_convergents(cf, TIGHT, 50)
+        assert report.value == math.inf == eval_lentz(cf, TIGHT, 50).value
+        assert not report.converged and not report.terminated
+        assert report.depth_used == 1
 
     def test_termination_level_scan(self):
         assert symmetric_binomial(3, Fraction(1, 2)).termination_level(30) == 3
@@ -283,6 +297,69 @@ class TestStoppingRule:
         assert not math.isfinite(report.value)
         assert not report.converged and not report.terminated
         assert report.depth_used == depth_used
+
+
+class TestOneComparison:
+    """The evaluators stop through the same comparison as nearly_equal."""
+
+    # From v_0 = 1 a step delta is within rel_tol = r exactly when
+    # delta <= r/(1 - r), with r the exact value of the float 1e-12; only
+    # an exact comparison tells EDGE from EDGE + 1e-60.
+    EDGE = Fraction(1e-12) / (1 - Fraction(1e-12))
+    BOTH = (eval_convergents, eval_lentz)
+
+    @pytest.mark.parametrize(
+        "b0, a, b, tol, evaluators, want",
+        [
+            pytest.param(1.0, 1e-13, 1.0, 1e-12, BOTH, True, id="float-within"),
+            pytest.param(1.0, 1e-11, 1.0, 1e-12, BOTH, False, id="float-outside"),
+            pytest.param(1.0, 1e300, 1e-300, 1e-12, BOTH, False, id="float-inf-step"),
+            pytest.param(1.0, math.nan, 1.0, 1e-12, BOTH, False, id="float-nan-step"),
+            pytest.param(1 + 1j, 1e-13j, 1 + 0j, 1e-12, BOTH, True, id="complex-within"),
+            pytest.param(1 + 1j, 1e-11j, 1 + 0j, 1e-12, BOTH, False, id="complex-outside"),
+            pytest.param(Fraction(1, 3), Fraction(1, 10**40), Fraction(1), 0.0,
+                         (eval_convergents,), False, id="rational-exact-tol"),
+            pytest.param(Fraction(1), EDGE, Fraction(1), 1e-12, (eval_convergents,),
+                         True, id="rational-at-edge"),
+            pytest.param(Fraction(1), EDGE + Fraction(1, 10**60), Fraction(1), 1e-12,
+                         (eval_convergents,), False, id="rational-past-edge"),
+        ],
+    )
+    def test_stopping_rule_agrees_with_nearly_equal(self, b0, a, b, tol, evaluators, want):
+        # an endless stream b0 + a/(b + a/(b + ...)) stopped at depth 1:
+        # converged iff v_1 = b0 + a/b is within tol of v_0 = b0
+        spec = ToleranceSpec(rel_tol=tol)
+        cf = CFStream(b0, lambda k: CFTerm(a, b))
+        for evaluate in evaluators:
+            report = evaluate(cf, spec, 1)
+            assert report.depth_used == 1
+            assert report.converged is nearly_equal(report.value, b0, spec) is want
+
+
+class TestUserStreamModeCheck:
+    """The per-term mode check runs on every stream, whatever its terms."""
+
+    @pytest.mark.parametrize(
+        "b0, term",
+        [
+            pytest.param(1.0, CFTerm(True, 1.0), id="bool-a"),
+            pytest.param(1.0, CFTerm(1.0, False), id="bool-b"),
+            pytest.param(Fraction(1), CFTerm(Fraction(1), True), id="rational-bool"),
+            pytest.param(1.0, CFTerm(Fraction(1, 2), 2.0), id="float-rational"),
+            pytest.param(1.0, CFTerm(0.5, 2 + 0j), id="float-complex"),
+            pytest.param(1 + 0j, CFTerm(0.5, 2 + 0j), id="complex-float"),
+            pytest.param(Fraction(1), CFTerm(Fraction(1, 2), 2.0), id="rational-float"),
+        ],
+    )
+    def test_bad_term_raises_in_every_evaluator(self, b0, term):
+        cf = CFStream(b0, lambda k: term)
+        evaluators = [lambda s: convergents(s, 3), lambda s: eval_convergents(s, TIGHT, 3),
+                      lambda s: eval_backward(s, 3), lambda s: tail(s, 1).term(1)]
+        if mode_of(b0) is not Mode.RATIONAL:
+            evaluators.append(lambda s: eval_lentz(s, TIGHT, 3))
+        for evaluate in evaluators:
+            with pytest.raises(ModeMismatchError):
+                evaluate(cf)
 
 
 class TestEvalBackward:

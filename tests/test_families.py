@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from confrac import (
     EXACT,
@@ -303,3 +305,110 @@ class TestFamilySpec:
         for gen in (lagrange_binomial, uniform_binomial):
             got = eval_lentz(gen(n, x), ToleranceSpec(rel_tol=1e-12), 2000).value
             assert abs(got - power) / power < 1e-11
+
+
+def _reference_term(family, n, x, k):
+    """Level k written out as the exact-coefficient law: each coefficient is
+    computed as a Fraction, cast to x's type and multiplied ``cast(α)·x·x``."""
+    cast = type(x)
+    one = cast(1)
+    if family in (Family.SYMMETRIC_BINOMIAL, Family.COTH_SCALED):
+        j = k  # no head level
+    elif k == 1:
+        if family is Family.LAGRANGE_BINOMIAL:
+            return cast(n) * x, one
+        if family is Family.UNIFORM_BINOMIAL:
+            return cast(n) * x, one + cast((1 - n) / 2) * x
+        if family is Family.TAN_MULTIPLE:
+            return cast(n) * x, one
+        if family is Family.LOG_RATIO:
+            return cast(2) * x, one
+        return x, one  # arctan, tan
+    else:
+        j = k - 1
+    if family is Family.LAGRANGE_BINOMIAL:
+        alpha = (j + 1) // 2 - n if j % 2 else j // 2 + n
+        return cast(alpha) * x, cast(2 if j % 2 else j + 1)
+    if family is Family.UNIFORM_BINOMIAL:
+        return cast((n * n - j * j) / 4) * x * x, cast(2 * j + 1) * (one + cast(Fraction(1, 2)) * x)
+    b = cast(2 * j + 1)
+    if family is Family.SYMMETRIC_BINOMIAL:
+        return cast(n * n - j * j) * x * x, b
+    if family is Family.TAN_MULTIPLE:
+        return cast(j * j - n * n) * x * x, b
+    if family is Family.ARCTAN:
+        return cast(Fraction(j * j)) * x * x, b
+    if family is Family.LOG_RATIO:
+        return cast(Fraction(-j * j)) * x * x, b
+    if family is Family.TAN:
+        return -(x * x), b
+    return x * x, b  # coth-scaled
+
+
+def _bits(value):
+    # equal bits, not just equal values: the sign of a zero counts too
+    if isinstance(value, complex):
+        return "complex", value.real.hex(), value.imag.hex()
+    if isinstance(value, float):
+        return "float", value.hex()
+    return type(value).__name__, value
+
+
+#: Float-derived exponents (denominators of 51 to 72 bits), negative and integer ones.
+LAW_EXPONENTS = [2.37, -2.37, 1e-6, Fraction(-3, 2), Fraction(7, 3), 3, -4, 0]
+LAW_ARGS = {
+    "float": (0.37, -0.61),
+    "rational": (Fraction(3, 7), Fraction(-5, 11)),
+    "complex": (complex(0.3, 0.4), complex(-0.61, 0.0)),
+}
+#: Termination level of each integer-exponent family (module docstring).
+TERMINATION_LEVEL = {
+    Family.SYMMETRIC_BINOMIAL: lambda n: abs(n),
+    Family.UNIFORM_BINOMIAL: lambda n: abs(n) + 1,
+    Family.LAGRANGE_BINOMIAL: lambda n: 2 * n if n > 0 else 2 * abs(n) + 1,
+    Family.TAN_MULTIPLE: lambda n: abs(n) + 1,
+}
+
+
+class TestIntegerLaws:
+    """The integer coefficient laws reproduce the exact-coefficient formula
+    bit for bit in every mode, and keep the integer-exponent zero exact."""
+
+    @staticmethod
+    def _args(family, mode):
+        real_only = family in (Family.TAN_MULTIPLE, Family.ARCTAN, Family.TAN, Family.LOG_RATIO)
+        return [x for x in LAW_ARGS[mode] if not (real_only and isinstance(x, complex) and x.imag)]
+
+    @pytest.mark.parametrize("mode", list(LAW_ARGS))
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_levels_match_the_exact_coefficient_formula(self, family, mode):
+        exponents = LAW_EXPONENTS if family.takes_n else [None]
+        for n in exponents:
+            for x in self._args(family, mode):
+                stream = family.generator(n, x) if family.takes_n else family.generator(x)
+                exact_n = None if n is None else Fraction(n)
+                for k in range(1, 41):
+                    t = stream.term(k)
+                    want = _reference_term(family, exact_n, x, k)
+                    assert (_bits(t.a), _bits(t.b)) == tuple(map(_bits, want)), (n, x, k)
+
+    @given(st.floats(min_value=-60, max_value=60), st.floats(min_value=-0.95, max_value=0.95),
+           st.sampled_from([f for f in Family if f.takes_n]))
+    def test_float_exponents_match_bit_for_bit(self, n, x, family):
+        stream = family.generator(n, x)
+        for k in range(1, 41):
+            t = stream.term(k)
+            want = _reference_term(family, Fraction(n), x, k)
+            assert (_bits(t.a), _bits(t.b)) == tuple(map(_bits, want))
+
+    @pytest.mark.parametrize("mode", list(LAW_ARGS))
+    @pytest.mark.parametrize("family", list(TERMINATION_LEVEL), ids=lambda f: f.value)
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, -1, -2, -5])
+    def test_integer_exponent_zero_is_exact_at_the_termination_level(self, family, mode, n):
+        level = TERMINATION_LEVEL[family](n)
+        for x in self._args(family, mode):
+            stream = family.generator(n, x)
+            a = stream.term(level).a
+            assert a == 0 and type(a) is type(x)
+            assert all(stream.term(k).a != 0 for k in range(1, level))
+            assert stream.termination_level(100) == level

@@ -17,7 +17,7 @@ from confrac import (
     mode_of,
     nearly_equal,
 )
-from confrac.scalars import coerce
+from confrac.scalars import _within, coerce
 
 
 class TestModeOf:
@@ -42,6 +42,23 @@ class TestModeOf:
         assert mode_of(Tagged(0.5)) is Mode.FLOAT
         with pytest.raises(ModeMismatchError):
             mode_of(True)
+
+
+    @pytest.mark.parametrize(
+        "base, mode",
+        [(float, Mode.FLOAT), (complex, Mode.COMPLEX), (int, Mode.RATIONAL),
+         (Fraction, Mode.RATIONAL)],
+        ids=["float", "complex", "int", "Fraction"],
+    )
+    def test_subclasses_take_their_base_mode(self, base, mode):
+        # the exact-type lookup misses a subclass; the isinstance path decides
+        sub = type("Sub", (base,), {})
+        assert mode_of(base(1)) is mode_of(sub(1)) is mode
+
+    @pytest.mark.parametrize("value", [False, None, [1.0]], ids=repr)
+    def test_non_scalars_rejected(self, value):
+        with pytest.raises(ModeMismatchError):
+            mode_of(value)
 
 
 class TestModeTable:
@@ -96,6 +113,62 @@ class TestNearlyEqual:
     def test_symmetric(self, a, b):
         tol = ToleranceSpec(rel_tol=1e-6)
         assert nearly_equal(a, b, tol) == nearly_equal(b, a, tol)
+
+
+class TestOneComparison:
+    """``nearly_equal`` is the mode check plus the one comparison
+    ``_within``, which the evaluators resolve once per evaluation."""
+
+    finite_or_not = st.floats(allow_nan=True, allow_infinity=True)
+    tols = st.sampled_from([0.0, 1e-300, 1e-12, 0.5, 1.0, 2.0])
+
+    @staticmethod
+    def _outcome(compare, a, b):
+        # the result, or the type of the exception (a complex modulus past
+        # the float range raises OverflowError in both)
+        try:
+            return compare(a, b)
+        except OverflowError as exc:
+            return type(exc)
+
+    def _agree(self, mode, a, b, rel_tol):
+        tol = ToleranceSpec(rel_tol=rel_tol)
+        assert self._outcome(_within(mode, tol), a, b) is self._outcome(
+            lambda a, b: nearly_equal(a, b, tol), a, b)
+
+    @given(finite_or_not, finite_or_not, tols)
+    def test_float(self, a, b, rel_tol):
+        self._agree(Mode.FLOAT, a, b, rel_tol)
+
+    @given(st.complex_numbers(allow_nan=True, allow_infinity=True),
+           st.complex_numbers(allow_nan=True, allow_infinity=True), tols)
+    def test_complex(self, a, b, rel_tol):
+        self._agree(Mode.COMPLEX, a, b, rel_tol)
+
+    @given(st.fractions(), st.fractions(), tols)
+    def test_rational(self, a, b, rel_tol):
+        self._agree(Mode.RATIONAL, a, b, rel_tol)
+
+    @pytest.mark.parametrize(
+        "a, b", [(math.inf, 1.0), (1.0, -math.inf), (math.inf, math.inf), (math.nan, 1.0),
+                 (complex(math.inf, 0), 1 + 0j), (1.7e308, -1.7e308)],
+        ids=["inf", "-inf", "inf-inf", "nan", "complex-inf", "overflowing-difference"],
+    )
+    def test_non_finite_difference_is_never_within(self, a, b):
+        # inf <= rel_tol * inf holds: only the finiteness test rejects these
+        mode = mode_of(a)
+        for rel_tol in (0.0, 1e-12, 1.0):
+            tol = ToleranceSpec(rel_tol=rel_tol)
+            assert not _within(mode, tol)(a, b) and not nearly_equal(a, b, tol)
+
+    def test_rational_tolerance_is_exact(self):
+        # 1e-12 is made the exact Fraction of its binary value, not compared as a float
+        r = Fraction(1e-12)
+        edge = 1 + r / (1 - r)
+        tol = ToleranceSpec(rel_tol=1e-12)
+        assert _within(Mode.RATIONAL, tol)(edge, Fraction(1))
+        assert not _within(Mode.RATIONAL, tol)(edge + Fraction(1, 10**60), Fraction(1))
+        assert not _within(Mode.RATIONAL, EXACT)(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**40))
 
 
 class TestToleranceSpec:
