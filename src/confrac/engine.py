@@ -54,6 +54,7 @@ from .scalars import (
     Mode,
     Scalar,
     ToleranceSpec,
+    _rel_tol,
     _within,
     mode_of,
 )
@@ -121,10 +122,11 @@ class CFStream:
         if k < 1:
             raise ValueError(f"term levels start at 1, got {k}")
         t = self._term_fn(k)
-        if t is not None and (mode_of(t.a) is not self.mode or mode_of(t.b) is not self.mode):
-            raise ModeMismatchError(
-                f"term {k} of {self.description or 'stream'} is not in {self.mode} mode"
-            )
+        if t is not None:
+            if mode_of(t.a) is not self.mode or mode_of(t.b) is not self.mode:
+                raise ModeMismatchError(
+                    f"term {k} of {self.description or 'stream'} is not in {self.mode} mode"
+                )
         return t
 
     def termination_level(self, within: int) -> Optional[int]:
@@ -225,13 +227,13 @@ def _settle(cf: CFStream, steps: Iterable[tuple[int, Optional[Scalar], int]],
     # max_depth only when the fraction terminates.
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-    finite, within = cf.mode.isfinite, _within(cf.mode, tol)
+    finite, rel_tol = cf.mode.isfinite, _rel_tol(cf.mode, tol)
     value = None
     for k, step, substitutions in steps:
         prev, value = value, step
         if value is None:
             continue
-        if not finite(value) or prev is not None and within(value, prev):
+        if not finite(value) or prev is not None and _within(value, prev, rel_tol, finite):
             converged, terminated = finite(value), False
             break
     else:
@@ -244,14 +246,14 @@ def _settle(cf: CFStream, steps: Iterable[tuple[int, Optional[Scalar], int]],
 
 def _rescale(p, q, p_prev, q_prev):
     # Keeps |p|, |q| inside floating-point range; the common power-of-two
-    # factor cancels in every ratio p/q.  A rescale that would flush a nonzero
-    # value to zero (a fake pole) is skipped; the values overflow instead.
-    m, values = max(abs(p), abs(q)), (p, q, p_prev, q_prev)
-    if not math.isfinite(m) or m == 0 or 1 / _RESCALE_BOUND < m < _RESCALE_BOUND:
-        return values
-    factor = math.ldexp(1.0, -math.frexp(m)[1])  # brings m into [0.5, 1)
-    scaled = tuple(v * factor for v in values)
-    return values if any(s == 0 and v != 0 for s, v in zip(scaled, values)) else scaled
+    # factor cancels in every ratio p/q.  A rescale that flushes a nonzero q
+    # to zero, a fake pole, is skipped; a flushed p, p_prev or q_prev is harmless.
+    m = max(abs(p), abs(q))
+    if math.isfinite(m) and m != 0 and not 1 / _RESCALE_BOUND < m < _RESCALE_BOUND:
+        factor = math.ldexp(1.0, -math.frexp(m)[1])  # brings m into [0.5, 1)
+        if q == 0 or q * factor != 0:
+            return p * factor, q * factor, p_prev * factor, q_prev * factor
+    return p, q, p_prev, q_prev
 
 
 def _levels(cf: CFStream, depth: int) -> Iterator[tuple[int, CFTerm]]:

@@ -14,9 +14,8 @@ Values are ordinary Python numbers and the mode is carried by the type.
 silently: an operation that meets two different modes raises
 :class:`~confrac.errors.ModeMismatchError` instead of promoting, because
 the exactness guarantees downstream rest on rational computations staying
-rational.  The stopping comparison has one home, the private
-``_within(mode, tol)``: :func:`nearly_equal` checks that its arguments
-share a mode and calls it, and the evaluators resolve it once per evaluation.
+rational.  The stopping comparison lives in the private ``_within``, which
+:func:`nearly_equal` and the evaluators share.
 
 Division by an exact zero is an error in every mode (Python's native
 behaviour), never an infinity; pole detection in the fraction engine
@@ -57,13 +56,11 @@ class Mode(enum.Enum):
         return self.value
 
 
-#: Scalar types and their modes, looked up by exact type first.
 _MODE_OF_TYPE = {float: Mode.FLOAT, complex: Mode.COMPLEX, int: Mode.RATIONAL, Fraction: Mode.RATIONAL}
 
 
 def mode_of(value: Scalar) -> Mode:
-    """Mode of *value*; integers count as exact rationals.  Subclasses of
-    the scalar types count as their base, except ``bool``."""
+    """Mode of *value* (a subclass counts as its base, ``bool`` as no scalar)."""
     if (mode := _MODE_OF_TYPE.get(type(value))) is not None:
         return mode
     if isinstance(value, bool):
@@ -137,13 +134,13 @@ def nearly_equal(a: Scalar, b: Scalar, tol: ToleranceSpec = DEFAULT_TOLERANCE) -
     mode, other = mode_of(a), mode_of(b)
     if mode is not other:
         raise ModeMismatchError(f"mode mismatch: {mode} vs {other}")
-    return _within(mode, tol)(a, b)
+    return _within(a, b, _rel_tol(mode, tol), mode.isfinite)
 
 
-def _within(mode: Mode, tol: ToleranceSpec) -> Callable[[Scalar, Scalar], bool]:
-    rel_tol = Fraction(tol.rel_tol) if mode is Mode.RATIONAL else tol.rel_tol
-    finite = mode.isfinite
-    def within(a: Scalar, b: Scalar) -> bool:
-        diff = abs(a - b)
-        return finite(diff) and diff <= rel_tol * max(abs(a), abs(b))
-    return within
+def _rel_tol(mode: Mode, tol: ToleranceSpec) -> Scalar:
+    return Fraction(tol.rel_tol) if mode is Mode.RATIONAL else tol.rel_tol
+
+
+def _within(a: Scalar, b: Scalar, rel_tol: Scalar, finite: Callable[[Scalar], bool]) -> bool:
+    diff = abs(a - b)
+    return finite(diff) and diff <= rel_tol * max(abs(a), abs(b))

@@ -102,6 +102,15 @@ class TestConvergents:
         assert not report.converged and not report.terminated
         assert report.depth_used == 1
 
+    def test_rescale_still_runs_when_only_p_prev_would_flush(self):
+        # p_1 = 1e200 is past the bound; the rescale by 2^-665 flushes
+        # p_prev = 1e-300 to 0.0, which is harmless.  Skipping it would let
+        # p_2 = 1e200·1e200 overflow; the exact value is 1e-300 + 1e200/2.
+        cf = CFStream.from_terms(1e-300, [(1e200, 1.0), (1e200, 1e200)])
+        report = eval_convergents(cf, TIGHT, 50)
+        assert report.value == 5e199
+        assert report.terminated and report.converged
+
     def test_termination_level_scan(self):
         assert symmetric_binomial(3, Fraction(1, 2)).termination_level(30) == 3
         assert coth_scaled_cf(1.0).termination_level(30) is None

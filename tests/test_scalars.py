@@ -17,7 +17,7 @@ from confrac import (
     mode_of,
     nearly_equal,
 )
-from confrac.scalars import _within, coerce
+from confrac.scalars import _rel_tol, _within, coerce
 
 
 class TestModeOf:
@@ -117,10 +117,17 @@ class TestNearlyEqual:
 
 class TestOneComparison:
     """``nearly_equal`` is the mode check plus the one comparison
-    ``_within``, which the evaluators resolve once per evaluation."""
+    ``_within``, which the evaluators call with the tolerance and the
+    finiteness test resolved once per evaluation."""
 
     finite_or_not = st.floats(allow_nan=True, allow_infinity=True)
     tols = st.sampled_from([0.0, 1e-300, 1e-12, 0.5, 1.0, 2.0])
+
+    @staticmethod
+    def _resolved(mode, tol):
+        # _within as an evaluator calls it: tolerance and finiteness fixed once
+        rel_tol, finite = _rel_tol(mode, tol), mode.isfinite
+        return lambda a, b: _within(a, b, rel_tol, finite)
 
     @staticmethod
     def _outcome(compare, a, b):
@@ -133,7 +140,7 @@ class TestOneComparison:
 
     def _agree(self, mode, a, b, rel_tol):
         tol = ToleranceSpec(rel_tol=rel_tol)
-        assert self._outcome(_within(mode, tol), a, b) is self._outcome(
+        assert self._outcome(self._resolved(mode, tol), a, b) is self._outcome(
             lambda a, b: nearly_equal(a, b, tol), a, b)
 
     @given(finite_or_not, finite_or_not, tols)
@@ -159,16 +166,16 @@ class TestOneComparison:
         mode = mode_of(a)
         for rel_tol in (0.0, 1e-12, 1.0):
             tol = ToleranceSpec(rel_tol=rel_tol)
-            assert not _within(mode, tol)(a, b) and not nearly_equal(a, b, tol)
+            assert not self._resolved(mode, tol)(a, b) and not nearly_equal(a, b, tol)
 
     def test_rational_tolerance_is_exact(self):
         # 1e-12 is made the exact Fraction of its binary value, not compared as a float
         r = Fraction(1e-12)
         edge = 1 + r / (1 - r)
         tol = ToleranceSpec(rel_tol=1e-12)
-        assert _within(Mode.RATIONAL, tol)(edge, Fraction(1))
-        assert not _within(Mode.RATIONAL, tol)(edge + Fraction(1, 10**60), Fraction(1))
-        assert not _within(Mode.RATIONAL, EXACT)(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**40))
+        assert self._resolved(Mode.RATIONAL, tol)(edge, Fraction(1))
+        assert not self._resolved(Mode.RATIONAL, tol)(edge + Fraction(1, 10**60), Fraction(1))
+        assert not self._resolved(Mode.RATIONAL, EXACT)(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**40))
 
 
 class TestToleranceSpec:
