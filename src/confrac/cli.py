@@ -274,19 +274,10 @@ def _emit_rows(cfg: CommandConfig, out: TextIO, header: str, rows: list[dict],
         out.write(json.dumps(document, indent=2, allow_nan=False) + "\n")
         return
     out.write(header + "\n")
-    columns = header.split(",")
     for row in rows:
-        cells = []
-        for col in columns:
-            v = row[col]
-            if v is None:
-                cells.append("")
-            elif isinstance(v, bool):
-                cells.append(str(v).lower())
-            elif isinstance(v, float):
-                cells.append(f"{v:.17g}")
-            else:
-                cells.append(str(v))
+        cells = ("" if v is None else str(v).lower() if isinstance(v, bool)
+                 else _format_scalar(v) if isinstance(v, float) else str(v)
+                 for v in (row[col] for col in header.split(",")))
         out.write(",".join(cells) + "\n")
 
 

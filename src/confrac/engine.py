@@ -35,6 +35,8 @@ is reduced, to one ``Fraction``, only when it is read.
 Every route's report comes from one stopping rule, ``_settle``: stop at
 the first two successive values that agree or at the first non-finite one
 (not converged); a walk that runs out has terminated, unless at the cap.
+Every route marks a pole (``q_k = 0``, an infinite fold) as value ``None``,
+and only ``_settle`` raises :class:`PoleError`, for one it would report.
 
 Plus two structural operations: :func:`tail` (the sub-fraction hanging off
 a given level) and :func:`equivalence_transform` (level-wise rescaling that
@@ -43,6 +45,7 @@ leaves every convergent value unchanged).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,6 +58,7 @@ from .scalars import (
     Scalar,
     ToleranceSpec,
     _rel_tol,
+    _relative_change,
     _within,
     mode_of,
 )
@@ -209,17 +213,6 @@ class EvalReport:
     tiny_substitutions: int = 0
 
 
-def _relative_change(value: Scalar, previous: Scalar) -> float:
-    # A nonzero step too small for a float is reported as the smallest
-    # positive float, so a residual of 0 means the step was exactly 0.
-    diff = abs(value - previous)
-    scale = max(abs(value), abs(previous))
-    if scale == 0:
-        return 0.0
-    change = float(diff / scale)
-    return math.ulp(0.0) if change == 0 and diff != 0 else change
-
-
 def _settle(cf: CFStream, steps: Iterable[tuple[int, Optional[Scalar], int]],
             tol: ToleranceSpec, max_depth: int) -> EvalReport:
     # The one stopping rule (see the module docstring).  ``steps`` yields
@@ -247,12 +240,14 @@ def _settle(cf: CFStream, steps: Iterable[tuple[int, Optional[Scalar], int]],
 def _rescale(p, q, p_prev, q_prev):
     # Keeps |p|, |q| inside floating-point range; the common power-of-two
     # factor cancels in every ratio p/q.  A rescale that flushes a nonzero q
-    # to zero, a fake pole, is skipped; a flushed p, p_prev or q_prev is harmless.
+    # to zero, a fake pole, or leaves p_prev or q_prev infinite is skipped;
+    # a flushed p, p_prev or q_prev is harmless.
     m = max(abs(p), abs(q))
     if math.isfinite(m) and m != 0 and not 1 / _RESCALE_BOUND < m < _RESCALE_BOUND:
         factor = math.ldexp(1.0, -math.frexp(m)[1])  # brings m into [0.5, 1)
-        if q == 0 or q * factor != 0:
-            return p * factor, q * factor, p_prev * factor, q_prev * factor
+        scaled = p * factor, q * factor, p_prev * factor, q_prev * factor
+        if (q == 0 or scaled[1] != 0) and all(map(cmath.isfinite, scaled)):
+            return scaled
     return p, q, p_prev, q_prev
 
 
@@ -336,17 +331,19 @@ def eval_convergents(
     return _settle(cf, steps, tol, max_depth)
 
 
-def _lentz(cf: CFStream, depth: int) -> Iterator[tuple[int, Scalar, int]]:
+def _lentz(cf: CFStream, depth: int) -> Iterator[tuple[int, Optional[Scalar], int]]:
     # Modified Lentz along _levels: yields (k, f_k, substitutions so far)
     # for k = 0..depth.  A full fraction (b0 = 0) starts at level 1 with
-    # f_1 = a_1/b_1 and C_1 = A_1/A_0 = inf, so that C_2 = b_2 exactly.
+    # f_1 = a_1/b_1 and C_1 = A_1/A_0 = inf, so that C_2 = b_2 exactly.  A zero
+    # d is q_k = 0 (D_k = q_{k-1}/q_k): f_k is None, the stand-in walks on.
     substitutions = 0
     f = c = cf.b0
     d = cf.mode.cast(0)
     yield 0, f, substitutions
     for k, t in _levels(cf, depth):
         d = t.b + t.a * d
-        if d == 0:
+        pole = d == 0
+        if pole:
             d = LENTZ_TINY
             substitutions += 1
         d = 1 / d
@@ -358,7 +355,7 @@ def _lentz(cf: CFStream, depth: int) -> Iterator[tuple[int, Scalar, int]]:
                 c = LENTZ_TINY
                 substitutions += 1
             f *= c * d
-        yield k, f, substitutions
+        yield k, None if pole else f, substitutions
 
 
 def eval_lentz(
@@ -372,7 +369,8 @@ def eval_lentz(
     :data:`LENTZ_TINY` and counted in the report; a zero leading term needs
     no stand-in, level 1 is ``a_1/b_1`` itself.  Ends like
     :func:`eval_convergents`: early at a vanishing partial numerator
-    (``terminated`` set, residual 0).  Agrees with :func:`eval_convergents`
+    (``terminated`` set, residual 0), and a pole (``q_k = 0``) is skipped
+    or raised the same way.  Agrees with :func:`eval_convergents`
     within a small multiple of the tolerance whenever both converge.
     """
     if cf.mode is Mode.RATIONAL:
@@ -382,22 +380,20 @@ def eval_lentz(
     return _settle(cf, _lentz(cf, max_depth), tol, max_depth)
 
 
-def _fold(cf: CFStream, terms: list[CFTerm]) -> Scalar:
+def _fold(cf: CFStream, terms: list[CFTerm]) -> Optional[Scalar]:
     # Backward fold of b0 + a_1/(b_1 + ... + a_m/b_m) from an assumed-zero tail.
-    # r is None where a partial value is infinite; the level above folds to its b (a/inf = 0).
+    # r is None where a partial value is infinite; the level above folds to its b
+    # (a/inf = 0), and a None result is a pole, the marker _forward yields at q = 0.
     r = terms[-1].b if terms else cf.b0
     if cf.mode is Mode.RATIONAL:  # on ints, r = num/den: an inner zero is den = 0
         num, den = r.numerator, r.denominator
         for i in range(len(terms) - 1, -1, -1):
             l, a, b = _cleared(terms[i].a, terms[i - 1].b if i else cf.b0)
             num, den = b * num + a * den, l * num
-        r = Fraction(num, den) if den else None
-    else:
-        for i in range(len(terms) - 1, -1, -1):
-            b = terms[i - 1].b if i else cf.b0
-            r = None if r == 0 else b if r is None else b + terms[i].a / r
-    if r is None:
-        raise PoleError("zero denominator while folding into the leading term")
+        return Fraction(num, den) if den else None
+    for i in range(len(terms) - 1, -1, -1):
+        b = terms[i - 1].b if i else cf.b0
+        r = None if r == 0 else b if r is None else b + terms[i].a / r
     return r
 
 
@@ -412,19 +408,17 @@ def eval_backward(cf: CFStream, depth: int) -> Scalar:
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    return _fold(cf, [t for _, t in _levels(cf, depth)])
+    value = _fold(cf, [t for _, t in _levels(cf, depth)])
+    if value is None:
+        raise PoleError("zero denominator while folding into the leading term")
+    return value
 
 
 def _backward_report(cf: CFStream, depth: int, tol: ToleranceSpec) -> EvalReport:
-    # The folds at depth - 1 (None at a pole) and depth, or the one terminated fold.
+    # The folds at depth - 1 and depth, or the one terminated fold.
     terms = [t for _, t in _levels(cf, depth)]
-    steps = [(len(terms), _fold(cf, terms), 0)]
-    if len(terms) == depth:
-        try:
-            steps.insert(0, (depth - 1, _fold(cf, terms[:-1]), 0))
-        except PoleError:
-            steps.insert(0, (depth - 1, None, 0))
-    return _settle(cf, steps, tol, depth)
+    folds = [terms[:-1], terms] if len(terms) == depth else [terms]
+    return _settle(cf, [(len(f), _fold(cf, f), 0) for f in folds], tol, depth)
 
 
 def tail(cf: CFStream, start_level: int) -> CFStream:

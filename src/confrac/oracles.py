@@ -10,6 +10,8 @@ The removable singularities (z = 0 for the symmetric form, v = 0 for the
 scaled cotangent) are 0/0 forms and raise :class:`DomainError`: an oracle
 returns formula values only, never a limit value.
 
+Each formula is written once; exact or float only picks the argument,
+``Fraction(x)`` or a float, and the exponent, ``int(n)`` or ``float(n)``.
 This module holds only the closed forms; which one serves which family is
 decided by the family table in :mod:`confrac.families`.
 """
@@ -42,16 +44,10 @@ def binomial_power(n: Union[int, float, Fraction], x: Scalar) -> OracleResult:
     """(1+x)^n; exact rational when n is an integer and x is rational."""
     n = as_fraction(n)
     if n.denominator == 1:
-        ni = int(n)
-        if mode_of(x) is Mode.RATIONAL:
-            base = 1 + Fraction(x)
-            if ni < 0 and base == 0:
-                raise DomainError("x = -1 with a negative exponent")
-            return OracleResult(base**ni)
-        xf = _real(x, "x")
-        if ni < 0 and 1 + xf == 0:
+        base = 1 + (Fraction(x) if mode_of(x) is Mode.RATIONAL else _real(x, "x"))
+        if n < 0 and base == 0:
             raise DomainError("x = -1 with a negative exponent")
-        return OracleResult((1 + xf) ** ni)
+        return OracleResult(base ** int(n))
     xf = _real(x, "x")
     if 1 + xf <= 0:
         raise DomainError(f"1 + x must be positive for non-integer n, got x={x!r}")
@@ -74,14 +70,11 @@ def symmetric_lhs(n: Union[int, float, Fraction], z: Scalar) -> OracleResult:
     if z == 0:
         raise DomainError("z = 0 is a 0/0 form with limit 1")
     if n.denominator == 1 and mode_of(z) is Mode.RATIONAL:
-        zq = Fraction(z)
-        ni = int(n)
-        plus, minus = (1 + zq) ** ni, (1 - zq) ** ni
-        return OracleResult(n * zq * (plus + minus) / (plus - minus))
-    zf = _real(z, "z")
-    nf = float(n)
-    plus, minus = (1 + zf) ** nf, (1 - zf) ** nf
-    return OracleResult(nf * zf * (plus + minus) / (plus - minus))
+        z, n = Fraction(z), int(n)
+    else:
+        z, n = _real(z, "z"), float(n)
+    plus, minus = (1 + z) ** n, (1 - z) ** n
+    return OracleResult(n * z * (plus + minus) / (plus - minus))
 
 
 def tan_multiple_lhs(n: Union[int, float, Fraction], t: Scalar) -> OracleResult:
@@ -130,13 +123,8 @@ def series_ratio_coth(v: Scalar, terms: int) -> OracleResult:
     """
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
-    if mode_of(v) is Mode.RATIONAL:
-        v2 = Fraction(v) ** 2
-        num = sum((v2**k) * Fraction(1, math.factorial(2 * k)) for k in range(terms))
-        den = sum((v2**k) * Fraction(1, math.factorial(2 * k + 1)) for k in range(terms))
-        return OracleResult(num / den)
-    vf = _real(v, "v")
-    v2 = vf * vf
+    v = Fraction(v) if mode_of(v) is Mode.RATIONAL else _real(v, "v")
+    v2 = v * v  # not v ** 2, which raises OverflowError where v * v is inf
     num = sum(v2**k / math.factorial(2 * k) for k in range(terms))
     den = sum(v2**k / math.factorial(2 * k + 1) for k in range(terms))
     return OracleResult(num / den)

@@ -15,7 +15,8 @@ silently: an operation that meets two different modes raises
 :class:`~confrac.errors.ModeMismatchError` instead of promoting, because
 the exactness guarantees downstream rest on rational computations staying
 rational.  The stopping comparison lives in the private ``_within``, which
-:func:`nearly_equal` and the evaluators share.
+:func:`nearly_equal` and the evaluators share, and a report's residual in
+``_relative_change``; both hold where a complex modulus overflows.
 
 Division by an exact zero is an error in every mode (Python's native
 behaviour), never an infinity; pole detection in the fraction engine
@@ -142,5 +143,25 @@ def _rel_tol(mode: Mode, tol: ToleranceSpec) -> Scalar:
 
 
 def _within(a: Scalar, b: Scalar, rel_tol: Scalar, finite: Callable[[Scalar], bool]) -> bool:
-    diff = abs(a - b)
-    return finite(diff) and diff <= rel_tol * max(abs(a), abs(b))
+    try:
+        diff = abs(a - b)
+        return finite(diff) and diff <= rel_tol * max(abs(a), abs(b))
+    except OverflowError:
+        # abs() of a finite complex whose modulus is past the float range: the
+        # relation is scale-invariant, and halving is exact at that size
+        return _within(a / 2, b / 2, rel_tol, finite)
+
+
+def _relative_change(value: Scalar, previous: Scalar) -> float:
+    # |value - previous| / max(|value|, |previous|), the residual a report
+    # gives.  A nonzero step too small for a float is reported as the
+    # smallest positive float, so a residual of 0 means the step was exactly 0.
+    try:
+        diff = abs(value - previous)
+        scale = max(abs(value), abs(previous))
+    except OverflowError:  # as in _within
+        return _relative_change(value / 2, previous / 2)
+    if scale == 0:
+        return 0.0
+    change = float(diff / scale)
+    return math.ulp(0.0) if change == 0 and diff != 0 else change

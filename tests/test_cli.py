@@ -119,23 +119,46 @@ class TestEval:
         assert payload["converged"] is False and payload["residual"] > 1e-12
 
     @pytest.mark.parametrize(
-        "argv, depth_used",
+        "argv, exit_code, depth_used",
         [
-            (("--family", "coth-scaled", "--arg", "1e160"), 1),
-            (("--family", "lagrange-binomial", "--n", "3", "--arg", "1e10"), None),
+            (("--family", "coth-scaled", "--arg", "1e160"), 2, 1),
+            # float cancellation makes q_5 = 0.0 (exactly 60): a pole, exit 1
+            (("--family", "lagrange-binomial", "--n", "3", "--arg", "1e10"), 1, 5),
             (("--family", "uniform-binomial", "--n", "3", "--arg", "1e160",
-              "--method", "convergents"), None),
+              "--method", "convergents"), 2, None),
         ],
         ids=["coth-scaled", "lagrange-binomial", "uniform-binomial"],
     )
-    def test_non_finite_value_exits_two_with_strict_json(self, capsys, argv, depth_used):
-        code, out, _ = run_cli(capsys, "eval", *argv)
+    def test_non_finite_value_exits_two_with_strict_json(self, capsys, argv, exit_code, depth_used):
+        code, out, err = run_cli(capsys, "eval", *argv)
+        assert code == exit_code
+        if exit_code == 1:
+            assert out == ""
+            assert f"convergent {depth_used}, the value to report, is a pole" in err
+            return
         payload = strict_json(out)
-        assert code == 2
         assert payload["converged"] is False and payload["terminated"] is False
         assert payload["value"] in ("inf", "-inf", "nan")
         if depth_used is not None:
             assert payload["depth_used"] == depth_used
+
+    @pytest.mark.parametrize(
+        "n, method, k",
+        [("2", "lentz", 2), ("-2", "lentz", 2), ("10", "lentz", 10),
+         ("2", "convergents", 2), ("2", "backward", 2)],
+    )
+    def test_pole_at_the_value_exits_one_on_every_route(self, capsys, n, method, k):
+        # tan(n·pi/4) is a pole; each route hands the stopping rule the same marker
+        code, out, err = run_cli(capsys, "eval", "--family", "tan-multiple", "--n", n,
+                                 "--arg", "1", "--method", method, "--depth", "12")
+        assert code == 1 and out == ""
+        assert err == f"error: convergent {k}, the value to report, is a pole (q = 0)\n"
+
+    def test_fraction_text_in_float_mode(self, capsys):
+        _, exact_text, _ = run_cli(capsys, "eval", "--family", "arctan", "--arg", "1/3")
+        _, decimal_text, _ = run_cli(capsys, "eval", "--family", "arctan",
+                                     "--arg", "0.3333333333333333")
+        assert strict_json(exact_text) == strict_json(decimal_text)
 
     @pytest.mark.parametrize("method", ["convergents", "backward"])
     def test_pole_before_the_cap_is_skipped(self, capsys, method):
@@ -239,6 +262,13 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("n", ["abc", "1/0"])
+    def test_unparsable_exponent(self, capsys, n):
+        code, _, err = run_cli(capsys, "eval", "--family", "lagrange-binomial", "--n", n,
+                               "--arg", "0.5")
+        assert code == 1
+        assert err.startswith(f"error: cannot parse --n {n!r}")
 
 
 class TestTable:

@@ -111,6 +111,14 @@ class TestConvergents:
         assert report.value == 5e199
         assert report.terminated and report.converged
 
+    def test_rescale_that_would_overflow_p_prev_is_skipped(self):
+        # q_1 = 1e-300 asks for a scale-up by 2^997, which would make
+        # p_prev = b0 = 1e100 infinite; the exact depth-2 value is 1e100
+        cf = CFStream.from_terms(1e100, [(-1e-200, 1e-300), (1.0, 1.0)])
+        assert convergents(cf, 2)[-1].value == 1e100
+        report = eval_convergents(cf, TIGHT, 50)
+        assert report.value == 1e100 and report.terminated
+
     def test_termination_level_scan(self):
         assert symmetric_binomial(3, Fraction(1, 2)).termination_level(30) == 3
         assert coth_scaled_cf(1.0).termination_level(30) is None
@@ -238,6 +246,36 @@ class TestEvalLentz:
         with pytest.raises(ModeMismatchError):
             eval_lentz(coth_scaled_cf(Fraction(1, 2)), TIGHT, 50)
 
+    @pytest.mark.parametrize("n, k", [(2, 2), (-2, 2), (10, 10)])
+    def test_zero_denominator_is_a_pole(self, n, k):
+        # tan(n·pi/4) is a pole: q_k = 0 exactly, once replaced by the stand-in
+        with pytest.raises(PoleError, match=f"convergent {k}, the value to report, is a pole"):
+            eval_lentz(tan_multiple(n, 1.0))
+        with pytest.raises(PoleError, match=f"convergent {k}, the value to report, is a pole"):
+            eval_convergents(tan_multiple(n, 1.0))
+
+    def test_pole_before_the_cap_is_skipped(self):
+        # convergent 2 of lagrange n=3 at x=1 is a pole; the stand-in carries
+        # the walk on to convergent 3 = 8.5
+        report = eval_lentz(lagrange_binomial(3, 1.0), TIGHT, 3)
+        assert report.value == pytest.approx(8.5, rel=1e-15)
+        assert report.residual == math.inf and not report.converged
+        assert report.tiny_substitutions == 1
+
+    def test_inner_zero_numerator_ratio_is_substituted(self):
+        # C_1 = b_1 + a_1/C_0 = -1 + 1/1 = 0 needs the stand-in; the value is -1
+        cf = CFStream.from_terms(1.0, [(1.0, -1.0), (1.0, 2.0)])
+        report = eval_lentz(cf, TIGHT, 50)
+        assert report.tiny_substitutions == 1 and report.terminated
+        assert abs(report.value + 1) <= 2 * math.ulp(1.0)
+        assert report.value == pytest.approx(eval_convergents(cf, TIGHT, 50).value, rel=1e-15)
+
+    def test_complex_modulus_past_the_float_range(self):
+        # |b0| = 1.3e308·sqrt(2) overflows abs(); both parts are finite
+        report = eval_lentz(CFStream.from_terms(1.3e308 + 1.3e308j, [(1 + 0j, 1 + 0j)]))
+        assert report.value == 1.3e308 + 1.3e308j and report.converged
+        assert report.residual == 0.0
+
     @pytest.mark.parametrize(
         "build",
         [arctan_cf, tan_cf, log_ratio_cf, lambda t: tan_multiple(2.5, t)],
@@ -294,14 +332,21 @@ class TestStoppingRule:
         assert report.residual == math.ulp(0.0)
 
     @pytest.mark.parametrize(
-        "evaluate, stream, depth_used",
+        "evaluate, stream, depth_used, pole",
         [
-            pytest.param(eval_lentz, coth_scaled_cf(1e160), 1, id="lentz-coth"),
-            pytest.param(eval_lentz, lagrange_binomial(3, 1e10), 5, id="lentz-lagrange"),
-            pytest.param(eval_convergents, uniform_binomial(3, 1e160), 2, id="convergents-uniform"),
+            pytest.param(eval_lentz, coth_scaled_cf(1e160), 1, False, id="lentz-coth"),
+            # the exact q_5 is 60, float cancellation makes it 0.0: Lentz
+            # reports that zero as a pole, like the backward route
+            pytest.param(eval_lentz, lagrange_binomial(3, 1e10), 5, True, id="lentz-lagrange"),
+            pytest.param(eval_convergents, uniform_binomial(3, 1e160), 2, False,
+                         id="convergents-uniform"),
         ],
     )
-    def test_first_non_finite_value_ends_the_walk(self, evaluate, stream, depth_used):
+    def test_first_non_finite_value_ends_the_walk(self, evaluate, stream, depth_used, pole):
+        if pole:
+            with pytest.raises(PoleError, match=f"convergent {depth_used}, the value to report"):
+                evaluate(stream, DEFAULT_TOLERANCE, 10_000)
+            return
         report = evaluate(stream, DEFAULT_TOLERANCE, 10_000)
         assert not math.isfinite(report.value)
         assert not report.converged and not report.terminated
@@ -534,6 +579,12 @@ class TestEquivalenceTransform:
             convergents(equivalence_transform(cf, lambda k: Fraction(0)), 3)
         with pytest.raises(ValueError):
             equivalence_transform(cf, lambda k: Fraction(1), c0=0)
+
+    def test_finite_stream_ends_where_the_stream_ends(self):
+        cf = CFStream.from_terms(Fraction(1), [(Fraction(1), Fraction(2))] * 3)
+        out = equivalence_transform(cf, lambda k: Fraction(k))
+        assert out.term(3) is not None and out.term(4) is None
+        assert convergents(out, 10)[-1].value == convergents(cf, 10)[-1].value
 
     def test_leading_factor_scales_value(self):
         cf = coth_scaled_cf(Fraction(1, 2))

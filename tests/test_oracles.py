@@ -40,6 +40,8 @@ class TestBinomialPower:
     def test_minus_one_with_negative_exponent_rejected(self):
         with pytest.raises(DomainError):
             binomial_power(-2, Fraction(-1))
+        with pytest.raises(DomainError):
+            binomial_power(-2, -1.0)
 
     def test_nonpositive_base_with_fractional_exponent_rejected(self):
         with pytest.raises(DomainError):

@@ -17,7 +17,7 @@ from confrac import (
     mode_of,
     nearly_equal,
 )
-from confrac.scalars import _rel_tol, _within, coerce
+from confrac.scalars import _rel_tol, _relative_change, _within, coerce
 
 
 class TestModeOf:
@@ -105,6 +105,13 @@ class TestNearlyEqual:
     def test_complex_modulus(self):
         assert nearly_equal(1 + 1j, 1 + 1j + 1e-16j, ToleranceSpec(rel_tol=1e-12))
         assert not nearly_equal(1 + 1j, 1.1 + 1j, ToleranceSpec(rel_tol=1e-12))
+
+    def test_complex_modulus_past_the_float_range(self):
+        # abs(z) raises OverflowError although both parts are finite
+        z = 1.3e308 + 1.3e308j
+        assert nearly_equal(z, z)
+        assert not nearly_equal(z, z / 2)
+        assert _relative_change(z, z / 2) == 0.5
 
     @given(
         st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6),
