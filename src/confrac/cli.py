@@ -25,7 +25,6 @@ from typing import Optional, Sequence, TextIO
 
 from .engine import (
     DEFAULT_MAX_DEPTH,
-    Convergent,
     _backward_report,
     convergents,
     eval_convergents,
@@ -197,10 +196,6 @@ def _error_columns(value: Optional[Scalar], oracle: Optional[Scalar]):
     return _json_scalar(float(abs_err)), None if rel_err is None else _json_scalar(float(rel_err))
 
 
-def _convergent_value(c: Convergent) -> Optional[Scalar]:
-    return None if c.is_pole else c.value
-
-
 def _rows_document(cfg: CommandConfig, rows: list[dict]) -> dict:
     spec = cfg.spec
     params = {
@@ -212,51 +207,29 @@ def _rows_document(cfg: CommandConfig, rows: list[dict]) -> dict:
     return {"family": spec.family.value, "params": params, "rows": rows}
 
 
-def run_table(cfg: CommandConfig, out: TextIO) -> int:
-    spec = cfg.spec
-    stream = spec.stream()
-    convs = convergents(stream, cfg.depth)
+def run_rows(cfg: CommandConfig, out: TextIO, header: str) -> int:
+    """``table`` (``TABLE_HEADER``): a row per convergent, with empty error
+    cells where no oracle applies.  ``compare``: a row per depth 1..depth,
+    where no oracle is a DomainError (exit 1)."""
+    spec, table = cfg.spec, header == TABLE_HEADER
     try:
         oracle = oracle_value(spec)
     except DomainError:
+        if not table:
+            raise
         oracle = None
+    convs = convergents(spec.stream(), cfg.depth)
     rows = []
-    for c in convs:
-        value = _convergent_value(c)
-        abs_err, rel_err = _error_columns(value, oracle)
-        rows.append(
-            {
-                "k": c.k,
-                "p": _format_scalar(c.p),
-                "q": _format_scalar(c.q),
-                "value": None if value is None else _number_cell(value),
-                "abs_err": abs_err,
-                "rel_err": rel_err,
-            }
-        )
-    _emit_rows(cfg, out, TABLE_HEADER, rows, _rows_document(cfg, rows))
-    return 0
-
-
-def run_compare(cfg: CommandConfig, out: TextIO) -> int:
-    spec = cfg.spec
-    oracle = oracle_value(spec)  # DomainError (no oracle) propagates to exit 1
-    stream = spec.stream()
-    convs = convergents(stream, cfg.depth)
-    rows = []
-    for depth in range(1, cfg.depth + 1):
+    for depth in range(len(convs)) if table else range(1, cfg.depth + 1):
         c = convs[min(depth, len(convs) - 1)]
-        value = _convergent_value(c)
-        _, rel_err = _error_columns(value, oracle)
-        rows.append(
-            {
-                "depth": depth,
-                "cf_value": None if value is None else _number_cell(value),
-                "oracle_value": _number_cell(oracle),
-                "rel_err": rel_err,
-            }
-        )
-    _emit_rows(cfg, out, COMPARE_HEADER, rows, _rows_document(cfg, rows))
+        value = None if c.is_pole else c.value
+        abs_err, rel_err = _error_columns(value, oracle)
+        cell = None if value is None else _number_cell(value)
+        rows.append({"k": c.k, "p": _format_scalar(c.p), "q": _format_scalar(c.q), "value": cell,
+                     "abs_err": abs_err, "rel_err": rel_err} if table else
+                    {"depth": depth, "cf_value": cell, "oracle_value": _number_cell(oracle),
+                     "rel_err": rel_err})
+    _emit_rows(cfg, out, header, rows, _rows_document(cfg, rows))
     return 0
 
 
@@ -317,9 +290,7 @@ def _dispatch(args: argparse.Namespace, out: TextIO) -> int:
     cfg = build_config(args)
     if args.command == "eval":
         return run_eval(cfg, out)
-    if args.command == "table":
-        return run_table(cfg, out)
-    return run_compare(cfg, out)
+    return run_rows(cfg, out, TABLE_HEADER if args.command == "table" else COMPARE_HEADER)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -8,8 +8,8 @@ is held as the leading term ``b0`` plus a lazy, deterministic sequence of
 levels ``(a_k, b_k)``, ``k >= 1``.  A vanishing partial numerator is the
 termination signal: if ``a_m == 0`` the value of the fraction is the
 convergent truncated immediately before level ``m`` and deeper levels are
-never consulted.  Family generators arrange for that zero to be exact in
-every mode, so termination is a hard event, not a rounding accident.
+never consulted.  Each stream decides that zero: a family reads it off its
+exact law, never off a rounded ``a``, and a user stream tests ``a == 0``.
 The stream's :class:`~confrac.scalars.Mode` supplies the seeds
 (``cf.mode.cast(0)``, ``cf.mode.cast(1)``) and the stopping rule's
 finiteness test (``cf.mode.isfinite``).  Terms are computed on each pull.
@@ -96,8 +96,10 @@ class CFStream:
 
     ``term_fn(k)`` must be pure: it returns the level-``k`` term (``k >= 1``)
     or ``None`` once a finite stream is exhausted, and it is called on each
-    pull, with no cache.  Each term is checked to be in the mode of ``b0``.
-    Streams are immutable once constructed and safe to share.
+    pull, with no cache.  This makes a user stream: each term is checked to
+    be in the mode of ``b0``, and ``a == 0`` terminates it.  Family streams
+    read both off their law instead (``_from_law``).  Streams are immutable
+    once constructed and safe to share.
     """
 
     def __init__(self, b0: Scalar, term_fn: TermFn, description: str = ""):
@@ -121,6 +123,20 @@ class CFStream:
 
         return cls(b0, term_fn, description)
 
+    @classmethod
+    def _from_law(cls, b0: Scalar, level: Callable, description: str) -> "CFStream":
+        # An endless stream whose level(k) -> (a_k, b_k, zero), zero meaning a_k
+        # ends the fraction, reads a family law: the walk takes it unchecked,
+        # and term(k) builds its CFTerm from it.
+        cf = cls(b0, lambda k: CFTerm(*level(k)[:2]), description)
+        cf._level = level
+        return cf
+
+    def _level(self, k: int) -> Optional[tuple[Scalar, Scalar, bool]]:
+        # A user stream's level: the checked term, a == 0 as its zero, None past the end.
+        t = self.term(k)
+        return None if t is None else (t.a, t.b, t.a == 0)
+
     def term(self, k: int) -> Optional[CFTerm]:
         """Level-``k`` term, or ``None`` past the end of a finite stream."""
         if k < 1:
@@ -134,9 +150,9 @@ class CFStream:
         return t
 
     def termination_level(self, within: int) -> Optional[int]:
-        """Level of the first vanishing partial numerator, scanning at most
-        ``within`` levels; the end of a finite stream counts too.  ``None``
-        if the stream runs past ``within`` levels without terminating."""
+        """Level of the stream's termination zero, scanning at most ``within``
+        levels; the end of a finite stream counts too.  ``None`` if the
+        stream runs past ``within`` levels without terminating."""
         levels = sum(1 for _ in _levels(self, within))
         return levels + 1 if levels < within else None
 
@@ -242,7 +258,7 @@ def _rescale(p, q, p_prev, q_prev):
     # factor cancels in every ratio p/q.  A rescale that flushes a nonzero q
     # to zero, a fake pole, or leaves p_prev or q_prev infinite is skipped;
     # a flushed p, p_prev or q_prev is harmless.
-    m = max(abs(p), abs(q))
+    m = max(abs(p.real), abs(p.imag), abs(q.real), abs(q.imag))  # a modulus can overflow
     if math.isfinite(m) and m != 0 and not 1 / _RESCALE_BOUND < m < _RESCALE_BOUND:
         factor = math.ldexp(1.0, -math.frexp(m)[1])  # brings m into [0.5, 1)
         scaled = p * factor, q * factor, p_prev * factor, q_prev * factor
@@ -251,16 +267,17 @@ def _rescale(p, q, p_prev, q_prev):
     return p, q, p_prev, q_prev
 
 
-def _levels(cf: CFStream, depth: int) -> Iterator[tuple[int, CFTerm]]:
-    # The one walk over a fraction's levels: yields (k, term) for
-    # k = 1..depth, lazily, and stops before the first vanishing partial
-    # numerator or at the end of a finite stream, so a last k below depth
-    # means the fraction terminated.
+def _levels(cf: CFStream, depth: int) -> Iterator[tuple[int, Scalar, Scalar]]:
+    # The one walk over a fraction's levels: yields (k, a_k, b_k) for
+    # k = 1..depth, lazily, and stops before the level the stream calls its
+    # termination zero or at the end of a finite stream, so a last k below
+    # depth means the fraction terminated.
+    level = cf._level
     for k in range(1, depth + 1):
-        t = cf.term(k)
-        if t is None or t.a == 0:
+        ab = level(k)
+        if ab is None or ab[2]:
             return
-        yield k, t
+        yield k, ab[0], ab[1]
 
 
 def _forward(cf: CFStream, depth: int) -> Iterator[tuple[int, Scalar, Scalar]]:
@@ -270,9 +287,9 @@ def _forward(cf: CFStream, depth: int) -> Iterator[tuple[int, Scalar, Scalar]]:
     p_prev, q_prev = one_, cf.mode.cast(0)
     p, q = cf.b0, one_
     yield 0, p, q
-    for k, t in _levels(cf, depth):
-        p, p_prev = t.b * p + t.a * p_prev, p
-        q, q_prev = t.b * q + t.a * q_prev, q
+    for k, a, b in _levels(cf, depth):
+        p, p_prev = b * p + a * p_prev, p
+        q, q_prev = b * q + a * q_prev, q
         p, q, p_prev, q_prev = _rescale(p, q, p_prev, q_prev)
         yield k, p, q
 
@@ -289,8 +306,8 @@ def _forward_exact(cf: CFStream, depth: int) -> Iterator[tuple[int, int, int, in
     s = cf.b0.denominator
     p_prev, q_prev, p, q = s, 0, cf.b0.numerator, s
     yield 0, p, q, s
-    for k, t in _levels(cf, depth):
-        l, a, b = _cleared(t.a, t.b)
+    for k, a, b in _levels(cf, depth):
+        l, a, b = _cleared(a, b)
         p, p_prev = b * p + a * p_prev, l * p
         q, q_prev = b * q + a * q_prev, l * q
         s *= l
@@ -336,26 +353,28 @@ def _lentz(cf: CFStream, depth: int) -> Iterator[tuple[int, Optional[Scalar], in
     # for k = 0..depth.  A full fraction (b0 = 0) starts at level 1 with
     # f_1 = a_1/b_1 and C_1 = A_1/A_0 = inf, so that C_2 = b_2 exactly.  A zero
     # d is q_k = 0 (D_k = q_{k-1}/q_k): f_k is None, the stand-in walks on.
-    substitutions = 0
+    # A zero c is p_k = 0 (C_k = p_k/p_{k-1}): f_k is 0, the stand-in walks on.
+    substitutions, vanish = 0, False
     f = c = cf.b0
-    d = cf.mode.cast(0)
+    d = zero = cf.mode.cast(0)
     yield 0, f, substitutions
-    for k, t in _levels(cf, depth):
-        d = t.b + t.a * d
+    for k, a, b in _levels(cf, depth):
+        d = b + a * d
         pole = d == 0
         if pole:
             d = LENTZ_TINY
             substitutions += 1
         d = 1 / d
         if k == 1 and f == 0:
-            f, c = t.a * d, math.inf
+            f, c = a * d, math.inf
         else:
-            c = t.b + t.a / c
-            if c == 0:
+            c = b + a / c
+            vanish = c == 0
+            if vanish:
                 c = LENTZ_TINY
                 substitutions += 1
             f *= c * d
-        yield k, None if pole else f, substitutions
+        yield k, None if pole else zero if vanish else f, substitutions
 
 
 def eval_lentz(
@@ -380,20 +399,21 @@ def eval_lentz(
     return _settle(cf, _lentz(cf, max_depth), tol, max_depth)
 
 
-def _fold(cf: CFStream, terms: list[CFTerm]) -> Optional[Scalar]:
-    # Backward fold of b0 + a_1/(b_1 + ... + a_m/b_m) from an assumed-zero tail.
-    # r is None where a partial value is infinite; the level above folds to its b
-    # (a/inf = 0), and a None result is a pole, the marker _forward yields at q = 0.
-    r = terms[-1].b if terms else cf.b0
+def _fold(cf: CFStream, levels: list[tuple[int, Scalar, Scalar]]) -> Optional[Scalar]:
+    # Backward fold of b0 + a_1/(b_1 + ... + a_m/b_m), the (k, a_k, b_k) of
+    # _levels, from an assumed-zero tail.  r is None where a partial value is
+    # infinite; the level above folds to its b (a/inf = 0), and a None result
+    # is a pole, the marker _forward yields at q = 0.
+    b = [cf.b0] + [b for _, _, b in levels]  # b[k] = b_k
+    r = b[-1]
     if cf.mode is Mode.RATIONAL:  # on ints, r = num/den: an inner zero is den = 0
         num, den = r.numerator, r.denominator
-        for i in range(len(terms) - 1, -1, -1):
-            l, a, b = _cleared(terms[i].a, terms[i - 1].b if i else cf.b0)
-            num, den = b * num + a * den, l * num
+        for k, a, _ in reversed(levels):
+            l, a, bk = _cleared(a, b[k - 1])
+            num, den = bk * num + a * den, l * num
         return Fraction(num, den) if den else None
-    for i in range(len(terms) - 1, -1, -1):
-        b = terms[i - 1].b if i else cf.b0
-        r = None if r == 0 else b if r is None else b + terms[i].a / r
+    for k, a, _ in reversed(levels):
+        r = None if r == 0 else b[k - 1] if r is None else b[k - 1] + a / r
     return r
 
 
@@ -408,7 +428,7 @@ def eval_backward(cf: CFStream, depth: int) -> Scalar:
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    value = _fold(cf, [t for _, t in _levels(cf, depth)])
+    value = _fold(cf, list(_levels(cf, depth)))
     if value is None:
         raise PoleError("zero denominator while folding into the leading term")
     return value
@@ -416,8 +436,8 @@ def eval_backward(cf: CFStream, depth: int) -> Scalar:
 
 def _backward_report(cf: CFStream, depth: int, tol: ToleranceSpec) -> EvalReport:
     # The folds at depth - 1 and depth, or the one terminated fold.
-    terms = [t for _, t in _levels(cf, depth)]
-    folds = [terms[:-1], terms] if len(terms) == depth else [terms]
+    levels = list(_levels(cf, depth))
+    folds = [levels[:-1], levels] if len(levels) == depth else [levels]
     return _settle(cf, [(len(f), _fold(cf, f), 0) for f in folds], tol, depth)
 
 

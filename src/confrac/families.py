@@ -53,8 +53,9 @@ in lowest terms:
 Each α(j) becomes a scalar of the argument's mode once per level, by a
 rule fixed once per stream: ``Fraction(num, den)`` in rational mode, else
 the correctly rounded int true division ``num / den`` cast to ``float`` or
-``complex``.  So for integer n the vanishing partial numerator is an exact
-zero even in floating point and termination is never lost to rounding.
+``complex``.  Termination is read off the ints, never a rounded product: a
+level is the exact zero where α(j), the head's h or x is 0, so an
+underflowed numerator (``x·x`` at x = 1e-200) does not end the fraction.
 Termination levels: ``symmetric_binomial`` at |n|, ``uniform_binomial`` at
 |n|+1, ``lagrange_binomial`` at 2n (n > 0) or 2|n|+1 (n < 0),
 ``tan_multiple`` at |n|+1.
@@ -72,7 +73,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .engine import CFStream, CFTerm
+from .engine import CFStream
 from .errors import DomainError
 from .oracles import (
     OracleResult,
@@ -118,8 +119,9 @@ def _stream(family: str, name: str, x: Scalar, b0: int, alpha: Union[_Law, int],
     it is level j.  ``h = None`` puts x itself on top (``complex(1)·x``
     would turn a ``-0.0`` imaginary part into ``+0.0``) and ``d = None``
     leaves the bare 1.  Each level multiplies in the order ``ratio·x·x``
-    (``x·x`` first rounds differently, and overflows to ``0·inf``), so an
-    exact zero stays exact in every mode.  The finiteness check comes
+    (``x·x`` first rounds differently, and overflows to ``0·inf``).  The
+    stream's level function returns ``(a_k, b_k, zero)``, the flag read
+    off the ints as in the module docstring.  The finiteness check comes
     first, so a generator's own domain checks, which follow the call, only
     see finite arguments.
     """
@@ -130,23 +132,27 @@ def _stream(family: str, name: str, x: Scalar, b0: int, alpha: Union[_Law, int],
     fixed = None if callable(alpha) else (x * x if alpha > 0 else -(x * x))
     unit = None if scale is None else one + cast(scale) * x
     shift = 0 if head is None else 1
+    nil = x == 0
 
-    def term(k: int) -> CFTerm:
+    def level(k: int) -> tuple[Scalar, Scalar, bool]:
         j = k - shift
         if j == 0:
             h, d = head
-            return CFTerm(x if h is None else cast(h) * x, one if d is None else one + cast(d) * x)
+            return (x if h is None else cast(h) * x, one if d is None else one + cast(d) * x,
+                    nil or h == 0)
         if fixed is None:
-            a = ratio(alpha(j), den) * x
+            num = alpha(j)
+            a = ratio(num, den) * x
             if power == 2:
                 a = a * x
+            zero = nil or num == 0
         else:
-            a = fixed
+            a, zero = fixed, nil
         b = cast(2 * j + 1 if beta is None else beta(j))
-        return CFTerm(a, b if unit is None else b * unit)
+        return a, b if unit is None else b * unit, zero
 
     label = f"{family}({x!r})" if n is None else f"{family}(n={n}, {name}={x!r})"
-    return CFStream(cast(b0), term, description=label)
+    return CFStream._from_law(cast(b0), level, label)
 
 
 def lagrange_binomial(n: Union[int, float, Fraction], x: Scalar) -> CFStream:

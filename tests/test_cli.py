@@ -90,24 +90,26 @@ class TestEval:
         assert payload["depth_used"] == 1
 
     @pytest.mark.parametrize(
-        "argv, value, depth_used",
+        "argv, value, depth_used, terminated",
         [
             (("--family", "tan-multiple", "--n", "1/1000000000000000", "--arg", "1"),
-             7.8539816339742654e-16, 18),
-            (("--family", "tan", "--arg", "3.141592653589793"), -4.431535901171005e-17, 22),
-            (("--family", "tan-multiple", "--n", "1", "--arg", "1e9"), 1e9, 1),
-            (("--family", "arctan", "--arg", "1e-300"), 1e-300, 1),
+             7.8539816339742654e-16, 18, False),
+            (("--family", "tan", "--arg", "3.141592653589793"), -4.431535901171005e-17, 22, False),
+            (("--family", "tan-multiple", "--n", "1", "--arg", "1e9"), 1e9, 1, True),
+            # t² underflows to 0.0, but the law's numerator 1 is no termination
+            (("--family", "arctan", "--arg", "1e-300"), 1e-300, 2, False),
         ],
         ids=["tan-multiple-small-n", "tan-pi", "tan-multiple-1e9", "arctan-1e-300"],
     )
     def test_small_and_large_values_under_the_default_tolerance(self, capsys, argv, value,
-                                                                depth_used):
+                                                                depth_used, terminated):
         # the stopping test is relative only, and Lentz needs no stand-in
         # for b0 = 0: each of these once stopped early or overflowed
         code, out, _ = run_cli(capsys, "eval", *argv)
         payload = strict_json(out)
         assert code == 0
         assert payload["value"] == value and payload["depth_used"] == depth_used
+        assert payload["terminated"] is terminated and payload["converged"] is True
         assert payload["terminated"] or payload["residual"] <= 1e-12
 
     def test_step_to_zero_is_not_convergence(self, capsys):

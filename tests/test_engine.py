@@ -270,11 +270,27 @@ class TestEvalLentz:
         assert abs(report.value + 1) <= 2 * math.ulp(1.0)
         assert report.value == pytest.approx(eval_convergents(cf, TIGHT, 50).value, rel=1e-15)
 
+    def test_vanishing_numerator_value_is_exactly_zero(self):
+        # C_1 = -1 + 1/1 = 0 is p_1 = 0: the value is 0, not the stand-in
+        report = eval_lentz(CFStream.from_terms(1.0, [(1.0, -1.0)]), TIGHT, 50)
+        assert report.value == 0 and type(report.value) is float
+        assert report.terminated and report.tiny_substitutions == 1
+        report = eval_lentz(CFStream.from_terms(1 + 0j, [(1 + 0j, -1 + 0j)]), TIGHT, 50)
+        assert report.value == 0 and type(report.value) is complex
+
     def test_complex_modulus_past_the_float_range(self):
         # |b0| = 1.3e308·sqrt(2) overflows abs(); both parts are finite
         report = eval_lentz(CFStream.from_terms(1.3e308 + 1.3e308j, [(1 + 0j, 1 + 0j)]))
         assert report.value == 1.3e308 + 1.3e308j and report.converged
         assert report.residual == 0.0
+
+    def test_complex_modulus_past_the_float_range_in_the_rescale(self):
+        # the forward recurrence's rescale window must not take abs() of p
+        cf = CFStream.from_terms(1.3e308 + 1.3e308j, [(1 + 0j, 1 + 0j)])
+        report = eval_convergents(cf)
+        assert report.value == 1.3e308 + 1.3e308j and report.converged
+        assert report.residual == 0.0
+        assert convergents(cf, 1)[1].value == 1.3e308 + 1.3e308j
 
     @pytest.mark.parametrize(
         "build",

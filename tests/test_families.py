@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from confrac import (
@@ -29,6 +29,7 @@ from confrac import (
     tan_multiple_lhs,
     uniform_binomial,
 )
+from confrac.engine import _levels
 
 TOL = ToleranceSpec(rel_tol=1e-13)
 
@@ -370,14 +371,17 @@ TERMINATION_LEVEL = {
 }
 
 
+REAL_ONLY = (Family.TAN_MULTIPLE, Family.ARCTAN, Family.TAN, Family.LOG_RATIO)
+
+
 class TestIntegerLaws:
     """The integer coefficient laws reproduce the exact-coefficient formula
     bit for bit in every mode, and keep the integer-exponent zero exact."""
 
     @staticmethod
     def _args(family, mode):
-        real_only = family in (Family.TAN_MULTIPLE, Family.ARCTAN, Family.TAN, Family.LOG_RATIO)
-        return [x for x in LAW_ARGS[mode] if not (real_only and isinstance(x, complex) and x.imag)]
+        return [x for x in LAW_ARGS[mode]
+                if not (family in REAL_ONLY and isinstance(x, complex) and x.imag)]
 
     @pytest.mark.parametrize("mode", list(LAW_ARGS))
     @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
@@ -412,3 +416,46 @@ class TestIntegerLaws:
             assert a == 0 and type(a) is type(x)
             assert all(stream.term(k).a != 0 for k in range(1, level))
             assert stream.termination_level(100) == level
+
+    @pytest.mark.parametrize("build, value", [(arctan_cf, 1e-200), (tan_cf, 1e-200),
+                                              (log_ratio_cf, 2e-200)],
+                             ids=["arctan", "tan", "log-ratio"])
+    @pytest.mark.parametrize("evaluate", [eval_lentz, eval_convergents])
+    def test_underflowed_numerator_is_no_termination(self, build, value, evaluate):
+        # a_2 = α·t·t rounds to 0.0 at t = 1e-200; the law's α is not zero
+        report = evaluate(build(1e-200), TOL, 50)
+        assert report.value == value and report.depth_used == 2
+        assert report.converged and not report.terminated
+
+    @pytest.mark.parametrize("stream, level", [
+        (symmetric_binomial(2, 1e-200), 2),
+        (uniform_binomial(3, 1e-300), 4),
+        (lagrange_binomial(Fraction(1, 2), 5e-324), None),  # head n·x rounds to 0.0
+    ], ids=["symmetric", "uniform", "lagrange"])
+    def test_termination_level_is_read_off_the_law(self, stream, level):
+        assert stream.termination_level(30) == level
+
+    @given(st.sampled_from(list(Family)), st.sampled_from(list(LAW_ARGS)), st.data())
+    def test_walk_reads_the_levels_term_returns(self, family, mode, data):
+        # the evaluators' walk and term(k) share one level function: same
+        # bits and types, and the walk stops only at the law's exact zero
+        n = data.draw(st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=8),
+                                st.floats(-6, 6)))
+        real = st.one_of(st.floats(-0.95, 0.95), st.sampled_from([1e-200, -1e-300, 5e-324, 0.0]))
+        if mode == "rational":
+            x = data.draw(st.fractions(Fraction(-19, 20), Fraction(19, 20), max_denominator=50))
+        elif mode == "float":
+            x = data.draw(real)
+        else:
+            x = complex(data.draw(real), 0.0 if family in REAL_ONLY else data.draw(real))
+        try:
+            stream = family.generator(n, x) if family.takes_n else family.generator(x)
+        except DomainError:
+            assume(False)
+        walk = list(_levels(stream, 30))
+        assert [k for k, _, _ in walk] == list(range(1, len(walk) + 1))
+        for k, a, b in walk:
+            t = stream.term(k)
+            assert (_bits(a), _bits(b)) == (_bits(t.a), _bits(t.b))
+        if len(walk) < 30:
+            assert stream.term(len(walk) + 1).a == 0
