@@ -15,6 +15,7 @@ rather than silently approximated.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -135,20 +136,16 @@ class CommandConfig:
 def build_config(args: argparse.Namespace) -> CommandConfig:
     mode = Mode(args.mode) if args.mode else Mode.FLOAT
 
-    if args.family is None:
-        raise UsageError(f"{args.command} requires --family")
-    if args.arg is None:
-        raise UsageError(f"{args.command} requires --arg")
+    for flag in ("family", "arg"):
+        if getattr(args, flag) is None:
+            raise UsageError(f"{args.command} requires --{flag}")
     family = Family.from_name(args.family)
-    n = None
-    if args.n is not None:
-        n = _parse_exact(args.n, "--n", reject_decimal=mode is Mode.RATIONAL)
+    n = None if args.n is None else _parse_exact(args.n, "--n",
+                                                 reject_decimal=mode is Mode.RATIONAL)
     arg = _parse_scalar(args.arg, mode, "--arg")
     spec = FamilySpec(family=family, arg=arg, n=n)
 
-    method = args.method
-    if method is None:
-        method = "convergents" if mode is Mode.RATIONAL else "lentz"
+    method = args.method or ("convergents" if mode is Mode.RATIONAL else "lentz")
     if method == "lentz" and mode is Mode.RATIONAL:
         raise UsageError("--method lentz cannot run in rational mode; use convergents or backward")
     if method == "backward" and args.depth is None:
@@ -257,15 +254,13 @@ def _emit_rows(cfg: CommandConfig, out: TextIO, header: str, rows: list[dict],
 def run_verify(args: argparse.Namespace, out: TextIO) -> int:
     from .verify import run_checks
     results = run_checks(only=args.only, mode=args.mode)
-    failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        if not r.passed:
-            failed += 1
         line = f"{status} {r.group}: {r.name} [{r.mode}] error={r.error:.2e} bound={r.bound:.2e}"
         if r.detail:
             line += f"  ({r.detail})"
         out.write(line + "\n")
+    failed = sum(not r.passed for r in results)
     out.write(f"{len(results)} checks, {failed} failed\n")
     return 0 if failed == 0 else 1
 
@@ -274,10 +269,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8", newline="") as handle:
-                return _dispatch(args, handle)
-        return _dispatch(args, sys.stdout)
+        out = io.StringIO()
+        code = _dispatch(args, out)  # a command that raises writes nothing
+        if not args.output:
+            sys.stdout.write(out.getvalue())
+            return code
+        with open(args.output, "w", encoding="utf-8", newline="") as handle:
+            handle.write(out.getvalue())
+        return code
     except (UsageError, DomainError, ModeMismatchError, PoleError, ZeroDivisionError,
             OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,10 +8,11 @@ is held as the leading term ``b0`` plus a lazy, deterministic sequence of
 levels ``(a_k, b_k)``, ``k >= 1``.  A vanishing partial numerator is the
 termination signal: if ``a_m == 0`` the value of the fraction is the
 convergent truncated immediately before level ``m`` and deeper levels are
-never consulted.  Each stream decides that zero: a family reads it off its
-exact law, never off a rounded ``a``, and a user stream tests ``a == 0``.
-The stream's :class:`~confrac.scalars.Mode` supplies the seeds
-(``cf.mode.cast(0)``, ``cf.mode.cast(1)``) and the stopping rule's
+never consulted.  Each stream decides that zero in its level function, the
+one way into it: a family reads it off its exact law, never off a rounded
+``a``, a user stream tests ``a == 0``, and a tail or transform keeps the
+wrapped stream's.  The stream's :class:`~confrac.scalars.Mode` supplies the
+seeds (``cf.mode.cast(0)``, ``cf.mode.cast(1)``) and the stopping rule's
 finiteness test (``cf.mode.isfinite``).  Terms are computed on each pull.
 
 Three evaluation routes with different trade-offs:
@@ -38,9 +39,9 @@ the first two successive values that agree or at the first non-finite one
 Every route marks a pole (``q_k = 0``, an infinite fold) as value ``None``,
 and only ``_settle`` raises :class:`PoleError`, for one it would report.
 
-Plus two structural operations: :func:`tail` (the sub-fraction hanging off
-a given level) and :func:`equivalence_transform` (level-wise rescaling that
-leaves every convergent value unchanged).
+Two structural operations keep the wrapped stream's termination: :func:`tail`
+(the sub-fraction hanging off a given level) and :func:`equivalence_transform`
+(level-wise rescaling that leaves every convergent value unchanged).
 """
 
 from __future__ import annotations
@@ -98,15 +99,19 @@ class CFStream:
     or ``None`` once a finite stream is exhausted, and it is called on each
     pull, with no cache.  This makes a user stream: each term is checked to
     be in the mode of ``b0``, and ``a == 0`` terminates it.  Family streams
-    read both off their law instead (``_from_law``).  Streams are immutable
-    once constructed and safe to share.
+    read both off their law (``_from_law``), structural operations off the
+    wrapped stream.  Streams are immutable once constructed and safe to share.
     """
 
     def __init__(self, b0: Scalar, term_fn: TermFn, description: str = ""):
         self.b0 = b0
         self.mode = mode_of(b0)
         self.description = description
-        self._term_fn = term_fn
+
+        def level(k: int) -> Optional[tuple[Scalar, Scalar, bool]]:  # a == 0 is the zero
+            t = term_fn(k)
+            return None if t is None else (*self._in_mode(k, t.a, t.b), t.a == 0)
+        self._level = level
 
     @classmethod
     def from_terms(
@@ -125,29 +130,25 @@ class CFStream:
 
     @classmethod
     def _from_law(cls, b0: Scalar, level: Callable, description: str) -> "CFStream":
-        # An endless stream whose level(k) -> (a_k, b_k, zero), zero meaning a_k
-        # ends the fraction, reads a family law: the walk takes it unchecked,
-        # and term(k) builds its CFTerm from it.
-        cf = cls(b0, lambda k: CFTerm(*level(k)[:2]), description)
+        # A stream whose level(k) -> (a_k, b_k, zero) or None, zero meaning a_k
+        # ends the fraction, is taken unchecked: a family law or a wrapped level.
+        cf = cls(b0, None, description)
         cf._level = level
         return cf
 
-    def _level(self, k: int) -> Optional[tuple[Scalar, Scalar, bool]]:
-        # A user stream's level: the checked term, a == 0 as its zero, None past the end.
-        t = self.term(k)
-        return None if t is None else (t.a, t.b, t.a == 0)
+    def _in_mode(self, k: int, a: Scalar, b: Scalar) -> tuple[Scalar, Scalar]:
+        # The one mode check: (a, b) of level k, both in the mode of b0.
+        if mode_of(a) is not self.mode or mode_of(b) is not self.mode:
+            raise ModeMismatchError(
+                f"term {k} of {self.description or 'stream'} is not in {self.mode} mode")
+        return a, b
 
     def term(self, k: int) -> Optional[CFTerm]:
         """Level-``k`` term, or ``None`` past the end of a finite stream."""
         if k < 1:
             raise ValueError(f"term levels start at 1, got {k}")
-        t = self._term_fn(k)
-        if t is not None:
-            if mode_of(t.a) is not self.mode or mode_of(t.b) is not self.mode:
-                raise ModeMismatchError(
-                    f"term {k} of {self.description or 'stream'} is not in {self.mode} mode"
-                )
-        return t
+        ab = self._level(k)
+        return None if ab is None else CFTerm(ab[0], ab[1])
 
     def termination_level(self, within: int) -> Optional[int]:
         """Level of the stream's termination zero, scanning at most ``within``
@@ -446,15 +447,15 @@ def tail(cf: CFStream, start_level: int) -> CFStream:
     ``b_s + a_{s+1}/(b_{s+1} + a_{s+2}/(...))``.
 
     The new stream's leading term is the original ``b_{start_level}`` and
-    its level ``k`` holds the original level ``start_level + k``.
+    its level ``k`` is the original level ``start_level + k``, termination too.
     """
     if start_level < 1:
         raise ValueError(f"start_level must be >= 1, got {start_level}")
-    head = cf.term(start_level)
+    head = cf._level(start_level)
     if head is None:
         raise ValueError(f"stream ends before level {start_level}")
     label = f"tail({cf.description or 'cf'}, {start_level})"
-    return CFStream(head.b, lambda k: cf.term(start_level + k), description=label)
+    return CFStream._from_law(head[1], lambda k: cf._level(start_level + k), label)
 
 
 def equivalence_transform(
@@ -469,23 +470,23 @@ def equivalence_transform(
     original's.  A non-unit ``c0`` additionally multiplies the leading term
     and the first partial numerator -- the classical "divide every partial
     fraction top and bottom" manipulation -- scaling the fraction's value
-    by ``c0``.
+    by ``c0``.  Termination is the original's; the scaled pair is mode-checked.
     """
-    if c0 == 0:
-        raise ValueError("zero scale factor c0")
     def factor(k: int) -> Scalar:
         v = c0 if k == 0 else scale(k)
         if v == 0:
             raise ValueError(f"zero scale factor at level {k}")
         return v
 
-    def term_fn(k: int) -> Optional[CFTerm]:
-        t = cf.term(k)
-        if t is None:
+    factor(0)  # a zero c0 is rejected here, not at the first pull
+
+    def level(k: int) -> Optional[tuple[Scalar, Scalar, bool]]:
+        ab = cf._level(k)
+        if ab is None:
             return None
         ck = factor(k)
-        return CFTerm(ck * factor(k - 1) * t.a, ck * t.b)
+        return (*out._in_mode(k, ck * factor(k - 1) * ab[0], ck * ab[1]), ab[2])
 
     b0 = cf.b0 if c0 == 1 else c0 * cf.b0
-    label = f"equivalence({cf.description or 'cf'})"
-    return CFStream(b0, term_fn, description=label)
+    out = CFStream._from_law(b0, level, f"equivalence({cf.description or 'cf'})")
+    return out

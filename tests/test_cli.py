@@ -469,3 +469,28 @@ class TestOutputFile:
         raw = target.read_bytes()
         assert b"\r" not in raw
         assert raw.startswith(b"k,p,q,value,abs_err,rel_err\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--family", "nope", "--arg", "1"),
+        ("verify", "--only", "bogus"),
+        ("eval", "--family", "tan-multiple", "--n", "2", "--arg", "1"),  # PoleError mid-run
+    ], ids=["bad-family", "bad-group", "pole"])
+    def test_failed_command_leaves_the_file_alone(self, tmp_path, capsys, argv):
+        target = tmp_path / "out.json"
+        target.write_text("earlier output\n")
+        code, out, err = run_cli(capsys, *argv, "--output", str(target))
+        assert code == 1 and out == "" and err.startswith("error:")
+        assert target.read_text() == "earlier output\n"
+
+    def test_nonzero_codes_still_write_their_report(self, tmp_path, capsys, monkeypatch):
+        from confrac import verify
+        target = tmp_path / "report.json"
+        code, out, _ = run_cli(capsys, "eval", "--family", "arctan", "--arg", "1", "--depth", "5",
+                               "--output", str(target))
+        assert code == 2 and out == ""
+        assert json.loads(target.read_text())["converged"] is False
+        failing = verify.CheckResult("termination", "always fails", "rational", False, 1.0, 0.0)
+        monkeypatch.setitem(verify.GROUPS, "termination", lambda: [failing])
+        code, _, _ = run_cli(capsys, "verify", "--only", "termination", "--output", str(target))
+        assert code == 1
+        assert target.read_text().endswith("1 checks, 1 failed\n")

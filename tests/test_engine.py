@@ -407,7 +407,8 @@ class TestOneComparison:
 
 
 class TestUserStreamModeCheck:
-    """The per-term mode check runs on every stream, whatever its terms."""
+    """The per-term mode check runs on user streams, also through a tail or
+    an equivalence transform of one; family streams take their law's terms."""
 
     @pytest.mark.parametrize(
         "b0, term",
@@ -422,14 +423,23 @@ class TestUserStreamModeCheck:
         ],
     )
     def test_bad_term_raises_in_every_evaluator(self, b0, term):
-        cf = CFStream(b0, lambda k: term)
+        cf, one = CFStream(b0, lambda k: term), mode_of(b0).cast(1)
         evaluators = [lambda s: convergents(s, 3), lambda s: eval_convergents(s, TIGHT, 3),
-                      lambda s: eval_backward(s, 3), lambda s: tail(s, 1).term(1)]
+                      lambda s: eval_backward(s, 3), lambda s: tail(s, 1).term(1),
+                      lambda s: equivalence_transform(s, lambda k: one).term(1)]
         if mode_of(b0) is not Mode.RATIONAL:
             evaluators.append(lambda s: eval_lentz(s, TIGHT, 3))
         for evaluate in evaluators:
             with pytest.raises(ModeMismatchError):
                 evaluate(cf)
+
+    def test_float_scale_on_a_rational_stream_raises(self):
+        # the caller's factors are checked: the scaled pair leaves b0's mode
+        scaled = equivalence_transform(coth_scaled_cf(Fraction(1, 2)), lambda k: 0.5)
+        with pytest.raises(ModeMismatchError):
+            scaled.term(1)
+        with pytest.raises(ModeMismatchError):
+            convergents(scaled, 3)
 
 
 class TestEvalBackward:

@@ -18,12 +18,14 @@ from confrac import (
     convergents,
     coth_scaled_cf,
     eval_convergents,
+    equivalence_transform,
     eval_lentz,
     lagrange_binomial,
     log_ratio_cf,
     series_ratio_coth,
     symmetric_binomial,
     symmetric_lhs,
+    tail,
     tan_cf,
     tan_multiple,
     tan_multiple_lhs,
@@ -427,6 +429,16 @@ class TestIntegerLaws:
         assert report.value == value and report.depth_used == 2
         assert report.converged and not report.terminated
 
+    @pytest.mark.parametrize("wrap", [lambda s: tail(s, 1),
+                                      lambda s: equivalence_transform(s, lambda k: 1.0)],
+                             ids=["tail", "equivalence"])
+    def test_structural_operations_keep_the_laws_termination(self, wrap):
+        # the wrapped level's zero flag, not the underflowed a_2 = 0.0, decides
+        stream = wrap(arctan_cf(1e-200))
+        assert stream.termination_level(30) is None
+        report = eval_lentz(stream, TOL, 50)
+        assert report.converged and not report.terminated
+
     @pytest.mark.parametrize("stream, level", [
         (symmetric_binomial(2, 1e-200), 2),
         (uniform_binomial(3, 1e-300), 4),
@@ -438,7 +450,8 @@ class TestIntegerLaws:
     @given(st.sampled_from(list(Family)), st.sampled_from(list(LAW_ARGS)), st.data())
     def test_walk_reads_the_levels_term_returns(self, family, mode, data):
         # the evaluators' walk and term(k) share one level function: same
-        # bits and types, and the walk stops only at the law's exact zero
+        # bits and types, and the walk stops only at the law's exact zero,
+        # also through a tail or an equivalence transform of the stream
         n = data.draw(st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=8),
                                 st.floats(-6, 6)))
         real = st.one_of(st.floats(-0.95, 0.95), st.sampled_from([1e-200, -1e-300, 5e-324, 0.0]))
@@ -452,10 +465,16 @@ class TestIntegerLaws:
             stream = family.generator(n, x) if family.takes_n else family.generator(x)
         except DomainError:
             assume(False)
-        walk = list(_levels(stream, 30))
-        assert [k for k, _, _ in walk] == list(range(1, len(walk) + 1))
-        for k, a, b in walk:
-            t = stream.term(k)
-            assert (_bits(a), _bits(b)) == (_bits(t.a), _bits(t.b))
-        if len(walk) < 30:
-            assert stream.term(len(walk) + 1).a == 0
+        s, one = data.draw(st.integers(1, 4)), type(x)(1)
+        law = len(list(_levels(stream, 30 + s)))  # the levels before the law's zero
+        for wrapped, levels in ((stream, law), (tail(stream, s), law - s),
+                                (equivalence_transform(stream, lambda k: one), law)):
+            walk = list(_levels(wrapped, 30))
+            assert [k for k, _, _ in walk] == list(range(1, len(walk) + 1))
+            for k, a, b in walk:
+                t = wrapped.term(k)
+                assert (_bits(a), _bits(b)) == (_bits(t.a), _bits(t.b))
+            if levels >= 0:  # a tail from past the zero walks on
+                assert len(walk) == min(levels, 30)
+            if len(walk) < 30:
+                assert wrapped.term(len(walk) + 1).a == 0
