@@ -30,8 +30,9 @@ Three evaluation routes with different trade-offs:
   rational mode, also when an inner partial value is infinite.
 
 Rational routes run on Python ints: level ``k`` is first multiplied through
-by the lcm of its term denominators (an equivalence transform), and a value
-is reduced, to one ``Fraction``, only when it is read.
+by the lcm ``l`` of its term denominators (an equivalence transform), the
+carried ``l`` goes on the next level's small coefficient, not on the big
+row, and a value is reduced, to one ``Fraction``, only when it is read.
 
 Every route's report comes from one stopping rule, ``_settle``: stop at
 the first two successive values that agree or at the first non-finite one
@@ -303,15 +304,17 @@ def _cleared(a: Scalar, b: Scalar) -> tuple[int, int, int]:
 
 def _forward_exact(cf: CFStream, depth: int) -> Iterator[tuple[int, int, int, int]]:
     # _forward on Python ints (rational mode): yields (k, s·p_k, s·q_k, s),
-    # s = denominator(b0)·l_1···l_k with l_k the lcm from _cleared.
+    # s = denominator(b0)·l_1···l_k with l_k the lcm from _cleared.  The row
+    # before keeps its own s: the l it lacks goes on the small a (4 big products).
     s = cf.b0.denominator
-    p_prev, q_prev, p, q = s, 0, cf.b0.numerator, s
+    p_prev, q_prev, p, q, l_prev = s, 0, cf.b0.numerator, s, 1
     yield 0, p, q, s
     for k, a, b in _levels(cf, depth):
         l, a, b = _cleared(a, b)
-        p, p_prev = b * p + a * p_prev, l * p
-        q, q_prev = b * q + a * q_prev, l * q
-        s *= l
+        a *= l_prev
+        p, p_prev = b * p + a * p_prev, p
+        q, q_prev = b * q + a * q_prev, q
+        s, l_prev = s * l, l
         yield k, p, q, s
 
 
@@ -407,12 +410,12 @@ def _fold(cf: CFStream, levels: list[tuple[int, Scalar, Scalar]]) -> Optional[Sc
     # is a pole, the marker _forward yields at q = 0.
     b = [cf.b0] + [b for _, _, b in levels]  # b[k] = b_k
     r = b[-1]
-    if cf.mode is Mode.RATIONAL:  # on ints, r = num/den: an inner zero is den = 0
-        num, den = r.numerator, r.denominator
-        for k, a, _ in reversed(levels):
-            l, a, bk = _cleared(a, b[k - 1])
-            num, den = bk * num + a * den, l * num
-        return Fraction(num, den) if den else None
+    if cf.mode is Mode.RATIONAL:  # on ints, r = num/(l·den): an inner zero is den = 0
+        num, den, l = r.numerator, r.denominator, 1
+        for k, a, _ in reversed(levels):  # the pending l goes on the small a
+            l_next, a, bk = _cleared(a, b[k - 1])
+            num, den, l = bk * num + a * l * den, num, l_next
+        return Fraction(num, l * den) if den else None
     for k, a, _ in reversed(levels):
         r = None if r == 0 else b[k - 1] if r is None else b[k - 1] + a / r
     return r
@@ -479,13 +482,17 @@ def equivalence_transform(
         return v
 
     factor(0)  # a zero c0 is rejected here, not at the first pull
+    last = (0, c0)  # (k, c_k) of the last pull, read whole: in order each c_k is made once
 
     def level(k: int) -> Optional[tuple[Scalar, Scalar, bool]]:
+        nonlocal last
         ab = cf._level(k)
         if ab is None:
             return None
-        ck = factor(k)
-        return (*out._in_mode(k, ck * factor(k - 1) * ab[0], ck * ab[1]), ab[2])
+        ck, (j, cj) = factor(k), last
+        last = (k, ck)
+        a = ck * (cj if j == k - 1 else factor(k - 1)) * ab[0]
+        return (*out._in_mode(k, a, ck * ab[1]), ab[2])
 
     b0 = cf.b0 if c0 == 1 else c0 * cf.b0
     out = CFStream._from_law(b0, level, f"equivalence({cf.description or 'cf'})")

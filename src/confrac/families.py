@@ -50,12 +50,12 @@ in lowest terms:
     log-ratio           0   2z/1               -j²/1                  2  2j+1       -
     coth-scaled         1   -                  a_j = v·v                 2j+1       -
 
-Each α(j) becomes a scalar of the argument's mode once per level, by a
-rule fixed once per stream: ``Fraction(num, den)`` in rational mode, else
-the correctly rounded int true division ``num / den`` cast to ``float`` or
-``complex``.  Termination is read off the ints, never a rounded product: a
-level is the exact zero where α(j), the head's h or x is 0, so an
-underflowed numerator (``x·x`` at x = 1e-200) does not end the fraction.
+Each coefficient is one ``Fraction`` from the law's ints in rational mode
+(``Fraction(num·P, den·Q)``, x^p = P/Q), else ``num / den`` correctly
+rounded and cast to ``float`` or ``complex``: a rule fixed per stream.
+Termination is read off the ints, never a rounded product: a level is the
+exact zero where α(j), the head's h or x is 0, so an underflowed numerator
+(``x·x`` at x = 1e-200) does not end the fraction.
 Termination levels: ``symmetric_binomial`` at |n|, ``uniform_binomial`` at
 |n|+1, ``lagrange_binomial`` at 2n (n > 0) or 2|n|+1 (n < 0),
 ``tan_multiple`` at |n|+1.
@@ -110,27 +110,34 @@ def _stream(family: str, name: str, x: Scalar, b0: int, alpha: Union[_Law, int],
             power: int = 2, scale: Optional[Fraction] = None, head: Optional[tuple] = None) -> CFStream:
     """The one builder of family streams: a row of the law table.
 
-    Inner level j is ``ratio(alpha(j), den)·x^power / (cast(beta(j))·(1 + scale·x))``,
-    where ``ratio`` is x's mode rule from the module docstring, ``beta(j)``
-    defaults to 2j+1 and ``(1 + scale·x)`` is there only when ``scale`` is
-    given.  An int ``alpha`` is a fixed sign instead: every inner numerator
-    is the one value ``x·x`` or ``-(x·x)``.  With ``head = (h, d)`` level 1
-    is ``h·x / (1 + d·x)`` and inner level j is level j+1; without a head
-    it is level j.  ``h = None`` puts x itself on top (``complex(1)·x``
-    would turn a ``-0.0`` imaginary part into ``+0.0``) and ``d = None``
-    leaves the bare 1.  Each level multiplies in the order ``ratio·x·x``
-    (``x·x`` first rounds differently, and overflows to ``0·inf``).  The
-    stream's level function returns ``(a_k, b_k, zero)``, the flag read
-    off the ints as in the module docstring.  The finiteness check comes
-    first, so a generator's own domain checks, which follow the call, only
-    see finite arguments.
+    Inner level j is ``(alpha(j)/den)·x^power / (beta(j)·(1 + scale·x))``,
+    each coefficient made by x's mode rule from the module docstring, where
+    ``beta(j)`` defaults to 2j+1 and ``(1 + scale·x)`` is there only when
+    ``scale`` is given.  An int ``alpha`` is a fixed sign instead: every
+    inner numerator is the one value ``x·x`` or ``-(x·x)``.  With
+    ``head = (h, d)`` level 1 is ``h·x / (1 + d·x)`` and inner level j is
+    level j+1; without a head it is level j.  ``h = None`` puts x itself on
+    top (``complex(1)·x`` would turn a ``-0.0`` imaginary part into
+    ``+0.0``) and ``d = None`` leaves the bare 1.  Float and complex levels
+    multiply in the order ``cast(num / den)·x·x`` (``x·x`` first rounds
+    differently, and overflows to ``0·inf``).  The stream's level function
+    returns ``(a_k, b_k, zero)``, the flag read off the ints as in the
+    module docstring.  The finiteness check comes first, so a generator's
+    own domain checks, which follow the call, only see finite arguments.
     """
     _require_finite(x, name)
     cast = mode_of(x).cast
-    ratio = Fraction if cast is Fraction else lambda num, den: cast(num / den)
     one = cast(1)
     fixed = None if callable(alpha) else (x * x if alpha > 0 else -(x * x))
     unit = None if scale is None else one + cast(scale) * x
+    if cast is Fraction:  # one Fraction from the law's ints per coefficient
+        P, Q = (x ** power).as_integer_ratio()
+        U, V = (1, 1) if unit is None else unit.as_integer_ratio()
+        coef = lambda m: Fraction(m * P, den * Q)
+        width = Fraction if unit is None else lambda m: Fraction(m * U, V)
+    else:
+        coef = (lambda m: cast(m / den) * x * x) if power == 2 else lambda m: cast(m / den) * x
+        width = cast if unit is None else lambda m: cast(m) * unit
     shift = 0 if head is None else 1
     nil = x == 0
 
@@ -142,14 +149,10 @@ def _stream(family: str, name: str, x: Scalar, b0: int, alpha: Union[_Law, int],
                     nil or h == 0)
         if fixed is None:
             num = alpha(j)
-            a = ratio(num, den) * x
-            if power == 2:
-                a = a * x
-            zero = nil or num == 0
+            a, zero = coef(num), nil or num == 0
         else:
             a, zero = fixed, nil
-        b = cast(2 * j + 1 if beta is None else beta(j))
-        return a, b if unit is None else b * unit, zero
+        return a, width(2 * j + 1 if beta is None else beta(j)), zero
 
     label = f"{family}({x!r})" if n is None else f"{family}(n={n}, {name}={x!r})"
     return CFStream._from_law(cast(b0), level, label)

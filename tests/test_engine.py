@@ -2,6 +2,10 @@
 equivalence transforms, termination semantics."""
 
 import math
+import random
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -547,6 +551,16 @@ class TestExactKernel:
         cf = equivalence_transform(coth_scaled_cf(v), lambda k: c * Fraction(2 * k + 1, 3), c0=c)
         _assert_exact_routes_match_reference(cf, depth)
 
+    @pytest.mark.parametrize("cf", [
+        arctan_cf(Fraction(-5, 3)),
+        symmetric_binomial(Fraction(5, 2), Fraction(1, 5)),
+        uniform_binomial(Fraction(7, 3), Fraction(-2, 5)),
+        tail(coth_scaled_cf(Fraction(4, 3)), 2),
+    ], ids=lambda cf: cf.description)
+    def test_deep_family_streams(self, cf):
+        # 150 levels of factors carried from level to level in both kernels
+        _assert_exact_routes_match_reference(cf, 150)
+
     def test_integer_stream_values_are_fractions(self):
         # int / int would be a float; every rational route returns a Fraction
         cf = CFStream.from_terms(1, [(1, 2), (3, 4)])
@@ -598,6 +612,59 @@ class TestEquivalenceTransform:
         cf = coth_scaled_cf(Fraction(1, 2))
         out = equivalence_transform(cf, lambda k: c)
         assert [x.value for x in convergents(out, 8)] == [x.value for x in convergents(cf, 8)]
+
+    def test_scale_is_called_once_per_level(self):
+        cf = coth_scaled_cf(Fraction(1, 2))
+        calls = []
+
+        def scale(k):
+            calls.append(k)
+            return Fraction(2 * k + 1, 3)
+
+        out = equivalence_transform(cf, scale)
+        convs = convergents(out, 10)
+        assert calls == list(range(1, 11))
+        assert [c.value for c in convs] == [c.value for c in convergents(cf, 10)]
+
+    def test_out_of_order_pulls_give_the_in_order_terms(self):
+        cf = coth_scaled_cf(Fraction(1, 2))
+        in_order, shuffled = (equivalence_transform(cf, lambda k: Fraction(k + 2, 2 * k - 1))
+                              for _ in range(2))
+        want = {k: in_order.term(k) for k in range(1, 8)}
+        assert {k: shuffled.term(k) for k in (5, 3, 4, 1, 7, 2, 6, 6)} == want
+
+    def test_threads_sharing_a_stream_get_the_in_order_terms(self):
+        # the memo of the last factor is one pair, read and replaced whole;
+        # a scale that gives up the interpreter lock, as one doing I/O would,
+        # lets another thread pull in the middle of a level
+        def scale(k):
+            time.sleep(0)
+            return Fraction(k + 2, 2 * k - 1)
+
+        cf = coth_scaled_cf(Fraction(1, 2))
+        shared, ref = (equivalence_transform(cf, scale) for _ in range(2))
+        want = {k: ref.term(k) for k in range(1, 25)}
+        wrong = []
+
+        def pull(seed):  # runs of in-order pulls from random starts
+            rng = random.Random(seed)
+            for _ in range(100):
+                for k in range(rng.randrange(1, 25), 25):
+                    if shared.term(k) != want[k]:
+                        wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=pull, args=(seed,)) for seed in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
     def test_zero_scale_rejected(self):
         cf = coth_scaled_cf(Fraction(1, 2))

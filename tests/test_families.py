@@ -361,7 +361,7 @@ def _bits(value):
 LAW_EXPONENTS = [2.37, -2.37, 1e-6, Fraction(-3, 2), Fraction(7, 3), 3, -4, 0]
 LAW_ARGS = {
     "float": (0.37, -0.61),
-    "rational": (Fraction(3, 7), Fraction(-5, 11)),
+    "rational": (Fraction(3, 7), Fraction(-5, 11), Fraction(-3, 4)),
     "complex": (complex(0.3, 0.4), complex(-0.61, 0.0)),
 }
 #: Termination level of each integer-exponent family (module docstring).
