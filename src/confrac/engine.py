@@ -34,11 +34,15 @@ by the lcm ``l`` of its term denominators (an equivalence transform), the
 carried ``l`` goes on the next level's small coefficient, not on the big
 row, and a value is reduced, to one ``Fraction``, only when it is read.
 
-Every route's report comes from one stopping rule, ``_settle``: stop at
-the first two successive values that agree or at the first non-finite one
-(not converged); a walk that runs out has terminated, unless at the cap.
-Every route marks a pole (``q_k = 0``, an infinite fold) as value ``None``,
-and only ``_settle`` raises :class:`PoleError`, for one it would report.
+Every route's report comes from one stopping rule, ``_settle``, and so does
+:func:`eval_backward`'s bare value: stop at the first two successive values
+that agree or at the first non-finite one (not converged); a walk that runs
+out has terminated, unless at the cap.  A terminated float walk reports its
+exact value: the same levels, each coefficient the exact rational of its
+binary value, are folded on ints and rounded once.  Complex mode keeps the
+route's value, as there is no exact complex type.  Every route marks a pole
+(``q_k = 0``, an infinite fold) as value ``None``, and only ``_settle``
+raises :class:`PoleError`, for one it would report.
 
 Two structural operations keep the wrapped stream's termination: :func:`tail`
 (the sub-fraction hanging off a given level) and :func:`equivalence_transform`
@@ -235,7 +239,8 @@ def _settle(cf: CFStream, steps: Iterable[tuple[int, Optional[Scalar], int]],
             tol: ToleranceSpec, max_depth: int) -> EvalReport:
     # The one stopping rule (see the module docstring).  ``steps`` yields
     # (k, value, substitutions), value None at a pole, and runs out before
-    # max_depth only when the fraction terminates.
+    # max_depth only when the fraction terminates; a terminated float walk
+    # reports its exact value, rounded once.
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     finite, rel_tol = cf.mode.isfinite, _rel_tol(cf.mode, tol)
@@ -248,9 +253,11 @@ def _settle(cf: CFStream, steps: Iterable[tuple[int, Optional[Scalar], int]],
             converged, terminated = finite(value), False
             break
     else:
+        if k < max_depth and cf.mode is Mode.FLOAT:
+            value = _rounded_once(cf, k, value)
         if value is None:
             raise PoleError(f"convergent {k}, the value to report, is a pole (q = 0)")
-        converged = terminated = k < max_depth
+        converged = terminated = k < max_depth and finite(value)
     residual = 0.0 if terminated else math.inf if prev is None else _relative_change(value, prev)
     return EvalReport(value, k, converged, terminated, residual, substitutions)
 
@@ -403,14 +410,15 @@ def eval_lentz(
     return _settle(cf, _lentz(cf, max_depth), tol, max_depth)
 
 
-def _fold(cf: CFStream, levels: list[tuple[int, Scalar, Scalar]]) -> Optional[Scalar]:
+def _fold(b0: Scalar, levels: list[tuple[int, Scalar, Scalar]],
+          rational: bool) -> Optional[Scalar]:
     # Backward fold of b0 + a_1/(b_1 + ... + a_m/b_m), the (k, a_k, b_k) of
     # _levels, from an assumed-zero tail.  r is None where a partial value is
     # infinite; the level above folds to its b (a/inf = 0), and a None result
     # is a pole, the marker _forward yields at q = 0.
-    b = [cf.b0] + [b for _, _, b in levels]  # b[k] = b_k
+    b = [b0] + [b for _, _, b in levels]  # b[k] = b_k
     r = b[-1]
-    if cf.mode is Mode.RATIONAL:  # on ints, r = num/(l·den): an inner zero is den = 0
+    if rational:  # on ints, r = num/(l·den): an inner zero is den = 0
         num, den, l = r.numerator, r.denominator, 1
         for k, a, _ in reversed(levels):  # the pending l goes on the small a
             l_next, a, bk = _cleared(a, b[k - 1])
@@ -421,28 +429,49 @@ def _fold(cf: CFStream, levels: list[tuple[int, Scalar, Scalar]]) -> Optional[Sc
     return r
 
 
+def _rounded_once(cf: CFStream, depth: int, value: Optional[float]) -> Optional[float]:
+    # The value of a float fraction that terminated after depth levels: its
+    # coefficients taken as the exact rationals of their binary values,
+    # folded on ints and rounded once.  None at an exact pole, ±inf past the
+    # float range; a level with an inf or nan coefficient keeps value.
+    try:
+        b0 = Fraction(cf.b0)
+        levels = [(k, Fraction(a), Fraction(b)) for k, a, b in _levels(cf, depth)]
+    except (OverflowError, ValueError):  # Fraction(inf), Fraction(nan)
+        return value
+    exact = _fold(b0, levels, rational=True)
+    try:
+        return None if exact is None else float(exact)
+    except OverflowError:  # float(exact) raises past the float range
+        return math.inf if exact > 0 else -math.inf
+
+
+def _backward(cf: CFStream, depth: int,
+              both: bool = False) -> Iterator[tuple[int, Optional[Scalar], int]]:
+    # The backward route's steps for _settle: the fold at depth, or the
+    # terminated fold, after the fold at depth - 1 when both are asked for.
+    levels, rational = list(_levels(cf, depth)), cf.mode is Mode.RATIONAL
+    for f in [levels[:-1], levels] if both and len(levels) == depth else [levels]:
+        yield len(f), _fold(cf.b0, f, rational), 0
+
+
 def eval_backward(cf: CFStream, depth: int) -> Scalar:
     """Value of the depth-truncated fraction by backward folding.
 
     The tail beyond ``depth`` is taken as zero; a vanishing partial
     numerator at or before ``depth`` shortens the fold accordingly.  Exact
     in rational mode.  An exact zero met inside the fold makes that partial
-    value infinite and the level above it folds to its own ``b``; raises
-    :class:`PoleError` only when the truncated value itself is infinite.
+    value infinite and the level above it folds to its own ``b``.  The one
+    fold settles like every route's value: a terminated float fraction
+    reports its exact value, and :class:`PoleError` is raised only when
+    the value to report is infinite.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    value = _fold(cf, list(_levels(cf, depth)))
-    if value is None:
-        raise PoleError("zero denominator while folding into the leading term")
-    return value
+    return _settle(cf, _backward(cf, depth), DEFAULT_TOLERANCE, depth).value
 
 
 def _backward_report(cf: CFStream, depth: int, tol: ToleranceSpec) -> EvalReport:
     # The folds at depth - 1 and depth, or the one terminated fold.
-    levels = list(_levels(cf, depth))
-    folds = [levels[:-1], levels] if len(levels) == depth else [levels]
-    return _settle(cf, [(len(f), _fold(cf, f), 0) for f in folds], tol, depth)
+    return _settle(cf, _backward(cf, depth, both=True), tol, depth)
 
 
 def tail(cf: CFStream, start_level: int) -> CFStream:

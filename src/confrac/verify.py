@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .engine import (
     CFStream,
@@ -79,6 +79,11 @@ class CheckResult:
     detail: str = ""
 
 
+#: What a check group yields: the fields of a CheckResult after ``group``,
+#: which ``run_checks`` adds from the group's ``GROUPS`` key.
+Fact = tuple[str, str, bool, float, float, str]
+
+
 def _float_diff(got: Scalar, want: Scalar, relative: bool) -> float:
     # Relative errors are taken against the reference value *want*.
     diff = abs(got - want)
@@ -87,29 +92,21 @@ def _float_diff(got: Scalar, want: Scalar, relative: bool) -> float:
     return float(diff)
 
 
-def _exact(group: str, name: str, got: Scalar, want: Scalar) -> CheckResult:
+def _exact(name: str, got: Scalar, want: Scalar) -> Fact:
     ok = got == want
     err = 0.0 if ok else _float_diff(got, want, relative=True)
-    detail = "" if ok else f"got {got!r}, want {want!r}"
-    return CheckResult(group, name, "rational", ok, err, 0.0, detail)
+    return name, "rational", ok, err, 0.0, "" if ok else f"got {got!r}, want {want!r}"
 
 
-def _close(
-    group: str,
-    name: str,
-    mode: str,
-    got: Scalar,
-    want: Scalar,
-    bound: float,
-    relative: bool = True,
-) -> CheckResult:
+def _close(name: str, mode: str, got: Scalar, want: Scalar, bound: float,
+           relative: bool = True) -> Fact:
     err = _float_diff(got, want, relative)
     detail = "" if err <= bound else f"got {got!r}, want {want!r}"
-    return CheckResult(group, name, mode, err <= bound, err, bound, detail)
+    return name, mode, err <= bound, err, bound, detail
 
 
-def _flag(group: str, name: str, mode: str, ok: bool, detail: str = "") -> CheckResult:
-    return CheckResult(group, name, mode, ok, 0.0 if ok else math.inf, 0.0, detail)
+def _flag(name: str, mode: str, ok: bool, detail: str = "") -> Fact:
+    return name, mode, ok, 0.0 if ok else math.inf, 0.0, detail
 
 
 def _rational_value(stream: CFStream, max_depth: int = 64) -> Fraction:
@@ -134,276 +131,212 @@ def _shifted_uniform(n: Fraction, y: Scalar) -> CFStream:
 # termination
 
 
-def _check_termination() -> list[CheckResult]:
-    g = "termination"
-    out = []
+def _check_termination() -> Iterator[Fact]:
     for n in (1, -1):
         for z in (Fraction(1, 3), Fraction(2, 5), Fraction(-2, 7)):
             val = _rational_value(symmetric_binomial(n, z))
-            out.append(_exact(g, f"symmetric n={n} z={z} -> 1", val, Fraction(1)))
+            yield _exact(f"symmetric n={n} z={z} -> 1", val, Fraction(1))
     for n in (2, -2):
         for z in (Fraction(1, 3), Fraction(2, 5)):
             val = _rational_value(symmetric_binomial(n, z))
-            out.append(_exact(g, f"symmetric n={n} z={z} -> 1+z^2", val, 1 + z * z))
+            yield _exact(f"symmetric n={n} z={z} -> 1+z^2", val, 1 + z * z)
     for n in (3, -3):
         for z in (Fraction(1, 2), Fraction(1, 4)):
             val = _rational_value(symmetric_binomial(n, z))
             want = 3 * (1 + 3 * z * z) / (3 + z * z)
-            out.append(_exact(g, f"symmetric n={n} z={z} -> 3(1+3z^2)/(3+z^2)", val, want))
+            yield _exact(f"symmetric n={n} z={z} -> 3(1+3z^2)/(3+z^2)", val, want)
     for n in (1, 2, 3, -1, -2, -3):
         for x in (Fraction(1, 2), Fraction(1, 3), Fraction(-1, 4)):
             stream = lagrange_binomial(n, x)
             val = _rational_value(stream)
-            out.append(_exact(g, f"lagrange n={n} x={x} -> (1+x)^n", val, (1 + x) ** n))
+            yield _exact(f"lagrange n={n} x={x} -> (1+x)^n", val, (1 + x) ** n)
             predicted = 2 * n if n > 0 else 2 * abs(n) + 1
-            out.append(
-                _flag(g, f"lagrange n={n} x={x} terminates at level {predicted}", "rational",
-                      stream.termination_level(64) == predicted)
-            )
+            yield _flag(f"lagrange n={n} x={x} terminates at level {predicted}", "rational",
+                        stream.termination_level(64) == predicted)
     for n in (1, 2, 3, -1, -2, -3):
         x = Fraction(1, 2)
         stream = uniform_binomial(n, x)
         val = _rational_value(stream)
-        out.append(_exact(g, f"uniform n={n} x={x} -> (1+x)^n", val, (1 + x) ** n))
-        out.append(
-            _flag(g, f"uniform n={n} terminates at level {abs(n) + 1}", "rational",
-                  stream.termination_level(64) == abs(n) + 1)
-        )
+        yield _exact(f"uniform n={n} x={x} -> (1+x)^n", val, (1 + x) ** n)
+        yield _flag(f"uniform n={n} terminates at level {abs(n) + 1}", "rational",
+                    stream.termination_level(64) == abs(n) + 1)
     for n in range(1, 7):
         stream = symmetric_binomial(n, Fraction(1, 3))
-        out.append(
-            _flag(g, f"symmetric n={n} terminates at level {n}", "rational",
-                  stream.termination_level(64) == n)
-        )
-    return out
+        yield _flag(f"symmetric n={n} terminates at level {n}", "rational",
+                    stream.termination_level(64) == n)
 
 
 # --------------------------------------------------------------------------
 # n-negation
 
 
-def _check_n_negation() -> list[CheckResult]:
-    g = "n-negation"
-    out = []
+def _check_n_negation() -> Iterator[Fact]:
     n, z = Fraction(5, 2), Fraction(1, 5)
     plus, minus = symmetric_binomial(n, z), symmetric_binomial(-n, z)
     same = all(plus.term(k) == minus.term(k) for k in range(1, 21))
-    out.append(_flag(g, "symmetric terms identical for n and -n (levels 1..20)", "rational", same))
+    yield _flag("symmetric terms identical for n and -n (levels 1..20)", "rational", same)
     for n in (2, 3):
         for z in (Fraction(1, 3), Fraction(1, 2)):
             a = symmetric_lhs(n, z).value
             b = symmetric_lhs(-n, z).value
-            out.append(_exact(g, f"symmetric lhs n={n} equals n={-n} at z={z}", a, b))
+            yield _exact(f"symmetric lhs n={n} equals n={-n} at z={z}", a, b)
     a = symmetric_lhs(Fraction(5, 2), 0.3).value
     b = symmetric_lhs(Fraction(-5, 2), 0.3).value
-    out.append(_close(g, "symmetric lhs even in n at n=5/2, z=0.3", "float", a, b, 1e-13))
+    yield _close("symmetric lhs even in n at n=5/2, z=0.3", "float", a, b, 1e-13)
     for n in (1, 2, 3):
         x = Fraction(1, 3)
         prod = _rational_value(lagrange_binomial(n, x)) * _rational_value(lagrange_binomial(-n, x))
-        out.append(_exact(g, f"lagrange n={n} times n={-n} is 1 at x={x}", prod, Fraction(1)))
-    return out
+        yield _exact(f"lagrange n={n} times n={-n} is 1 at x={x}", prod, Fraction(1))
 
 
 # --------------------------------------------------------------------------
 # tail-reduction
 
 
-def _check_tail_reduction() -> list[CheckResult]:
-    g = "tail-reduction"
-    out = []
+def _check_tail_reduction() -> Iterator[Fact]:
     for n, x in ((0.5, 0.25), (1 / 3, 0.3)):
         cf = lagrange_binomial(n, x)
         a_val = eval_lentz(tail(cf, 1), _TOL, 4000).value
         b_val = eval_lentz(tail(cf, 3), _TOL, 4000).value
         c_val = eval_lentz(tail(cf, 5), _TOL, 4000).value
-        out.append(
-            _close(g, f"1 + nx/A recovers (1+x)^n at n={n}, x={x}", "float",
-                   1 + n * x / a_val, binomial_power(n, x).value, 1e-12)
-        )
+        yield _close(f"1 + nx/A recovers (1+x)^n at n={n}, x={x}", "float",
+                     1 + n * x / a_val, binomial_power(n, x).value, 1e-12)
         rhs = 1 + (1 - n) * x / 2 + ((n * n - 1) * x * x / 4) / (b_val + (1 + n) * x / 2)
-        out.append(_close(g, f"A reduces through B at n={n}, x={x}", "float", a_val, rhs, 1e-11))
+        yield _close(f"A reduces through B at n={n}, x={x}", "float", a_val, rhs, 1e-11)
         rhs = 3 + (2 - n) * x / 2 + ((n * n - 4) * x * x / 4) / (c_val + (2 + n) * x / 2)
-        out.append(_close(g, f"B reduces through C at n={n}, x={x}", "float", b_val, rhs, 1e-11))
+        yield _close(f"B reduces through C at n={n}, x={x}", "float", b_val, rhs, 1e-11)
     cf = lagrange_binomial(Fraction(1, 2), Fraction(1, 4))
-    out.append(
-        _flag(g, "tail leading term is the original b1", "rational",
-              tail(cf, 1).b0 == cf.term(1).b)
-    )
-    return out
+    yield _flag("tail leading term is the original b1", "rational", tail(cf, 1).b0 == cf.term(1).b)
 
 
 # --------------------------------------------------------------------------
 # substitution
 
 
-def _check_substitution() -> list[CheckResult]:
-    g = "substitution"
-    out = []
+def _check_substitution() -> Iterator[Fact]:
     for n, y in ((0.5, 0.125), (1 / 3, 0.15)):
         lhs = n * y * (1 + (1 + 2 * y) ** n) / ((1 + 2 * y) ** n - 1)
         shifted = eval_lentz(_shifted_uniform(Fraction(n), y), _TOL, 4000).value
-        out.append(
-            _close(g, f"shifted uniform value matches ny(1+(1+2y)^n)/((1+2y)^n-1) at n={n}, y={y}",
-                   "float", shifted, lhs, 1e-11)
-        )
+        yield _close(f"shifted uniform value matches ny(1+(1+2y)^n)/((1+2y)^n-1) at n={n}, y={y}",
+                     "float", shifted, lhs, 1e-11)
         sym = eval_lentz(symmetric_binomial(Fraction(n), y / (1 + y)), _TOL, 4000).value
-        out.append(
-            _close(g, f"(1+y) times symmetric value matches it at n={n}, y={y}", "float",
-                   (1 + y) * sym, lhs, 1e-11)
-        )
+        yield _close(f"(1+y) times symmetric value matches it at n={n}, y={y}", "float",
+                     (1 + y) * sym, lhs, 1e-11)
     n, y = Fraction(1, 2), Fraction(1, 8)
     shifted = _shifted_uniform(n, y)
     c = 1 / (1 + y)
     divided = equivalence_transform(shifted, lambda k: c, c0=c)
     sym = symmetric_binomial(n, y / (1 + y))
-    levelwise = divided.b0 == sym.b0 and all(
-        divided.term(k) == sym.term(k) for k in range(1, 16)
-    )
-    out.append(
-        _flag(g, "dividing every level by 1+y yields the symmetric stream (levels 1..15)",
-              "rational", levelwise)
-    )
+    levelwise = divided.b0 == sym.b0 and all(divided.term(k) == sym.term(k) for k in range(1, 16))
+    yield _flag("dividing every level by 1+y yields the symmetric stream (levels 1..15)",
+                "rational", levelwise)
     preserved = equivalence_transform(shifted, lambda k: c)
     orig = convergents(shifted, 15)
     scaled = convergents(preserved, 15)
-    same_values = all(
-        o.value == s.value for o, s in zip(orig, scaled)
-    )
-    out.append(
-        _flag(g, "value-preserving transform keeps every convergent (levels 0..15)",
-              "rational", same_values)
-    )
-    return out
+    same_values = all(o.value == s.value for o, s in zip(orig, scaled))
+    yield _flag("value-preserving transform keeps every convergent (levels 0..15)",
+                "rational", same_values)
 
 
 # --------------------------------------------------------------------------
 # cross-family
 
 
-def _check_cross_family() -> list[CheckResult]:
-    g = "cross-family"
-    out = []
+def _check_cross_family() -> Iterator[Fact]:
     tol = ToleranceSpec(rel_tol=1e-12)
     for n, x in ((Fraction(1, 2), 0.25), (Fraction(1, 3), 0.3)):
         power = binomial_power(n, x).value
         lag = eval_lentz(lagrange_binomial(n, x), tol, 4000).value
         uni = eval_lentz(uniform_binomial(n, x), tol, 4000).value
-        out.append(_close(g, f"lagrange matches (1+x)^n at n={n}, x={x}", "float", lag, power, 1e-11))
-        out.append(_close(g, f"uniform matches (1+x)^n at n={n}, x={x}", "float", uni, power, 1e-11))
-        out.append(_close(g, f"lagrange matches uniform at n={n}, x={x}", "float", lag, uni, 1e-11))
+        yield _close(f"lagrange matches (1+x)^n at n={n}, x={x}", "float", lag, power, 1e-11)
+        yield _close(f"uniform matches (1+x)^n at n={n}, x={x}", "float", uni, power, 1e-11)
+        yield _close(f"lagrange matches uniform at n={n}, x={x}", "float", lag, uni, 1e-11)
         z = x / (2 + x)
         sym = eval_lentz(symmetric_binomial(n, z), tol, 4000).value
-        out.append(
-            _close(g, f"symmetric matches its closed form at n={n}, z=x/(2+x)", "float",
-                   sym, symmetric_lhs(n, z).value, 1e-11)
-        )
-    return out
+        yield _close(f"symmetric matches its closed form at n={n}, z=x/(2+x)", "float",
+                     sym, symmetric_lhs(n, z).value, 1e-11)
 
 
 # --------------------------------------------------------------------------
 # imaginary
 
 
-def _check_imaginary() -> list[CheckResult]:
-    g = "imaginary"
-    out = []
+def _check_imaginary() -> Iterator[Fact]:
     for n, t in ((Fraction(5, 2), 0.4), (Fraction(5, 2), 0.25)):
-        report = eval_lentz(symmetric_binomial(n, complex(0, t)), _TOL, 4000)
-        value = report.value
-        out.append(
-            _close(g, f"imaginary argument keeps the value real at n={n}, t={t}", "complex",
-                   value.imag, 0.0, 1e-12, relative=False)
-        )
+        value = eval_lentz(symmetric_binomial(n, complex(0, t)), _TOL, 4000).value
+        yield _close(f"imaginary argument keeps the value real at n={n}, t={t}", "complex",
+                     value.imag, 0.0, 1e-12, relative=False)
         want = float(n) * t / math.tan(float(n) * math.atan(t))
-        out.append(
-            _close(g, f"real part matches nt/tan(n arctan t) at n={n}, t={t}", "complex",
-                   value.real, want, 1e-10, relative=False)
-        )
-    return out
+        yield _close(f"real part matches nt/tan(n arctan t) at n={n}, t={t}", "complex",
+                     value.real, want, 1e-10, relative=False)
 
 
 # --------------------------------------------------------------------------
 # tangent-multiples
 
 
-def _check_tangent_multiples() -> list[CheckResult]:
-    g = "tangent-multiples"
-    out = []
+def _check_tangent_multiples() -> Iterator[Fact]:
     val = _rational_value(tan_multiple(2, Fraction(1, 4)))
-    out.append(_exact(g, "tan 2φ fixture: 2t/(1-t^2) at t=1/4", val, Fraction(8, 15)))
+    yield _exact("tan 2φ fixture: 2t/(1-t^2) at t=1/4", val, Fraction(8, 15))
     val = _rational_value(tan_multiple(3, Fraction(1, 5)))
-    out.append(_exact(g, "tan 3φ fixture: (3t-t^3)/(1-3t^2) at t=1/5", val, Fraction(37, 55)))
+    yield _exact("tan 3φ fixture: (3t-t^3)/(1-3t^2) at t=1/5", val, Fraction(37, 55))
     got = eval_lentz(tan_multiple(Fraction(5, 2), 0.2), _TOL, 4000).value
-    out.append(
-        _close(g, "non-integer multiple n=5/2 at t=0.2", "float",
-               got, tan_multiple_lhs(Fraction(5, 2), 0.2).value, 1e-11)
-    )
+    yield _close("non-integer multiple n=5/2 at t=0.2", "float",
+                 got, tan_multiple_lhs(Fraction(5, 2), 0.2).value, 1e-11)
     for t in (0.3, 1.0):
         n_small = 1e-6
         tan_small = eval_lentz(tan_multiple(n_small, t), _TOL, 4000).value
         angle_from_multiple = math.atan(tan_small) / n_small
         angle_direct = eval_lentz(arctan_cf(t), _TOL, 4000).value
-        out.append(
-            _close(g, f"vanishing-exponent limit recovers arctan at t={t}", "float",
-                   angle_from_multiple, angle_direct, 1e-5, relative=False)
-        )
-    return out
+        yield _close(f"vanishing-exponent limit recovers arctan at t={t}", "float",
+                     angle_from_multiple, angle_direct, 1e-5, relative=False)
 
 
 # --------------------------------------------------------------------------
 # limit-families
 
 
-def _check_limit_families() -> list[CheckResult]:
-    g = "limit-families"
-    out = []
+def _check_limit_families() -> Iterator[Fact]:
     val = convergents(arctan_cf(1.0), 50)[-1].value
-    out.append(_close(g, "arctan(1) -> pi/4 by depth 50", "float", val, math.pi / 4,
-                      1e-12, relative=False))
+    yield _close("arctan(1) -> pi/4 by depth 50", "float", val, math.pi / 4, 1e-12, relative=False)
     val = convergents(arctan_cf(2.0), 120)[-1].value
-    out.append(_close(g, "arctan(2) by depth 120", "float", val, math.atan(2.0),
-                      1e-11, relative=False))
+    yield _close("arctan(2) by depth 120", "float", val, math.atan(2.0), 1e-11, relative=False)
     val = convergents(tan_cf(1.0), 30)[-1].value
-    out.append(_close(g, "tan(1) by depth 30", "float", val, math.tan(1.0),
-                      1e-12, relative=False))
+    yield _close("tan(1) by depth 30", "float", val, math.tan(1.0), 1e-12, relative=False)
     val = convergents(tan_cf(math.pi / 4), 30)[-1].value
-    out.append(_close(g, "tan(pi/4) -> 1 by depth 30", "float", val, 1.0, 1e-12, relative=False))
+    yield _close("tan(pi/4) -> 1 by depth 30", "float", val, 1.0, 1e-12, relative=False)
     val = convergents(log_ratio_cf(1 / 3), 40)[-1].value
-    out.append(_close(g, "log ratio at z=1/3 -> log 2 by depth 40", "float", val, math.log(2),
-                      1e-12, relative=False))
+    yield _close("log ratio at z=1/3 -> log 2 by depth 40", "float", val, math.log(2),
+                 1e-12, relative=False)
     val = convergents(log_ratio_cf(0.5), 100)[-1].value
-    out.append(_close(g, "log ratio at z=1/2 -> log 3 by depth 100", "float", val, math.log(3),
-                      1e-11, relative=False))
+    yield _close("log ratio at z=1/2 -> log 3 by depth 100", "float", val, math.log(3),
+                 1e-11, relative=False)
     val = eval_lentz(log_ratio_cf(0.45), _TOL, 4000).value
-    out.append(_close(g, "log ratio at z=0.45 matches its closed form", "float", val,
-                      log_ratio_lhs(0.45).value, 1e-12, relative=False))
+    yield _close("log ratio at z=0.45 matches its closed form", "float", val,
+                 log_ratio_lhs(0.45).value, 1e-12, relative=False)
     val = convergents(coth_scaled_cf(1.0), 20)[-1].value
-    out.append(_close(g, "scaled coth at v=1 by depth 20", "float", val,
-                      coth_scaled_lhs(1.0).value, 1e-13, relative=False))
+    yield _close("scaled coth at v=1 by depth 20", "float", val,
+                 coth_scaled_lhs(1.0).value, 1e-13, relative=False)
     val = eval_lentz(coth_scaled_cf(0.7), _TOL, 4000).value
-    out.append(_close(g, "scaled coth at v=0.7 matches the series ratio", "float", val,
-                      series_ratio_coth(0.7, 20).value, 1e-12, relative=False))
-    return out
+    yield _close("scaled coth at v=0.7 matches the series ratio", "float", val,
+                 series_ratio_coth(0.7, 20).value, 1e-12, relative=False)
 
 
 # --------------------------------------------------------------------------
 # series-ratio
 
 
-def _check_series_ratio() -> list[CheckResult]:
-    g = "series-ratio"
-    out = []
+def _check_series_ratio() -> Iterator[Fact]:
     got = series_ratio_coth(Fraction(1, 2), 3).value
-    out.append(_exact(g, "three-term ratio at v=1/2", got, Fraction(2165, 2001)))
+    yield _exact("three-term ratio at v=1/2", got, Fraction(2165, 2001))
     got = series_ratio_coth(0.7, 20).value
-    out.append(_close(g, "twenty-term ratio at v=0.7 vs closed form", "float",
-                      got, coth_scaled_lhs(0.7).value, 1e-12, relative=False))
+    yield _close("twenty-term ratio at v=0.7 vs closed form", "float",
+                 got, coth_scaled_lhs(0.7).value, 1e-12, relative=False)
     for v in (Fraction(3, 10), Fraction(7, 10), Fraction(1)):
         reference = series_ratio_coth(v, 40).value
         errs = [abs(series_ratio_coth(v, t).value - reference) for t in range(1, 16)]
         monotone = all(errs[i + 1] <= errs[i] for i in range(len(errs) - 1))
-        out.append(_flag(g, f"series error shrinks with each term at v={v}", "rational", monotone))
-    return out
+        yield _flag(f"series error shrinks with each term at v={v}", "rational", monotone)
 
 
 # --------------------------------------------------------------------------
@@ -435,32 +368,27 @@ def _rational_samples() -> list[tuple[str, CFStream]]:
     ]
 
 
-def _check_determinant() -> list[CheckResult]:
-    g = "determinant"
-    return [
-        _flag(g, f"determinant identity levels 1..20: {name}", "rational",
-              _determinant_holds(stream, 20))
-        for name, stream in _rational_samples()
-    ]
+def _check_determinant() -> Iterator[Fact]:
+    for name, stream in _rational_samples():
+        yield _flag(f"determinant identity levels 1..20: {name}", "rational",
+                    _determinant_holds(stream, 20))
 
 
 # --------------------------------------------------------------------------
 # engine
 
 
-def _check_engine() -> list[CheckResult]:
-    g = "engine"
-    out = []
+def _check_engine() -> Iterator[Fact]:
     for name, stream in (
         ("coth-scaled v=1/2", coth_scaled_cf(Fraction(1, 2))),
         ("symmetric n=5/2 z=1/5", symmetric_binomial(Fraction(5, 2), Fraction(1, 5))),
     ):
         forward = convergents(stream, 12)[-1].value
         backward = eval_backward(stream, 12)
-        out.append(_exact(g, f"backward fold equals forward recurrence: {name}", backward, forward))
+        yield _exact(f"backward fold equals forward recurrence: {name}", backward, forward)
     stream = symmetric_binomial(3, Fraction(1, 2))
     same = convergents(stream, 20) == convergents(stream, 2)
-    out.append(_flag(g, "convergents past termination repeat the terminal value", "rational", same))
+    yield _flag("convergents past termination repeat the terminal value", "rational", same)
     tol = ToleranceSpec(rel_tol=1e-12)
     samples = [
         ("lagrange n=1/2 x=0.25", lagrange_binomial(Fraction(1, 2), 0.25)),
@@ -472,21 +400,18 @@ def _check_engine() -> list[CheckResult]:
         ("log-ratio z=1/3", log_ratio_cf(1 / 3)),
         ("coth-scaled v=1.0", coth_scaled_cf(1.0)),
     ]
+    bound = 10 * tol.rel_tol
     for name, stream in samples:
         lentz = eval_lentz(stream, tol, 4000)
         direct = eval_convergents(stream, tol, 4000)
-        ok = lentz.converged and direct.converged
         err = _float_diff(lentz.value, direct.value, relative=True)
-        out.append(
-            CheckResult(g, f"lentz agrees with the forward recurrence: {name}", "float",
-                        ok and err <= 10 * tol.rel_tol, err, 10 * tol.rel_tol)
-        )
-    return out
+        ok = lentz.converged and direct.converged and err <= bound
+        yield f"lentz agrees with the forward recurrence: {name}", "float", ok, err, bound, ""
 
 
 # --------------------------------------------------------------------------
 
-GROUPS: dict[str, Callable[[], list[CheckResult]]] = {
+GROUPS: dict[str, Callable[[], Iterator[Fact]]] = {
     "termination": _check_termination,
     "n-negation": _check_n_negation,
     "tail-reduction": _check_tail_reduction,
@@ -504,12 +429,13 @@ GROUPS: dict[str, Callable[[], list[CheckResult]]] = {
 def run_checks(only: Optional[str] = None, mode: Optional[str] = None) -> list[CheckResult]:
     """Run the identity checks, optionally restricted to one group and/or
     one scalar mode.  Failures are reported in the results, not raised;
-    filters that select no check raise :class:`DomainError`."""
+    filters that select no check raise :class:`DomainError`.  Each group
+    yields its facts and the result is built here, under the group's key."""
     if only is not None and only not in GROUPS:
         known = ", ".join(sorted(GROUPS))
         raise DomainError(f"unknown check group {only!r}; known groups: {known}")
     groups = [only] if only is not None else list(GROUPS)
-    results = [result for name in groups for result in GROUPS[name]()]
+    results = [CheckResult(group, *fact) for group in groups for fact in GROUPS[group]()]
     if mode is not None:
         results = [r for r in results if r.mode == mode]
     if not results:

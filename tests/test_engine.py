@@ -133,6 +133,11 @@ class TestConvergents:
         with pytest.raises(PoleError):
             c.value
 
+    def test_convergent_is_not_equal_to_a_number(self):
+        c = Convergent(1.0, 1.0, 0)
+        assert c.__eq__(1.0) is NotImplemented
+        assert (c == 1.0) is False
+
 
 class TestEvalConvergents:
     def test_coth_converges_tightly(self):
@@ -352,25 +357,82 @@ class TestStoppingRule:
         assert report.residual == math.ulp(0.0)
 
     @pytest.mark.parametrize(
-        "evaluate, stream, depth_used, pole",
+        "evaluate, stream, depth_used",
         [
-            pytest.param(eval_lentz, coth_scaled_cf(1e160), 1, False, id="lentz-coth"),
-            # the exact q_5 is 60, float cancellation makes it 0.0: Lentz
-            # reports that zero as a pole, like the backward route
-            pytest.param(eval_lentz, lagrange_binomial(3, 1e10), 5, True, id="lentz-lagrange"),
-            pytest.param(eval_convergents, uniform_binomial(3, 1e160), 2, False,
+            pytest.param(eval_lentz, coth_scaled_cf(1e160), 1, id="lentz-coth"),
+            pytest.param(eval_convergents, uniform_binomial(3, 1e160), 2,
                          id="convergents-uniform"),
         ],
     )
-    def test_first_non_finite_value_ends_the_walk(self, evaluate, stream, depth_used, pole):
-        if pole:
-            with pytest.raises(PoleError, match=f"convergent {depth_used}, the value to report"):
-                evaluate(stream, DEFAULT_TOLERANCE, 10_000)
-            return
+    def test_first_non_finite_value_ends_the_walk(self, evaluate, stream, depth_used):
         report = evaluate(stream, DEFAULT_TOLERANCE, 10_000)
         assert not math.isfinite(report.value)
         assert not report.converged and not report.terminated
         assert report.depth_used == depth_used
+
+
+def _rational_copy(cf, depth):
+    # the same terminating fraction, each coefficient the exact rational of its binary value
+    terms = [cf.term(k) for k in range(1, cf.termination_level(depth))]
+    return CFStream.from_terms(Fraction(cf.b0), [(Fraction(t.a), Fraction(t.b)) for t in terms])
+
+
+FLOAT_WALKS = pytest.mark.parametrize("evaluate", [eval_lentz, eval_convergents],
+                                      ids=["lentz", "convergents"])
+
+
+class TestTerminatedFloatWalk:
+    """A float walk that terminates reports its exact value, rounded once."""
+
+    @FLOAT_WALKS
+    def test_cancelled_power_is_the_exact_power(self, evaluate):
+        # the float recurrence cancels every digit of (1 + 1e10)^3, and Lentz
+        # took the rounded q_5 = 0.0 for a pole (the exact q_5 is 60)
+        report = evaluate(lagrange_binomial(3, 1e10))
+        assert report.value == (1 + 1e10) ** 3
+        assert report.terminated and report.converged and report.residual == 0.0
+        assert eval_backward(lagrange_binomial(3, 1e10), 12) == (1 + 1e10) ** 3
+
+    @FLOAT_WALKS
+    def test_cancelled_negative_power_is_the_exact_power(self, evaluate):
+        # Lentz reported 0.0 and the forward recurrence -1.88e-17, both terminated
+        report = evaluate(uniform_binomial(-3, 1e10))
+        assert report.value == float((1 + Fraction(1e10)) ** -3) == (1 + 1e10) ** -3
+        assert report.terminated and report.converged
+
+    def test_exact_pole_missed_by_rounding_is_raised(self):
+        # tan(10·pi/4) is a pole; the float fold rounded it to 1.125899906842624e+16
+        with pytest.raises(PoleError, match="convergent 10, the value to report, is a pole"):
+            eval_backward(tan_multiple(10, 1.0), 12)
+
+    @FLOAT_WALKS
+    def test_exact_value_past_the_float_range_is_not_convergence(self, evaluate):
+        report = evaluate(lagrange_binomial(3, 1e103))
+        assert report.value == math.inf and math.isnan(report.residual)
+        assert not report.converged and not report.terminated
+        assert eval_backward(lagrange_binomial(3, 1e103), 12) == math.inf
+
+    def test_infinite_coefficient_keeps_the_route_value(self):
+        # 1 + 1/inf has no exact rational form; the float fold's 1.0 stands
+        assert eval_backward(CFStream.from_terms(1.0, [(1.0, math.inf)]), 5) == 1.0
+
+    @pytest.mark.parametrize("family", [lagrange_binomial, uniform_binomial],
+                             ids=["lagrange", "uniform"])
+    @pytest.mark.parametrize("x", [0.3, -0.5, 1e-10, 1e10])
+    @pytest.mark.parametrize("n", range(-6, 7))
+    def test_integer_exponent_value_is_its_exact_value_rounded_once(self, family, x, n):
+        cf = family(n, x)
+        want = float(eval_convergents(_rational_copy(cf, 64), EXACT, 64).value)
+        # the rounded coefficients move (1+x)^n by at most a few ulps here
+        assert want == pytest.approx(float((1 + Fraction(x)) ** n), rel=1e-15)
+        assert eval_backward(cf, 64) == want
+        for evaluate in (eval_lentz, eval_convergents):
+            report = evaluate(cf, ToleranceSpec(0.0))
+            assert report.converged
+            if report.terminated:
+                assert report.value == want
+            else:  # two equal steps before the law's zero (x = 1e-10)
+                assert report.value == pytest.approx(want, rel=1e-15)
 
 
 class TestOneComparison:
@@ -524,7 +586,8 @@ def _assert_exact_routes_match_reference(cf, depth):
             assert type(c.value) is Fraction and c.value == c.p / c.q
     want = _reference_fold(cf, depth)
     if want is None:
-        with pytest.raises(PoleError, match="zero denominator while folding into the leading term"):
+        pole = r"convergent \d+, the value to report, is a pole \(q = 0\)"
+        with pytest.raises(PoleError, match=pole):
             eval_backward(cf, depth)
     else:
         got = eval_backward(cf, depth)
@@ -591,6 +654,10 @@ class TestTail:
         cf = CFStream.from_terms(1.0, [(1.0, 1.0)])
         with pytest.raises(ValueError):
             tail(cf, 2)
+
+    def test_start_below_one_rejected(self):
+        with pytest.raises(ValueError, match="start_level must be >= 1"):
+            tail(arctan_cf(1.0), 0)
 
 
 class TestEquivalenceTransform:

@@ -113,6 +113,9 @@ class TestNearlyEqual:
         assert not nearly_equal(z, z / 2)
         assert _relative_change(z, z / 2) == 0.5
 
+    def test_relative_change_between_two_zeros_is_zero(self):
+        assert _relative_change(0.0, 0.0) == 0.0
+
     @given(
         st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6),
         st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6),
@@ -194,6 +197,10 @@ class TestToleranceSpec:
         with pytest.raises(ValueError):
             ToleranceSpec(rel_tol=float("nan"))
 
+    def test_rejects_a_string(self):
+        with pytest.raises(ValueError, match="must be a number"):
+            ToleranceSpec(rel_tol="1e-3")
+
 
 class TestCoerce:
     def test_exact_to_all_modes(self):
@@ -220,6 +227,10 @@ class TestAsFraction:
     def test_complex_rejected(self):
         with pytest.raises(ModeMismatchError):
             as_fraction(1j)
+
+    def test_bool_rejected(self):
+        with pytest.raises(ModeMismatchError, match="not a scalar"):
+            as_fraction(True)
 
 
 def _within_ulps(a, b, ulps):
