@@ -36,13 +36,14 @@ row, and a value is reduced, to one ``Fraction``, only when it is read.
 
 Every route's report comes from one stopping rule, ``_settle``, and so does
 :func:`eval_backward`'s bare value: stop at the first two successive values
-that agree or at the first non-finite one (not converged); a walk that runs
-out has terminated, unless at the cap.  A terminated float walk reports its
-exact value: the same levels, each coefficient the exact rational of its
-binary value, are folded on ints and rounded once.  Complex mode keeps the
-route's value, as there is no exact complex type.  Every route marks a pole
-(``q_k = 0``, an infinite fold) as value ``None``, and only ``_settle``
-raises :class:`PoleError`, for one it would report.
+that agree, unless the stream's law ends it (``cf._ends``), or at the first
+non-finite one (not converged); a walk that runs out has terminated, unless
+at the cap.  A terminated float walk reports its exact value: its rational
+form ``cf._exact()`` (a family's law at ``Fraction(x)``, else each binary
+coefficient's exact rational), folded on ints and rounded once.  Complex
+mode keeps the route's value, as there is no exact complex type.  Every
+route marks a pole (``q_k = 0``, an infinite fold) as value ``None``, and
+only ``_settle`` raises :class:`PoleError`, for one it would report.
 
 Two structural operations keep the wrapped stream's termination: :func:`tail`
 (the sub-fraction hanging off a given level) and :func:`equivalence_transform`
@@ -112,6 +113,7 @@ class CFStream:
         self.b0 = b0
         self.mode = mode_of(b0)
         self.description = description
+        self._ends = False  # whether a law ends the fraction: only a family's can tell
 
         def level(k: int) -> Optional[tuple[Scalar, Scalar, bool]]:  # a == 0 is the zero
             t = term_fn(k)
@@ -140,6 +142,12 @@ class CFStream:
         cf = cls(b0, None, description)
         cf._level = level
         return cf
+
+    def _exact(self) -> "CFStream":
+        # The same fraction in rational mode, each coefficient the exact rational of
+        # its binary value (Fraction(inf) raises); a family's is its law at Fraction(x).
+        copy = lambda k: (ab := self._level(k)) and (Fraction(ab[0]), Fraction(ab[1]), ab[2])
+        return CFStream._from_law(Fraction(self.b0), copy, self.description)
 
     def _in_mode(self, k: int, a: Scalar, b: Scalar) -> tuple[Scalar, Scalar]:
         # The one mode check: (a, b) of level k, both in the mode of b0.
@@ -239,17 +247,17 @@ def _settle(cf: CFStream, steps: Iterable[tuple[int, Optional[Scalar], int]],
             tol: ToleranceSpec, max_depth: int) -> EvalReport:
     # The one stopping rule (see the module docstring).  ``steps`` yields
     # (k, value, substitutions), value None at a pole, and runs out before
-    # max_depth only when the fraction terminates; a terminated float walk
-    # reports its exact value, rounded once.
+    # max_depth only when the fraction terminates; a fraction its law ends is
+    # walked to its end, and a terminated float walk reports its exact value.
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-    finite, rel_tol = cf.mode.isfinite, _rel_tol(cf.mode, tol)
+    finite, rel_tol, agree = cf.mode.isfinite, _rel_tol(cf.mode, tol), not cf._ends
     value = None
     for k, step, substitutions in steps:
         prev, value = value, step
         if value is None:
             continue
-        if not finite(value) or prev is not None and _within(value, prev, rel_tol, finite):
+        if not finite(value) or agree and prev is not None and _within(value, prev, rel_tol, finite):
             converged, terminated = finite(value), False
             break
     else:
@@ -430,16 +438,15 @@ def _fold(b0: Scalar, levels: list[tuple[int, Scalar, Scalar]],
 
 
 def _rounded_once(cf: CFStream, depth: int, value: Optional[float]) -> Optional[float]:
-    # The value of a float fraction that terminated after depth levels: its
-    # coefficients taken as the exact rationals of their binary values,
-    # folded on ints and rounded once.  None at an exact pole, ±inf past the
-    # float range; a level with an inf or nan coefficient keeps value.
+    # The value of a float fraction that terminated after depth levels: the
+    # same fraction in rational mode, cf._exact(), folded on ints and rounded
+    # once.  None at an exact pole, ±inf past the float range; a copied level
+    # with an inf or nan coefficient keeps value.
     try:
-        b0 = Fraction(cf.b0)
-        levels = [(k, Fraction(a), Fraction(b)) for k, a, b in _levels(cf, depth)]
+        rational = cf._exact()
+        exact = _fold(rational.b0, list(_levels(rational, depth)), rational=True)
     except (OverflowError, ValueError):  # Fraction(inf), Fraction(nan)
         return value
-    exact = _fold(b0, levels, rational=True)
     try:
         return None if exact is None else float(exact)
     except OverflowError:  # float(exact) raises past the float range

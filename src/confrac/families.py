@@ -55,10 +55,11 @@ Each coefficient is one ``Fraction`` from the law's ints in rational mode
 rounded and cast to ``float`` or ``complex``: a rule fixed per stream.
 Termination is read off the ints, never a rounded product: a level is the
 exact zero where α(j), the head's h or x is 0, so an underflowed numerator
-(``x·x`` at x = 1e-200) does not end the fraction.
-Termination levels: ``symmetric_binomial`` at |n|, ``uniform_binomial`` at
-|n|+1, ``lagrange_binomial`` at 2n (n > 0) or 2|n|+1 (n < 0),
-``tan_multiple`` at |n|+1.
+(``x·x`` at x = 1e-200) does not end the fraction.  α(j) is 0 only at a
+nonzero integer n, at level |n| (symmetric), |n|+1 (uniform, tan-multiple),
+2n (lagrange, n > 0) or 2|n|+1 (lagrange, n < 0).  So a stream knows when
+built whether its law ends it, and every evaluator walks it to the end; a
+float walk that ends reports the law read at ``Fraction(x)``, rounded once.
 
 :class:`Family` is the one table that maps each family to its generator
 and its oracle (from :mod:`confrac.oracles`); :class:`FamilySpec` and
@@ -122,8 +123,9 @@ def _stream(family: str, name: str, x: Scalar, b0: int, alpha: Union[_Law, int],
     multiply in the order ``cast(num / den)·x·x`` (``x·x`` first rounds
     differently, and overflows to ``0·inf``).  The stream's level function
     returns ``(a_k, b_k, zero)``, the flag read off the ints as in the
-    module docstring.  The finiteness check comes first, so a generator's
-    own domain checks, which follow the call, only see finite arguments.
+    module docstring, and so is ``_ends``; ``_exact()`` is this row at
+    ``Fraction(x)``.  The finiteness check comes first, so a generator's own
+    domain checks, which follow the call, only see finite arguments.
     """
     _require_finite(x, name)
     cast = mode_of(x).cast
@@ -155,7 +157,12 @@ def _stream(family: str, name: str, x: Scalar, b0: int, alpha: Union[_Law, int],
         return a, width(2 * j + 1 if beta is None else beta(j)), zero
 
     label = f"{family}({x!r})" if n is None else f"{family}(n={n}, {name}={x!r})"
-    return CFStream._from_law(cast(b0), level, label)
+    cf = CFStream._from_law(cast(b0), level, label)
+    e = n is not None and n.denominator == 1 and abs(n.numerator)  # α(j) = 0 only at j = e, 2e-1, 2e
+    cf._ends = nil or head and head[0] == 0 or e > 0 and any(alpha(j) == 0 for j in (e, 2 * e - 1, 2 * e))
+    cf._exact = lambda: _stream(family, name, Fraction(x), b0, alpha, den=den, n=n, beta=beta,
+                                power=power, scale=scale, head=head)
+    return cf
 
 
 def lagrange_binomial(n: Union[int, float, Fraction], x: Scalar) -> CFStream:

@@ -160,6 +160,30 @@ class TestEval:
         assert payload["value"] == (1 + 1e10) ** 3 == 1.0000000003e30
         assert payload["terminated"] is True and payload["converged"] is True
 
+    @pytest.mark.parametrize("method", ["lentz", "convergents", "backward"])
+    @pytest.mark.parametrize("family, n, arg, depth, want", [
+        ("lagrange-binomial", "400", "0.3", "1000", 3.7786870282334686e45),
+        ("uniform-binomial", "-400", "0.3", "1000", 2.6464218722752986e-46),
+        ("lagrange-binomial", "3", "1e100", "12", 1e300),
+    ], ids=["lagrange-400", "uniform-minus-400", "lagrange-3-at-1e100"])
+    def test_law_that_ends_reports_the_exact_power(self, capsys, method, family, n, arg,
+                                                    depth, want):
+        # the walk is not stopped on agreement, and the exact fold reads the law at
+        # the binary value of arg, not the rounded coefficients
+        code, out, _ = run_cli(capsys, "eval", "--family", family, "--n", n, "--arg", arg,
+                               "--method", method, "--depth", depth)
+        payload = strict_json(out)
+        assert code == 0
+        assert payload["value"] == want == float((1 + Fraction(float(arg))) ** int(n))
+        assert payload["terminated"] is True and payload["converged"] is True
+
+    def test_law_capped_before_its_zero_exits_two(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "--family", "lagrange-binomial", "--n", "400",
+                               "--arg", "0.3", "--depth", "150")
+        payload = strict_json(out)
+        assert code == 2 and payload["depth_used"] == 150
+        assert payload["converged"] is False and payload["terminated"] is False
+
     def test_fraction_text_in_float_mode(self, capsys):
         _, exact_text, _ = run_cli(capsys, "eval", "--family", "arctan", "--arg", "1/3")
         _, decimal_text, _ = run_cli(capsys, "eval", "--family", "arctan",

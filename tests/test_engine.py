@@ -371,12 +371,6 @@ class TestStoppingRule:
         assert report.depth_used == depth_used
 
 
-def _rational_copy(cf, depth):
-    # the same terminating fraction, each coefficient the exact rational of its binary value
-    terms = [cf.term(k) for k in range(1, cf.termination_level(depth))]
-    return CFStream.from_terms(Fraction(cf.b0), [(Fraction(t.a), Fraction(t.b)) for t in terms])
-
-
 FLOAT_WALKS = pytest.mark.parametrize("evaluate", [eval_lentz, eval_convergents],
                                       ids=["lentz", "convergents"])
 
@@ -421,18 +415,73 @@ class TestTerminatedFloatWalk:
     @pytest.mark.parametrize("x", [0.3, -0.5, 1e-10, 1e10])
     @pytest.mark.parametrize("n", range(-6, 7))
     def test_integer_exponent_value_is_its_exact_value_rounded_once(self, family, x, n):
-        cf = family(n, x)
-        want = float(eval_convergents(_rational_copy(cf, 64), EXACT, 64).value)
-        # the rounded coefficients move (1+x)^n by at most a few ulps here
-        assert want == pytest.approx(float((1 + Fraction(x)) ** n), rel=1e-15)
+        # the law read at Fraction(x), not its rounded coefficients: (1 + x)^n itself
+        cf, want = family(n, x), float((1 + Fraction(x)) ** n)
         assert eval_backward(cf, 64) == want
         for evaluate in (eval_lentz, eval_convergents):
             report = evaluate(cf, ToleranceSpec(0.0))
-            assert report.converged
-            if report.terminated:
-                assert report.value == want
-            else:  # two equal steps before the law's zero (x = 1e-10)
-                assert report.value == pytest.approx(want, rel=1e-15)
+            assert report.terminated and report.converged and report.value == want
+
+
+class TestLawThatEnds:
+    """A fraction its family law ends is walked to the law's zero in every
+    mode, never stopped on two agreeing steps; other walks stop as before."""
+
+    @FLOAT_WALKS
+    @pytest.mark.parametrize("family, n, x", [(lagrange_binomial, 400, 0.3),
+                                              (uniform_binomial, -400, 0.3),
+                                              (lagrange_binomial, 3, 1e100)],
+                             ids=["lagrange-400", "uniform-minus-400", "lagrange-3-at-1e100"])
+    def test_integer_exponent_is_walked_to_its_exact_power(self, evaluate, family, n, x):
+        # stopping on agreement gave 2.54e17 for 1.3^400 and -1.33e-17 for 1.3^-400, and
+        # folding the rounded n·x = 3.0000000000000002e100 gave 1.54e117 for 1e300
+        want = float((1 + Fraction(x)) ** n)
+        report = evaluate(family(n, x))
+        assert report.value == want
+        assert report.terminated and report.converged and report.residual == 0.0
+        assert eval_backward(family(n, x), 1000) == want
+
+    @FLOAT_WALKS
+    def test_walk_capped_before_the_zero_is_not_converged(self, evaluate):
+        # the law ends at level 800; steps 123 and 124 agree at 2.54e17
+        report = evaluate(lagrange_binomial(400, 0.3), ToleranceSpec(1e-12), 150)
+        assert report.depth_used == 150
+        assert not report.converged and not report.terminated
+
+    def test_law_that_never_ends_stops_on_agreement(self):
+        # n = 0 has no head and α(j) = -j², never 0
+        report = eval_lentz(symmetric_binomial(0, 0.3))
+        assert report.converged and not report.terminated and report.depth_used == 8
+
+    def test_exact_walk_is_not_stopped_by_the_tolerance(self):
+        # the default tolerance stopped it at depth 33, short of (13/10)^40
+        report = eval_convergents(lagrange_binomial(40, Fraction(3, 10)))
+        assert report.terminated and report.depth_used == 79
+        assert report.value == Fraction(13, 10) ** 40
+
+    def test_complex_walk_reaches_the_zero(self):
+        # mpmath gives 335.18951689979936; stopping on agreement gave 335.18951689988637
+        report = eval_lentz(symmetric_binomial(400, 0.3j))
+        assert report.terminated and report.depth_used == 399
+        assert report.value.imag == 0
+        assert report.value.real == pytest.approx(335.18951689979936, rel=1e-14)
+
+    @pytest.mark.parametrize("evaluate, stream, want, depth, residual", [
+        (eval_lentz, lambda: lagrange_binomial(Fraction(5, 2), 0.3),
+         "0x1.ed491642a1a60p+0", 11, 6.183473630039906e-13),
+        (eval_convergents, lambda: uniform_binomial(Fraction(-7, 3), 0.9),
+         "0x1.ca0aa38ee243ap-3", 9, 8.711890728249887e-14),
+        (eval_lentz, lambda: CFStream.from_terms(
+            1.0, [lagrange_binomial(Fraction(5, 2), 0.3).term(k) for k in range(1, 41)]),
+         "0x1.ed491642a1a60p+0", 11, 6.183473630039906e-13),
+        (eval_convergents, lambda: tail(uniform_binomial(Fraction(1, 2), -0.5), 2),
+         "0x1.17c3b666fb6bcp+1", 8, 5.311206241188577e-13),
+    ], ids=["lagrange", "uniform", "user", "tail"])
+    def test_other_walks_stop_on_agreement_as_before(self, evaluate, stream, want, depth,
+                                                      residual):
+        report = evaluate(stream())
+        assert report.value.hex() == want and report.residual == residual
+        assert report.depth_used == depth and report.converged and not report.terminated
 
 
 class TestOneComparison:
