@@ -35,7 +35,7 @@ from .errors import DomainError, ModeMismatchError, PoleError
 from .families import Family, FamilySpec, oracle_value
 from .scalars import DEFAULT_TOLERANCE, Mode, Scalar, ToleranceSpec
 
-EVAL_HEADER = "value,depth_used,converged,terminated,residual"
+EVAL_HEADER = "value,depth_used,converged,terminated,residual,tiny_substitutions"
 TABLE_HEADER = "k,p,q,value,abs_err,rel_err"
 COMPARE_HEADER = "depth,cf_value,oracle_value,rel_err"
 
@@ -180,6 +180,7 @@ def run_eval(cfg: CommandConfig, out: TextIO) -> int:
         "converged": report.converged,
         "terminated": report.terminated,
         "residual": _json_scalar(report.residual),
+        "tiny_substitutions": report.tiny_substitutions,
     }
     _emit_rows(cfg, out, EVAL_HEADER, [row], row)
     return 0 if report.converged or report.terminated else 2

@@ -5,15 +5,20 @@ A generalized continued fraction
     b0 + a1/(b1 + a2/(b2 + a3/(b3 + ...)))
 
 is held as the leading term ``b0`` plus a lazy, deterministic sequence of
-levels ``(a_k, b_k)``, ``k >= 1``.  A vanishing partial numerator is the
-termination signal: if ``a_m == 0`` the value of the fraction is the
-convergent truncated immediately before level ``m`` and deeper levels are
-never consulted.  Each stream decides that zero in its level function, the
-one way into it: a family reads it off its exact law, never off a rounded
-``a``, a user stream tests ``a == 0``, and a tail or transform keeps the
-wrapped stream's.  The stream's :class:`~confrac.scalars.Mode` supplies the
-seeds (``cf.mode.cast(0)``, ``cf.mode.cast(1)``) and the stopping rule's
-finiteness test (``cf.mode.isfinite``).  Terms are computed on each pull.
+levels ``(a_k, b_k)``, ``k >= 1``, computed on each pull.  A vanishing
+partial numerator is the termination signal: if ``a_m == 0`` the value is
+the convergent truncated just before level ``m``.  The evaluators' one way
+in is the stream's walk, ``cf._walk()``, a generator of the levels in order
+that stops before that zero: a family's is its law's loop, which reads the
+zero off the exact law, never off a rounded ``a``; a user stream's reads
+``term_fn(k)`` for k = 1, 2, ... and tests ``a == 0``; :func:`tail` (the
+sub-fraction hanging off a level) and :func:`equivalence_transform` (a
+level-wise rescaling that keeps every convergent value) walk the wrapped
+walk and keep its law's end and exact form.  ``term(k)`` keeps O(1) random
+access through the level function, for callers that pull single levels
+(a tail's head, a per-level probe) and would pay a walk from level 1 for
+each.  The stream's :class:`~confrac.scalars.Mode` supplies the seeds and
+the stopping rule's finiteness test (``cf.mode.isfinite``).
 
 Three evaluation routes with different trade-offs:
 
@@ -44,10 +49,6 @@ coefficient's exact rational), folded on ints and rounded once.  Complex
 mode keeps the route's value, as there is no exact complex type.  Every
 route marks a pole (``q_k = 0``, an infinite fold) as value ``None``, and
 only ``_settle`` raises :class:`PoleError`, for one it would report.
-
-Two structural operations keep the wrapped stream's termination: :func:`tail`
-(the sub-fraction hanging off a given level) and :func:`equivalence_transform`
-(level-wise rescaling that leaves every convergent value unchanged).
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import ModeMismatchError, PoleError
@@ -109,16 +111,10 @@ class CFStream:
     wrapped stream.  Streams are immutable once constructed and safe to share.
     """
 
-    def __init__(self, b0: Scalar, term_fn: TermFn, description: str = ""):
-        self.b0 = b0
-        self.mode = mode_of(b0)
-        self.description = description
-        self._ends = False  # whether a law ends the fraction: only a family's can tell
+    _ends = False  # whether a law ends the fraction: only a family's can tell
 
-        def level(k: int) -> Optional[tuple[Scalar, Scalar, bool]]:  # a == 0 is the zero
-            t = term_fn(k)
-            return None if t is None else (*self._in_mode(k, t.a, t.b), t.a == 0)
-        self._level = level
+    def __init__(self, b0: Scalar, term_fn: TermFn, description: str = ""):
+        self.b0, self.mode, self.description, self._term_fn = b0, mode_of(b0), description, term_fn
 
     @classmethod
     def from_terms(
@@ -136,12 +132,27 @@ class CFStream:
         return cls(b0, term_fn, description)
 
     @classmethod
-    def _from_law(cls, b0: Scalar, level: Callable, description: str) -> "CFStream":
-        # A stream whose level(k) -> (a_k, b_k, zero) or None, zero meaning a_k
-        # ends the fraction, is taken unchecked: a family law or a wrapped level.
+    def _from_law(cls, b0: Scalar, level: Callable, description: str, walk: Optional[Callable] = None,
+                  ends: bool = False, exact: Optional[Callable] = None) -> "CFStream":
+        # A stream whose level(k) -> (a_k, b_k, zero) or None (zero: a_k ends the fraction)
+        # is taken unchecked; walk, ends and exact, where given, are _walk, _ends, _exact.
         cf = cls(b0, None, description)
-        cf._level = level
+        cf._level, cf._walk, cf._ends, cf._exact = level, walk or cf._walk, ends, exact or cf._exact
         return cf
+
+    def _level(self, k: int) -> Optional[tuple[Scalar, Scalar, bool]]:
+        # A user stream's level k, checked: (a_k, b_k, zero), a == 0 the zero.
+        t = self._term_fn(k)
+        return None if t is None else (*self._in_mode(k, t.a, t.b), t.a == 0)
+
+    def _walk(self) -> Iterator[tuple[Scalar, Scalar]]:
+        # The levels in order, (a_k, b_k) for k = 1, 2, ..., up to the zero or
+        # the end of a finite stream: the evaluators' one way in.
+        for k in count(1):
+            ab = self._level(k)
+            if ab is None or ab[2]:
+                return
+            yield ab[0], ab[1]
 
     def _exact(self) -> "CFStream":
         # The same fraction in rational mode, each coefficient the exact rational of
@@ -167,7 +178,7 @@ class CFStream:
         """Level of the stream's termination zero, scanning at most ``within``
         levels; the end of a finite stream counts too.  ``None`` if the
         stream runs past ``within`` levels without terminating."""
-        levels = sum(1 for _ in _levels(self, within))
+        levels = sum(1 for _ in islice(self._walk(), within))
         return levels + 1 if levels < within else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -247,17 +258,19 @@ def _settle(cf: CFStream, steps: Iterable[tuple[int, Optional[Scalar], int]],
             tol: ToleranceSpec, max_depth: int) -> EvalReport:
     # The one stopping rule (see the module docstring).  ``steps`` yields
     # (k, value, substitutions), value None at a pole, and runs out before
-    # max_depth only when the fraction terminates; a fraction its law ends is
-    # walked to its end, and a terminated float walk reports its exact value.
+    # max_depth only when the fraction terminates.  Floats compare inline, as
+    # _within would, with rel_tol·max(|v|, |u|) the larger of the two products.
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     finite, rel_tol, agree = cf.mode.isfinite, _rel_tol(cf.mode, tol), not cf._ends
-    value = None
+    floats, inf, value = cf.mode is Mode.FLOAT, math.inf, None
     for k, step, substitutions in steps:
         prev, value = value, step
         if value is None:
             continue
-        if not finite(value) or agree and prev is not None and _within(value, prev, rel_tol, finite):
+        if not finite(value) or agree and prev is not None and (
+                (d := abs(value - prev)) < inf and (d <= rel_tol * abs(value) or d <= rel_tol * abs(prev))
+                if floats else _within(value, prev, rel_tol, finite)):
             converged, terminated = finite(value), False
             break
     else:
@@ -284,27 +297,14 @@ def _rescale(p, q, p_prev, q_prev):
     return p, q, p_prev, q_prev
 
 
-def _levels(cf: CFStream, depth: int) -> Iterator[tuple[int, Scalar, Scalar]]:
-    # The one walk over a fraction's levels: yields (k, a_k, b_k) for
-    # k = 1..depth, lazily, and stops before the level the stream calls its
-    # termination zero or at the end of a finite stream, so a last k below
-    # depth means the fraction terminated.
-    level = cf._level
-    for k in range(1, depth + 1):
-        ab = level(k)
-        if ab is None or ab[2]:
-            return
-        yield k, ab[0], ab[1]
-
-
 def _forward(cf: CFStream, depth: int) -> Iterator[tuple[int, Scalar, Scalar]]:
     # The forward recurrence (float and complex modes): yields (k, p_k, q_k)
-    # for k = 0..depth along _levels, so a last k below depth means termination.
+    # for k = 0..depth along the walk, so a last k below depth means termination.
     one_ = cf.mode.cast(1)
     p_prev, q_prev = one_, cf.mode.cast(0)
     p, q = cf.b0, one_
     yield 0, p, q
-    for k, a, b in _levels(cf, depth):
+    for k, (a, b) in zip(range(1, depth + 1), cf._walk()):
         p, p_prev = b * p + a * p_prev, p
         q, q_prev = b * q + a * q_prev, q
         p, q, p_prev, q_prev = _rescale(p, q, p_prev, q_prev)
@@ -324,7 +324,7 @@ def _forward_exact(cf: CFStream, depth: int) -> Iterator[tuple[int, int, int, in
     s = cf.b0.denominator
     p_prev, q_prev, p, q, l_prev = s, 0, cf.b0.numerator, s, 1
     yield 0, p, q, s
-    for k, a, b in _levels(cf, depth):
+    for k, (a, b) in zip(range(1, depth + 1), cf._walk()):
         l, a, b = _cleared(a, b)
         a *= l_prev
         p, p_prev = b * p + a * p_prev, p
@@ -368,7 +368,7 @@ def eval_convergents(
 
 
 def _lentz(cf: CFStream, depth: int) -> Iterator[tuple[int, Optional[Scalar], int]]:
-    # Modified Lentz along _levels: yields (k, f_k, substitutions so far)
+    # Modified Lentz along the walk: yields (k, f_k, substitutions so far)
     # for k = 0..depth.  A full fraction (b0 = 0) starts at level 1 with
     # f_1 = a_1/b_1 and C_1 = A_1/A_0 = inf, so that C_2 = b_2 exactly.  A zero
     # d is q_k = 0 (D_k = q_{k-1}/q_k): f_k is None, the stand-in walks on.
@@ -377,7 +377,7 @@ def _lentz(cf: CFStream, depth: int) -> Iterator[tuple[int, Optional[Scalar], in
     f = c = cf.b0
     d = zero = cf.mode.cast(0)
     yield 0, f, substitutions
-    for k, a, b in _levels(cf, depth):
+    for k, (a, b) in zip(range(1, depth + 1), cf._walk()):
         d = b + a * d
         pole = d == 0
         if pole:
@@ -418,22 +418,21 @@ def eval_lentz(
     return _settle(cf, _lentz(cf, max_depth), tol, max_depth)
 
 
-def _fold(b0: Scalar, levels: list[tuple[int, Scalar, Scalar]],
-          rational: bool) -> Optional[Scalar]:
-    # Backward fold of b0 + a_1/(b_1 + ... + a_m/b_m), the (k, a_k, b_k) of
-    # _levels, from an assumed-zero tail.  r is None where a partial value is
+def _fold(b0: Scalar, levels: list[tuple[Scalar, Scalar]], rational: bool) -> Optional[Scalar]:
+    # Backward fold of b0 + a_1/(b_1 + ... + a_m/b_m), the (a_k, b_k) of the
+    # walk, from an assumed-zero tail.  r is None where a partial value is
     # infinite; the level above folds to its b (a/inf = 0), and a None result
     # is a pole, the marker _forward yields at q = 0.
-    b = [b0] + [b for _, _, b in levels]  # b[k] = b_k
-    r = b[-1]
+    b = [b0] + [b for _, b in levels]  # b[k] = b_k
+    r, above = b[-1], zip([a for a, _ in reversed(levels)], reversed(b[:-1]))  # (a_k, b_{k-1})
     if rational:  # on ints, r = num/(l·den): an inner zero is den = 0
         num, den, l = r.numerator, r.denominator, 1
-        for k, a, _ in reversed(levels):  # the pending l goes on the small a
-            l_next, a, bk = _cleared(a, b[k - 1])
-            num, den, l = bk * num + a * l * den, num, l_next
+        for a, b_up in above:  # the pending l goes on the small a
+            l_next, a, b_up = _cleared(a, b_up)
+            num, den, l = b_up * num + a * l * den, num, l_next
         return Fraction(num, l * den) if den else None
-    for k, a, _ in reversed(levels):
-        r = None if r == 0 else b[k - 1] if r is None else b[k - 1] + a / r
+    for a, b_up in above:
+        r = None if r == 0 else b_up if r is None else b_up + a / r
     return r
 
 
@@ -444,7 +443,7 @@ def _rounded_once(cf: CFStream, depth: int, value: Optional[float]) -> Optional[
     # with an inf or nan coefficient keeps value.
     try:
         rational = cf._exact()
-        exact = _fold(rational.b0, list(_levels(rational, depth)), rational=True)
+        exact = _fold(rational.b0, list(islice(rational._walk(), depth)), rational=True)
     except (OverflowError, ValueError):  # Fraction(inf), Fraction(nan)
         return value
     try:
@@ -457,7 +456,7 @@ def _backward(cf: CFStream, depth: int,
               both: bool = False) -> Iterator[tuple[int, Optional[Scalar], int]]:
     # The backward route's steps for _settle: the fold at depth, or the
     # terminated fold, after the fold at depth - 1 when both are asked for.
-    levels, rational = list(_levels(cf, depth)), cf.mode is Mode.RATIONAL
+    levels, rational = list(islice(cf._walk(), depth)), cf.mode is Mode.RATIONAL
     for f in [levels[:-1], levels] if both and len(levels) == depth else [levels]:
         yield len(f), _fold(cf.b0, f, rational), 0
 
@@ -494,7 +493,10 @@ def tail(cf: CFStream, start_level: int) -> CFStream:
     if head is None:
         raise ValueError(f"stream ends before level {start_level}")
     label = f"tail({cf.description or 'cf'}, {start_level})"
-    return CFStream._from_law(head[1], lambda k: cf._level(start_level + k), label)
+    below = cf.termination_level(start_level) is None  # the zero, if any, is deeper
+    walk = (lambda: islice(cf._walk(), start_level, None)) if below else None
+    return CFStream._from_law(head[1], lambda k: cf._level(start_level + k), label, walk,
+                              below and cf._ends, lambda: tail(cf._exact(), start_level))
 
 
 def equivalence_transform(
@@ -518,18 +520,18 @@ def equivalence_transform(
         return v
 
     factor(0)  # a zero c0 is rejected here, not at the first pull
-    last = (0, c0)  # (k, c_k) of the last pull, read whole: in order each c_k is made once
 
-    def level(k: int) -> Optional[tuple[Scalar, Scalar, bool]]:
-        nonlocal last
+    def level(k: int) -> Optional[tuple[Scalar, Scalar, bool]]:  # makes c_k and c_{k-1}
         ab = cf._level(k)
-        if ab is None:
-            return None
-        ck, (j, cj) = factor(k), last
-        last = (k, ck)
-        a = ck * (cj if j == k - 1 else factor(k - 1)) * ab[0]
-        return (*out._in_mode(k, a, ck * ab[1]), ab[2])
+        return ab and (*out._in_mode(k, (ck := factor(k)) * factor(k - 1) * ab[0], ck * ab[1]), ab[2])
 
+    def walk() -> Iterator[tuple[Scalar, Scalar]]:  # in order each c_k is made once
+        ck = c0
+        for k, (a, b) in enumerate(cf._walk(), 1):
+            cj, ck = ck, factor(k)
+            yield out._in_mode(k, ck * cj * a, ck * b)
+
+    exact = lambda: equivalence_transform(cf._exact(), lambda k: 1, Fraction(c0))  # the same value
     b0 = cf.b0 if c0 == 1 else c0 * cf.b0
-    out = CFStream._from_law(b0, level, f"equivalence({cf.description or 'cf'})")
+    out = CFStream._from_law(b0, level, f"equivalence({cf.description or 'cf'})", walk, cf._ends, exact)
     return out

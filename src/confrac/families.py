@@ -36,15 +36,15 @@ Every generator is one call of a private builder, ``_stream``, with its row
 of the law table.  After an optional head level, inner level j is
 ``a_j = α(j)·x^p`` over ``b_j = β(j)·(1 + s·x)``; with a head, inner level
 j is stream level j+1, without one it is level j.  α(j) is an integer
-numerator over the stream's denominator, with N/D = n (lagrange) or n²
-in lowest terms:
+numerator over the stream's denominator, with N/D = n in lowest terms
+(so n² is N²/D², in lowest terms too):
 
     family              b0  head (level 1)     α(j)                   p  β(j)       s
     lagrange-binomial   1   nx/1               ((j+1)/2·D - N)/D odd, 1  2 odd,     -
                                                (j/2·D + N)/D even        j+1 even
-    uniform-binomial    1   nx/(1 + (1-n)x/2)  (N - j²D)/4D           2  2j+1       1/2
-    symmetric-binomial  1   -                  (N - j²D)/D            2  2j+1       -
-    tan-multiple        0   nt/1               (j²D - N)/D            2  2j+1       -
+    uniform-binomial    1   nx/(1 + (1-n)x/2)  (N-jD)(N+jD)/4D²       2  2j+1       1/2
+    symmetric-binomial  1   -                  (N-jD)(N+jD)/D²        2  2j+1       -
+    tan-multiple        0   nt/1               (jD-N)(jD+N)/D²        2  2j+1       -
     arctan              0   t/1                j²/1                   2  2j+1       -
     tan                 0   θ/1                a_j = -(θ·θ)              2j+1       -
     log-ratio           0   2z/1               -j²/1                  2  2j+1       -
@@ -58,8 +58,9 @@ exact zero where α(j), the head's h or x is 0, so an underflowed numerator
 (``x·x`` at x = 1e-200) does not end the fraction.  α(j) is 0 only at a
 nonzero integer n, at level |n| (symmetric), |n|+1 (uniform, tan-multiple),
 2n (lagrange, n > 0) or 2|n|+1 (lagrange, n < 0).  So a stream knows when
-built whether its law ends it, and every evaluator walks it to the end; a
-float walk that ends reports the law read at ``Fraction(x)``, rounded once.
+built whether its law ends it, and every evaluator walks it to the end,
+through the walk that is the law's loop over j; a float walk that ends
+reports the law read at ``Fraction(x)``, rounded once.
 
 :class:`Family` is the one table that maps each family to its generator
 and its oracle (from :mod:`confrac.oracles`); :class:`FamilySpec` and
@@ -72,7 +73,8 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from itertools import count
+from typing import Callable, Iterator, Optional, Union
 
 from .engine import CFStream
 from .errors import DomainError
@@ -90,6 +92,7 @@ from .scalars import Mode, Scalar, as_fraction, mode_of
 
 #: Reject tan_cf arguments closer than this to an odd multiple of pi/2.
 TAN_POLE_GUARD = 1e-8
+_HALF = Fraction(1, 2)  # uniform-binomial's s
 
 
 def _require_finite(value: Scalar, name: str) -> None:
@@ -116,21 +119,20 @@ def _stream(family: str, name: str, x: Scalar, b0: int, alpha: Union[_Law, int],
     ``beta(j)`` defaults to 2j+1 and ``(1 + scale·x)`` is there only when
     ``scale`` is given.  An int ``alpha`` is a fixed sign instead: every
     inner numerator is the one value ``x·x`` or ``-(x·x)``.  With
-    ``head = (h, d)`` level 1 is ``h·x / (1 + d·x)`` and inner level j is
-    level j+1; without a head it is level j.  ``h = None`` puts x itself on
-    top (``complex(1)·x`` would turn a ``-0.0`` imaginary part into
-    ``+0.0``) and ``d = None`` leaves the bare 1.  Float and complex levels
-    multiply in the order ``cast(num / den)·x·x`` (``x·x`` first rounds
-    differently, and overflows to ``0·inf``).  The stream's level function
-    returns ``(a_k, b_k, zero)``, the flag read off the ints as in the
-    module docstring, and so is ``_ends``; ``_exact()`` is this row at
-    ``Fraction(x)``.  The finiteness check comes first, so a generator's own
-    domain checks, which follow the call, only see finite arguments.
+    ``head = (h, d)``, d an int pair (num, den), level 1 is ``h·x / (1 + d·x)``
+    and inner level j is level j+1; without a head it is level j.  ``h =
+    None`` puts x itself on top (``complex(1)·x`` would turn a ``-0.0``
+    imaginary part into ``+0.0``) and ``d = None`` leaves the bare 1.  Float
+    and complex levels multiply in the order ``cast(num / den)·x·x`` (``x·x``
+    first rounds differently, and overflows to ``0·inf``).  The walk and the
+    level function (``(a_k, b_k, zero)`` for ``term(k)``) share these rules,
+    bound once; the zero flag, and ``_ends``, are read off the ints, and
+    ``_exact()`` is this row at ``Fraction(x)``.  The finiteness check comes
+    first, so a generator's own domain checks only see finite arguments.
     """
     _require_finite(x, name)
     cast = mode_of(x).cast
     one = cast(1)
-    fixed = None if callable(alpha) else (x * x if alpha > 0 else -(x * x))
     unit = None if scale is None else one + cast(scale) * x
     if cast is Fraction:  # one Fraction from the law's ints per coefficient
         P, Q = (x ** power).as_integer_ratio()
@@ -140,29 +142,34 @@ def _stream(family: str, name: str, x: Scalar, b0: int, alpha: Union[_Law, int],
     else:
         coef = (lambda m: cast(m / den) * x * x) if power == 2 else lambda m: cast(m / den) * x
         width = cast if unit is None else lambda m: cast(m) * unit
-    shift = 0 if head is None else 1
-    nil = x == 0
+    law = alpha if callable(alpha) else lambda j: alpha  # a fixed sign: never zero, and every
+    coef = coef if law is alpha else lambda m, a=x * x if alpha > 0 else -(x * x): a  # a is ±x·x
+    nil, shift = x == 0, 0 if head is None else 1
+    if head is not None:
+        h, d = head
+        d = None if d is None else Fraction(*d) if cast is Fraction else cast(d[0] / d[1])
+        top = (x if h is None else cast(h) * x, one if d is None else one + d * x, nil or h == 0)
 
     def level(k: int) -> tuple[Scalar, Scalar, bool]:
-        j = k - shift
-        if j == 0:
-            h, d = head
-            return (x if h is None else cast(h) * x, one if d is None else one + cast(d) * x,
-                    nil or h == 0)
-        if fixed is None:
-            num = alpha(j)
-            a, zero = coef(num), nil or num == 0
-        else:
-            a, zero = fixed, nil
-        return a, width(2 * j + 1 if beta is None else beta(j)), zero
+        if (j := k - shift) == 0:
+            return top
+        return coef(num := law(j)), width(2 * j + 1 if beta is None else beta(j)), nil or num == 0
 
-    label = f"{family}({x!r})" if n is None else f"{family}(n={n}, {name}={x!r})"
-    cf = CFStream._from_law(cast(b0), level, label)
+    def walk() -> Iterator[tuple[Scalar, Scalar]]:  # level(k), k = 1, 2, ..., up to the zero
+        if nil or shift and top[2]:
+            return
+        if shift:
+            yield top[:2]
+        for j in count(1):
+            if (num := law(j)) == 0:
+                return
+            yield coef(num), width(2 * j + 1 if beta is None else beta(j))
+
     e = n is not None and n.denominator == 1 and abs(n.numerator)  # α(j) = 0 only at j = e, 2e-1, 2e
-    cf._ends = nil or head and head[0] == 0 or e > 0 and any(alpha(j) == 0 for j in (e, 2 * e - 1, 2 * e))
-    cf._exact = lambda: _stream(family, name, Fraction(x), b0, alpha, den=den, n=n, beta=beta,
-                                power=power, scale=scale, head=head)
-    return cf
+    ends = nil or shift and top[2] or e > 0 and any(law(j) == 0 for j in (e, 2 * e - 1, 2 * e))
+    label = f"{family}({x!r})" if n is None else f"{family}(n={n}, {name}={x!r})"
+    return CFStream._from_law(cast(b0), level, label, walk, ends, lambda: _stream(
+        family, name, Fraction(x), b0, alpha, den=den, n=n, beta=beta, power=power, scale=scale, head=head))
 
 
 def lagrange_binomial(n: Union[int, float, Fraction], x: Scalar) -> CFStream:
@@ -183,9 +190,9 @@ def lagrange_binomial(n: Union[int, float, Fraction], x: Scalar) -> CFStream:
 def uniform_binomial(n: Union[int, float, Fraction], x: Scalar) -> CFStream:
     """Uniform-law stream for (1+x)^n; terminates at level |n|+1 for integer n."""
     n = as_fraction(n)
-    N, D = (n * n).as_integer_ratio()
-    return _stream("uniform-binomial", "x", x, 1, lambda j: N - j * j * D, den=4 * D,
-                   n=n, scale=Fraction(1, 2), head=(n, (1 - n) / 2))
+    N, D = n.as_integer_ratio()
+    return _stream("uniform-binomial", "x", x, 1, lambda j: (N - j * D) * (N + j * D), den=4 * D * D,
+                   n=n, scale=_HALF, head=(n, (D - N, 2 * D)))
 
 
 def symmetric_binomial(n: Union[int, float, Fraction], z: Scalar) -> CFStream:
@@ -196,8 +203,8 @@ def symmetric_binomial(n: Union[int, float, Fraction], z: Scalar) -> CFStream:
     purely imaginary z since z only appears squared).
     """
     n = as_fraction(n)
-    N, D = (n * n).as_integer_ratio()
-    return _stream("symmetric-binomial", "z", z, 1, lambda j: N - j * j * D, den=D, n=n)
+    N, D = n.as_integer_ratio()
+    return _stream("symmetric-binomial", "z", z, 1, lambda j: (N - j * D) * (N + j * D), den=D * D, n=n)
 
 
 def tan_multiple(n: Union[int, float, Fraction], t: Scalar) -> CFStream:
@@ -208,8 +215,8 @@ def tan_multiple(n: Union[int, float, Fraction], t: Scalar) -> CFStream:
     denominator, not here.
     """
     n = as_fraction(n)
-    N, D = (n * n).as_integer_ratio()
-    stream = _stream("tan-multiple", "t", t, 0, lambda j: j * j * D - N, den=D,
+    N, D = n.as_integer_ratio()
+    stream = _stream("tan-multiple", "t", t, 0, lambda j: (j * D - N) * (j * D + N), den=D * D,
                      n=n, head=(n, None))
     _require_real(t, "t")
     return stream

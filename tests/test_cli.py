@@ -52,6 +52,21 @@ class TestEval:
         assert abs(payload["value"] - math.pi / 4) < 1e-12
         assert payload["converged"] is True
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_lentz_stand_in_is_counted(self, capsys, fmt):
+        # (1+1)^3: q_2 = 0, so the Lentz d of level 2 takes the stand-in once
+        code, out, _ = run_cli(
+            capsys, "eval", "--family", "lagrange-binomial", "--n", "3", "--arg", "1",
+            "--method", "lentz", "--format", fmt,
+        )
+        assert code == 0
+        if fmt == "json":
+            payload = strict_json(out)
+            assert payload["value"] == 8.0 and payload["tiny_substitutions"] == 1
+        else:
+            header, row = out.splitlines()
+            assert header.endswith(",tiny_substitutions") and row == "8,5,true,true,0,1"
+
     def test_domain_error_names_the_precondition(self, capsys):
         code, out, err = run_cli(capsys, "eval", "--family", "log-ratio", "--arg", "1.5")
         assert code == 1
@@ -232,8 +247,9 @@ class TestEval:
         )
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "value,depth_used,converged,terminated,residual"
+        assert lines[0] == "value,depth_used,converged,terminated,residual,tiny_substitutions"
         cells = lines[1].split(",")
+        assert cells[5] == "0"
         assert float(cells[0]) == pytest.approx((math.e**2 + 1) / (math.e**2 - 1), rel=1e-12)
         assert cells[2] == "true"
 

@@ -442,6 +442,27 @@ class TestLawThatEnds:
         assert eval_backward(family(n, x), 1000) == want
 
     @FLOAT_WALKS
+    @pytest.mark.parametrize("wrap, want", [
+        (lambda s: tail(s, 1), 3.175706246730358e-44),
+        (lambda s: equivalence_transform(s, lambda k: 2.0), 3.7786870282334686e+45),
+        (lambda s: equivalence_transform(s, lambda k: 2.0, c0=3.0), 1.1336061084700406e+46),
+    ], ids=["tail", "equivalence", "equivalence-c0"])
+    def test_structural_operations_walk_an_ending_law_to_its_end(self, evaluate, wrap, want):
+        # the wrapped law ends at level 800; stopping on agreement reported
+        # -1.15e-15 (tail) and 2.54e17 or -1.04e17 (transform) as converged
+        report = evaluate(wrap(lagrange_binomial(400, 0.3)))
+        assert report.value == want
+        assert report.terminated and report.converged and report.residual == 0.0
+
+    def test_tail_from_past_the_zero_walks_on(self):
+        # the sub-fraction below the law's zero is a fraction of its own
+        cf = lagrange_binomial(3, 0.3)
+        assert cf.termination_level(100) == 6
+        for start in (6, 7):
+            report = eval_lentz(tail(cf, start), TIGHT)
+            assert report.converged and not report.terminated and report.depth_used > 1
+
+    @FLOAT_WALKS
     def test_walk_capped_before_the_zero_is_not_converged(self, evaluate):
         # the law ends at level 800; steps 123 and 124 agree at 2.54e17
         report = evaluate(lagrange_binomial(400, 0.3), ToleranceSpec(1e-12), 150)
