@@ -12,13 +12,14 @@ in is the stream's walk, ``cf._walk()``, a generator of the levels in order
 that stops before that zero: a family's is its law's loop, which reads the
 zero off the exact law, never off a rounded ``a``; a user stream's reads
 ``term_fn(k)`` for k = 1, 2, ... and tests ``a == 0``; :func:`tail` (the
-sub-fraction hanging off a level) and :func:`equivalence_transform` (a
-level-wise rescaling that keeps every convergent value) walk the wrapped
-walk and keep its law's end and exact form.  ``term(k)`` keeps O(1) random
-access through the level function, for callers that pull single levels
-(a tail's head, a per-level probe) and would pay a walk from level 1 for
-each.  The stream's :class:`~confrac.scalars.Mode` supplies the seeds and
-the stopping rule's finiteness test (``cf.mode.isfinite``).
+sub-fraction hanging off a level) walks the wrapped levels from its start,
+and :func:`equivalence_transform` (a level-wise rescaling that keeps every
+convergent value) rescales the wrapped walk; both keep an ending law's end
+and exact form.  ``term(k)`` keeps O(1) random access through the level
+function, for callers that pull single levels (a tail, a per-level probe)
+and would pay a walk from level 1 for each.  The stream's
+:class:`~confrac.scalars.Mode` supplies the seeds and the stopping rule's
+finiteness test (``cf.mode.isfinite``).
 
 Three evaluation routes with different trade-offs:
 
@@ -114,7 +115,10 @@ class CFStream:
     _ends = False  # whether a law ends the fraction: only a family's can tell
 
     def __init__(self, b0: Scalar, term_fn: TermFn, description: str = ""):
-        self.b0, self.mode, self.description, self._term_fn = b0, mode_of(b0), description, term_fn
+        self.b0 = b0
+        self.mode = mode_of(b0)
+        self.description = description
+        self._term_fn = term_fn
 
     @classmethod
     def from_terms(
@@ -137,7 +141,10 @@ class CFStream:
         # A stream whose level(k) -> (a_k, b_k, zero) or None (zero: a_k ends the fraction)
         # is taken unchecked; walk, ends and exact, where given, are _walk, _ends, _exact.
         cf = cls(b0, None, description)
-        cf._level, cf._walk, cf._ends, cf._exact = level, walk or cf._walk, ends, exact or cf._exact
+        cf._level = level
+        cf._walk = walk or cf._walk
+        cf._ends = ends
+        cf._exact = exact or cf._exact
         return cf
 
     def _level(self, k: int) -> Optional[tuple[Scalar, Scalar, bool]]:
@@ -493,10 +500,10 @@ def tail(cf: CFStream, start_level: int) -> CFStream:
     if head is None:
         raise ValueError(f"stream ends before level {start_level}")
     label = f"tail({cf.description or 'cf'}, {start_level})"
-    below = cf.termination_level(start_level) is None  # the zero, if any, is deeper
-    walk = (lambda: islice(cf._walk(), start_level, None)) if below else None
-    return CFStream._from_law(head[1], lambda k: cf._level(start_level + k), label, walk,
-                              below and cf._ends, lambda: tail(cf._exact(), start_level))
+    below = cf._ends and cf.termination_level(start_level) is None  # the law's zero is deeper
+    exact = (lambda: tail(cf._exact(), start_level)) if below else None
+    return CFStream._from_law(head[1], lambda k: cf._level(start_level + k), label,
+                              ends=below, exact=exact)
 
 
 def equivalence_transform(
@@ -523,7 +530,11 @@ def equivalence_transform(
 
     def level(k: int) -> Optional[tuple[Scalar, Scalar, bool]]:  # makes c_k and c_{k-1}
         ab = cf._level(k)
-        return ab and (*out._in_mode(k, (ck := factor(k)) * factor(k - 1) * ab[0], ck * ab[1]), ab[2])
+        if ab is None:
+            return None
+        ck = factor(k)
+        a, b = out._in_mode(k, ck * factor(k - 1) * ab[0], ck * ab[1])
+        return a, b, ab[2]
 
     def walk() -> Iterator[tuple[Scalar, Scalar]]:  # in order each c_k is made once
         ck = c0
@@ -531,7 +542,9 @@ def equivalence_transform(
             cj, ck = ck, factor(k)
             yield out._in_mode(k, ck * cj * a, ck * b)
 
-    exact = lambda: equivalence_transform(cf._exact(), lambda k: 1, Fraction(c0))  # the same value
     b0 = cf.b0 if c0 == 1 else c0 * cf.b0
-    out = CFStream._from_law(b0, level, f"equivalence({cf.description or 'cf'})", walk, cf._ends, exact)
+    label = f"equivalence({cf.description or 'cf'})"
+    # an ending law's exact form is the wrapped one's, unscaled: it has the same value
+    exact = (lambda: equivalence_transform(cf._exact(), lambda k: 1, Fraction(c0))) if cf._ends else None
+    out = CFStream._from_law(b0, level, label, walk, cf._ends, exact)
     return out

@@ -142,18 +142,25 @@ def _stream(family: str, name: str, x: Scalar, b0: int, alpha: Union[_Law, int],
     else:
         coef = (lambda m: cast(m / den) * x * x) if power == 2 else lambda m: cast(m / den) * x
         width = cast if unit is None else lambda m: cast(m) * unit
-    law = alpha if callable(alpha) else lambda j: alpha  # a fixed sign: never zero, and every
-    coef = coef if law is alpha else lambda m, a=x * x if alpha > 0 else -(x * x): a  # a is ±x·x
-    nil, shift = x == 0, 0 if head is None else 1
+    law = alpha
+    if not callable(alpha):  # a fixed sign: every inner numerator is ±x·x, never a zero
+        fixed = x * x if alpha > 0 else -(x * x)
+        law = lambda j: alpha
+        coef = lambda m: fixed
+    nil = x == 0
+    shift = 0 if head is None else 1
     if head is not None:
         h, d = head
-        d = None if d is None else Fraction(*d) if cast is Fraction else cast(d[0] / d[1])
+        if d is not None:
+            d = Fraction(*d) if cast is Fraction else cast(d[0] / d[1])
         top = (x if h is None else cast(h) * x, one if d is None else one + d * x, nil or h == 0)
 
     def level(k: int) -> tuple[Scalar, Scalar, bool]:
-        if (j := k - shift) == 0:
+        j = k - shift
+        if j == 0:
             return top
-        return coef(num := law(j)), width(2 * j + 1 if beta is None else beta(j)), nil or num == 0
+        num = law(j)
+        return coef(num), width(2 * j + 1 if beta is None else beta(j)), nil or num == 0
 
     def walk() -> Iterator[tuple[Scalar, Scalar]]:  # level(k), k = 1, 2, ..., up to the zero
         if nil or shift and top[2]:
@@ -161,15 +168,17 @@ def _stream(family: str, name: str, x: Scalar, b0: int, alpha: Union[_Law, int],
         if shift:
             yield top[:2]
         for j in count(1):
-            if (num := law(j)) == 0:
+            num = law(j)
+            if num == 0:
                 return
             yield coef(num), width(2 * j + 1 if beta is None else beta(j))
 
     e = n is not None and n.denominator == 1 and abs(n.numerator)  # α(j) = 0 only at j = e, 2e-1, 2e
     ends = nil or shift and top[2] or e > 0 and any(law(j) == 0 for j in (e, 2 * e - 1, 2 * e))
     label = f"{family}({x!r})" if n is None else f"{family}(n={n}, {name}={x!r})"
-    return CFStream._from_law(cast(b0), level, label, walk, ends, lambda: _stream(
-        family, name, Fraction(x), b0, alpha, den=den, n=n, beta=beta, power=power, scale=scale, head=head))
+    exact = lambda: _stream(family, name, Fraction(x), b0, alpha, den=den, n=n, beta=beta,
+                            power=power, scale=scale, head=head)
+    return CFStream._from_law(cast(b0), level, label, walk, ends, exact)
 
 
 def lagrange_binomial(n: Union[int, float, Fraction], x: Scalar) -> CFStream:

@@ -462,6 +462,22 @@ class TestLawThatEnds:
             report = eval_lentz(tail(cf, start), TIGHT)
             assert report.converged and not report.terminated and report.depth_used > 1
 
+    @pytest.mark.parametrize("wrapped, healthy", [
+        (lambda: equivalence_transform(arctan_cf(0.5), lambda k: 0.0 if k == 2 else 1.0),
+         lambda: arctan_cf(0.5)),
+        (lambda: CFStream(1.0, lambda k: CFTerm(Fraction(1), Fraction(3)) if k == 2 else CFTerm(1.0, 3.0)),
+         lambda: CFStream(1.0, lambda k: CFTerm(1.0, 3.0))),
+    ], ids=["zero-scale", "wrong-mode"])
+    def test_tail_reads_no_level_above_its_start(self, wrapped, healthy):
+        # only a tail of an ending law scans the levels above it for the
+        # zero; these fail at level 2, which a tail from level 5 never reads
+        cf = wrapped()
+        with pytest.raises((ValueError, ModeMismatchError)):
+            cf.term(2)
+        report = eval_lentz(tail(cf, 5), TIGHT)
+        assert report.converged and not report.terminated
+        assert report == eval_lentz(tail(healthy(), 5), TIGHT)
+
     @FLOAT_WALKS
     def test_walk_capped_before_the_zero_is_not_converged(self, evaluate):
         # the law ends at level 800; steps 123 and 124 agree at 2.54e17
