@@ -7,19 +7,19 @@ A generalized continued fraction
 is held as the leading term ``b0`` plus a lazy, deterministic sequence of
 levels ``(a_k, b_k)``, ``k >= 1``, computed on each pull.  A vanishing
 partial numerator is the termination signal: if ``a_m == 0`` the value is
-the convergent truncated just before level ``m``.  The evaluators' one way
-in is the stream's walk, ``cf._walk()``, a generator of the levels in order
-that stops before that zero: a family's is its law's loop, which reads the
-zero off the exact law, never off a rounded ``a``; a user stream's reads
-``term_fn(k)`` for k = 1, 2, ... and tests ``a == 0``; :func:`tail` (the
-sub-fraction hanging off a level) walks the wrapped levels from its start,
-and :func:`equivalence_transform` (a level-wise rescaling that keeps every
-convergent value) rescales the wrapped walk; both keep an ending law's end
-and exact form.  ``term(k)`` keeps O(1) random access through the level
-function, for callers that pull single levels (a tail, a per-level probe)
-and would pay a walk from level 1 for each.  The stream's
-:class:`~confrac.scalars.Mode` supplies the seeds and the stopping rule's
-finiteness test (``cf.mode.isfinite``).
+the convergent truncated just before level ``m``.  The evaluators' way in
+is the stream's walk, ``cf._walk()`` (in rational mode its int form, see
+below), a generator of the levels in order that stops before that zero: a
+family's is its law's loop, which reads the zero off the exact law, never
+off a rounded ``a``; a user stream's reads ``term_fn(k)`` for k = 1, 2, ...
+and tests ``a == 0``; :func:`tail` (the sub-fraction hanging off a level)
+walks the wrapped levels from its start, and :func:`equivalence_transform`
+(a level-wise rescaling that keeps every convergent value) rescales the
+wrapped walk; both keep an ending law's end and exact form.  ``term(k)``
+keeps O(1) random access through the level function, for callers that
+pull single levels (a tail, a per-level probe) and would pay a walk from
+level 1 for each.  The stream's :class:`~confrac.scalars.Mode` supplies
+the seeds and the stopping rule's finiteness test (``cf.mode.isfinite``).
 
 Three evaluation routes with different trade-offs:
 
@@ -35,21 +35,24 @@ Three evaluation routes with different trade-offs:
   fixed depth; reproduces the depth-truncated convergent exactly in
   rational mode, also when an inner partial value is infinite.
 
-Rational routes run on Python ints: level ``k`` is first multiplied through
-by the lcm ``l`` of its term denominators (an equivalence transform), the
-carried ``l`` goes on the next level's small coefficient, not on the big
-row, and a value is reduced, to one ``Fraction``, only when it is read.
+Rational routes run on Python ints, read off the int walk ``cf._ints()``
+(each level's reduced pairs ``(a_num, a_den, b_num, b_den)``; a family's
+come straight from its law): level ``k`` is first multiplied through by the
+lcm ``l`` of its term denominators (an equivalence transform), the carried
+``l`` goes on the next level's small coefficient, not on the big row, and a
+value is reduced, to one ``Fraction``, only when it is read.
 
 Every route's report comes from one stopping rule, ``_settle``, and so does
 :func:`eval_backward`'s bare value: stop at the first two successive values
 that agree, unless the stream's law ends it (``cf._ends``), or at the first
-non-finite one (not converged); a walk that runs out has terminated, unless
-at the cap.  A terminated float walk reports its exact value: its rational
-form ``cf._exact()`` (a family's law at ``Fraction(x)``, else each binary
-coefficient's exact rational), folded on ints and rounded once.  Complex
-mode keeps the route's value, as there is no exact complex type.  Every
-route marks a pole (``q_k = 0``, an infinite fold) as value ``None``, and
-only ``_settle`` raises :class:`PoleError`, for one it would report.
+non-finite one (not converged), unless a law ends the float walk; a walk
+that runs out has terminated, unless at the cap.  A terminated float walk
+reports its exact value: its rational form ``cf._exact()`` (a family's law
+at ``Fraction(x)``, else each binary coefficient's exact rational), folded
+on ints and rounded once, by int true division.  Complex mode keeps the
+route's value, as there is no exact complex type.  Every route marks a pole
+(``q_k = 0``, an infinite fold) as value ``None``, and only ``_settle``
+raises :class:`PoleError`, for one it would report.
 """
 
 from __future__ import annotations
@@ -137,14 +140,18 @@ class CFStream:
 
     @classmethod
     def _from_law(cls, b0: Scalar, level: Callable, description: str, walk: Optional[Callable] = None,
-                  ends: bool = False, exact: Optional[Callable] = None) -> "CFStream":
+                  ends: bool = False, exact: Optional[Callable] = None,
+                  ints: Optional[Callable] = None) -> "CFStream":
         # A stream whose level(k) -> (a_k, b_k, zero) or None (zero: a_k ends the fraction)
-        # is taken unchecked; walk, ends and exact, where given, are _walk, _ends, _exact.
+        # is taken unchecked; walk, ends, exact and ints, where given, are _walk, _ends, _exact,
+        # _ints, else the class's methods apply (the stream's own bound method stored in its
+        # __dict__ would be a cycle, which only the cyclic collector frees).
         cf = cls(b0, None, description)
         cf._level = level
-        cf._walk = walk or cf._walk
         cf._ends = ends
-        cf._exact = exact or cf._exact
+        for name, given in (("_walk", walk), ("_exact", exact), ("_ints", ints)):
+            if given is not None:
+                setattr(cf, name, given)
         return cf
 
     def _level(self, k: int) -> Optional[tuple[Scalar, Scalar, bool]]:
@@ -154,12 +161,18 @@ class CFStream:
 
     def _walk(self) -> Iterator[tuple[Scalar, Scalar]]:
         # The levels in order, (a_k, b_k) for k = 1, 2, ..., up to the zero or
-        # the end of a finite stream: the evaluators' one way in.
+        # the end of a finite stream: the float and complex evaluators' way in.
         for k in count(1):
             ab = self._level(k)
             if ab is None or ab[2]:
                 return
             yield ab[0], ab[1]
+
+    def _ints(self) -> Iterator[tuple[int, int, int, int]]:
+        # Rational mode: the walk's levels as the reduced int pairs (a_num, a_den,
+        # b_num, b_den), denominators positive; the rational kernels' way in.
+        for a, b in self._walk():
+            yield a.numerator, a.denominator, b.numerator, b.denominator
 
     def _exact(self) -> "CFStream":
         # The same fraction in rational mode, each coefficient the exact rational of
@@ -271,11 +284,12 @@ def _settle(cf: CFStream, steps: Iterable[tuple[int, Optional[Scalar], int]],
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     finite, rel_tol, agree = cf.mode.isfinite, _rel_tol(cf.mode, tol), not cf._ends
     floats, inf, value = cf.mode is Mode.FLOAT, math.inf, None
+    walk_on = floats and cf._ends  # past a non-finite value, to the zero: _rounded_once answers
     for k, step, substitutions in steps:
         prev, value = value, step
         if value is None:
             continue
-        if not finite(value) or agree and prev is not None and (
+        if not (finite(value) or walk_on) or agree and prev is not None and (
                 (d := abs(value - prev)) < inf and (d <= rel_tol * abs(value) or d <= rel_tol * abs(prev))
                 if floats else _within(value, prev, rel_tol, finite)):
             converged, terminated = finite(value), False
@@ -310,18 +324,20 @@ def _forward(cf: CFStream, depth: int) -> Iterator[tuple[int, Scalar, Scalar]]:
     one_ = cf.mode.cast(1)
     p_prev, q_prev = one_, cf.mode.cast(0)
     p, q = cf.b0, one_
+    floats, low, high = cf.mode is Mode.FLOAT, 1 / _RESCALE_BOUND, _RESCALE_BOUND
     yield 0, p, q
     for k, (a, b) in zip(range(1, depth + 1), cf._walk()):
         p, p_prev = b * p + a * p_prev, p
         q, q_prev = b * q + a * q_prev, q
-        p, q, p_prev, q_prev = _rescale(p, q, p_prev, q_prev)
+        if not (floats and low < abs(q) < high and abs(p) < high):  # else inside the window
+            p, q, p_prev, q_prev = _rescale(p, q, p_prev, q_prev)
         yield k, p, q
 
 
-def _cleared(a: Scalar, b: Scalar) -> tuple[int, int, int]:
-    # (l, l·a, l·b) as ints, l = lcm of the denominators of two exact terms
-    l = math.lcm(a.denominator, b.denominator)
-    return l, a.numerator * (l // a.denominator), b.numerator * (l // b.denominator)
+def _cleared(a_num: int, a_den: int, b_num: int, b_den: int) -> tuple[int, int, int]:
+    # (l, l·a, l·b) for a = a_num/a_den and b = b_num/b_den, l = lcm(a_den, b_den)
+    l = math.lcm(a_den, b_den)
+    return l, a_num * (l // a_den), b_num * (l // b_den)
 
 
 def _forward_exact(cf: CFStream, depth: int) -> Iterator[tuple[int, int, int, int]]:
@@ -331,8 +347,8 @@ def _forward_exact(cf: CFStream, depth: int) -> Iterator[tuple[int, int, int, in
     s = cf.b0.denominator
     p_prev, q_prev, p, q, l_prev = s, 0, cf.b0.numerator, s, 1
     yield 0, p, q, s
-    for k, (a, b) in zip(range(1, depth + 1), cf._walk()):
-        l, a, b = _cleared(a, b)
+    for k, level in zip(range(1, depth + 1), cf._ints()):
+        l, a, b = _cleared(*level)
         a *= l_prev
         p, p_prev = b * p + a * p_prev, p
         q, q_prev = b * q + a * q_prev, q
@@ -425,45 +441,55 @@ def eval_lentz(
     return _settle(cf, _lentz(cf, max_depth), tol, max_depth)
 
 
-def _fold(b0: Scalar, levels: list[tuple[Scalar, Scalar]], rational: bool) -> Optional[Scalar]:
+def _fold(b0: Scalar, levels: list[tuple], rational: bool) -> Optional[Scalar]:
     # Backward fold of b0 + a_1/(b_1 + ... + a_m/b_m), the (a_k, b_k) of the
-    # walk, from an assumed-zero tail.  r is None where a partial value is
-    # infinite; the level above folds to its b (a/inf = 0), and a None result
-    # is a pole, the marker _forward yields at q = 0.
+    # walk (rational: of _ints()), from an assumed-zero tail.  r is None where
+    # a partial value is infinite; the level above folds to its b (a/inf = 0),
+    # and a None result is a pole, the marker _forward yields at q = 0.
+    if rational:
+        num, den = _fold_exact(b0, levels)
+        return Fraction(num, den) if den else None
     b = [b0] + [b for _, b in levels]  # b[k] = b_k
     r, above = b[-1], zip([a for a, _ in reversed(levels)], reversed(b[:-1]))  # (a_k, b_{k-1})
-    if rational:  # on ints, r = num/(l·den): an inner zero is den = 0
-        num, den, l = r.numerator, r.denominator, 1
-        for a, b_up in above:  # the pending l goes on the small a
-            l_next, a, b_up = _cleared(a, b_up)
-            num, den, l = b_up * num + a * l * den, num, l_next
-        return Fraction(num, l * den) if den else None
     for a, b_up in above:
         r = None if r == 0 else b_up if r is None else b_up + a / r
     return r
 
 
+def _fold_exact(b0: Scalar, levels: list[tuple[int, int, int, int]]) -> tuple[int, int]:
+    # _fold on the ints of _ints(): (num, den), the value num/den unreduced with
+    # den >= 0 (0 / -5 would round to -0.0), and a pole is den = 0.
+    ups = [(b0.numerator, b0.denominator)] + [(b_num, b_den) for _, _, b_num, b_den in levels]
+    (num, den), l = ups.pop(), 1  # r = num/(l·den); the pending l goes on the small a
+    for (a_num, a_den, _, _), (b_num, b_den) in zip(reversed(levels), reversed(ups)):
+        l_next, a, b_up = _cleared(a_num, a_den, b_num, b_den)
+        num, den, l = b_up * num + a * l * den, num, l_next
+    return (num, l * den) if den >= 0 else (-num, -l * den)
+
+
 def _rounded_once(cf: CFStream, depth: int, value: Optional[float]) -> Optional[float]:
     # The value of a float fraction that terminated after depth levels: the
     # same fraction in rational mode, cf._exact(), folded on ints and rounded
-    # once.  None at an exact pole, ±inf past the float range; a copied level
-    # with an inf or nan coefficient keeps value.
+    # once by int true division, as float(Fraction) rounds.  None at an exact
+    # pole, ±inf past the float range; a copied level with an inf or nan
+    # coefficient keeps value.
     try:
         rational = cf._exact()
-        exact = _fold(rational.b0, list(islice(rational._walk(), depth)), rational=True)
+        num, den = _fold_exact(rational.b0, list(islice(rational._ints(), depth)))
     except (OverflowError, ValueError):  # Fraction(inf), Fraction(nan)
         return value
     try:
-        return None if exact is None else float(exact)
-    except OverflowError:  # float(exact) raises past the float range
-        return math.inf if exact > 0 else -math.inf
+        return None if den == 0 else num / den
+    except OverflowError:  # num / den raises past the float range
+        return math.inf if num > 0 else -math.inf
 
 
 def _backward(cf: CFStream, depth: int,
               both: bool = False) -> Iterator[tuple[int, Optional[Scalar], int]]:
     # The backward route's steps for _settle: the fold at depth, or the
     # terminated fold, after the fold at depth - 1 when both are asked for.
-    levels, rational = list(islice(cf._walk(), depth)), cf.mode is Mode.RATIONAL
+    rational = cf.mode is Mode.RATIONAL
+    levels = list(islice(cf._ints() if rational else cf._walk(), depth))
     for f in [levels[:-1], levels] if both and len(levels) == depth else [levels]:
         yield len(f), _fold(cf.b0, f, rational), 0
 

@@ -50,9 +50,11 @@ numerator over the stream's denominator, with N/D = n in lowest terms
     log-ratio           0   2z/1               -j²/1                  2  2j+1       -
     coth-scaled         1   -                  a_j = v·v                 2j+1       -
 
-Each coefficient is one ``Fraction`` from the law's ints in rational mode
-(``Fraction(num·P, den·Q)``, x^p = P/Q), else ``num / den`` correctly
-rounded and cast to ``float`` or ``complex``: a rule fixed per stream.
+In rational mode a coefficient is ``num·P/(den·Q)`` (x^p = P/Q) in lowest
+terms, one gcd: ``term(k)`` gives it as a ``Fraction``, and the int walk
+``_ints()`` as an int pair for the exact kernels.  Otherwise it is
+``num / den`` correctly rounded and cast to ``float`` or ``complex``: a
+rule fixed per stream.
 Termination is read off the ints, never a rounded product: a level is the
 exact zero where α(j), the head's h or x is 0, so an underflowed numerator
 (``x·x`` at x = 1e-200) does not end the fraction.  α(j) is 0 only at a
@@ -124,17 +126,18 @@ def _stream(family: str, name: str, x: Scalar, b0: int, alpha: Union[_Law, int],
     None`` puts x itself on top (``complex(1)·x`` would turn a ``-0.0``
     imaginary part into ``+0.0``) and ``d = None`` leaves the bare 1.  Float
     and complex levels multiply in the order ``cast(num / den)·x·x`` (``x·x``
-    first rounds differently, and overflows to ``0·inf``).  The walk and the
-    level function (``(a_k, b_k, zero)`` for ``term(k)``) share these rules,
-    bound once; the zero flag, and ``_ends``, are read off the ints, and
-    ``_exact()`` is this row at ``Fraction(x)``.  The finiteness check comes
-    first, so a generator's own domain checks only see finite arguments.
+    first rounds differently, and overflows to ``0·inf``).  The walk, the
+    level function (``(a_k, b_k, zero)`` for ``term(k)``) and, in rational
+    mode, the int walk share these rules, bound once; the zero flag, and
+    ``_ends``, are read off the ints, and ``_exact()`` is this row at
+    ``Fraction(x)``.  The finiteness check comes first, so a generator's own
+    domain checks only see finite arguments.
     """
     _require_finite(x, name)
     cast = mode_of(x).cast
     one = cast(1)
     unit = None if scale is None else one + cast(scale) * x
-    if cast is Fraction:  # one Fraction from the law's ints per coefficient
+    if cast is Fraction:  # num·P/(den·Q) and β·U/V in lowest terms, x^power = P/Q, unit = U/V
         P, Q = (x ** power).as_integer_ratio()
         U, V = (1, 1) if unit is None else unit.as_integer_ratio()
         coef = lambda m: Fraction(m * P, den * Q)
@@ -173,12 +176,26 @@ def _stream(family: str, name: str, x: Scalar, b0: int, alpha: Union[_Law, int],
                 return
             yield coef(num), width(2 * j + 1 if beta is None else beta(j))
 
+    def ints() -> Iterator[tuple[int, int, int, int]]:  # walk() on ints, in rational mode
+        if nil or shift and top[2]:
+            return
+        if shift:
+            yield top[0].numerator, top[0].denominator, top[1].numerator, top[1].denominator
+        for j in count(1):
+            num = law(j)
+            if num == 0:
+                return
+            a, b = num * P, (2 * j + 1 if beta is None else beta(j)) * U
+            g, h = math.gcd(a, den * Q), math.gcd(b, V)  # one gcd each, as Fraction(a, den·Q)
+            yield a // g, den * Q // g, b // h, V // h
+
     e = n is not None and n.denominator == 1 and abs(n.numerator)  # α(j) = 0 only at j = e, 2e-1, 2e
     ends = nil or shift and top[2] or e > 0 and any(law(j) == 0 for j in (e, 2 * e - 1, 2 * e))
     label = f"{family}({x!r})" if n is None else f"{family}(n={n}, {name}={x!r})"
     exact = lambda: _stream(family, name, Fraction(x), b0, alpha, den=den, n=n, beta=beta,
                             power=power, scale=scale, head=head)
-    return CFStream._from_law(cast(b0), level, label, walk, ends, exact)
+    return CFStream._from_law(cast(b0), level, label, walk, ends, exact,
+                              ints if cast is Fraction else None)
 
 
 def lagrange_binomial(n: Union[int, float, Fraction], x: Scalar) -> CFStream:

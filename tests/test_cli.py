@@ -192,6 +192,22 @@ class TestEval:
         assert payload["value"] == want == float((1 + Fraction(float(arg))) ** int(n))
         assert payload["terminated"] is True and payload["converged"] is True
 
+    @pytest.mark.parametrize("method", ["lentz", "convergents", "backward"])
+    def test_law_that_ends_is_walked_past_an_overflowed_value(self, capsys, method):
+        # 1 + 8z²/(3 + 5z²/5): 8z² overflows at z = 1e160, the law's exact value rounds to 9
+        code, out, _ = run_cli(capsys, "eval", "--family", "symmetric-binomial", "--n", "3",
+                               "--arg", "1e160", "--method", method, "--depth", "12")
+        payload = strict_json(out)
+        assert code == 0 and payload["value"] == 9.0 and payload["depth_used"] == 2
+        assert payload["terminated"] is True and payload["converged"] is True
+
+    def test_law_capped_past_an_overflowed_value_exits_two(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "--family", "symmetric-binomial", "--n", "30",
+                               "--arg", "1e160", "--depth", "10")
+        payload = strict_json(out)
+        assert code == 2 and payload["depth_used"] == 10 and payload["value"] == "nan"
+        assert payload["converged"] is False and payload["terminated"] is False
+
     def test_law_capped_before_its_zero_exits_two(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--family", "lagrange-binomial", "--n", "400",
                                "--arg", "0.3", "--depth", "150")

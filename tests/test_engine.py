@@ -1,12 +1,15 @@
 """Engine tests: forward recurrence, Lentz, backward folding, tails,
 equivalence transforms, termination semantics."""
 
+import gc
 import math
 import random
 import sys
 import threading
 import time
+import weakref
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -42,6 +45,8 @@ from confrac import (
     tan_multiple,
     uniform_binomial,
 )
+import confrac.engine as engine
+from confrac.engine import _fold, _forward_exact
 
 TIGHT = ToleranceSpec(rel_tol=1e-13)
 
@@ -122,6 +127,15 @@ class TestConvergents:
         assert convergents(cf, 2)[-1].value == 1e100
         report = eval_convergents(cf, TIGHT, 50)
         assert report.value == 1e100 and report.terminated
+
+    def test_float_walk_inside_the_window_is_not_rescaled(self, monkeypatch):
+        # floats test the window on |p| and |q| inline; complex values keep the call
+        calls, rescale = [], engine._rescale
+        monkeypatch.setattr(engine, "_rescale", lambda *pq: calls.append(pq) or rescale(*pq))
+        convergents(arctan_cf(0.5), 30)
+        assert calls == []
+        convergents(symmetric_binomial(2.5, 0.5j), 30)
+        assert len(calls) == 30
 
     def test_termination_level_scan(self):
         assert symmetric_binomial(3, Fraction(1, 2)).termination_level(30) == 3
@@ -360,7 +374,8 @@ class TestStoppingRule:
         "evaluate, stream, depth_used",
         [
             pytest.param(eval_lentz, coth_scaled_cf(1e160), 1, id="lentz-coth"),
-            pytest.param(eval_convergents, uniform_binomial(3, 1e160), 2,
+            # the law ends at level 4: walked on to its zero, the exact value is past the range
+            pytest.param(eval_convergents, uniform_binomial(3, 1e160), 3,
                          id="convergents-uniform"),
         ],
     )
@@ -405,6 +420,25 @@ class TestTerminatedFloatWalk:
         assert report.value == math.inf and math.isnan(report.residual)
         assert not report.converged and not report.terminated
         assert eval_backward(lagrange_binomial(3, 1e103), 12) == math.inf
+
+    @FLOAT_WALKS
+    def test_law_that_ends_is_walked_past_a_non_finite_value(self, evaluate):
+        # a_1 = -3·x·x/4 overflows at x = 1e160; the walk once stopped there on nan
+        report = evaluate(uniform_binomial(-2, 1e160))
+        assert report.value == float((1 + Fraction(1e160)) ** -2) == 1e-320
+        assert report.terminated and report.converged and report.depth_used == 2
+        assert eval_backward(uniform_binomial(-2, 1e160), 5) == 1e-320
+
+    @FLOAT_WALKS
+    def test_non_finite_value_still_ends_a_complex_walk(self, evaluate):
+        report = evaluate(symmetric_binomial(3, complex(1e160, 0.0)))
+        assert report.depth_used == 1 and not report.converged and not report.terminated
+
+    def test_exact_zero_is_a_positive_zero(self):
+        # 1 + 1/(-1): the fold's ints are 0 over -1, and 0 / -1 would round to -0.0
+        cf = CFStream.from_terms(1.0, [(1.0, -1.0)])
+        for value in (eval_lentz(cf).value, eval_convergents(cf).value, eval_backward(cf, 5)):
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_infinite_coefficient_keeps_the_route_value(self):
         # 1 + 1/inf has no exact rational form; the float fold's 1.0 stands
@@ -710,6 +744,19 @@ class TestExactKernel:
         # 150 levels of factors carried from level to level in both kernels
         _assert_exact_routes_match_reference(cf, 150)
 
+    @pytest.mark.parametrize("cf", [
+        tan_cf(Fraction(2, 3)),
+        coth_scaled_cf(Fraction(-4, 3)),
+        uniform_binomial(Fraction(7, 3), Fraction(-2, 5)),
+    ], ids=lambda cf: cf.description)
+    def test_family_int_walk_matches_a_user_copy(self, cf):
+        # fixed-sign α (tan, coth-scaled) and a head with d (uniform): the law's int
+        # pairs against the default ones, read off the Fractions of term(k)
+        copy = CFStream.from_terms(cf.b0, [cf.term(k) for k in range(1, 151)])
+        assert list(_forward_exact(cf, 150)) == list(_forward_exact(copy, 150))
+        folds = [_fold(s.b0, list(islice(s._ints(), 150)), rational=True) for s in (cf, copy)]
+        assert folds[0] == folds[1] and type(folds[0]) is Fraction
+
     def test_integer_stream_values_are_fractions(self):
         # int / int would be a float; every rational route returns a Fraction
         cf = CFStream.from_terms(1, [(1, 2), (3, 4)])
@@ -837,6 +884,28 @@ class TestEquivalenceTransform:
         c0 = Fraction(1, 3)
         out = equivalence_transform(cf, lambda k: Fraction(1), c0=c0)
         assert convergents(out, 6)[-1].value == c0 * convergents(cf, 6)[-1].value
+
+
+class TestStreamLifetime:
+    @pytest.mark.parametrize("build", [
+        lambda: arctan_cf(0.5),
+        lambda: symmetric_binomial(Fraction(5, 2), Fraction(1, 5)),
+        lambda: tail(arctan_cf(0.5), 2),
+        lambda: CFStream.from_terms(1.0, [(1.0, 2.0)]),  # terminated: the walk builds _exact()
+    ], ids=["float-family", "rational-family", "tail", "user"])
+    def test_stream_is_freed_without_the_cyclic_collector(self, build):
+        # a stream that held its own bound method in __dict__ would be a cycle, and
+        # every evaluation builds a fresh stream
+        gc.collect()
+        gc.disable()
+        try:
+            cf = build()
+            eval_convergents(cf, TIGHT, 40)
+            freed = weakref.ref(cf)
+            del cf
+            assert freed() is None
+        finally:
+            gc.enable()
 
 
 class TestTerminationSemantics:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from confrac import (
     EXACT,
+    CFStream,
     DomainError,
     Family,
     FamilySpec,
@@ -376,6 +377,14 @@ TERMINATION_LEVEL = {
 REAL_ONLY = (Family.TAN_MULTIPLE, Family.ARCTAN, Family.TAN, Family.LOG_RATIO)
 
 
+def _assert_int_walk_reads_the_terms(stream):
+    # a rational family's int walk, read off its law, against the default int walk
+    # of a user copy, read off the lowest-terms Fractions of term(k) for k = 1..40
+    copy = CFStream.from_terms(stream.b0, [stream.term(k) for k in range(1, 41)])
+    ints = list(islice(stream._ints(), 40))
+    assert ints == list(copy._ints()) and all(type(i) is int for level in ints for i in level)
+
+
 class TestIntegerLaws:
     """The integer coefficient laws reproduce the exact-coefficient formula
     bit for bit in every mode, and keep the integer-exponent zero exact."""
@@ -406,6 +415,24 @@ class TestIntegerLaws:
             t = stream.term(k)
             want = _reference_term(family, Fraction(n), x, k)
             assert (_bits(t.a), _bits(t.b)) == tuple(map(_bits, want))
+
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_int_walk_is_the_walk_of_the_terms(self, family):
+        exponents = LAW_EXPONENTS if family.takes_n else [None]
+        for n in exponents:
+            for x in LAW_ARGS["rational"]:
+                _assert_int_walk_reads_the_terms(family.generator(n, x) if family.takes_n
+                                                 else family.generator(x))
+
+    @given(st.sampled_from(list(Family)),
+           st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=8)),
+           st.fractions(Fraction(-19, 20), Fraction(19, 20), max_denominator=50))
+    def test_int_walk_is_the_walk_of_the_terms_at_any_argument(self, family, n, x):
+        try:
+            stream = family.generator(n, x) if family.takes_n else family.generator(x)
+        except DomainError:
+            assume(False)
+        _assert_int_walk_reads_the_terms(stream)
 
     @pytest.mark.parametrize("mode", list(LAW_ARGS))
     @pytest.mark.parametrize("family", list(TERMINATION_LEVEL), ids=lambda f: f.value)
