@@ -37,22 +37,28 @@ Three evaluation routes with different trade-offs:
 
 Rational routes run on Python ints, read off the int walk ``cf._ints()``
 (each level's reduced pairs ``(a_num, a_den, b_num, b_den)``; a family's
-come straight from its law): level ``k`` is first multiplied through by the
-lcm ``l`` of its term denominators (an equivalence transform), the carried
-``l`` goes on the next level's small coefficient, not on the big row, and a
-value is reduced, to one ``Fraction``, only when it is read.
+come straight from its law) and made integral by the least clearing factors
+(an equivalence transform): ``c_0`` is the denominator of ``b0``,
+``c_k = lcm(den b_k, den a_k / gcd(den a_k, c_{k-1}))``, and level ``k``
+becomes ``c_k·c_{k-1}·a_k`` over ``c_k·b_k``.  The factor ``c_{k-1}``, which
+the row above already carries, clears what it can of ``a_k`` before ``c_k``
+is chosen.  So at a constant ``a``-denominator ``d`` and integral ``b``,
+``c_k`` alternates ``d`` and 1, and the rows grow by ``d`` every other level;
+multiplying each level by its own ``lcm(den a_k, den b_k)`` grew them by ``d``
+every level.  A value is reduced, to one ``Fraction``, only when it is read.
 
 Every route's report comes from one stopping rule, ``_settle``, and so does
 :func:`eval_backward`'s bare value: stop at the first two successive values
-that agree, unless the stream's law ends it (``cf._ends``), or at the first
-non-finite one (not converged), unless a law ends the float walk; a walk
-that runs out has terminated, unless at the cap.  A terminated float walk
-reports its exact value: its rational form ``cf._exact()`` (a family's law
-at ``Fraction(x)``, else each binary coefficient's exact rational), folded
-on ints and rounded once, by int true division.  Complex mode keeps the
-route's value, as there is no exact complex type.  Every route marks a pole
-(``q_k = 0``, an infinite fold) as value ``None``, and only ``_settle``
-raises :class:`PoleError`, for one it would report.
+that agree, unless the stream's law ends it (``cf._end``, the level of its
+zero), or at the first non-finite one (not converged), unless a law ends the
+float walk within the cap; a walk that runs out has terminated, unless at
+the cap.  A terminated float walk reports its exact value: its rational
+form ``cf._exact()`` (a family's law at ``Fraction(x)``, else each binary
+coefficient's exact rational), folded on ints and rounded once, by int true
+division.  Complex mode keeps the route's value, as there is no exact
+complex type.  Every route marks a pole (``q_k = 0``, an infinite fold) as
+value ``None``, and only ``_settle`` raises :class:`PoleError`, for one it
+would report.
 """
 
 from __future__ import annotations
@@ -115,7 +121,7 @@ class CFStream:
     wrapped stream.  Streams are immutable once constructed and safe to share.
     """
 
-    _ends = False  # whether a law ends the fraction: only a family's can tell
+    _end: Optional[int] = None  # the level of the zero that ends the fraction, where a law tells
 
     def __init__(self, b0: Scalar, term_fn: TermFn, description: str = ""):
         self.b0 = b0
@@ -140,15 +146,15 @@ class CFStream:
 
     @classmethod
     def _from_law(cls, b0: Scalar, level: Callable, description: str, walk: Optional[Callable] = None,
-                  ends: bool = False, exact: Optional[Callable] = None,
+                  end: Optional[int] = None, exact: Optional[Callable] = None,
                   ints: Optional[Callable] = None) -> "CFStream":
         # A stream whose level(k) -> (a_k, b_k, zero) or None (zero: a_k ends the fraction)
-        # is taken unchecked; walk, ends, exact and ints, where given, are _walk, _ends, _exact,
+        # is taken unchecked; walk, end, exact and ints, where given, are _walk, _end, _exact,
         # _ints, else the class's methods apply (the stream's own bound method stored in its
         # __dict__ would be a cycle, which only the cyclic collector frees).
         cf = cls(b0, None, description)
         cf._level = level
-        cf._ends = ends
+        cf._end = end
         for name, given in (("_walk", walk), ("_exact", exact), ("_ints", ints)):
             if given is not None:
                 setattr(cf, name, given)
@@ -282,9 +288,10 @@ def _settle(cf: CFStream, steps: Iterable[tuple[int, Optional[Scalar], int]],
     # _within would, with rel_tol·max(|v|, |u|) the larger of the two products.
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-    finite, rel_tol, agree = cf.mode.isfinite, _rel_tol(cf.mode, tol), not cf._ends
+    finite, rel_tol, agree = cf.mode.isfinite, _rel_tol(cf.mode, tol), cf._end is None
     floats, inf, value = cf.mode is Mode.FLOAT, math.inf, None
-    walk_on = floats and cf._ends  # past a non-finite value, to the zero: _rounded_once answers
+    # past a non-finite value to a zero within the cap, where _rounded_once answers
+    walk_on = floats and not agree and cf._end <= max_depth
     for k, step, substitutions in steps:
         prev, value = value, step
         if value is None:
@@ -334,25 +341,30 @@ def _forward(cf: CFStream, depth: int) -> Iterator[tuple[int, Scalar, Scalar]]:
         yield k, p, q
 
 
-def _cleared(a_num: int, a_den: int, b_num: int, b_den: int) -> tuple[int, int, int]:
-    # (l, l·a, l·b) for a = a_num/a_den and b = b_num/b_den, l = lcm(a_den, b_den)
-    l = math.lcm(a_den, b_den)
-    return l, a_num * (l // a_den), b_num * (l // b_den)
+def _integral(b0: Scalar, ints: Iterable[tuple[int, int, int, int]]) -> Iterator[tuple[int, int, int]]:
+    # The levels of an int walk made integral by the least factors (an equivalence
+    # transform): yields (c_k, c_k·c_{k-1}·a_k, c_k·b_k), with c_0 = denominator(b0) and
+    # c_k = lcm(den b_k, den a_k / gcd(den a_k, c_{k-1})), so c_{k-1} clears what it can
+    # of a_k first.  At a constant a-denominator d and integral b, c_k alternates d and 1.
+    c = b0.denominator
+    for a_num, a_den, b_num, b_den in ints:
+        g = math.gcd(a_den, c)
+        d = a_den // g
+        c_k = math.lcm(d, b_den)
+        yield c_k, a_num * (c // g) * (c_k // d), b_num * (c_k // b_den)
+        c = c_k
 
 
 def _forward_exact(cf: CFStream, depth: int) -> Iterator[tuple[int, int, int, int]]:
-    # _forward on Python ints (rational mode): yields (k, s·p_k, s·q_k, s),
-    # s = denominator(b0)·l_1···l_k with l_k the lcm from _cleared.  The row
-    # before keeps its own s: the l it lacks goes on the small a (4 big products).
-    s = cf.b0.denominator
-    p_prev, q_prev, p, q, l_prev = s, 0, cf.b0.numerator, s, 1
+    # _forward on Python ints (rational mode) over the levels of _integral: yields
+    # (k, s·p_k, s·q_k, s), s = c_0·c_1···c_k (4 big products by small ints a level).
+    p_prev, q_prev, p, s = 1, 0, cf.b0.numerator, cf.b0.denominator
+    q = s
     yield 0, p, q, s
-    for k, level in zip(range(1, depth + 1), cf._ints()):
-        l, a, b = _cleared(*level)
-        a *= l_prev
+    for k, (c, a, b) in zip(range(1, depth + 1), _integral(cf.b0, cf._ints())):
         p, p_prev = b * p + a * p_prev, p
         q, q_prev = b * q + a * q_prev, q
-        s, l_prev = s * l, l
+        s *= c
         yield k, p, q, s
 
 
@@ -457,14 +469,18 @@ def _fold(b0: Scalar, levels: list[tuple], rational: bool) -> Optional[Scalar]:
 
 
 def _fold_exact(b0: Scalar, levels: list[tuple[int, int, int, int]]) -> tuple[int, int]:
-    # _fold on the ints of _ints(): (num, den), the value num/den unreduced with
-    # den >= 0 (0 / -5 would round to -0.0), and a pole is den = 0.
-    ups = [(b0.numerator, b0.denominator)] + [(b_num, b_den) for _, _, b_num, b_den in levels]
-    (num, den), l = ups.pop(), 1  # r = num/(l·den); the pending l goes on the small a
-    for (a_num, a_den, _, _), (b_num, b_den) in zip(reversed(levels), reversed(ups)):
-        l_next, a, b_up = _cleared(a_num, a_den, b_num, b_den)
-        num, den, l = b_up * num + a * l * den, num, l_next
-    return (num, l * den) if den >= 0 else (-num, -l * den)
+    # _fold on the ints of _ints(), over the levels of _integral: (num, den), the value
+    # num/den unreduced with den >= 0 (0 / -5 would round to -0.0), and a pole is den = 0.
+    # The cleared fraction B_0 + A_1/(B_1 + ...) is c_0 times the value, B_0 = numerator(b0).
+    tops, ups = [], [b0.numerator]  # A_k, and B_{k-1} for the level above
+    for _, a, b in _integral(b0, levels):
+        tops.append(a)
+        ups.append(b)
+    num, den = ups.pop(), 1  # r = num/den, 2 big products by small ints a level
+    for a, b_up in zip(reversed(tops), reversed(ups)):
+        num, den = b_up * num + a * den, num
+    den *= b0.denominator
+    return (num, den) if den >= 0 else (-num, -den)
 
 
 def _rounded_once(cf: CFStream, depth: int, value: Optional[float]) -> Optional[float]:
@@ -526,10 +542,10 @@ def tail(cf: CFStream, start_level: int) -> CFStream:
     if head is None:
         raise ValueError(f"stream ends before level {start_level}")
     label = f"tail({cf.description or 'cf'}, {start_level})"
-    below = cf._ends and cf.termination_level(start_level) is None  # the law's zero is deeper
-    exact = (lambda: tail(cf._exact(), start_level)) if below else None
+    end = cf._end - start_level if cf._end is not None and cf._end > start_level else None
+    exact = None if end is None else lambda: tail(cf._exact(), start_level)  # the zero is deeper
     return CFStream._from_law(head[1], lambda k: cf._level(start_level + k), label,
-                              ends=below, exact=exact)
+                              end=end, exact=exact)
 
 
 def equivalence_transform(
@@ -571,6 +587,6 @@ def equivalence_transform(
     b0 = cf.b0 if c0 == 1 else c0 * cf.b0
     label = f"equivalence({cf.description or 'cf'})"
     # an ending law's exact form is the wrapped one's, unscaled: it has the same value
-    exact = (lambda: equivalence_transform(cf._exact(), lambda k: 1, Fraction(c0))) if cf._ends else None
-    out = CFStream._from_law(b0, level, label, walk, cf._ends, exact)
+    exact = None if cf._end is None else lambda: equivalence_transform(cf._exact(), lambda k: 1, Fraction(c0))
+    out = CFStream._from_law(b0, level, label, walk, cf._end, exact)
     return out

@@ -59,10 +59,12 @@ Termination is read off the ints, never a rounded product: a level is the
 exact zero where α(j), the head's h or x is 0, so an underflowed numerator
 (``x·x`` at x = 1e-200) does not end the fraction.  α(j) is 0 only at a
 nonzero integer n, at level |n| (symmetric), |n|+1 (uniform, tan-multiple),
-2n (lagrange, n > 0) or 2|n|+1 (lagrange, n < 0).  So a stream knows when
-built whether its law ends it, and every evaluator walks it to the end,
-through the walk that is the law's loop over j; a float walk that ends
-reports the law read at ``Fraction(x)``, rounded once.
+2n (lagrange, n > 0) or 2|n|+1 (lagrange, n < 0); x = 0 or h = 0 ends it
+at level 1.  So a stream knows when built the level at which its law ends
+it, and every evaluator walks it to that end, through the walk that is the
+law's loop over j (a float walk past a non-finite value only when the end
+is within its cap); a float walk that ends reports the law read at
+``Fraction(x)``, rounded once.
 
 :class:`Family` is the one table that maps each family to its generator
 and its oracle (from :mod:`confrac.oracles`); :class:`FamilySpec` and
@@ -129,9 +131,9 @@ def _stream(family: str, name: str, x: Scalar, b0: int, alpha: Union[_Law, int],
     first rounds differently, and overflows to ``0·inf``).  The walk, the
     level function (``(a_k, b_k, zero)`` for ``term(k)``) and, in rational
     mode, the int walk share these rules, bound once; the zero flag, and
-    ``_ends``, are read off the ints, and ``_exact()`` is this row at
-    ``Fraction(x)``.  The finiteness check comes first, so a generator's own
-    domain checks only see finite arguments.
+    ``_end``, the level of the law's zero, are read off the ints, and
+    ``_exact()`` is this row at ``Fraction(x)``.  The finiteness check comes
+    first, so a generator's own domain checks only see finite arguments.
     """
     _require_finite(x, name)
     cast = mode_of(x).cast
@@ -190,11 +192,15 @@ def _stream(family: str, name: str, x: Scalar, b0: int, alpha: Union[_Law, int],
             yield a // g, den * Q // g, b // h, V // h
 
     e = n is not None and n.denominator == 1 and abs(n.numerator)  # α(j) = 0 only at j = e, 2e-1, 2e
-    ends = nil or shift and top[2] or e > 0 and any(law(j) == 0 for j in (e, 2 * e - 1, 2 * e))
+    end = None  # the level of the law's zero
+    if nil or shift and top[2]:
+        end = 1
+    elif e:
+        end = next((j + shift for j in (e, 2 * e - 1, 2 * e) if law(j) == 0), None)
     label = f"{family}({x!r})" if n is None else f"{family}(n={n}, {name}={x!r})"
     exact = lambda: _stream(family, name, Fraction(x), b0, alpha, den=den, n=n, beta=beta,
                             power=power, scale=scale, head=head)
-    return CFStream._from_law(cast(b0), level, label, walk, ends, exact,
+    return CFStream._from_law(cast(b0), level, label, walk, end, exact,
                               ints if cast is Fraction else None)
 
 

@@ -202,10 +202,11 @@ class TestEval:
         assert payload["terminated"] is True and payload["converged"] is True
 
     def test_law_capped_past_an_overflowed_value_exits_two(self, capsys):
+        # the law's zero, level 30, lies past the cap: the walk stops at the first nan
         code, out, _ = run_cli(capsys, "eval", "--family", "symmetric-binomial", "--n", "30",
                                "--arg", "1e160", "--depth", "10")
         payload = strict_json(out)
-        assert code == 2 and payload["depth_used"] == 10 and payload["value"] == "nan"
+        assert code == 2 and payload["depth_used"] == 1 and payload["value"] == "nan"
         assert payload["converged"] is False and payload["terminated"] is False
 
     def test_law_capped_before_its_zero_exits_two(self, capsys):

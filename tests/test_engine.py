@@ -377,6 +377,11 @@ class TestStoppingRule:
             # the law ends at level 4: walked on to its zero, the exact value is past the range
             pytest.param(eval_convergents, uniform_binomial(3, 1e160), 3,
                          id="convergents-uniform"),
+            # the law ends at level 30 000, past the cap: not walked 10 000 levels on nan
+            pytest.param(eval_lentz, symmetric_binomial(30000, 1e160), 1,
+                         id="lentz-zero-past-the-cap"),
+            pytest.param(eval_convergents, symmetric_binomial(30000, 1e160), 1,
+                         id="convergents-zero-past-the-cap"),
         ],
     )
     def test_first_non_finite_value_ends_the_walk(self, evaluate, stream, depth_used):
@@ -492,6 +497,7 @@ class TestLawThatEnds:
         # the sub-fraction below the law's zero is a fraction of its own
         cf = lagrange_binomial(3, 0.3)
         assert cf.termination_level(100) == 6
+        assert [tail(cf, start)._end for start in (1, 5, 6, 7)] == [5, 1, None, None]
         for start in (6, 7):
             report = eval_lentz(tail(cf, start), TIGHT)
             assert report.converged and not report.terminated and report.depth_used > 1
@@ -756,6 +762,15 @@ class TestExactKernel:
         assert list(_forward_exact(cf, 150)) == list(_forward_exact(copy, 150))
         folds = [_fold(s.b0, list(islice(s._ints(), 150)), rational=True) for s in (cf, copy)]
         assert folds[0] == folds[1] and type(folds[0]) is Fraction
+
+    @pytest.mark.parametrize("cf", [coth_scaled_cf(Fraction(4, 3)), tan_cf(Fraction(2, 3))],
+                             ids=lambda cf: cf.description)
+    def test_levels_are_cleared_by_the_least_factors(self, cf):
+        # a_k has denominator 9: c_{k-1} clears it with c_k, so no row carries a common
+        # factor and the scale grows by 3 a level; clearing by each level's lcm grew it by 9
+        rows = list(_forward_exact(cf, 300))
+        assert all(math.gcd(p, q) == 1 for _, p, q, _ in rows)
+        assert rows[-1][0] == 300 and rows[-1][3] == 3 ** 300
 
     def test_integer_stream_values_are_fractions(self):
         # int / int would be a float; every rational route returns a Fraction

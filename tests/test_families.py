@@ -444,7 +444,7 @@ class TestIntegerLaws:
             a = stream.term(level).a
             assert a == 0 and type(a) is type(x)
             assert all(stream.term(k).a != 0 for k in range(1, level))
-            assert stream.termination_level(100) == level
+            assert stream.termination_level(100) == stream._end == level
 
     @pytest.mark.parametrize("build, value", [(arctan_cf, 1e-200), (tan_cf, 1e-200),
                                               (log_ratio_cf, 2e-200)],
@@ -470,9 +470,11 @@ class TestIntegerLaws:
         (symmetric_binomial(2, 1e-200), 2),
         (uniform_binomial(3, 1e-300), 4),
         (lagrange_binomial(Fraction(1, 2), 5e-324), None),  # head n·x rounds to 0.0
-    ], ids=["symmetric", "uniform", "lagrange"])
+        (lagrange_binomial(0, 0.3), 1),  # the head's h is 0
+        (symmetric_binomial(Fraction(1, 2), 0.0), 1),
+    ], ids=["symmetric", "uniform", "lagrange", "lagrange-h-zero", "symmetric-x-zero"])
     def test_termination_level_is_read_off_the_law(self, stream, level):
-        assert stream.termination_level(30) == level
+        assert stream.termination_level(30) == stream._end == level
 
     @given(st.sampled_from(list(Family)), st.sampled_from(list(LAW_ARGS)), st.data())
     def test_walk_reads_the_levels_term_returns(self, family, mode, data):
