@@ -201,9 +201,11 @@ class CFStream:
         return None if ab is None else CFTerm(ab[0], ab[1])
 
     def termination_level(self, within: int) -> Optional[int]:
-        """Level of the stream's termination zero, scanning at most ``within``
-        levels; the end of a finite stream counts too.  ``None`` if the
-        stream runs past ``within`` levels without terminating."""
+        """Level of the stream's termination zero: ``_end`` where its law
+        records one, else scanned for; the end of a finite stream counts
+        too.  ``None`` if the stream runs past ``within`` levels without it."""
+        if self._end is not None:
+            return self._end if self._end <= within else None
         levels = sum(1 for _ in islice(self._walk(), within))
         return levels + 1 if levels < within else None
 

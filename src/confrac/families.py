@@ -46,9 +46,9 @@ numerator over the stream's denominator, with N/D = n in lowest terms
     symmetric-binomial  1   -                  (N-jD)(N+jD)/D²        2  2j+1       -
     tan-multiple        0   nt/1               (jD-N)(jD+N)/D²        2  2j+1       -
     arctan              0   t/1                j²/1                   2  2j+1       -
-    tan                 0   θ/1                a_j = -(θ·θ)              2j+1       -
+    tan                 0   θ/1                -1                     2  2j+1       -
     log-ratio           0   2z/1               -j²/1                  2  2j+1       -
-    coth-scaled         1   -                  a_j = v·v                 2j+1       -
+    coth-scaled         1   -                  1                      2  2j+1       -
 
 In rational mode a coefficient is ``num·P/(den·Q)`` (x^p = P/Q) in lowest
 terms, one gcd: ``term(k)`` gives it as a ``Fraction``, and the int walk
@@ -60,11 +60,11 @@ exact zero where α(j), the head's h or x is 0, so an underflowed numerator
 (``x·x`` at x = 1e-200) does not end the fraction.  α(j) is 0 only at a
 nonzero integer n, at level |n| (symmetric), |n|+1 (uniform, tan-multiple),
 2n (lagrange, n > 0) or 2|n|+1 (lagrange, n < 0); x = 0 or h = 0 ends it
-at level 1.  So a stream knows when built the level at which its law ends
-it, and every evaluator walks it to that end, through the walk that is the
-law's loop over j (a float walk past a non-finite value only when the end
-is within its cap); a float walk that ends reports the law read at
-``Fraction(x)``, rounded once.
+at level 1.  So a stream reads, when built, the level at which its law
+ends it, ``_end``: it bounds the law's loop over j, the walk every
+evaluator reads (a float walk past a non-finite value only when the end
+is within its cap), and answers ``termination_level``; a float walk that
+ends reports the law read at ``Fraction(x)``, rounded once.
 
 :class:`Family` is the one table that maps each family to its generator
 and its oracle (from :mod:`confrac.oracles`); :class:`FamilySpec` and
@@ -113,7 +113,7 @@ def _require_real(value: Scalar, name: str) -> None:
 _Law = Callable[[int], int]
 
 
-def _stream(family: str, name: str, x: Scalar, b0: int, alpha: Union[_Law, int], *,
+def _stream(family: str, name: str, x: Scalar, b0: int, alpha: _Law, *,
             den: int = 1, n: Optional[Fraction] = None, beta: Optional[_Law] = None,
             power: int = 2, scale: Optional[Fraction] = None, head: Optional[tuple] = None) -> CFStream:
     """The one builder of family streams: a row of the law table.
@@ -121,17 +121,17 @@ def _stream(family: str, name: str, x: Scalar, b0: int, alpha: Union[_Law, int],
     Inner level j is ``(alpha(j)/den)·x^power / (beta(j)·(1 + scale·x))``,
     each coefficient made by x's mode rule from the module docstring, where
     ``beta(j)`` defaults to 2j+1 and ``(1 + scale·x)`` is there only when
-    ``scale`` is given.  An int ``alpha`` is a fixed sign instead: every
-    inner numerator is the one value ``x·x`` or ``-(x·x)``.  With
-    ``head = (h, d)``, d an int pair (num, den), level 1 is ``h·x / (1 + d·x)``
-    and inner level j is level j+1; without a head it is level j.  ``h =
-    None`` puts x itself on top (``complex(1)·x`` would turn a ``-0.0``
-    imaginary part into ``+0.0``) and ``d = None`` leaves the bare 1.  Float
-    and complex levels multiply in the order ``cast(num / den)·x·x`` (``x·x``
-    first rounds differently, and overflows to ``0·inf``).  The walk, the
-    level function (``(a_k, b_k, zero)`` for ``term(k)``) and, in rational
-    mode, the int walk share these rules, bound once; the zero flag, and
-    ``_end``, the level of the law's zero, are read off the ints, and
+    ``scale`` is given.  With ``head = (h, d)``, d an int pair (num, den),
+    level 1 is ``h·x / (1 + d·x)`` and inner level j is level j+1; without a
+    head it is level j.  ``h = None`` puts x itself on top, cast to its mode
+    (``complex(1)·x`` would turn a ``-0.0`` imaginary part into ``+0.0``),
+    and ``d = None`` leaves the bare 1.  Float and complex levels multiply in
+    the order ``cast(num / den)·x·x`` (``x·x`` first rounds differently, and
+    overflows to ``0·inf``).  ``end``, the level of the law's zero, is read
+    off the ints once, here, and bounds the walk and, in rational mode, the
+    int walk; the level function (``(a_k, b_k, zero)`` for ``term(k)``)
+    flags ``k == end``, and every level at x = 0, so that a tail of such a
+    stream ends too.  All three share these rules, bound once, and
     ``_exact()`` is this row at ``Fraction(x)``.  The finiteness check comes
     first, so a generator's own domain checks only see finite arguments.
     """
@@ -147,56 +147,41 @@ def _stream(family: str, name: str, x: Scalar, b0: int, alpha: Union[_Law, int],
     else:
         coef = (lambda m: cast(m / den) * x * x) if power == 2 else lambda m: cast(m / den) * x
         width = cast if unit is None else lambda m: cast(m) * unit
-    law = alpha
-    if not callable(alpha):  # a fixed sign: every inner numerator is ±x·x, never a zero
-        fixed = x * x if alpha > 0 else -(x * x)
-        law = lambda j: alpha
-        coef = lambda m: fixed
     nil = x == 0
     shift = 0 if head is None else 1
     if head is not None:
         h, d = head
         if d is not None:
             d = Fraction(*d) if cast is Fraction else cast(d[0] / d[1])
-        top = (x if h is None else cast(h) * x, one if d is None else one + d * x, nil or h == 0)
-
-    def level(k: int) -> tuple[Scalar, Scalar, bool]:
-        j = k - shift
-        if j == 0:
-            return top
-        num = law(j)
-        return coef(num), width(2 * j + 1 if beta is None else beta(j)), nil or num == 0
-
-    def walk() -> Iterator[tuple[Scalar, Scalar]]:  # level(k), k = 1, 2, ..., up to the zero
-        if nil or shift and top[2]:
-            return
-        if shift:
-            yield top[:2]
-        for j in count(1):
-            num = law(j)
-            if num == 0:
-                return
-            yield coef(num), width(2 * j + 1 if beta is None else beta(j))
-
-    def ints() -> Iterator[tuple[int, int, int, int]]:  # walk() on ints, in rational mode
-        if nil or shift and top[2]:
-            return
-        if shift:
-            yield top[0].numerator, top[0].denominator, top[1].numerator, top[1].denominator
-        for j in count(1):
-            num = law(j)
-            if num == 0:
-                return
-            a, b = num * P, (2 * j + 1 if beta is None else beta(j)) * U
-            g, h = math.gcd(a, den * Q), math.gcd(b, V)  # one gcd each, as Fraction(a, den·Q)
-            yield a // g, den * Q // g, b // h, V // h
-
+        top = (cast(x) if h is None else cast(h) * x, one if d is None else one + d * x, nil or h == 0)
     e = n is not None and n.denominator == 1 and abs(n.numerator)  # α(j) = 0 only at j = e, 2e-1, 2e
     end = None  # the level of the law's zero
     if nil or shift and top[2]:
         end = 1
     elif e:
-        end = next((j + shift for j in (e, 2 * e - 1, 2 * e) if law(j) == 0), None)
+        end = next((j + shift for j in (e, 2 * e - 1, 2 * e) if alpha(j) == 0), None)
+    inner = lambda: count(1) if end is None else range(1, end - shift)  # the j of the levels before it
+
+    def level(k: int) -> tuple[Scalar, Scalar, bool]:
+        j = k - shift
+        if j == 0:
+            return top
+        return coef(alpha(j)), width(2 * j + 1 if beta is None else beta(j)), nil or k == end
+
+    def walk() -> Iterator[tuple[Scalar, Scalar]]:  # level(k), k = 1, 2, ..., up to the zero
+        if shift and end != 1:
+            yield top[:2]
+        for j in inner():
+            yield coef(alpha(j)), width(2 * j + 1 if beta is None else beta(j))
+
+    def ints() -> Iterator[tuple[int, int, int, int]]:  # walk() on ints, in rational mode
+        if shift and end != 1:
+            yield top[0].numerator, top[0].denominator, top[1].numerator, top[1].denominator
+        for j in inner():
+            a, b = alpha(j) * P, (2 * j + 1 if beta is None else beta(j)) * U
+            g, h = math.gcd(a, den * Q), math.gcd(b, V)  # one gcd each, as Fraction(a, den·Q)
+            yield a // g, den * Q // g, b // h, V // h
+
     label = f"{family}({x!r})" if n is None else f"{family}(n={n}, {name}={x!r})"
     exact = lambda: _stream(family, name, Fraction(x), b0, alpha, den=den, n=n, beta=beta,
                             power=power, scale=scale, head=head)
@@ -268,7 +253,7 @@ def tan_cf(theta: Scalar) -> CFStream:
     rejected: the true function has a pole there and truncations are
     meaningless.
     """
-    stream = _stream("tan", "theta", theta, 0, -1, head=(None, None))
+    stream = _stream("tan", "theta", theta, 0, lambda j: -1, head=(None, None))
     _require_real(theta, "theta")
     residue = math.fmod(abs(float(theta.real if isinstance(theta, complex) else theta)), math.pi)
     if abs(residue - math.pi / 2) < TAN_POLE_GUARD:
@@ -292,7 +277,7 @@ def log_ratio_cf(z: Scalar) -> CFStream:
 
 def coth_scaled_cf(v: Scalar) -> CFStream:
     """Stream 1 + v²/(3 + v²/(5 + v²/(7 + ...))) = v coth v  (value 1 at v = 0)."""
-    return _stream("coth-scaled", "v", v, 1, 1)
+    return _stream("coth-scaled", "v", v, 1, lambda j: 1)
 
 
 class Family(enum.Enum):

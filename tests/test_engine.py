@@ -493,6 +493,15 @@ class TestLawThatEnds:
         assert report.value == want
         assert report.terminated and report.converged and report.residual == 0.0
 
+    @pytest.mark.parametrize("evaluate", [eval_lentz, eval_convergents])
+    def test_tail_of_a_zero_argument_ends_at_its_first_level(self, evaluate):
+        # at x = 0 every level is an exact zero, also below the law's end at level 1
+        cf = tail(lagrange_binomial(0.37, 0.0), 2)
+        assert cf._end is None and cf.termination_level(40) == 1
+        report = evaluate(cf)
+        assert report.value == 2.0 and report.depth_used == 0
+        assert report.terminated and report.converged and report.residual == 0.0
+
     def test_tail_from_past_the_zero_walks_on(self):
         # the sub-fraction below the law's zero is a fraction of its own
         cf = lagrange_binomial(3, 0.3)

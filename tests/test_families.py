@@ -290,13 +290,15 @@ class TestFamilySpec:
 
     @pytest.mark.parametrize("family", list(Family))
     def test_terms_have_the_argument_type(self, family):
-        for arg in (0.3, Fraction(3, 10), 0.3 + 0j):
+        # an int argument is a rational one: every coefficient is a Fraction
+        whole = 0 if family is Family.LOG_RATIO else 2  # log-ratio needs |z| < 1
+        for arg, want in ((0.3, float), (Fraction(3, 10), Fraction), (0.3 + 0j, complex), (whole, Fraction)):
             stream = family.generator(Fraction(5, 2), arg) if family.takes_n else family.generator(arg)
             values = [stream.b0]
             for k in range(1, 7):
                 t = stream.term(k)
                 values += [t.a, t.b]
-            assert all(type(v) is type(arg) for v in values), (family, arg)
+            assert all(type(v) is want for v in values), (family, arg)
 
     def test_unknown_family_name(self):
         with pytest.raises(DomainError):
@@ -345,8 +347,8 @@ def _reference_term(family, n, x, k):
     if family is Family.LOG_RATIO:
         return cast(Fraction(-j * j)) * x * x, b
     if family is Family.TAN:
-        return -(x * x), b
-    return x * x, b  # coth-scaled
+        return cast(Fraction(-1)) * x * x, b
+    return cast(Fraction(1)) * x * x, b  # coth-scaled
 
 
 def _bits(value):
@@ -475,6 +477,17 @@ class TestIntegerLaws:
     ], ids=["symmetric", "uniform", "lagrange", "lagrange-h-zero", "symmetric-x-zero"])
     def test_termination_level_is_read_off_the_law(self, stream, level):
         assert stream.termination_level(30) == stream._end == level
+
+    def test_termination_level_answers_from_the_recorded_end(self):
+        # the law's end is read once, when the stream is built; no walk repeats it
+        stream = symmetric_binomial(30000, 0.5)
+
+        def walk():
+            raise AssertionError("termination_level walked a stream whose end is recorded")
+
+        stream._walk = walk
+        assert stream.termination_level(40000) == stream.termination_level(30000) == 30000
+        assert stream.termination_level(20000) is None and stream.termination_level(29999) is None
 
     @given(st.sampled_from(list(Family)), st.sampled_from(list(LAW_ARGS)), st.data())
     def test_walk_reads_the_levels_term_returns(self, family, mode, data):
