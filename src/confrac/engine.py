@@ -35,17 +35,17 @@ Three evaluation routes with different trade-offs:
   fixed depth; reproduces the depth-truncated convergent exactly in
   rational mode, also when an inner partial value is infinite.
 
-Rational routes run on Python ints, read off the int walk ``cf._ints()``
-(each level's reduced pairs ``(a_num, a_den, b_num, b_den)``; a family's
-come straight from its law) and made integral by the least clearing factors
-(an equivalence transform): ``c_0`` is the denominator of ``b0``,
-``c_k = lcm(den b_k, den a_k / gcd(den a_k, c_{k-1}))``, and level ``k``
-becomes ``c_k·c_{k-1}·a_k`` over ``c_k·b_k``.  The factor ``c_{k-1}``, which
-the row above already carries, clears what it can of ``a_k`` before ``c_k``
-is chosen.  So at a constant ``a``-denominator ``d`` and integral ``b``,
-``c_k`` alternates ``d`` and 1, and the rows grow by ``d`` every other level;
-multiplying each level by its own ``lcm(den a_k, den b_k)`` grew them by ``d``
-every level.  A value is reduced, to one ``Fraction``, only when it is read.
+Rational routes run on Python ints, read off the cleared walk ``cf._cleared()``:
+the levels made integral by the least clearing factors (an equivalence
+transform), ``(c_k, A_k = c_k·c_{k-1}·a_k, B_k = c_k·b_k)``, with ``c_0`` the
+denominator of ``b0`` and ``c_k = lcm(den b_k, den a_k / gcd(den a_k, c_{k-1}))``:
+``c_{k-1}``, which the row above already carries, clears what it can of ``a_k``
+first.  So at a constant ``a``-denominator ``d`` and integral ``b``, ``c_k``
+alternates ``d`` and 1, and the rows grow by ``d`` every other level, not every
+level.  A stream's cleared walk applies that rule (``_integral``) to its int
+walk ``cf._ints()``, each level's reduced pairs ``(a_num, a_den, b_num, b_den)``;
+a family's reads the same levels off its law, one gcd a level.  A value is
+reduced, to one ``Fraction``, only when it is read.
 
 Every route's report comes from one stopping rule, ``_settle``, and so does
 :func:`eval_backward`'s bare value: stop at the first two successive values
@@ -147,15 +147,15 @@ class CFStream:
     @classmethod
     def _from_law(cls, b0: Scalar, level: Callable, description: str, walk: Optional[Callable] = None,
                   end: Optional[int] = None, exact: Optional[Callable] = None,
-                  ints: Optional[Callable] = None) -> "CFStream":
+                  cleared: Optional[Callable] = None) -> "CFStream":
         # A stream whose level(k) -> (a_k, b_k, zero) or None (zero: a_k ends the fraction)
-        # is taken unchecked; walk, end, exact and ints, where given, are _walk, _end, _exact,
-        # _ints, else the class's methods apply (the stream's own bound method stored in its
+        # is taken unchecked; walk, end, exact and cleared, where given, are _walk, _end, _exact,
+        # _cleared, else the class's methods apply (the stream's own bound method stored in its
         # __dict__ would be a cycle, which only the cyclic collector frees).
         cf = cls(b0, None, description)
         cf._level = level
         cf._end = end
-        for name, given in (("_walk", walk), ("_exact", exact), ("_ints", ints)):
+        for name, given in (("_walk", walk), ("_exact", exact), ("_cleared", cleared)):
             if given is not None:
                 setattr(cf, name, given)
         return cf
@@ -176,9 +176,14 @@ class CFStream:
 
     def _ints(self) -> Iterator[tuple[int, int, int, int]]:
         # Rational mode: the walk's levels as the reduced int pairs (a_num, a_den,
-        # b_num, b_den), denominators positive; the rational kernels' way in.
+        # b_num, b_den), denominators positive.
         for a, b in self._walk():
             yield a.numerator, a.denominator, b.numerator, b.denominator
+
+    def _cleared(self) -> Iterator[tuple[int, int, int]]:
+        # Rational mode: the int walk made integral, (c_k, A_k, B_k) of _integral;
+        # the rational kernels' way in.  A family's is read off its law.
+        return _integral(self.b0, self._ints())
 
     def _exact(self) -> "CFStream":
         # The same fraction in rational mode, each coefficient the exact rational of
@@ -226,14 +231,8 @@ class Convergent:
 
     __slots__ = ("_p", "_q", "_scale", "_k")
 
-    def __init__(self, p: Scalar, q: Scalar, k: int):
-        self._p, self._q, self._scale, self._k = p, q, None, k
-
-    @classmethod
-    def _exact(cls, p: int, q: int, scale: int, k: int) -> "Convergent":
-        c = cls(p, q, k)
-        c._scale = scale
-        return c
+    def __init__(self, p: Scalar, q: Scalar, k: int, scale: Optional[int] = None):
+        self._p, self._q, self._scale, self._k = p, q, scale, k
 
     p = property(lambda self: self._p if self._scale is None else Fraction(self._p, self._scale))
     q = property(lambda self: self._q if self._scale is None else Fraction(self._q, self._scale))
@@ -358,12 +357,12 @@ def _integral(b0: Scalar, ints: Iterable[tuple[int, int, int, int]]) -> Iterator
 
 
 def _forward_exact(cf: CFStream, depth: int) -> Iterator[tuple[int, int, int, int]]:
-    # _forward on Python ints (rational mode) over the levels of _integral: yields
+    # _forward on Python ints (rational mode) over the cleared levels: yields
     # (k, s·p_k, s·q_k, s), s = c_0·c_1···c_k (4 big products by small ints a level).
     p_prev, q_prev, p, s = 1, 0, cf.b0.numerator, cf.b0.denominator
     q = s
     yield 0, p, q, s
-    for k, (c, a, b) in zip(range(1, depth + 1), _integral(cf.b0, cf._ints())):
+    for k, (c, a, b) in zip(range(1, depth + 1), cf._cleared()):
         p, p_prev = b * p + a * p_prev, p
         q, q_prev = b * q + a * q_prev, q
         s *= c
@@ -381,7 +380,7 @@ def convergents(cf: CFStream, depth: int) -> list[Convergent]:
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     if cf.mode is Mode.RATIONAL:
-        return [Convergent._exact(p, q, s, k) for k, p, q, s in _forward_exact(cf, depth)]
+        return [Convergent(p, q, k, s) for k, p, q, s in _forward_exact(cf, depth)]
     return [Convergent(p=p, q=q, k=k) for k, p, q in _forward(cf, depth)]
 
 
@@ -456,8 +455,8 @@ def eval_lentz(
 
 
 def _fold(b0: Scalar, levels: list[tuple], rational: bool) -> Optional[Scalar]:
-    # Backward fold of b0 + a_1/(b_1 + ... + a_m/b_m), the (a_k, b_k) of the
-    # walk (rational: of _ints()), from an assumed-zero tail.  r is None where
+    # Backward fold of b0 + a_1/(b_1 + ... + a_m/b_m), the (a_k, b_k) of the walk
+    # (rational: its cleared levels), from an assumed-zero tail.  r is None where
     # a partial value is infinite; the level above folds to its b (a/inf = 0),
     # and a None result is a pole, the marker _forward yields at q = 0.
     if rational:
@@ -470,14 +469,11 @@ def _fold(b0: Scalar, levels: list[tuple], rational: bool) -> Optional[Scalar]:
     return r
 
 
-def _fold_exact(b0: Scalar, levels: list[tuple[int, int, int, int]]) -> tuple[int, int]:
-    # _fold on the ints of _ints(), over the levels of _integral: (num, den), the value
+def _fold_exact(b0: Scalar, levels: list[tuple[int, int, int]]) -> tuple[int, int]:
+    # _fold on the cleared levels (c_k, A_k, B_k) of _cleared(): (num, den), the value
     # num/den unreduced with den >= 0 (0 / -5 would round to -0.0), and a pole is den = 0.
     # The cleared fraction B_0 + A_1/(B_1 + ...) is c_0 times the value, B_0 = numerator(b0).
-    tops, ups = [], [b0.numerator]  # A_k, and B_{k-1} for the level above
-    for _, a, b in _integral(b0, levels):
-        tops.append(a)
-        ups.append(b)
+    tops, ups = [a for _, a, _ in levels], [b0.numerator] + [b for _, _, b in levels]  # A_k, B_{k-1}
     num, den = ups.pop(), 1  # r = num/den, 2 big products by small ints a level
     for a, b_up in zip(reversed(tops), reversed(ups)):
         num, den = b_up * num + a * den, num
@@ -493,7 +489,7 @@ def _rounded_once(cf: CFStream, depth: int, value: Optional[float]) -> Optional[
     # coefficient keeps value.
     try:
         rational = cf._exact()
-        num, den = _fold_exact(rational.b0, list(islice(rational._ints(), depth)))
+        num, den = _fold_exact(rational.b0, list(islice(rational._cleared(), depth)))
     except (OverflowError, ValueError):  # Fraction(inf), Fraction(nan)
         return value
     try:
@@ -507,7 +503,7 @@ def _backward(cf: CFStream, depth: int,
     # The backward route's steps for _settle: the fold at depth, or the
     # terminated fold, after the fold at depth - 1 when both are asked for.
     rational = cf.mode is Mode.RATIONAL
-    levels = list(islice(cf._ints() if rational else cf._walk(), depth))
+    levels = list(islice(cf._cleared() if rational else cf._walk(), depth))
     for f in [levels[:-1], levels] if both and len(levels) == depth else [levels]:
         yield len(f), _fold(cf.b0, f, rational), 0
 

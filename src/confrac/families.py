@@ -51,10 +51,10 @@ numerator over the stream's denominator, with N/D = n in lowest terms
     coth-scaled         1   -                  1                      2  2j+1       -
 
 In rational mode a coefficient is ``num·P/(den·Q)`` (x^p = P/Q) in lowest
-terms, one gcd: ``term(k)`` gives it as a ``Fraction``, and the int walk
-``_ints()`` as an int pair for the exact kernels.  Otherwise it is
-``num / den`` correctly rounded and cast to ``float`` or ``complex``: a
-rule fixed per stream.
+terms, one gcd, as ``term(k)`` gives it; the exact kernels read the engine's
+least clearing of these, ``_cleared()``, off the ints, again one gcd a
+level.  Otherwise it is ``num / den`` correctly rounded and cast to
+``float`` or ``complex``: a rule fixed per stream.
 Termination is read off the ints, never a rounded product: a level is the
 exact zero where α(j), the head's h or x is 0, so an underflowed numerator
 (``x·x`` at x = 1e-200) does not end the fraction.  α(j) is 0 only at a
@@ -129,7 +129,7 @@ def _stream(family: str, name: str, x: Scalar, b0: int, alpha: _Law, *,
     the order ``cast(num / den)·x·x`` (``x·x`` first rounds differently, and
     overflows to ``0·inf``).  ``end``, the level of the law's zero, is read
     off the ints once, here, and bounds the walk and, in rational mode, the
-    int walk; the level function (``(a_k, b_k, zero)`` for ``term(k)``)
+    cleared walk; the level function (``(a_k, b_k, zero)`` for ``term(k)``)
     flags ``k == end``, and every level at x = 0, so that a tail of such a
     stream ends too.  All three share these rules, bound once, and
     ``_exact()`` is this row at ``Fraction(x)``.  The finiteness check comes
@@ -174,19 +174,27 @@ def _stream(family: str, name: str, x: Scalar, b0: int, alpha: _Law, *,
         for j in inner():
             yield coef(alpha(j)), width(2 * j + 1 if beta is None else beta(j))
 
-    def ints() -> Iterator[tuple[int, int, int, int]]:  # walk() on ints, in rational mode
-        if shift and end != 1:
-            yield top[0].numerator, top[0].denominator, top[1].numerator, top[1].denominator
-        for j in inner():
-            a, b = alpha(j) * P, (2 * j + 1 if beta is None else beta(j)) * U
-            g, h = math.gcd(a, den * Q), math.gcd(b, V)  # one gcd each, as Fraction(a, den·Q)
-            yield a // g, den * Q // g, b // h, V // h
+    def cleared() -> Iterator[tuple[int, int, int]]:  # the engine's _integral of walk(), off the law
+        c, M, wide, gcd = 1, den * Q, unit is not None, math.gcd  # c_0 = 1, as b0 is an int
+        if shift and end != 1:  # the engine's rule on the head's Fractions
+            (a, b), c = top[:2], math.lcm(top[0].denominator, top[1].denominator)
+            yield c, a.numerator * (c // a.denominator), b.numerator * (c // b.denominator)
+        for j in inner():  # M/gcd(α(j)·P·c, M) is _integral's den a/gcd(den a, c) on a = α(j)·P/M
+            a = alpha(j) * P * c
+            g = gcd(a, M)
+            c = M // g
+            b = 2 * j + 1 if beta is None else beta(j)
+            if wide:  # uniform's b_j = βU/V: c_k = lcm(d, V/gcd(βU, V)); else U = V = 1
+                d, c = c, math.lcm(c, V // gcd(b * U, V))
+                yield c, a // g * (c // d), b * U * c // V
+            else:
+                yield c, a // g, b * c
 
     label = f"{family}({x!r})" if n is None else f"{family}(n={n}, {name}={x!r})"
     exact = lambda: _stream(family, name, Fraction(x), b0, alpha, den=den, n=n, beta=beta,
                             power=power, scale=scale, head=head)
     return CFStream._from_law(cast(b0), level, label, walk, end, exact,
-                              ints if cast is Fraction else None)
+                              cleared if cast is Fraction else None)
 
 
 def lagrange_binomial(n: Union[int, float, Fraction], x: Scalar) -> CFStream:

@@ -46,7 +46,7 @@ from confrac import (
     uniform_binomial,
 )
 import confrac.engine as engine
-from confrac.engine import _fold, _forward_exact
+from confrac.engine import _fold, _forward_exact, _integral
 
 TIGHT = ToleranceSpec(rel_tol=1e-13)
 
@@ -763,13 +763,19 @@ class TestExactKernel:
         tan_cf(Fraction(2, 3)),
         coth_scaled_cf(Fraction(-4, 3)),
         uniform_binomial(Fraction(7, 3), Fraction(-2, 5)),
+        arctan_cf(Fraction(5, 3)),
+        symmetric_binomial(Fraction(5, 2), Fraction(3, 5)),
+        lagrange_binomial(-7, Fraction(0)),
     ], ids=lambda cf: cf.description)
     def test_family_int_walk_matches_a_user_copy(self, cf):
-        # fixed-sign α (tan, coth-scaled) and a head with d (uniform): the law's int
-        # pairs against the default ones, read off the Fractions of term(k)
+        # constant α (tan, coth-scaled), a head with d (uniform), a law whose α(j)·P·c
+        # shares content with den·Q (arctan, symmetric) and x = 0: the cleared levels
+        # read off the law against the engine's clearing of a user copy's int walk,
+        # read off the Fractions of term(k), and both kernels over each
         copy = CFStream.from_terms(cf.b0, [cf.term(k) for k in range(1, 151)])
+        assert list(islice(cf._cleared(), 150)) == list(_integral(copy.b0, copy._ints()))
         assert list(_forward_exact(cf, 150)) == list(_forward_exact(copy, 150))
-        folds = [_fold(s.b0, list(islice(s._ints(), 150)), rational=True) for s in (cf, copy)]
+        folds = [_fold(s.b0, list(islice(s._cleared(), 150)), rational=True) for s in (cf, copy)]
         assert folds[0] == folds[1] and type(folds[0]) is Fraction
 
     @pytest.mark.parametrize("cf", [coth_scaled_cf(Fraction(4, 3)), tan_cf(Fraction(2, 3))],

@@ -33,6 +33,7 @@ from confrac import (
     tan_multiple_lhs,
     uniform_binomial,
 )
+from confrac.engine import _integral
 
 TOL = ToleranceSpec(rel_tol=1e-13)
 
@@ -379,12 +380,14 @@ TERMINATION_LEVEL = {
 REAL_ONLY = (Family.TAN_MULTIPLE, Family.ARCTAN, Family.TAN, Family.LOG_RATIO)
 
 
-def _assert_int_walk_reads_the_terms(stream):
-    # a rational family's int walk, read off its law, against the default int walk
-    # of a user copy, read off the lowest-terms Fractions of term(k) for k = 1..40
-    copy = CFStream.from_terms(stream.b0, [stream.term(k) for k in range(1, 41)])
-    ints = list(islice(stream._ints(), 40))
-    assert ints == list(copy._ints()) and all(type(i) is int for level in ints for i in level)
+def _assert_int_walk_reads_the_terms(stream, levels=40):
+    # a rational family's cleared walk, read off its law, against the engine's least
+    # clearing of the default int walk of a user copy, read off the lowest-terms
+    # Fractions of term(k) for k = 1..levels: the same (c_k, A_k, B_k), all ints
+    copy = CFStream.from_terms(stream.b0, [stream.term(k) for k in range(1, levels + 1)])
+    cleared = list(islice(stream._cleared(), levels))
+    assert cleared == list(_integral(copy.b0, copy._ints()))
+    assert all(type(i) is int for level in cleared for i in level)
 
 
 class TestIntegerLaws:
@@ -435,6 +438,24 @@ class TestIntegerLaws:
         except DomainError:
             assume(False)
         _assert_int_walk_reads_the_terms(stream)
+
+    @pytest.mark.parametrize("stream", [
+        arctan_cf(Fraction(5, 3)),  # gcd(α(j)·P, den·Q) = 9 at 3 | j
+        symmetric_binomial(Fraction(5, 2), Fraction(3, 5)),  # gcd(α(j)·P·c, den·Q) > 1
+        uniform_binomial(Fraction(7, 3), Fraction(-2, 11)),  # a head with d; b_j = (2j+1)·10/11
+        uniform_binomial(Fraction(1, 2), Fraction(-9, 10)),  # b_j = (2j+1)·11/20
+        uniform_binomial(Fraction(7, 3), 4),  # b_j = (2j+1)·3/1
+        lagrange_binomial(Fraction(-7, 2), Fraction(9, 4)),
+        tan_multiple(Fraction(5, 3), Fraction(-6, 5)),
+        lagrange_binomial(3, Fraction(0)),  # x = 0: no level, the head's included
+        uniform_binomial(Fraction(1, 2), Fraction(0)),
+        arctan_cf(0),
+        coth_scaled_cf(Fraction(0)),
+    ], ids=lambda s: s.description)
+    def test_int_walk_keeps_the_least_factors_deep(self, stream):
+        # 150 levels where the factor carried from the level before shares content
+        # with the law's den·Q, or uniform's b_j is not integral; and x = 0
+        _assert_int_walk_reads_the_terms(stream, 150)
 
     @pytest.mark.parametrize("mode", list(LAW_ARGS))
     @pytest.mark.parametrize("family", list(TERMINATION_LEVEL), ids=lambda f: f.value)
