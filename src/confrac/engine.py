@@ -40,12 +40,10 @@ the levels made integral by the least clearing factors (an equivalence
 transform), ``(c_k, A_k = c_k·c_{k-1}·a_k, B_k = c_k·b_k)``, with ``c_0`` the
 denominator of ``b0`` and ``c_k = lcm(den b_k, den a_k / gcd(den a_k, c_{k-1}))``:
 ``c_{k-1}``, which the row above already carries, clears what it can of ``a_k``
-first.  So at a constant ``a``-denominator ``d`` and integral ``b``, ``c_k``
-alternates ``d`` and 1, and the rows grow by ``d`` every other level, not every
-level.  A stream's cleared walk applies that rule (``_integral``) to its int
-walk ``cf._ints()``, each level's reduced pairs ``(a_num, a_den, b_num, b_den)``;
-a family's reads the same levels off its law, one gcd a level.  A value is
-reduced, to one ``Fraction``, only when it is read.
+first.  A stream's cleared walk is ``_integral`` of its int walk ``cf._ints()``;
+a family's reads the same levels off its law.  The rows' common content, a
+divisor of ``±c_0·A_1···A_k``, is divided out at a few checks of a deep walk
+(``_divided``).  A value is reduced, to one ``Fraction``, only when it is read.
 
 Every route's report comes from one stopping rule, ``_settle``, and so does
 :func:`eval_backward`'s bare value: stop at the first two successive values
@@ -67,7 +65,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count, islice, starmap
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import ModeMismatchError, PoleError
@@ -94,6 +92,8 @@ _RESCALE_BOUND = 2.0**256
 #: Stand-in the Lentz iteration puts in place of an exactly-zero
 #: intermediate (each one is counted in ``tiny_substitutions``).
 LENTZ_TINY = 1e-300
+
+_FIRST_CHECK, _CHECKED_DEPTH = 64, 384  # the exact kernels' first content check (_divided)
 
 
 @dataclass(frozen=True)
@@ -225,17 +225,17 @@ class Convergent:
     ``q == 0`` marks a pole of the truncation, not corruption.  In
     floating-point modes ``p`` and ``q`` may carry a common power-of-two
     rescaling; the ratio is unaffected.  In rational mode it holds the ints
-    ``s·p``, ``s·q`` and ``s``, and reduces on each read: ``p`` and ``q``
-    in lowest terms, ``value`` as one ``Fraction``.  Immutable.
+    ``s·p/G``, ``s·q/G`` and ``s`` or ``(s, G)`` (G: content divided out), reduced
+    on each read: ``p``, ``q`` in lowest terms, ``value`` one ``Fraction``.  Immutable.
     """
 
     __slots__ = ("_p", "_q", "_scale", "_k")
 
-    def __init__(self, p: Scalar, q: Scalar, k: int, scale: Optional[int] = None):
+    def __init__(self, p: Scalar, q: Scalar, k: int, scale: Union[None, int, tuple[int, int]] = None):
         self._p, self._q, self._scale, self._k = p, q, scale, k
 
-    p = property(lambda self: self._p if self._scale is None else Fraction(self._p, self._scale))
-    q = property(lambda self: self._q if self._scale is None else Fraction(self._q, self._scale))
+    p = property(lambda self: self._unscaled(self._p))
+    q = property(lambda self: self._unscaled(self._q))
     k = property(lambda self: self._k)
 
     @property
@@ -247,6 +247,10 @@ class Convergent:
         if self.is_pole:
             raise PoleError(f"convergent {self.k} is a pole (q = 0)")
         return self._p / self._q if self._scale is None else Fraction(self._p, self._q)
+
+    def _unscaled(self, row: Scalar) -> Scalar:  # row/s, or row·G/s where the scale is (s, G)
+        s = self._scale
+        return row if s is None else Fraction(row, s) if type(s) is int else Fraction(row * s[1], s[0])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Convergent):
@@ -356,17 +360,37 @@ def _integral(b0: Scalar, ints: Iterable[tuple[int, int, int, int]]) -> Iterator
         c = c_k
 
 
-def _forward_exact(cf: CFStream, depth: int) -> Iterator[tuple[int, int, int, int]]:
-    # _forward on Python ints (rational mode) over the cleared levels: yields
-    # (k, s·p_k, s·q_k, s), s = c_0·c_1···c_k (4 big products by small ints a level).
+def _divided(rows: tuple[int, ...], k: int, span: int, size: int, depth: int) -> tuple:
+    # Content check at level k of a walk to depth, span levels after the one that left the rows
+    # at size bits: (rows over their content g, g, their size, next check level or None); a zero
+    # row stays 0 (a fold's pole den = 0).  A gcd and divisions of n-bit rows cost n²/25 + 50 000
+    # bit-products; content gained at r bits a span costs as much, on each row's product, at a
+    # span of sqrt(2·cost·span/(rows·r)).  Under an eighth of the growth ends the checks, undivided.
+    n, g = max(rows[0].bit_length(), rows[1].bit_length()), math.gcd(*rows)
+    if 8 * (removed := g.bit_length() - 1) < max(n - size, 1):  # none, or under an eighth
+        return rows, 1, n, None
+    span, left = math.isqrt((n * n // 25 + 50_000) * 2 * span // (len(rows) * removed)), depth - k
+    due = None if 2 * left < 3 * span else k + min(span, left // 2)
+    return tuple(r // g for r in rows), g, n - removed, due
+
+
+def _forward_exact(cf: CFStream, depth: int) -> Iterator[tuple[int, int, int, Union[int, tuple[int, int]]]]:
+    # _forward on Python ints over the cleared levels, 4 big products by small ints a level: yields
+    # Convergent's (s·p_k/G, s·q_k/G, k, s or (s, G)), s = c_0···c_k, G the content checks removed.
     p_prev, q_prev, p, s = 1, 0, cf.b0.numerator, cf.b0.denominator
-    q = s
-    yield 0, p, q, s
-    for k, (c, a, b) in zip(range(1, depth + 1), cf._cleared()):
-        p, p_prev = b * p + a * p_prev, p
-        q, q_prev = b * q + a * q_prev, q
-        s *= c
-        yield k, p, q, s
+    q, content, size, k, last, walk = s, 1, 0, 0, 0, cf._cleared()
+    due = _FIRST_CHECK if depth >= _CHECKED_DEPTH else None
+    yield p, q, 0, s
+    while True:
+        for k, (c, a, b) in zip(range(k + 1, (due or depth) + 1), walk):
+            p, p_prev = b * p + a * p_prev, p
+            q, q_prev = b * q + a * q_prev, q
+            s *= c
+            yield p, q, k, s if content == 1 else (s, content)
+        if k != due:  # the walk ended, or ran on with no more checks
+            return
+        (p, q, p_prev, q_prev), g, size, due = _divided((p, q, p_prev, q_prev), k, k - last, size, depth)
+        content, last = content * g, k
 
 
 def convergents(cf: CFStream, depth: int) -> list[Convergent]:
@@ -380,7 +404,7 @@ def convergents(cf: CFStream, depth: int) -> list[Convergent]:
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     if cf.mode is Mode.RATIONAL:
-        return [Convergent(p, q, k, s) for k, p, q, s in _forward_exact(cf, depth)]
+        return list(starmap(Convergent, _forward_exact(cf, depth)))
     return [Convergent(p=p, q=q, k=k) for k, p, q in _forward(cf, depth)]
 
 
@@ -397,7 +421,7 @@ def eval_convergents(
     when the value that would be reported sits on a pole.
     """
     if cf.mode is Mode.RATIONAL:
-        steps = ((k, None if q == 0 else Fraction(p, q), 0) for k, p, q, _ in _forward_exact(cf, max_depth))
+        steps = ((k, None if q == 0 else Fraction(p, q), 0) for p, q, k, _ in _forward_exact(cf, max_depth))
     else:  # q_0 = 1: convergent 0 is b0 itself
         steps = ((k, None if q == 0 else p / q if k else p, 0) for k, p, q in _forward(cf, max_depth))
     return _settle(cf, steps, tol, max_depth)
@@ -475,8 +499,14 @@ def _fold_exact(b0: Scalar, levels: list[tuple[int, int, int]]) -> tuple[int, in
     # The cleared fraction B_0 + A_1/(B_1 + ...) is c_0 times the value, B_0 = numerator(b0).
     tops, ups = [a for _, a, _ in levels], [b0.numerator] + [b for _, _, b in levels]  # A_k, B_{k-1}
     num, den = ups.pop(), 1  # r = num/den, 2 big products by small ints a level
-    for a, b_up in zip(reversed(tops), reversed(ups)):
-        num, den = b_up * num + a * den, num
+    above, folded, size, m = zip(reversed(tops), reversed(ups)), 0, 0, len(tops)
+    due = _FIRST_CHECK if m >= _CHECKED_DEPTH else None  # checks count the levels folded
+    while True:
+        for a, b_up in above if due is None else islice(above, due - folded):
+            num, den = b_up * num + a * den, num
+        if due is None:
+            break
+        folded, ((num, den), _, size, due) = due, _divided((num, den), due, due - folded, size, m)
     den *= b0.denominator
     return (num, den) if den >= 0 else (-num, -den)
 

@@ -46,7 +46,8 @@ from confrac import (
     uniform_binomial,
 )
 import confrac.engine as engine
-from confrac.engine import _fold, _forward_exact, _integral
+from confrac import verify
+from confrac.engine import _fold, _fold_exact, _forward_exact, _integral
 
 TIGHT = ToleranceSpec(rel_tol=1e-13)
 
@@ -784,8 +785,8 @@ class TestExactKernel:
         # a_k has denominator 9: c_{k-1} clears it with c_k, so no row carries a common
         # factor and the scale grows by 3 a level; clearing by each level's lcm grew it by 9
         rows = list(_forward_exact(cf, 300))
-        assert all(math.gcd(p, q) == 1 for _, p, q, _ in rows)
-        assert rows[-1][0] == 300 and rows[-1][3] == 3 ** 300
+        assert all(math.gcd(p, q) == 1 for p, q, _, _ in rows)
+        assert rows[-1][2] == 300 and rows[-1][3] == 3 ** 300
 
     def test_integer_stream_values_are_fractions(self):
         # int / int would be a float; every rational route returns a Fraction
@@ -794,6 +795,118 @@ class TestExactKernel:
         assert type(convergents(cf, 2)[-1].value) is Fraction
         assert type(eval_backward(cf, 2)) is Fraction
         assert type(eval_convergents(cf, EXACT, 5).value) is Fraction
+
+
+def _plain_rows(cf, depth):
+    # the forward recurrence on the cleared levels, no content divided out: (P_k, Q_k, s_k)
+    p_prev, q_prev, p, s = 1, 0, cf.b0.numerator, cf.b0.denominator
+    rows, q = [(p, s, s)], s
+    for c, a, b in islice(cf._cleared(), depth):
+        p, p_prev = b * p + a * p_prev, p
+        q, q_prev = b * q + a * q_prev, q
+        s *= c
+        rows.append((p, q, s))
+    return rows
+
+
+def _plain_fold(cf, depth):
+    # the fold of the cleared levels, no content divided out; None is a pole
+    levels = list(islice(cf._cleared(), depth))
+    ups = [cf.b0.numerator] + [b for _, _, b in levels]
+    num, den = ups[-1], 1
+    for k in range(len(levels), 0, -1):
+        num, den = ups[k - 1] * num + levels[k - 1][1] * den, num
+    return Fraction(num, den * cf.b0.denominator) if den else None
+
+
+def _row_zero_at_a_check(row, depth):
+    # levels (4, 2), whose rows gain a factor 2 a level, and one level at the first
+    # content check that makes row p or q vanish there: b = x_{L-2}, a = -x_{L-1}
+    level = engine._FIRST_CHECK
+    xs = {"p": [1, 1], "q": [0, 1]}[row]  # x_{-1}, x_0 for b0 = 1
+    for _ in range(1, level):
+        xs.append(2 * xs[-1] + 4 * xs[-2])
+    terms = [(4, 2)] * (level - 1) + [(-xs[-1], xs[-2])] + [(4, 2)] * (depth - level)
+    return CFStream.from_terms(1, terms, f"{row}-zero")
+
+
+def _fold_zero_at_a_check(depth):
+    # levels (4, 2) and one b that makes the fold's partial value vanish at its first
+    # content check, depth - _FIRST_CHECK: the level above then folds from a pole
+    level, r = depth - engine._FIRST_CHECK, Fraction(2)
+    for _ in range(depth - 1, level, -1):
+        r = 2 + 4 / r
+    terms = [(4, 2)] * (level - 1) + [(4, -4 / r)] + [(4, 2)] * (depth - level)
+    return CFStream.from_terms(1, terms, "fold-zero")
+
+
+DEEP_STREAMS = {
+    "symmetric(5/2, 3/5)": lambda d: symmetric_binomial(Fraction(5, 2), Fraction(3, 5)),
+    "arctan(5/3)": lambda d: arctan_cf(Fraction(5, 3)),
+    "coth-scaled(4/3)": lambda d: coth_scaled_cf(Fraction(4, 3)),
+    "coth-scaled(5/3)": lambda d: coth_scaled_cf(Fraction(5, 3)),
+    "uniform(7/3, -2/5)": lambda d: uniform_binomial(Fraction(7, 3), Fraction(-2, 5)),
+    "tail": lambda d: tail(arctan_cf(Fraction(-4, 3)), 2),
+    "equivalence": lambda d: equivalence_transform(
+        symmetric_binomial(Fraction(9, 2), Fraction(-1, 5)), lambda k: Fraction(2 * k + 1, 3)),
+    "q-zero": lambda d: _row_zero_at_a_check("q", d),
+    "p-zero": lambda d: _row_zero_at_a_check("p", d),
+    "fold-zero": _fold_zero_at_a_check,
+    # rows that stop growing after the first check found content: the next finds none
+    "rows-stop-growing": lambda d: CFStream.from_terms(1, [(4, 2)] * engine._FIRST_CHECK + [(-1, 1)] * d),
+    "fold-stops-growing": lambda d: CFStream.from_terms(
+        1, [(-1, 1)] * (d - engine._FIRST_CHECK) + [(4, 2)] * engine._FIRST_CHECK),
+}
+
+
+class TestRowContent:
+    """Deep exact walks divide their rows' common content out at a few checks; every
+    convergent and fold value is the plain recurrence's, which divides nothing out."""
+
+    @pytest.mark.parametrize("depth", [400, 1400])
+    @pytest.mark.parametrize("name", list(DEEP_STREAMS))
+    def test_deep_values_match_the_plain_recurrence(self, name, depth):
+        cf = DEEP_STREAMS[name](depth)
+        convs, rows = convergents(cf, depth), _plain_rows(cf, depth)
+        assert [c.k for c in convs] == list(range(depth + 1)) == list(range(len(rows)))
+        for c, (p, q, s) in zip(convs, rows):
+            assert (c.p, c.q, c.is_pole) == (Fraction(p, s), Fraction(q, s), q == 0)
+            if q == 0:
+                with pytest.raises(PoleError):
+                    c.value
+            else:  # the reduced value, checked by cross-multiplication
+                v = c.value
+                assert type(v) is Fraction and v.numerator * q == v.denominator * p
+        c, (p, q, s) = convs[200], rows[200]  # past the first check, and short enough to print
+        assert repr(c) == f"Convergent(p={Fraction(p, s)!r}, q={Fraction(q, s)!r}, k=200)"
+        assert c == Convergent(Fraction(p, s), Fraction(q, s), 200)
+        assert hash(c) == hash((Fraction(p, s), Fraction(q, s), 200))
+        assert eval_backward(cf, depth) == _plain_fold(cf, depth)
+
+    def test_the_zero_rows_sit_at_a_check(self):
+        # the user streams above reach their zeros where the kernels divide content out
+        level = engine._FIRST_CHECK
+        assert _plain_rows(_row_zero_at_a_check("q", 400), level)[-1][1] == 0
+        assert _plain_rows(_row_zero_at_a_check("p", 400), level)[-1][0] == 0
+        assert convergents(_row_zero_at_a_check("q", 400), 400)[level].is_pole
+        cf = _fold_zero_at_a_check(400)
+        assert eval_backward(tail(cf, 400 - level), level) == 0
+
+    @pytest.mark.parametrize("cf", [symmetric_binomial(Fraction(5, 2), Fraction(3, 5)),
+                                    arctan_cf(Fraction(5, 3))], ids=lambda cf: cf.description)
+    def test_determinant_identity_holds_deep(self, cf):
+        # p_k q_{k-1} - p_{k-1} q_k = (-1)^(k-1) a_1···a_k needs every convergent's content
+        assert verify._determinant_holds(cf, 400)
+
+    def test_deep_rows_keep_little_common_content(self):
+        # at depth 1400 symmetric_binomial(5/2, 3/5)'s last forward row and its fold state
+        # shared 13 355 bits when no content was divided out; under a quarter is left
+        cf = symmetric_binomial(Fraction(5, 2), Fraction(3, 5))
+        *_, (p, q, k, _) = _forward_exact(cf, 1400)
+        num, den = _fold_exact(cf.b0, list(islice(cf._cleared(), 1400)))
+        assert k == 1400
+        assert math.gcd(p, q).bit_length() < 13_355 / 4
+        assert math.gcd(num, den).bit_length() < 13_355 / 4
 
 
 class TestTail:
