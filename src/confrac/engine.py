@@ -46,17 +46,17 @@ divisor of ``±c_0·A_1···A_k``, is divided out at a few checks of a deep wal
 (``_divided``).  A value is reduced, to one ``Fraction``, only when it is read.
 
 Every route's report comes from one stopping rule, ``_settle``, and so does
-:func:`eval_backward`'s bare value: stop at the first two successive values
-that agree, unless the stream's law ends it (``cf._end``, the level of its
-zero), or at the first non-finite one (not converged), unless a law ends the
-float walk within the cap; a walk that runs out has terminated, unless at
-the cap.  A terminated float walk reports its exact value: its rational
-form ``cf._exact()`` (a family's law at ``Fraction(x)``, else each binary
-coefficient's exact rational), folded on ints and rounded once, by int true
-division.  Complex mode keeps the route's value, as there is no exact
-complex type.  Every route marks a pole (``q_k = 0``, an infinite fold) as
-value ``None``, and only ``_settle`` raises :class:`PoleError`, for one it
-would report.
+:func:`eval_backward`'s bare value.  A float or rational law that ends within
+the cap (``cf._end``, the level of its zero) is answered before a step is
+pulled, by one fold on ints (``_law_value``) of its cleared levels, reduced
+once, or, in float mode, of its rational form ``cf._exact()`` (a family's law
+at ``Fraction(x)``, else each binary coefficient's exact rational), rounded
+once by int true division, as a terminated user stream's float walk is.  Other
+walks stop at the first two successive values that agree, unless a law ends
+them, or at the first non-finite one (not converged); a walk that runs out has
+terminated, unless at the cap.  Complex mode keeps the route's value (no exact
+complex type).  Every route marks a pole (``q_k = 0``, an infinite fold) as
+``None``; only ``_settle`` raises :class:`PoleError`, for one it would report.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import count, islice, starmap
 from typing import Callable, Iterable, Iterator, Optional, Union
@@ -260,8 +261,10 @@ class Convergent:
     def __hash__(self) -> int:
         return hash((self.p, self.q, self.k))
 
-    def __repr__(self) -> str:
-        return f"Convergent(p={self.p!r}, q={self.q!r}, k={self.k!r})"
+    def __repr__(self) -> str:  # a Fraction's ints through Decimal: repr stops at the digit limit
+        text = lambda v: (f"Fraction({Decimal(v.numerator)}, {Decimal(v.denominator)})"
+                          if type(v) is Fraction else repr(v))
+        return f"Convergent(p={text(self.p)}, q={text(self.q)}, k={self.k!r})"
 
 
 @dataclass(frozen=True)
@@ -294,21 +297,22 @@ def _settle(cf: CFStream, steps: Iterable[tuple[int, Optional[Scalar], int]],
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     finite, rel_tol, agree = cf.mode.isfinite, _rel_tol(cf.mode, tol), cf._end is None
-    floats, inf, value = cf.mode is Mode.FLOAT, math.inf, None
-    # past a non-finite value to a zero within the cap, where _rounded_once answers
-    walk_on = floats and not agree and cf._end <= max_depth
-    for k, step, substitutions in steps:
+    floats, inf, value, substitutions = cf.mode is Mode.FLOAT, math.inf, None, 0
+    law = not agree and cf._end <= max_depth and cf.mode is not Mode.COMPLEX  # ends within the cap
+    for k, step, substitutions in () if law else steps:
         prev, value = value, step
         if value is None:
             continue
-        if not (finite(value) or walk_on) or agree and prev is not None and (
+        if not finite(value) or agree and prev is not None and (
                 (d := abs(value - prev)) < inf and (d <= rel_tol * abs(value) or d <= rel_tol * abs(prev))
                 if floats else _within(value, prev, rel_tol, finite)):
             converged, terminated = finite(value), False
             break
     else:
-        if k < max_depth and cf.mode is Mode.FLOAT:
-            value = _rounded_once(cf, k, value)
+        if law:  # answered before any step is pulled; a non-finite answer's residual is |v - v|/|v|, nan
+            value = prev = _law_value(cf, k := cf._end - 1)
+        elif k < max_depth and floats:  # a float walk with no law that terminated
+            value = _law_value(cf, k, value)
         if value is None:
             raise PoleError(f"convergent {k}, the value to report, is a pole (q = 0)")
         converged = terminated = k < max_depth and finite(value)
@@ -511,19 +515,19 @@ def _fold_exact(b0: Scalar, levels: list[tuple[int, int, int]]) -> tuple[int, in
     return (num, den) if den >= 0 else (-num, -den)
 
 
-def _rounded_once(cf: CFStream, depth: int, value: Optional[float]) -> Optional[float]:
-    # The value of a float fraction that terminated after depth levels: the
-    # same fraction in rational mode, cf._exact(), folded on ints and rounded
-    # once by int true division, as float(Fraction) rounds.  None at an exact
-    # pole, ±inf past the float range; a copied level with an inf or nan
-    # coefficient keeps value.
+def _law_value(cf: CFStream, depth: int, value: Optional[float] = math.nan) -> Optional[Scalar]:
+    # The value of a fraction that ends after depth levels, one fold of exact cleared levels: a
+    # rational stream's own, reduced once; a float one's rational form cf._exact(), rounded once
+    # by int true division, as float(Fraction) rounds.  None at an exact pole, ±inf past the float
+    # range; a float level with an inf or nan coefficient, which has no exact form, keeps value.
+    rational = cf.mode is Mode.RATIONAL
     try:
-        rational = cf._exact()
-        num, den = _fold_exact(rational.b0, list(islice(rational._cleared(), depth)))
-    except (OverflowError, ValueError):  # Fraction(inf), Fraction(nan)
+        exact = cf if rational else cf._exact()
+        num, den = _fold_exact(exact.b0, list(islice(exact._cleared(), depth)))
+    except (() if rational else (OverflowError, ValueError)):  # float only: Fraction(inf), Fraction(nan)
         return value
     try:
-        return None if den == 0 else num / den
+        return None if den == 0 else Fraction(num, den) if rational else num / den
     except OverflowError:  # num / den raises past the float range
         return math.inf if num > 0 else -math.inf
 

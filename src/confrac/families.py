@@ -61,10 +61,10 @@ exact zero where α(j), the head's h or x is 0, so an underflowed numerator
 nonzero integer n, at level |n| (symmetric), |n|+1 (uniform, tan-multiple),
 2n (lagrange, n > 0) or 2|n|+1 (lagrange, n < 0); x = 0 or h = 0 ends it
 at level 1.  So a stream reads, when built, the level at which its law
-ends it, ``_end``: it bounds the law's loop over j, the walk every
-evaluator reads (a float walk past a non-finite value only when the end
-is within its cap), and answers ``termination_level``; a float walk that
-ends reports the law read at ``Fraction(x)``, rounded once.
+ends it, ``_end``: it answers ``termination_level``; a float or rational
+evaluation capped at or past it walks nothing and reports the law's one
+exact fold (a float one read at ``Fraction(x)``, rounded once), and every
+other walk is the law's loop over j, which ``_end`` bounds.
 
 :class:`Family` is the one table that maps each family to its generator
 and its oracle (from :mod:`confrac.oracles`); :class:`FamilySpec` and

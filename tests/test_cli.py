@@ -54,18 +54,28 @@ class TestEval:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_lentz_stand_in_is_counted(self, capsys, fmt):
-        # (1+1)^3: q_2 = 0, so the Lentz d of level 2 takes the stand-in once
+        # (1+4)^1.5: the walk meets one exact zero, and the Lentz iteration takes the stand-in once
         code, out, _ = run_cli(
-            capsys, "eval", "--family", "lagrange-binomial", "--n", "3", "--arg", "1",
+            capsys, "eval", "--family", "lagrange-binomial", "--n", "1.5", "--arg", "4",
             "--method", "lentz", "--format", fmt,
         )
         assert code == 0
         if fmt == "json":
             payload = strict_json(out)
-            assert payload["value"] == 8.0 and payload["tiny_substitutions"] == 1
+            assert payload["value"] == 11.180339887501884 and payload["tiny_substitutions"] == 1
+            assert payload["depth_used"] == 30 and payload["converged"] is True
         else:
             header, row = out.splitlines()
-            assert header.endswith(",tiny_substitutions") and row == "8,5,true,true,0,1"
+            assert header.endswith(",tiny_substitutions")
+            assert row == "11.180339887501884,30,true,false,8.5780492117622449e-13,1"
+        # (1+1)^3 ends within the cap: its law answers, and no Lentz step runs to take a stand-in
+        code, out, _ = run_cli(
+            capsys, "eval", "--family", "lagrange-binomial", "--n", "3", "--arg", "1",
+            "--method", "lentz", "--format", "json",
+        )
+        payload = strict_json(out)
+        assert code == 0 and payload["value"] == 8.0 and payload["tiny_substitutions"] == 0
+        assert payload["terminated"] is True
 
     def test_domain_error_names_the_precondition(self, capsys):
         code, out, err = run_cli(capsys, "eval", "--family", "log-ratio", "--arg", "1.5")

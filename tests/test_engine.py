@@ -4,10 +4,12 @@ equivalence transforms, termination semantics."""
 import gc
 import math
 import random
+import re
 import sys
 import threading
 import time
 import weakref
+from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
 
@@ -21,6 +23,7 @@ from confrac import (
     CFStream,
     CFTerm,
     Convergent,
+    EvalReport,
     Family,
     FamilySpec,
     Mode,
@@ -47,7 +50,7 @@ from confrac import (
 )
 import confrac.engine as engine
 from confrac import verify
-from confrac.engine import _fold, _fold_exact, _forward_exact, _integral
+from confrac.engine import _backward_report, _fold, _fold_exact, _forward_exact, _integral
 
 TIGHT = ToleranceSpec(rel_tol=1e-13)
 
@@ -397,7 +400,7 @@ FLOAT_WALKS = pytest.mark.parametrize("evaluate", [eval_lentz, eval_convergents]
 
 
 class TestTerminatedFloatWalk:
-    """A float walk that terminates reports its exact value, rounded once."""
+    """A float fraction that terminates reports its exact value, rounded once."""
 
     @FLOAT_WALKS
     def test_cancelled_power_is_the_exact_power(self, evaluate):
@@ -426,6 +429,7 @@ class TestTerminatedFloatWalk:
         assert report.value == math.inf and math.isnan(report.residual)
         assert not report.converged and not report.terminated
         assert eval_backward(lagrange_binomial(3, 1e103), 12) == math.inf
+        assert math.isnan(_backward_report(lagrange_binomial(3, 1e103), 12, TIGHT).residual)
 
     @FLOAT_WALKS
     def test_law_that_ends_is_walked_past_a_non_finite_value(self, evaluate):
@@ -464,8 +468,9 @@ class TestTerminatedFloatWalk:
 
 
 class TestLawThatEnds:
-    """A fraction its family law ends is walked to the law's zero in every
-    mode, never stopped on two agreeing steps; other walks stop as before."""
+    """A fraction its family law ends is answered at the law's zero in every
+    mode (float and rational by one exact fold, complex by its walk), never
+    stopped on two agreeing steps; other walks stop as before."""
 
     @FLOAT_WALKS
     @pytest.mark.parametrize("family, n, x", [(lagrange_binomial, 400, 0.3),
@@ -527,6 +532,31 @@ class TestLawThatEnds:
         report = eval_lentz(tail(cf, 5), TIGHT)
         assert report.converged and not report.terminated
         assert report == eval_lentz(tail(healthy(), 5), TIGHT)
+
+    def test_law_within_the_cap_answers_without_a_walk(self, monkeypatch):
+        # every route's steps raise when pulled: an ending law's report is its one exact fold
+        def refuse(*args, **kwargs):
+            raise AssertionError("an ending law was walked")
+            yield  # a generator function, as the routes call these to build their steps
+
+        for name in ("_lentz", "_forward", "_forward_exact", "_backward"):
+            monkeypatch.setattr(engine, name, refuse)
+        ended = lambda value, depth: EvalReport(value, depth, True, True, 0.0, 0)
+        for cf, want in [(lagrange_binomial(3, 0.3), ended(2.197, 5)),
+                         (uniform_binomial(-2, 1e160), ended(1e-320, 2)),
+                         (tail(lagrange_binomial(400, 0.3), 1), ended(3.175706246730358e-44, 798)),
+                         (equivalence_transform(lagrange_binomial(400, 0.3), lambda k: 2.0, c0=3.0),
+                          ended(1.1336061084700406e+46, 799))]:
+            assert eval_lentz(cf) == eval_convergents(cf) == _backward_report(cf, 1000, TIGHT) == want
+            assert eval_backward(cf, 1000) == want.value
+        cf = lagrange_binomial(-7, Fraction(3, 10))
+        assert eval_convergents(cf, EXACT) == ended(Fraction(10_000_000, 62_748_517), 14)
+        assert eval_backward(cf, 15) == Fraction(10_000_000, 62_748_517)
+        # the zero scale is never read, as termination_level skips it: the wrapped law's value
+        cf = equivalence_transform(lagrange_binomial(3, 0.3), lambda k: 0.0 if k == 2 else 1.0)
+        with pytest.raises(ValueError, match="zero scale factor at level 2"):
+            cf.term(2)
+        assert eval_lentz(cf) == eval_convergents(cf) == ended(2.197, 5)
 
     @FLOAT_WALKS
     def test_walk_capped_before_the_zero_is_not_converged(self, evaluate):
@@ -882,6 +912,15 @@ class TestRowContent:
         assert c == Convergent(Fraction(p, s), Fraction(q, s), 200)
         assert hash(c) == hash((Fraction(p, s), Fraction(q, s), 200))
         assert eval_backward(cf, depth) == _plain_fold(cf, depth)
+
+    def test_repr_writes_ints_past_the_digit_limit(self):
+        # at depth 1400 p and q have over 4 300 digits, past which repr of an int raises ValueError
+        c = convergents(symmetric_binomial(Fraction(5, 2), Fraction(3, 5)), 1400)[-1]
+        text = repr(c)
+        assert text.startswith("Convergent(p=Fraction(") and text.endswith("), k=1400)")
+        ints = [int(Decimal(digits)) for digits in re.findall(r"-?\d+", text[:-len(", k=1400)")])]
+        assert ints == [c.p.numerator, c.p.denominator, c.q.numerator, c.q.denominator]
+        assert max(ints).bit_length() > 4300 * math.log2(10)
 
     def test_the_zero_rows_sit_at_a_check(self):
         # the user streams above reach their zeros where the kernels divide content out
