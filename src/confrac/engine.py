@@ -69,7 +69,7 @@ from fractions import Fraction
 from itertools import count, islice, starmap
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .errors import ModeMismatchError, PoleError
+from .errors import DomainError, ModeMismatchError, PoleError
 from .scalars import (
     DEFAULT_TOLERANCE,
     Mode,
@@ -147,16 +147,14 @@ class CFStream:
 
     @classmethod
     def _from_law(cls, b0: Scalar, level: Callable, description: str, walk: Optional[Callable] = None,
-                  end: Optional[int] = None, exact: Optional[Callable] = None,
-                  cleared: Optional[Callable] = None) -> "CFStream":
-        # A stream whose level(k) -> (a_k, b_k, zero) or None (zero: a_k ends the fraction)
-        # is taken unchecked; walk, end, exact and cleared, where given, are _walk, _end, _exact,
-        # _cleared, else the class's methods apply (the stream's own bound method stored in its
-        # __dict__ would be a cycle, which only the cyclic collector frees).
+                  end: Optional[int] = None, exact: Optional[Callable] = None) -> "CFStream":
+        # A structural operation's stream, whose level(k) -> (a_k, b_k, zero) or None (zero: a_k
+        # ends the fraction) is taken unchecked; walk, end and exact, where given, are _walk, _end,
+        # _exact, else the class's methods apply (the stream's own bound method stored in its __dict__
+        # would be a cycle, which only the cyclic collector frees).  A family is a families._Law.
         cf = cls(b0, None, description)
-        cf._level = level
-        cf._end = end
-        for name, given in (("_walk", walk), ("_exact", exact), ("_cleared", cleared)):
+        cf._level, cf._end = level, end
+        for name, given in (("_walk", walk), ("_exact", exact)):
             if given is not None:
                 setattr(cf, name, given)
         return cf
@@ -286,6 +284,10 @@ class EvalReport:
     terminated: bool
     residual: float
     tiny_substitutions: int = 0
+
+    def __init__(self, value, depth_used, converged, terminated, residual, tiny_substitutions=0):
+        self.__dict__.update(value=value, depth_used=depth_used, converged=converged,  # no frozen setattrs
+                             terminated=terminated, residual=residual, tiny_substitutions=tiny_substitutions)
 
 
 def _settle(cf: CFStream, steps: Iterable[tuple[int, Optional[Scalar], int]],
@@ -600,7 +602,8 @@ def equivalence_transform(
             raise ValueError(f"zero scale factor at level {k}")
         return v
 
-    factor(0)  # a zero c0 is rejected here, not at the first pull
+    if isinstance(factor(0), (float, complex)) and not cmath.isfinite(c0):  # fails here, as a zero c0 does
+        raise DomainError(f"c0 must be finite, got {c0!r}")
 
     def level(k: int) -> Optional[tuple[Scalar, Scalar, bool]]:  # makes c_k and c_{k-1}
         ab = cf._level(k)

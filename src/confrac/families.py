@@ -32,7 +32,7 @@ there is no separate sign convention.  The four full-fraction families
 whose first level holds the top numerator over the inner fraction's
 leading term.
 
-Every generator is one call of a private builder, ``_stream``, with its row
+Every generator builds one private stream class, ``_Law``, with its row
 of the law table.  After an optional head level, inner level j is
 ``a_j = α(j)·x^p`` over ``b_j = β(j)·(1 + s·x)``; with a head, inner level
 j is stream level j+1, without one it is level j.  α(j) is an integer
@@ -78,7 +78,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .engine import CFStream
 from .errors import DomainError
@@ -110,91 +110,98 @@ def _require_real(value: Scalar, name: str) -> None:
 
 
 #: An integer coefficient law: inner level j -> α's numerator, or β itself.
-_Law = Callable[[int], int]
+_Rule = Callable[[int], int]
 
 
-def _stream(family: str, name: str, x: Scalar, b0: int, alpha: _Law, *,
-            den: int = 1, n: Optional[Fraction] = None, beta: Optional[_Law] = None,
-            power: int = 2, scale: Optional[Fraction] = None, head: Optional[tuple] = None) -> CFStream:
-    """The one builder of family streams: a row of the law table.
+class _Law(CFStream):
+    """A family stream: a row of the law table, read by the class's methods.
 
-    Inner level j is ``(alpha(j)/den)·x^power / (beta(j)·(1 + scale·x))``,
-    each coefficient made by x's mode rule from the module docstring, where
-    ``beta(j)`` defaults to 2j+1 and ``(1 + scale·x)`` is there only when
-    ``scale`` is given.  With ``head = (h, d)``, d an int pair (num, den),
-    level 1 is ``h·x / (1 + d·x)`` and inner level j is level j+1; without a
-    head it is level j.  ``h = None`` puts x itself on top, cast to its mode
-    (``complex(1)·x`` would turn a ``-0.0`` imaginary part into ``+0.0``),
-    and ``d = None`` leaves the bare 1.  Float and complex levels multiply in
-    the order ``cast(num / den)·x·x`` (``x·x`` first rounds differently, and
-    overflows to ``0·inf``).  ``end``, the level of the law's zero, is read
-    off the ints once, here, and bounds the walk and, in rational mode, the
-    cleared walk; the level function (``(a_k, b_k, zero)`` for ``term(k)``)
-    flags ``k == end``, and every level at x = 0, so that a tail of such a
-    stream ends too.  All three share these rules, bound once, and
-    ``_exact()`` is this row at ``Fraction(x)``.  The finiteness check comes
-    first, so a generator's own domain checks only see finite arguments.
+    Inner level j is ``(alpha(j)/den)·x^power / (beta(j)·(1 + scale·x))`` by
+    x's mode rule (module docstring), ``beta(j)`` 2j+1 by default and
+    ``(1 + scale·x)`` there only when ``scale`` is given.  With ``head = (h, d)``,
+    d an int pair (num, den), level 1 is ``h·x / (1 + d·x)`` and inner level j
+    is level j+1; without a head it is level j.  ``h = None`` puts x itself on
+    top, cast to its mode (``complex(1)·x`` would turn a ``-0.0`` imaginary part
+    into ``+0.0``), and ``d = None`` leaves the bare 1.  Float and complex
+    levels multiply in the order ``cast(num / den)·x·x`` (``x·x`` first rounds
+    differently, and overflows to ``0·inf``).  ``_end``, the level of the law's
+    zero, is read off the ints once, when built, and bounds the walk and, in
+    rational mode, the cleared walk; ``_level(k)`` (``(a_k, b_k, zero)`` for
+    ``term(k)``) flags ``k == _end``, and every level at x = 0, so that a tail
+    of such a stream ends too.  A build stores the row and makes no closure;
+    ``_exact()`` is this row at ``Fraction(x)`` and ``description`` is
+    formatted when read.  The finiteness check comes first, so a generator's
+    own domain checks only see finite arguments.
     """
-    _require_finite(x, name)
-    cast = mode_of(x).cast
-    one = cast(1)
-    unit = None if scale is None else one + cast(scale) * x
-    if cast is Fraction:  # num·P/(den·Q) and β·U/V in lowest terms, x^power = P/Q, unit = U/V
-        P, Q = (x ** power).as_integer_ratio()
-        U, V = (1, 1) if unit is None else unit.as_integer_ratio()
-        coef = lambda m: Fraction(m * P, den * Q)
-        width = Fraction if unit is None else lambda m: Fraction(m * U, V)
-    else:
-        coef = (lambda m: cast(m / den) * x * x) if power == 2 else lambda m: cast(m / den) * x
-        width = cast if unit is None else lambda m: cast(m) * unit
-    nil = x == 0
-    shift = 0 if head is None else 1
-    if head is not None:
-        h, d = head
-        if d is not None:
-            d = Fraction(*d) if cast is Fraction else cast(d[0] / d[1])
-        top = (cast(x) if h is None else cast(h) * x, one if d is None else one + d * x, nil or h == 0)
-    e = n is not None and n.denominator == 1 and abs(n.numerator)  # α(j) = 0 only at j = e, 2e-1, 2e
-    end = None  # the level of the law's zero
-    if nil or shift and top[2]:
-        end = 1
-    elif e:
-        end = next((j + shift for j in (e, 2 * e - 1, 2 * e) if alpha(j) == 0), None)
-    inner = lambda: count(1) if end is None else range(1, end - shift)  # the j of the levels before it
 
-    def level(k: int) -> tuple[Scalar, Scalar, bool]:
-        j = k - shift
+    def __init__(self, family: str, name: str, x: Scalar, b0: int, alpha: _Rule, den: int = 1,
+                 n: Optional[Fraction] = None, beta: Optional[_Rule] = None, power: int = 2,
+                 scale: Optional[Fraction] = None, head: Optional[tuple] = None):
+        _require_finite(x, name)
+        self.mode, self._args = mode_of(x), (family, name, b0, n, scale, head)
+        cast, nil, one = self.mode.cast, x == 0, self.mode.cast(1)
+        self.b0, unit = cast(b0), None if scale is None else one + cast(scale) * x
+        self._law = (x, alpha, den, beta, power, cast, unit)
+        if cast is Fraction:  # x^power = P/Q, unit = U/V (1/1 without a scale)
+            self._ratios = (x ** power).as_integer_ratio() + (unit if scale else one).as_integer_ratio()
+        h, d = head or (None, None)  # _top: level 1, (a_1, b_1, zero), where the row has a head
+        d = d and (Fraction(*d) if cast is Fraction else cast(d[0] / d[1]))
+        self._top = head and (cast(x) if h is None else cast(h) * x, one if d is None else one + d * x,
+                              nil or h == 0)
+        if nil or head is not None and self._top[2]:
+            self._end = 1
+        elif e := n is not None and n.denominator == 1 and abs(n.numerator):  # α(j) = 0 only at e, 2e-1, 2e
+            self._end = next((j + (head is not None) for j in (e, 2 * e - 1, 2 * e) if alpha(j) == 0), None)
+
+    @property
+    def description(self) -> str:
+        (family, name, _, n), x = self._args[:4], self._law[0]
+        return f"{family}({x!r})" if n is None else f"{family}(n={n}, {name}={x!r})"
+
+    def _exact(self) -> "_Law":
+        (x, alpha, den, beta, power, _, _), (family, name, b0, n, scale, head) = self._law, self._args
+        return _Law(family, name, Fraction(x), b0, alpha, den, n, beta, power, scale, head)
+
+    def _inner(self) -> Iterable[int]:  # the j of the levels before the zero
+        return count(1) if self._end is None else range(1, self._end - (self._top is not None))
+
+    def _level(self, k: int) -> tuple[Scalar, Scalar, bool]:
+        j = k - (self._top is not None)
         if j == 0:
-            return top
-        return coef(alpha(j)), width(2 * j + 1 if beta is None else beta(j)), nil or k == end
+            return self._top
+        x, alpha, den, beta, power, cast, unit = self._law
+        a, b, zero = alpha(j), 2 * j + 1 if beta is None else beta(j), x == 0 or k == self._end
+        if cast is Fraction:  # num·P/(den·Q) and β·U/V in lowest terms
+            P, Q, U, V = self._ratios
+            return Fraction(a * P, den * Q), Fraction(b * U, V), zero
+        a, b = cast(a / den) * x, cast(b)
+        return a * x if power == 2 else a, b if unit is None else b * unit, zero
 
-    def walk() -> Iterator[tuple[Scalar, Scalar]]:  # level(k), k = 1, 2, ..., up to the zero
-        if shift and end != 1:
+    def _walk(self) -> Iterator[tuple[Scalar, Scalar]]:  # level(k), k = 1, 2, ..., up to the zero
+        (x, alpha, den, beta, power, cast, unit), top = self._law, self._top
+        if top is not None and self._end != 1:
             yield top[:2]
-        for j in inner():
-            yield coef(alpha(j)), width(2 * j + 1 if beta is None else beta(j))
+        if cast is Fraction:  # no kernel's way in: the rational kernels read _cleared()
+            yield from (self._level(j + (top is not None))[:2] for j in self._inner())
+            return
+        for j in self._inner():  # _level's rule, inline
+            a, b = cast(alpha(j) / den) * x, cast(2 * j + 1 if beta is None else beta(j))
+            yield a * x if power == 2 else a, b if unit is None else b * unit
 
-    def cleared() -> Iterator[tuple[int, int, int]]:  # the engine's _integral of walk(), off the law
+    def _cleared(self) -> Iterator[tuple[int, int, int]]:  # the engine's _integral of _walk(), off the law
+        (_, alpha, den, beta, _, _, unit), (P, Q, U, V), top = self._law, self._ratios, self._top
         c, M, wide, gcd = 1, den * Q, unit is not None, math.gcd  # c_0 = 1, as b0 is an int
-        if shift and end != 1:  # the engine's rule on the head's Fractions
+        if top is not None and self._end != 1:  # the engine's rule on the head's Fractions
             (a, b), c = top[:2], math.lcm(top[0].denominator, top[1].denominator)
             yield c, a.numerator * (c // a.denominator), b.numerator * (c // b.denominator)
-        for j in inner():  # M/gcd(α(j)·P·c, M) is _integral's den a/gcd(den a, c) on a = α(j)·P/M
-            a = alpha(j) * P * c
-            g = gcd(a, M)
-            c = M // g
-            b = 2 * j + 1 if beta is None else beta(j)
+        for j in self._inner():  # M/gcd(α(j)·P·c, M) is _integral's den a/gcd(den a, c) on a = α(j)·P/M
+            a, b = alpha(j) * P * c, 2 * j + 1 if beta is None else beta(j)
+            c = M // (g := gcd(a, M))
             if wide:  # uniform's b_j = βU/V: c_k = lcm(d, V/gcd(βU, V)); else U = V = 1
                 d, c = c, math.lcm(c, V // gcd(b * U, V))
                 yield c, a // g * (c // d), b * U * c // V
             else:
                 yield c, a // g, b * c
-
-    label = f"{family}({x!r})" if n is None else f"{family}(n={n}, {name}={x!r})"
-    exact = lambda: _stream(family, name, Fraction(x), b0, alpha, den=den, n=n, beta=beta,
-                            power=power, scale=scale, head=head)
-    return CFStream._from_law(cast(b0), level, label, walk, end, exact,
-                              cleared if cast is Fraction else None)
 
 
 def lagrange_binomial(n: Union[int, float, Fraction], x: Scalar) -> CFStream:
@@ -207,17 +214,17 @@ def lagrange_binomial(n: Union[int, float, Fraction], x: Scalar) -> CFStream:
     """
     n = as_fraction(n)
     N, D = n.as_integer_ratio()
-    return _stream("lagrange-binomial", "x", x, 1,
-                   lambda j: (j + 1) // 2 * D - N if j % 2 else j // 2 * D + N, den=D,
-                   n=n, beta=lambda j: 2 if j % 2 else j + 1, power=1, head=(n, None))
+    return _Law("lagrange-binomial", "x", x, 1,
+                lambda j: (j + 1) // 2 * D - N if j % 2 else j // 2 * D + N, den=D,
+                n=n, beta=lambda j: 2 if j % 2 else j + 1, power=1, head=(n, None))
 
 
 def uniform_binomial(n: Union[int, float, Fraction], x: Scalar) -> CFStream:
     """Uniform-law stream for (1+x)^n; terminates at level |n|+1 for integer n."""
     n = as_fraction(n)
     N, D = n.as_integer_ratio()
-    return _stream("uniform-binomial", "x", x, 1, lambda j: (N - j * D) * (N + j * D), den=4 * D * D,
-                   n=n, scale=_HALF, head=(n, (D - N, 2 * D)))
+    return _Law("uniform-binomial", "x", x, 1, lambda j: (N - j * D) * (N + j * D), den=4 * D * D,
+                n=n, scale=_HALF, head=(n, (D - N, 2 * D)))
 
 
 def symmetric_binomial(n: Union[int, float, Fraction], z: Scalar) -> CFStream:
@@ -229,7 +236,7 @@ def symmetric_binomial(n: Union[int, float, Fraction], z: Scalar) -> CFStream:
     """
     n = as_fraction(n)
     N, D = n.as_integer_ratio()
-    return _stream("symmetric-binomial", "z", z, 1, lambda j: (N - j * D) * (N + j * D), den=D * D, n=n)
+    return _Law("symmetric-binomial", "z", z, 1, lambda j: (N - j * D) * (N + j * D), den=D * D, n=n)
 
 
 def tan_multiple(n: Union[int, float, Fraction], t: Scalar) -> CFStream:
@@ -241,15 +248,15 @@ def tan_multiple(n: Union[int, float, Fraction], t: Scalar) -> CFStream:
     """
     n = as_fraction(n)
     N, D = n.as_integer_ratio()
-    stream = _stream("tan-multiple", "t", t, 0, lambda j: (j * D - N) * (j * D + N), den=D * D,
-                     n=n, head=(n, None))
+    stream = _Law("tan-multiple", "t", t, 0, lambda j: (j * D - N) * (j * D + N), den=D * D,
+                  n=n, head=(n, None))
     _require_real(t, "t")
     return stream
 
 
 def arctan_cf(t: Scalar) -> CFStream:
     """Full fraction t/(1 + t²/(3 + 4t²/(5 + 9t²/(7 + ...)))) = arctan t."""
-    stream = _stream("arctan", "t", t, 0, lambda j: j * j, head=(None, None))
+    stream = _Law("arctan", "t", t, 0, lambda j: j * j, head=(None, None))
     _require_real(t, "t")
     return stream
 
@@ -261,7 +268,7 @@ def tan_cf(theta: Scalar) -> CFStream:
     rejected: the true function has a pole there and truncations are
     meaningless.
     """
-    stream = _stream("tan", "theta", theta, 0, lambda j: -1, head=(None, None))
+    stream = _Law("tan", "theta", theta, 0, lambda j: -1, head=(None, None))
     _require_real(theta, "theta")
     residue = math.fmod(abs(float(theta.real if isinstance(theta, complex) else theta)), math.pi)
     if abs(residue - math.pi / 2) < TAN_POLE_GUARD:
@@ -276,7 +283,7 @@ def log_ratio_cf(z: Scalar) -> CFStream:
 
     Requires real |z| < 1, mirroring the left-hand side's domain.
     """
-    stream = _stream("log-ratio", "z", z, 0, lambda j: -j * j, head=(2, None))
+    stream = _Law("log-ratio", "z", z, 0, lambda j: -j * j, head=(2, None))
     _require_real(z, "z")
     if abs(z) >= 1:
         raise DomainError(f"log_ratio_cf requires |z| < 1, got {z!r}")
@@ -285,7 +292,7 @@ def log_ratio_cf(z: Scalar) -> CFStream:
 
 def coth_scaled_cf(v: Scalar) -> CFStream:
     """Stream 1 + v²/(3 + v²/(5 + v²/(7 + ...))) = v coth v  (value 1 at v = 0)."""
-    return _stream("coth-scaled", "v", v, 1, lambda j: 1)
+    return _Law("coth-scaled", "v", v, 1, lambda j: 1)
 
 
 class Family(enum.Enum):

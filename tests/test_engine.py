@@ -1,6 +1,7 @@
 """Engine tests: forward recurrence, Lentz, backward folding, tails,
 equivalence transforms, termination semantics."""
 
+import dataclasses
 import gc
 import math
 import random
@@ -23,6 +24,7 @@ from confrac import (
     CFStream,
     CFTerm,
     Convergent,
+    DomainError,
     EvalReport,
     Family,
     FamilySpec,
@@ -1107,3 +1109,44 @@ class TestTerminationSemantics:
     def test_term_request_below_one_rejected(self):
         with pytest.raises(ValueError):
             coth_scaled_cf(1.0).term(0)
+
+
+class TestEvalReportShape:
+    """EvalReport fills its fields in one step and stays a frozen dataclass."""
+
+    def test_fields_defaults_and_dataclass_protocol(self):
+        report = EvalReport(0.5, 3, True, False, 1e-16)
+        assert [f.name for f in dataclasses.fields(EvalReport)] == [
+            "value", "depth_used", "converged", "terminated", "residual", "tiny_substitutions"]
+        assert report.tiny_substitutions == 0
+        assert report == EvalReport(value=0.5, depth_used=3, converged=True, terminated=False,
+                                    residual=1e-16, tiny_substitutions=0)
+        assert report != EvalReport(0.5, 3, True, False, 1e-16, 1)
+        assert hash(report) == hash(EvalReport(0.5, 3, True, False, 1e-16, 0))
+        assert repr(report) == ("EvalReport(value=0.5, depth_used=3, converged=True, terminated=False, "
+                                "residual=1e-16, tiny_substitutions=0)")
+        assert dataclasses.replace(report, depth_used=4) == EvalReport(0.5, 4, True, False, 1e-16)
+        assert dataclasses.asdict(report) == {"value": 0.5, "depth_used": 3, "converged": True,
+                                              "terminated": False, "residual": 1e-16,
+                                              "tiny_substitutions": 0}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.value = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del report.depth_used
+        with pytest.raises(TypeError):
+            EvalReport(0.5, 3, True, False)
+
+
+class TestNonFiniteLeadingFactor:
+    @pytest.mark.parametrize("c0", [math.inf, -math.inf, math.nan, complex(math.inf, 0.0),
+                                    complex(0.0, math.nan)], ids=["inf", "-inf", "nan", "inf+0j", "nanj"])
+    def test_is_rejected_when_the_transform_is_built(self, c0):
+        with pytest.raises(DomainError, match="c0 must be finite"):
+            equivalence_transform(lagrange_binomial(3, 0.3), lambda k: 1.0, c0)
+
+    def test_domain_error_is_a_value_error_and_zero_still_raises(self):
+        assert issubclass(DomainError, ValueError)
+        with pytest.raises(ValueError, match="zero scale factor at level 0"):
+            equivalence_transform(lagrange_binomial(3, 0.3), lambda k: 1.0, 0.0)
+        finite = equivalence_transform(lagrange_binomial(3, 0.3), lambda k: 1.0, 2.0)
+        assert eval_lentz(finite).value == 2 * eval_lentz(lagrange_binomial(3, 0.3)).value

@@ -540,3 +540,32 @@ class TestIntegerLaws:
                 assert len(walk) == min(levels, 30)
             if len(walk) < 30:
                 assert wrapped.term(len(walk) + 1).a == 0
+
+
+class TestOneLawObject:
+    """A family stream is one object of one class: its walks, level and exact
+    form are the class's methods, not per-stream closures, and its label is
+    the same text as before, formatted when read."""
+
+    @pytest.mark.parametrize("mode", list(LAW_ARGS))
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_law_methods_resolve_to_the_class(self, family, mode):
+        x = LAW_ARGS[mode][0]
+        if family in REAL_ONLY and isinstance(x, complex):
+            x = complex(x.real, 0.0)
+        stream = family.generator(Fraction(5, 2), x) if family.takes_n else family.generator(x)
+        assert stream.mode.value == mode
+        for name in ("_walk", "_level", "_exact", "_cleared"):
+            assert name not in vars(stream), name
+
+    @pytest.mark.parametrize("stream, label", [
+        (lambda: lagrange_binomial(2.5, 0.3), "lagrange-binomial(n=5/2, x=0.3)"),
+        (lambda: arctan_cf(0.5), "arctan(0.5)"),
+        (lambda: symmetric_binomial(Fraction(5, 2), Fraction(1, 5)),
+         "symmetric-binomial(n=5/2, z=Fraction(1, 5))"),
+        (lambda: tail(arctan_cf(0.5), 2), "tail(arctan(0.5), 2)"),
+        (lambda: lagrange_binomial(3, 0.3)._exact(),
+         "lagrange-binomial(n=3, x=Fraction(5404319552844595, 18014398509481984))"),
+    ], ids=["lagrange", "arctan", "symmetric", "tail", "exact-form"])
+    def test_description_is_unchanged(self, stream, label):
+        assert stream().description == label
