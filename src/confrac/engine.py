@@ -8,18 +8,19 @@ is held as the leading term ``b0`` plus a lazy, deterministic sequence of
 levels ``(a_k, b_k)``, ``k >= 1``, computed on each pull.  A vanishing
 partial numerator is the termination signal: if ``a_m == 0`` the value is
 the convergent truncated just before level ``m``.  The evaluators' way in
-is the stream's walk, ``cf._walk()`` (in rational mode its int form, see
-below), a generator of the levels in order that stops before that zero: a
-family's is its law's loop, which reads the zero off the exact law, never
-off a rounded ``a``; a user stream's reads ``term_fn(k)`` for k = 1, 2, ...
-and tests ``a == 0``; :func:`tail` (the sub-fraction hanging off a level)
-walks the wrapped levels from its start, and :func:`equivalence_transform`
+is the stream's walk, ``cf._walk(k)`` from level k, 1 by default (in
+rational mode its cleared form, see below), a generator of the levels in
+order that stops before that zero: a family's is its law's loop, which
+reads the zero off the exact law, never off a rounded ``a``; a user
+stream's reads ``term_fn(k)`` for k, k+1, ... and tests ``a == 0``;
+:func:`tail` (the sub-fraction hanging off a level) walks the wrapped
+stream from the level below its start, and :func:`equivalence_transform`
 (a level-wise rescaling that keeps every convergent value) rescales the
 wrapped walk; both keep an ending law's end and exact form.  ``term(k)``
 keeps O(1) random access through the level function, for callers that
-pull single levels (a tail, a per-level probe) and would pay a walk from
-level 1 for each.  The stream's :class:`~confrac.scalars.Mode` supplies
-the seeds and the stopping rule's finiteness test (``cf.mode.isfinite``).
+pull single levels (a per-level probe) and would pay a walk for each.
+The stream's :class:`~confrac.scalars.Mode` supplies the seeds and the
+stopping rule's finiteness test (``cf.mode.isfinite``).
 
 Three evaluation routes with different trade-offs:
 
@@ -40,18 +41,18 @@ the levels made integral by the least clearing factors (an equivalence
 transform), ``(c_k, A_k = c_k·c_{k-1}·a_k, B_k = c_k·b_k)``, with ``c_0`` the
 denominator of ``b0`` and ``c_k = lcm(den b_k, den a_k / gcd(den a_k, c_{k-1}))``:
 ``c_{k-1}``, which the row above already carries, clears what it can of ``a_k``
-first.  A stream's cleared walk is ``_integral`` of its int walk ``cf._ints()``;
-a family's reads the same levels off its law.  The rows' common content, a
-divisor of ``±c_0·A_1···A_k``, is divided out at a few checks of a deep walk
-(``_divided``).  A value is reduced, to one ``Fraction``, only when it is read.
+first.  A stream's cleared walk is ``_integral`` of its walk, each coefficient
+read as its exact ratio; a family's reads the same levels off its law.  The rows'
+common content, a divisor of ``±c_0·A_1···A_k``, is divided out at a few checks
+of a deep walk (``_divided``).  A value is reduced, to one ``Fraction``, when read.
 
 Every route's report comes from one stopping rule, ``_settle``, and so does
 :func:`eval_backward`'s bare value.  A float or rational law that ends within
 the cap (``cf._end``, the level of its zero) is answered before a step is
 pulled, by one fold on ints (``_law_value``) of its cleared levels, reduced
-once, or, in float mode, of its rational form ``cf._exact()`` (a family's law
-at ``Fraction(x)``, else each binary coefficient's exact rational), rounded
-once by int true division, as a terminated user stream's float walk is.  Other
+once, or, in float mode, of ``cf._exact()``, the law at exact arguments (a
+family's at ``Fraction(x)``), rounded once by int true division, as a float
+walk with no law that terminates is, from its own binary coefficients.  Other
 walks stop at the first two successive values that agree, unless a law ends
 them, or at the first non-finite one (not converged); a walk that runs out has
 terminated, unless at the cap.  Complex mode keeps the route's value (no exact
@@ -118,7 +119,7 @@ class CFStream:
     or ``None`` once a finite stream is exhausted, and it is called on each
     pull, with no cache.  This makes a user stream: each term is checked to
     be in the mode of ``b0``, and ``a == 0`` terminates it.  Family streams
-    read both off their law (``_from_law``), structural operations off the
+    read both off their law, structural operations (``_from_law``) off the
     wrapped stream.  Streams are immutable once constructed and safe to share.
     """
 
@@ -139,24 +140,19 @@ class CFStream:
     ) -> "CFStream":
         """Finite stream from an explicit list of terms or (a, b) pairs."""
         fixed = [t if isinstance(t, CFTerm) else CFTerm(*t) for t in terms]
-
-        def term_fn(k: int) -> Optional[CFTerm]:
-            return fixed[k - 1] if k <= len(fixed) else None
-
-        return cls(b0, term_fn, description)
+        return cls(b0, lambda k: fixed[k - 1] if k <= len(fixed) else None, description)
 
     @classmethod
-    def _from_law(cls, b0: Scalar, level: Callable, description: str, walk: Optional[Callable] = None,
+    def _from_law(cls, b0: Scalar, level: Callable, description: str, walk: Callable,
                   end: Optional[int] = None, exact: Optional[Callable] = None) -> "CFStream":
         # A structural operation's stream, whose level(k) -> (a_k, b_k, zero) or None (zero: a_k
-        # ends the fraction) is taken unchecked; walk, end and exact, where given, are _walk, _end,
-        # _exact, else the class's methods apply (the stream's own bound method stored in its __dict__
-        # would be a cycle, which only the cyclic collector frees).  A family is a families._Law.
+        # ends the fraction) and walk(k) are taken unchecked; end and exact (the law at exact
+        # arguments), where given, are _end and _exact (none of them is a bound method of the stream:
+        # stored in its __dict__, that would be a cycle, which only the cyclic collector frees).
         cf = cls(b0, None, description)
-        cf._level, cf._end = level, end
-        for name, given in (("_walk", walk), ("_exact", exact)):
-            if given is not None:
-                setattr(cf, name, given)
+        cf._level, cf._walk, cf._end = level, walk, end
+        if exact is not None:
+            cf._exact = exact
         return cf
 
     def _level(self, k: int) -> Optional[tuple[Scalar, Scalar, bool]]:
@@ -164,31 +160,19 @@ class CFStream:
         t = self._term_fn(k)
         return None if t is None else (*self._in_mode(k, t.a, t.b), t.a == 0)
 
-    def _walk(self) -> Iterator[tuple[Scalar, Scalar]]:
-        # The levels in order, (a_k, b_k) for k = 1, 2, ..., up to the zero or
-        # the end of a finite stream: the float and complex evaluators' way in.
-        for k in count(1):
+    def _walk(self, k: int = 1) -> Iterator[tuple[Scalar, Scalar]]:
+        # The levels in order, (a_k, b_k) from level k on, up to the zero or the
+        # end of a finite stream: every evaluator's way in; past the zero it walks on.
+        for k in count(k):
             ab = self._level(k)
             if ab is None or ab[2]:
                 return
             yield ab[0], ab[1]
 
-    def _ints(self) -> Iterator[tuple[int, int, int, int]]:
-        # Rational mode: the walk's levels as the reduced int pairs (a_num, a_den,
-        # b_num, b_den), denominators positive.
-        for a, b in self._walk():
-            yield a.numerator, a.denominator, b.numerator, b.denominator
-
     def _cleared(self) -> Iterator[tuple[int, int, int]]:
-        # Rational mode: the int walk made integral, (c_k, A_k, B_k) of _integral;
-        # the rational kernels' way in.  A family's is read off its law.
-        return _integral(self.b0, self._ints())
-
-    def _exact(self) -> "CFStream":
-        # The same fraction in rational mode, each coefficient the exact rational of
-        # its binary value (Fraction(inf) raises); a family's is its law at Fraction(x).
-        copy = lambda k: (ab := self._level(k)) and (Fraction(ab[0]), Fraction(ab[1]), ab[2])
-        return CFStream._from_law(Fraction(self.b0), copy, self.description)
+        # The walk made integral, (c_k, A_k, B_k) of _integral: the rational kernels' way in,
+        # and a float walk's exact binary coefficients.  A family's is read off its law.
+        return _integral(self.b0, self._walk())
 
     def _in_mode(self, k: int, a: Scalar, b: Scalar) -> tuple[Scalar, Scalar]:
         # The one mode check: (a, b) of level k, both in the mode of b0.
@@ -208,6 +192,8 @@ class CFStream:
         """Level of the stream's termination zero: ``_end`` where its law
         records one, else scanned for; the end of a finite stream counts
         too.  ``None`` if the stream runs past ``within`` levels without it."""
+        if within < 0:
+            raise ValueError(f"within must be >= 0, got {within}")
         if self._end is not None:
             return self._end if self._end <= within else None
         levels = sum(1 for _ in islice(self._walk(), within))
@@ -352,15 +338,15 @@ def _forward(cf: CFStream, depth: int) -> Iterator[tuple[int, Scalar, Scalar]]:
         yield k, p, q
 
 
-def _integral(b0: Scalar, ints: Iterable[tuple[int, int, int, int]]) -> Iterator[tuple[int, int, int]]:
-    # The levels of an int walk made integral by the least factors (an equivalence
-    # transform): yields (c_k, c_k·c_{k-1}·a_k, c_k·b_k), with c_0 = denominator(b0) and
-    # c_k = lcm(den b_k, den a_k / gcd(den a_k, c_{k-1})), so c_{k-1} clears what it can
-    # of a_k first.  At a constant a-denominator d and integral b, c_k alternates d and 1.
-    c = b0.denominator
-    for a_num, a_den, b_num, b_den in ints:
-        g = math.gcd(a_den, c)
-        d = a_den // g
+def _integral(b0: Scalar, walk: Iterable[tuple[Scalar, Scalar]]) -> Iterator[tuple[int, int, int]]:
+    # The levels of a walk, each coefficient's exact ratio (inf and nan raise), made integral by the
+    # least factors (an equivalence transform): yields (c_k, c_k·c_{k-1}·a_k, c_k·b_k), with c_0 =
+    # denominator(b0) and c_k = lcm(den b_k, den a_k / gcd(den a_k, c_{k-1})), so c_{k-1} clears what
+    # it can of a_k first.  At a constant a-denominator d and integral b, c_k alternates d and 1.
+    c = b0.as_integer_ratio()[1]
+    for a, b in walk:
+        (a_num, a_den), (b_num, b_den) = a.as_integer_ratio(), b.as_integer_ratio()
+        d = a_den // (g := math.gcd(a_den, c))
         c_k = math.lcm(d, b_den)
         yield c_k, a_num * (c // g) * (c_k // d), b_num * (c_k // b_den)
         c = c_k
@@ -503,7 +489,7 @@ def _fold_exact(b0: Scalar, levels: list[tuple[int, int, int]]) -> tuple[int, in
     # _fold on the cleared levels (c_k, A_k, B_k) of _cleared(): (num, den), the value
     # num/den unreduced with den >= 0 (0 / -5 would round to -0.0), and a pole is den = 0.
     # The cleared fraction B_0 + A_1/(B_1 + ...) is c_0 times the value, B_0 = numerator(b0).
-    tops, ups = [a for _, a, _ in levels], [b0.numerator] + [b for _, _, b in levels]  # A_k, B_{k-1}
+    tops, ups = [a for _, a, _ in levels], [b0.as_integer_ratio()[0]] + [b for _, _, b in levels]  # A_k, B_{k-1}
     num, den = ups.pop(), 1  # r = num/den, 2 big products by small ints a level
     above, folded, size, m = zip(reversed(tops), reversed(ups)), 0, 0, len(tops)
     due = _FIRST_CHECK if m >= _CHECKED_DEPTH else None  # checks count the levels folded
@@ -513,20 +499,20 @@ def _fold_exact(b0: Scalar, levels: list[tuple[int, int, int]]) -> tuple[int, in
         if due is None:
             break
         folded, ((num, den), _, size, due) = due, _divided((num, den), due, due - folded, size, m)
-    den *= b0.denominator
+    den *= b0.as_integer_ratio()[1]
     return (num, den) if den >= 0 else (-num, -den)
 
 
 def _law_value(cf: CFStream, depth: int, value: Optional[float] = math.nan) -> Optional[Scalar]:
-    # The value of a fraction that ends after depth levels, one fold of exact cleared levels: a
-    # rational stream's own, reduced once; a float one's rational form cf._exact(), rounded once
-    # by int true division, as float(Fraction) rounds.  None at an exact pole, ±inf past the float
-    # range; a float level with an inf or nan coefficient, which has no exact form, keeps value.
+    # The value of a fraction that ends after depth levels, one fold of exact cleared levels: a rational
+    # stream's own, reduced once; a float law's at exact arguments, cf._exact(), else the walk's binary
+    # ones, rounded once by int true division, as float(Fraction) rounds.  None at an exact pole, ±inf
+    # past the float range; a float level with an inf or nan coefficient, no exact form, keeps value.
     rational = cf.mode is Mode.RATIONAL
     try:
-        exact = cf if rational else cf._exact()
+        exact = cf._exact() if cf._end is not None and not rational else cf
         num, den = _fold_exact(exact.b0, list(islice(exact._cleared(), depth)))
-    except (() if rational else (OverflowError, ValueError)):  # float only: Fraction(inf), Fraction(nan)
+    except (() if rational else (OverflowError, ValueError)):  # float only: inf and nan have no ratio
         return value
     try:
         return None if den == 0 else Fraction(num, den) if rational else num / den
@@ -572,14 +558,14 @@ def tail(cf: CFStream, start_level: int) -> CFStream:
     """
     if start_level < 1:
         raise ValueError(f"start_level must be >= 1, got {start_level}")
-    head = cf._level(start_level)
+    head = next(cf._walk(start_level), None) or cf._level(start_level)  # _level only at a zero
     if head is None:
         raise ValueError(f"stream ends before level {start_level}")
     label = f"tail({cf.description or 'cf'}, {start_level})"
     end = cf._end - start_level if cf._end is not None and cf._end > start_level else None
     exact = None if end is None else lambda: tail(cf._exact(), start_level)  # the zero is deeper
     return CFStream._from_law(head[1], lambda k: cf._level(start_level + k), label,
-                              end=end, exact=exact)
+                              lambda k=1: cf._walk(start_level + k), end, exact)
 
 
 def equivalence_transform(
@@ -606,19 +592,19 @@ def equivalence_transform(
         raise DomainError(f"c0 must be finite, got {c0!r}")
 
     def level(k: int) -> Optional[tuple[Scalar, Scalar, bool]]:  # makes c_k and c_{k-1}
-        ab = cf._level(k)
-        if ab is None:
+        if (ab := cf._level(k)) is None:
             return None
         ck = factor(k)
-        a, b = out._in_mode(k, ck * factor(k - 1) * ab[0], ck * ab[1])
-        return a, b, ab[2]
+        return (*out._in_mode(k, ck * factor(k - 1) * ab[0], ck * ab[1]), ab[2])
 
-    def walk() -> Iterator[tuple[Scalar, Scalar]]:  # in order each c_k is made once
-        ck = c0
-        for k, (a, b) in enumerate(cf._walk(), 1):
+    def walk(k: int = 1) -> Iterator[tuple[Scalar, Scalar]]:  # in order each c_k is made once
+        ck = factor(k - 1)
+        for k, (a, b) in enumerate(cf._walk(k), k):
             cj, ck = ck, factor(k)
             yield out._in_mode(k, ck * cj * a, ck * b)
 
+    if mode_of(c0 * cf.b0) is not cf.mode:  # as each scaled level would be
+        raise ModeMismatchError(f"c0={c0!r} takes {cf.description or 'the stream'} out of {cf.mode} mode")
     b0 = cf.b0 if c0 == 1 else c0 * cf.b0
     label = f"equivalence({cf.description or 'cf'})"
     # an ending law's exact form is the wrapped one's, unscaled: it has the same value

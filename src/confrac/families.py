@@ -51,10 +51,10 @@ numerator over the stream's denominator, with N/D = n in lowest terms
     coth-scaled         1   -                  1                      2  2j+1       -
 
 In rational mode a coefficient is ``num·P/(den·Q)`` (x^p = P/Q) in lowest
-terms, one gcd, as ``term(k)`` gives it; the exact kernels read the engine's
-least clearing of these, ``_cleared()``, off the ints, again one gcd a
-level.  Otherwise it is ``num / den`` correctly rounded and cast to
-``float`` or ``complex``: a rule fixed per stream.
+terms, one gcd; the exact kernels read the engine's least clearing of these,
+``_cleared()``, off the ints, again one gcd a level.  Otherwise it is
+``num / den`` correctly rounded and cast to ``float`` or ``complex``: a rule
+fixed per stream, stated once per arithmetic, read by every walk and ``term(k)``.
 Termination is read off the ints, never a rounded product: a level is the
 exact zero where α(j), the head's h or x is 0, so an underflowed numerator
 (``x·x`` at x = 1e-200) does not end the fraction.  α(j) is 0 only at a
@@ -122,16 +122,16 @@ class _Law(CFStream):
     d an int pair (num, den), level 1 is ``h·x / (1 + d·x)`` and inner level j
     is level j+1; without a head it is level j.  ``h = None`` puts x itself on
     top, cast to its mode (``complex(1)·x`` would turn a ``-0.0`` imaginary part
-    into ``+0.0``), and ``d = None`` leaves the bare 1.  Float and complex
-    levels multiply in the order ``cast(num / den)·x·x`` (``x·x`` first rounds
-    differently, and overflows to ``0·inf``).  ``_end``, the level of the law's
-    zero, is read off the ints once, when built, and bounds the walk and, in
-    rational mode, the cleared walk; ``_level(k)`` (``(a_k, b_k, zero)`` for
-    ``term(k)``) flags ``k == _end``, and every level at x = 0, so that a tail
-    of such a stream ends too.  A build stores the row and makes no closure;
-    ``_exact()`` is this row at ``Fraction(x)`` and ``description`` is
-    formatted when read.  The finiteness check comes first, so a generator's
-    own domain checks only see finite arguments.
+    into ``+0.0``), and ``d = None`` leaves the bare 1.  ``_rule`` states each
+    arithmetic's rule once; float and complex levels multiply in the order
+    ``cast(num / den)·x·x`` (``x·x`` first rounds differently, and overflows to
+    ``0·inf``).  ``_end``, the law's zero, is read off the ints once, when built,
+    and bounds ``_walk(k)``, the rule from level k on (after the head level at
+    k = 1, on past the zero, none at x = 0), and ``_cleared``'s int loop;
+    ``_level(k)`` (for ``term(k)``) is one level of the rule and its zero flag.
+    A build stores the row and makes no closure; ``_exact()`` is this row at
+    ``Fraction(x)`` and ``description`` is formatted when read.  The finiteness
+    check comes first, so a generator's domain checks only see finite arguments.
     """
 
     def __init__(self, family: str, name: str, x: Scalar, b0: int, alpha: _Rule, den: int = 1,
@@ -162,31 +162,33 @@ class _Law(CFStream):
         (x, alpha, den, beta, power, _, _), (family, name, b0, n, scale, head) = self._law, self._args
         return _Law(family, name, Fraction(x), b0, alpha, den, n, beta, power, scale, head)
 
-    def _inner(self) -> Iterable[int]:  # the j of the levels before the zero
-        return count(1) if self._end is None else range(1, self._end - (self._top is not None))
+    def _inner(self, k: int = 1) -> Iterable[int]:  # the j of levels k, k+1, ... before the zero
+        shift, end = self._top is not None, self._end
+        if end is not None and k <= end:  # k - shift is 0 only at the head
+            return range(k - shift or 1, end - shift)
+        return () if self._law[0] == 0 else count(k - shift or 1)  # walks on past the zero; x = 0 zeroes all
 
-    def _level(self, k: int) -> tuple[Scalar, Scalar, bool]:
-        j = k - (self._top is not None)
-        if j == 0:
-            return self._top
+    def _rule(self, js: Iterable[int], head: tuple = ()) -> Iterator[tuple[Scalar, Scalar]]:  # head, then the j
+        yield from head
         x, alpha, den, beta, power, cast, unit = self._law
-        a, b, zero = alpha(j), 2 * j + 1 if beta is None else beta(j), x == 0 or k == self._end
         if cast is Fraction:  # num·P/(den·Q) and β·U/V in lowest terms
             P, Q, U, V = self._ratios
-            return Fraction(a * P, den * Q), Fraction(b * U, V), zero
-        a, b = cast(a / den) * x, cast(b)
-        return a * x if power == 2 else a, b if unit is None else b * unit, zero
-
-    def _walk(self) -> Iterator[tuple[Scalar, Scalar]]:  # level(k), k = 1, 2, ..., up to the zero
-        (x, alpha, den, beta, power, cast, unit), top = self._law, self._top
-        if top is not None and self._end != 1:
-            yield top[:2]
-        if cast is Fraction:  # no kernel's way in: the rational kernels read _cleared()
-            yield from (self._level(j + (top is not None))[:2] for j in self._inner())
+            for j in js:
+                b = 2 * j + 1 if beta is None else beta(j)
+                yield Fraction(alpha(j) * P, den * Q), Fraction(b * U, V)
             return
-        for j in self._inner():  # _level's rule, inline
+        for j in js:
             a, b = cast(alpha(j) / den) * x, cast(2 * j + 1 if beta is None else beta(j))
             yield a * x if power == 2 else a, b if unit is None else b * unit
+
+    def _level(self, k: int) -> tuple[Scalar, Scalar, bool]:
+        if k == 1 and self._top is not None:
+            return self._top
+        return (*next(self._rule((k - (self._top is not None),))), self._law[0] == 0 or k == self._end)
+
+    def _walk(self, k: int = 1) -> Iterator[tuple[Scalar, Scalar]]:  # levels k, k+1, ... up to the zero
+        top = self._top
+        return self._rule(self._inner(k), (top[:2],) if k == 1 and top is not None and self._end != 1 else ())
 
     def _cleared(self) -> Iterator[tuple[int, int, int]]:  # the engine's _integral of _walk(), off the law
         (_, alpha, den, beta, _, _, unit), (P, Q, U, V), top = self._law, self._ratios, self._top

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
-from .errors import ModeMismatchError
+from .errors import DomainError, ModeMismatchError
 
 Scalar = Union[Fraction, int, float, complex]
 
@@ -87,14 +87,16 @@ def coerce(value: Scalar, mode: Mode) -> Scalar:
 def as_fraction(value: Scalar) -> Fraction:
     """Exact rational equal to *value*.
 
-    Floats convert through their exact binary expansion.  Used wherever a
-    decision (termination, integrality of an exponent) must be exact no
-    matter which mode the surrounding evaluation runs in.
+    Finite floats convert through their exact binary expansion, others raise
+    ``DomainError``.  Used wherever a decision (termination, integrality of an
+    exponent) must be exact no matter which mode the evaluation runs in.
     """
     if isinstance(value, complex):
         raise ModeMismatchError("complex value has no exact rational form")
     if isinstance(value, bool):
         raise ModeMismatchError(f"not a scalar: {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DomainError(f"value must be finite, got {value!r}")
     return Fraction(value)
 
 

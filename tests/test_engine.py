@@ -51,6 +51,7 @@ from confrac import (
     uniform_binomial,
 )
 import confrac.engine as engine
+import confrac.families as families
 from confrac import verify
 from confrac.engine import _backward_report, _fold, _fold_exact, _forward_exact, _integral
 
@@ -806,7 +807,7 @@ class TestExactKernel:
         # read off the law against the engine's clearing of a user copy's int walk,
         # read off the Fractions of term(k), and both kernels over each
         copy = CFStream.from_terms(cf.b0, [cf.term(k) for k in range(1, 151)])
-        assert list(islice(cf._cleared(), 150)) == list(_integral(copy.b0, copy._ints()))
+        assert list(islice(cf._cleared(), 150)) == list(_integral(copy.b0, copy._walk()))
         assert list(_forward_exact(cf, 150)) == list(_forward_exact(copy, 150))
         folds = [_fold(s.b0, list(islice(s._cleared(), 150)), rational=True) for s in (cf, copy)]
         assert folds[0] == folds[1] and type(folds[0]) is Fraction
@@ -1150,3 +1151,83 @@ class TestNonFiniteLeadingFactor:
             equivalence_transform(lagrange_binomial(3, 0.3), lambda k: 1.0, 0.0)
         finite = equivalence_transform(lagrange_binomial(3, 0.3), lambda k: 1.0, 2.0)
         assert eval_lentz(finite).value == 2 * eval_lentz(lagrange_binomial(3, 0.3)).value
+
+
+class TestTransformKeepsTheMode:
+    def test_a_leading_factor_of_another_mode_fails_when_built(self):
+        # a float c0 on a rational stream made a float stream whose law answer never walked,
+        # so only a walk or term(k) met the mixed modes
+        with pytest.raises(ModeMismatchError, match="out of rational mode"):
+            equivalence_transform(lagrange_binomial(3, Fraction(3, 10)), lambda k: Fraction(1), 3.0)
+        with pytest.raises(ModeMismatchError, match="out of float mode"):
+            equivalence_transform(lagrange_binomial(3, 0.3), lambda k: 1.0, 1 + 0j)
+
+    @pytest.mark.parametrize("c0, want", [(3, 6.591), (Fraction(1, 3), 0.7323333333333333)])
+    def test_an_exact_leading_factor_keeps_a_float_stream(self, c0, want):
+        cf = equivalence_transform(lagrange_binomial(3, 0.3), lambda k: Fraction(1), c0)
+        assert cf.mode is Mode.FLOAT
+        assert eval_lentz(cf).value == eval_convergents(cf).value == want
+
+
+class TestTerminationLevelBound:
+    @pytest.mark.parametrize("build", [
+        lambda: lagrange_binomial(3, 0.3),
+        lambda: tail(lagrange_binomial(3, 0.3), 2),
+        lambda: tail(coth_scaled_cf(0.5), 2),
+        lambda: CFStream.from_terms(1.0, [(1.0, 2.0)]),
+    ], ids=["law", "tail-of-ending-law", "tail", "user"])
+    def test_a_negative_bound_is_rejected_and_zero_answers_none(self, build):
+        cf = build()
+        with pytest.raises(ValueError, match="within must be >= 0, got -1"):
+            cf.termination_level(-1)
+        assert cf.termination_level(0) is None
+
+
+class TestOneWalkFromAnyLevel:
+    """A law's levels are read in order by one walk that starts at any level:
+    a family's walk, a tail's and a transform's never call the law's per-level
+    function, and a float stream's exact value is read off its own binary
+    coefficients, with no second stream built to fold."""
+
+    def test_walks_read_no_single_level_of_the_law(self, monkeypatch):
+        family = symmetric_binomial(Fraction(5, 2), Fraction(3, 10))
+        scaled = lambda: equivalence_transform(family, lambda k: Fraction(k + 1, 2), Fraction(1, 3))
+        deep = lambda: convergents(tail(symmetric_binomial(Fraction(5, 2), Fraction(1, 5)), 3), 50)
+        want = ([(t.a, t.b) for t in map(family.term, range(1, 21))],
+                [(t.a, t.b) for t in map(scaled().term, range(1, 21))], deep())
+
+        def refuse(self, k):
+            raise AssertionError(f"level {k} read one at a time")
+
+        monkeypatch.setattr(families._Law, "_level", refuse)
+        assert list(islice(family._walk(), 20)) == want[0]
+        assert list(islice(scaled()._walk(), 20)) == want[1]
+        assert deep() == want[2] and len(want[2]) == 51
+        assert eval_lentz(tail(arctan_cf(1.0), 2)) == EvalReport(
+            3.659792366325022, 16, True, False, 8.663871173409364e-13)
+
+    def test_a_walk_starts_at_any_level(self):
+        for cf in (arctan_cf(0.5), lagrange_binomial(3, Fraction(3, 10)), tail(coth_scaled_cf(0.5), 2),
+                   equivalence_transform(uniform_binomial(2.5, 0.3), lambda k: 1.0 + k, 2.0),
+                   CFStream.from_terms(1.0, [(0.1, 0.3), (0.7, 0.9), (0.2, 0.6)])):
+            for k in range(1, 9):  # past a law's zero the walk goes on, as term(k) does
+                levels = [cf.term(j) for j in range(k, k + 6)]
+                stop = next((i for i, t in enumerate(levels) if t is None or t.a == 0), 6)
+                assert list(islice(cf._walk(k), 6)) == [(t.a, t.b) for t in levels[:stop]]
+        assert [list(tail(lagrange_binomial(0.37, 0.0), 2)._walk(k)) for k in (1, 3)] == [[], []]
+
+    def test_the_stream_base_has_no_binary_copy(self):
+        assert not hasattr(CFStream, "_exact") and not hasattr(CFStream, "_ints")
+        assert not hasattr(tail(coth_scaled_cf(0.5), 2), "_exact")
+
+    def test_a_terminated_float_stream_folds_its_binary_coefficients(self):
+        # the exact fold of the binary coefficients, rounded once; the plain float fold
+        # is 1.115264797507788, which only a walk capped at its end reports
+        cf = CFStream.from_terms(1.0, [(0.1, 0.3), (0.7, 0.9), (0.2, 0.6)])
+        reports = [eval_lentz(cf), eval_convergents(cf), _backward_report(cf, 10, DEFAULT_TOLERANCE),
+                   eval_lentz(equivalence_transform(cf, lambda k: 1.0)), eval_lentz(tail(
+                       CFStream.from_terms(0.5, [(1.0, 1.0), *[(t.a, t.b) for t in map(cf.term, (1, 2, 3))]]), 1))]
+        assert [r.value for r in reports] == [1.1152647975077883] * 5
+        assert all(r.terminated and r.converged and r.residual == 0.0 for r in reports)
+        assert eval_backward(cf, 10) == 1.1152647975077883
+        assert eval_backward(cf, 3) == 1.0 + 0.1 / (0.3 + 0.7 / (0.9 + 0.2 / 0.6)) == 1.115264797507788

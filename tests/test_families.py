@@ -270,6 +270,14 @@ class TestFamilySpec:
         spec = FamilySpec(Family.SYMMETRIC_BINOMIAL, 0.3, n=2.5)
         assert spec.n == Fraction(5, 2)
 
+    @pytest.mark.parametrize("n", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_exponent_is_a_domain_error(self, n):
+        # inf and nan have no exact form: a DomainError, as a non-finite argument raises
+        for build in [lambda: FamilySpec(Family.LAGRANGE_BINOMIAL, 0.3, n), lambda: binomial_power(n, 0.3),
+                      *[lambda f=f: f.generator(n, 0.3) for f in Family if f.takes_n]]:
+            with pytest.raises(DomainError, match="must be finite"):
+                build()
+
     @pytest.mark.parametrize("family", list(Family))
     def test_stream_dispatch_matches_generator(self, family):
         generator = {
@@ -386,7 +394,7 @@ def _assert_int_walk_reads_the_terms(stream, levels=40):
     # Fractions of term(k) for k = 1..levels: the same (c_k, A_k, B_k), all ints
     copy = CFStream.from_terms(stream.b0, [stream.term(k) for k in range(1, levels + 1)])
     cleared = list(islice(stream._cleared(), levels))
-    assert cleared == list(_integral(copy.b0, copy._ints()))
+    assert cleared == list(_integral(copy.b0, copy._walk()))
     assert all(type(i) is int for level in cleared for i in level)
 
 

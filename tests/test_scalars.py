@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from confrac import (
     DEFAULT_TOLERANCE,
     EXACT,
+    DomainError,
     Mode,
     ModeMismatchError,
     ToleranceSpec,
@@ -231,6 +232,11 @@ class TestAsFraction:
     def test_bool_rejected(self):
         with pytest.raises(ModeMismatchError, match="not a scalar"):
             as_fraction(True)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_float_is_a_domain_error(self, value):
+        with pytest.raises(DomainError, match="must be finite"):
+            as_fraction(value)
 
 
 def _within_ulps(a, b, ulps):
