@@ -16,8 +16,9 @@ stream's reads ``term_fn(k)`` for k, k+1, ... and tests ``a == 0``;
 :func:`tail` (the sub-fraction hanging off a level) walks the wrapped
 stream from the level below its start, and :func:`equivalence_transform`
 (a level-wise rescaling that keeps every convergent value) rescales the
-wrapped walk; both keep an ending law's end and exact form.  ``term(k)``
-keeps O(1) random access through the level function, for callers that
+wrapped walk; both keep its end, and the exact form of either is the same
+operation on the wrapped exact form.  ``term(k)`` keeps O(1) random access
+through the level function, ``_level(k) -> (a_k, b_k)``, for callers that
 pull single levels (a per-level probe) and would pay a walk for each.
 The stream's :class:`~confrac.scalars.Mode` supplies the seeds and the
 stopping rule's finiteness test (``cf.mode.isfinite``).
@@ -50,8 +51,8 @@ Every route's report comes from one stopping rule, ``_settle``, and so does
 :func:`eval_backward`'s bare value.  A float or rational law that ends within
 the cap (``cf._end``, the level of its zero) is answered before a step is
 pulled, by one fold on ints (``_law_value``) of its cleared levels, reduced
-once, or, in float mode, of ``cf._exact()``, the law at exact arguments (a
-family's at ``Fraction(x)``), rounded once by int true division, as a float
+once, or, in float mode, of ``cf._exact()``, the stream at exact arguments (a
+family's law at ``Fraction(x)``), rounded once by int true division, as a float
 walk with no law that terminates is, from its own binary coefficients.  Other
 walks stop at the first two successive values that agree, unless a law ends
 them, or at the first non-finite one (not converged); a walk that runs out has
@@ -79,6 +80,7 @@ from .scalars import (
     _rel_tol,
     _relative_change,
     _within,
+    as_fraction,
     mode_of,
 )
 
@@ -119,8 +121,8 @@ class CFStream:
     or ``None`` once a finite stream is exhausted, and it is called on each
     pull, with no cache.  This makes a user stream: each term is checked to
     be in the mode of ``b0``, and ``a == 0`` terminates it.  Family streams
-    read both off their law, structural operations (``_from_law``) off the
-    wrapped stream.  Streams are immutable once constructed and safe to share.
+    read both off their law, tails and transforms (``_Tail``, ``_Scaled``)
+    off the wrapped stream.  Streams are immutable once constructed and safe to share.
     """
 
     _end: Optional[int] = None  # the level of the zero that ends the fraction, where a law tells
@@ -142,32 +144,19 @@ class CFStream:
         fixed = [t if isinstance(t, CFTerm) else CFTerm(*t) for t in terms]
         return cls(b0, lambda k: fixed[k - 1] if k <= len(fixed) else None, description)
 
-    @classmethod
-    def _from_law(cls, b0: Scalar, level: Callable, description: str, walk: Callable,
-                  end: Optional[int] = None, exact: Optional[Callable] = None) -> "CFStream":
-        # A structural operation's stream, whose level(k) -> (a_k, b_k, zero) or None (zero: a_k
-        # ends the fraction) and walk(k) are taken unchecked; end and exact (the law at exact
-        # arguments), where given, are _end and _exact (none of them is a bound method of the stream:
-        # stored in its __dict__, that would be a cycle, which only the cyclic collector frees).
-        cf = cls(b0, None, description)
-        cf._level, cf._walk, cf._end = level, walk, end
-        if exact is not None:
-            cf._exact = exact
-        return cf
-
-    def _level(self, k: int) -> Optional[tuple[Scalar, Scalar, bool]]:
-        # A user stream's level k, checked: (a_k, b_k, zero), a == 0 the zero.
+    def _level(self, k: int) -> Optional[tuple[Scalar, Scalar]]:
+        # A user stream's level k, checked: (a_k, b_k), or None past its end.
         t = self._term_fn(k)
-        return None if t is None else (*self._in_mode(k, t.a, t.b), t.a == 0)
+        return None if t is None else self._in_mode(k, t.a, t.b)
 
     def _walk(self, k: int = 1) -> Iterator[tuple[Scalar, Scalar]]:
         # The levels in order, (a_k, b_k) from level k on, up to the zero or the
         # end of a finite stream: every evaluator's way in; past the zero it walks on.
         for k in count(k):
             ab = self._level(k)
-            if ab is None or ab[2]:
+            if ab is None or ab[0] == 0:
                 return
-            yield ab[0], ab[1]
+            yield ab
 
     def _cleared(self) -> Iterator[tuple[int, int, int]]:
         # The walk made integral, (c_k, A_k, B_k) of _integral: the rational kernels' way in,
@@ -186,7 +175,7 @@ class CFStream:
         if k < 1:
             raise ValueError(f"term levels start at 1, got {k}")
         ab = self._level(k)
-        return None if ab is None else CFTerm(ab[0], ab[1])
+        return None if ab is None else CFTerm(*ab)
 
     def termination_level(self, within: int) -> Optional[int]:
         """Level of the stream's termination zero: ``_end`` where its law
@@ -509,10 +498,10 @@ def _law_value(cf: CFStream, depth: int, value: Optional[float] = math.nan) -> O
     # ones, rounded once by int true division, as float(Fraction) rounds.  None at an exact pole, ±inf
     # past the float range; a float level with an inf or nan coefficient, no exact form, keeps value.
     rational = cf.mode is Mode.RATIONAL
+    exact = cf if rational or cf._end is None else cf._exact()
     try:
-        exact = cf._exact() if cf._end is not None and not rational else cf
         num, den = _fold_exact(exact.b0, list(islice(exact._cleared(), depth)))
-    except (() if rational else (OverflowError, ValueError)):  # float only: inf and nan have no ratio
+    except ((OverflowError, ValueError) if exact is cf and not rational else ()):  # a float walk's own levels
         return value
     try:
         return None if den == 0 else Fraction(num, den) if rational else num / den
@@ -549,6 +538,60 @@ def _backward_report(cf: CFStream, depth: int, tol: ToleranceSpec) -> EvalReport
     return _settle(cf, _backward(cf, depth, both=True), tol, depth)
 
 
+class _Tail(CFStream):
+    # tail(cf, s): level k is cf's level s + k, and the walk from level k is cf's from s + k.
+    def __init__(self, cf: CFStream, s: int):
+        if s < 1:
+            raise ValueError(f"start_level must be >= 1, got {s}")
+        if (head := next(cf._walk(s), None) or cf._level(s)) is None:  # _level only at a zero
+            raise ValueError(f"stream ends before level {s}")
+        self.b0, self.mode, self.description = head[1], cf.mode, f"tail({cf.description or 'cf'}, {s})"
+        self._parent, self._start, self._end = cf, s, cf._end - s if (cf._end or 0) > s else None
+
+    def _level(self, k: int) -> Optional[tuple[Scalar, Scalar]]:
+        return self._parent._level(self._start + k)
+
+    def _walk(self, k: int = 1) -> Iterator[tuple[Scalar, Scalar]]:
+        return self._parent._walk(self._start + k)
+
+    def _exact(self) -> "_Tail":  # the tail of the wrapped exact form
+        return _Tail(self._parent._exact(), self._start)
+
+
+class _Scaled(CFStream):
+    # equivalence_transform(cf, scale, c0): cf's levels by _rule; an exact form reads each c_k exactly.
+    def __init__(self, cf: CFStream, scale: Callable[[int], Scalar], c0: Scalar, exact: bool = False):
+        self._parent, self._scale, self._c0, self._exact_factors = cf, scale, c0, exact
+        if isinstance(self._factor(0), (float, complex)) and not cmath.isfinite(c0):  # as a zero c0 fails
+            raise DomainError(f"c0 must be finite, got {c0!r}")
+        if mode_of(c0 * cf.b0) is not cf.mode:  # as each scaled level would be
+            raise ModeMismatchError(f"c0={c0!r} takes {cf.description or 'the stream'} out of {cf.mode} mode")
+        self.b0, self.mode = cf.b0 if c0 == 1 else c0 * cf.b0, cf.mode
+        self.description, self._end = f"equivalence({cf.description or 'cf'})", cf._end
+
+    def _factor(self, k: int) -> Scalar:
+        v = self._c0 if k == 0 else self._scale(k)
+        if v == 0:
+            raise ValueError(f"zero scale factor at level {k}")
+        return as_fraction(v) if self._exact_factors else v
+
+    def _rule(self, k: int, levels: Iterable[tuple[Scalar, Scalar]]) -> Iterator[tuple[Scalar, Scalar]]:
+        # cf's levels k, k+1, ... as (c_k·c_{k-1}·a_k, c_k·b_k), mode-checked: each c_k made once
+        ck = self._factor(k - 1)
+        for k, (a, b) in enumerate(levels, k):
+            cj, ck = ck, self._factor(k)
+            yield self._in_mode(k, ck * cj * a, ck * b)
+
+    def _level(self, k: int) -> Optional[tuple[Scalar, Scalar]]:
+        return None if (ab := self._parent._level(k)) is None else next(self._rule(k, (ab,)))
+
+    def _walk(self, k: int = 1) -> Iterator[tuple[Scalar, Scalar]]:
+        return self._rule(k, self._parent._walk(k))
+
+    def _exact(self) -> "_Scaled":  # the transform of the wrapped exact form, by the exact factors
+        return _Scaled(self._parent._exact(), self._scale, as_fraction(self._c0), True)
+
+
 def tail(cf: CFStream, start_level: int) -> CFStream:
     """Sub-fraction starting at ``start_level``:
     ``b_s + a_{s+1}/(b_{s+1} + a_{s+2}/(...))``.
@@ -556,23 +599,10 @@ def tail(cf: CFStream, start_level: int) -> CFStream:
     The new stream's leading term is the original ``b_{start_level}`` and
     its level ``k`` is the original level ``start_level + k``, termination too.
     """
-    if start_level < 1:
-        raise ValueError(f"start_level must be >= 1, got {start_level}")
-    head = next(cf._walk(start_level), None) or cf._level(start_level)  # _level only at a zero
-    if head is None:
-        raise ValueError(f"stream ends before level {start_level}")
-    label = f"tail({cf.description or 'cf'}, {start_level})"
-    end = cf._end - start_level if cf._end is not None and cf._end > start_level else None
-    exact = None if end is None else lambda: tail(cf._exact(), start_level)  # the zero is deeper
-    return CFStream._from_law(head[1], lambda k: cf._level(start_level + k), label,
-                              lambda k=1: cf._walk(start_level + k), end, exact)
+    return _Tail(cf, start_level)
 
 
-def equivalence_transform(
-    cf: CFStream,
-    scale: Callable[[int], Scalar],
-    c0: Scalar = 1,
-) -> CFStream:
+def equivalence_transform(cf: CFStream, scale: Callable[[int], Scalar], c0: Scalar = 1) -> CFStream:
     """Rescale levels: ``a'_k = c_k c_{k-1} a_k``, ``b'_k = c_k b_k``.
 
     ``scale(k)`` supplies the nonzero factor ``c_k`` for ``k >= 1``.  With
@@ -582,32 +612,4 @@ def equivalence_transform(
     fraction top and bottom" manipulation -- scaling the fraction's value
     by ``c0``.  Termination is the original's; the scaled pair is mode-checked.
     """
-    def factor(k: int) -> Scalar:
-        v = c0 if k == 0 else scale(k)
-        if v == 0:
-            raise ValueError(f"zero scale factor at level {k}")
-        return v
-
-    if isinstance(factor(0), (float, complex)) and not cmath.isfinite(c0):  # fails here, as a zero c0 does
-        raise DomainError(f"c0 must be finite, got {c0!r}")
-
-    def level(k: int) -> Optional[tuple[Scalar, Scalar, bool]]:  # makes c_k and c_{k-1}
-        if (ab := cf._level(k)) is None:
-            return None
-        ck = factor(k)
-        return (*out._in_mode(k, ck * factor(k - 1) * ab[0], ck * ab[1]), ab[2])
-
-    def walk(k: int = 1) -> Iterator[tuple[Scalar, Scalar]]:  # in order each c_k is made once
-        ck = factor(k - 1)
-        for k, (a, b) in enumerate(cf._walk(k), k):
-            cj, ck = ck, factor(k)
-            yield out._in_mode(k, ck * cj * a, ck * b)
-
-    if mode_of(c0 * cf.b0) is not cf.mode:  # as each scaled level would be
-        raise ModeMismatchError(f"c0={c0!r} takes {cf.description or 'the stream'} out of {cf.mode} mode")
-    b0 = cf.b0 if c0 == 1 else c0 * cf.b0
-    label = f"equivalence({cf.description or 'cf'})"
-    # an ending law's exact form is the wrapped one's, unscaled: it has the same value
-    exact = None if cf._end is None else lambda: equivalence_transform(cf._exact(), lambda k: 1, Fraction(c0))
-    out = CFStream._from_law(b0, level, label, walk, cf._end, exact)
-    return out
+    return _Scaled(cf, scale, c0)

@@ -128,7 +128,7 @@ class _Law(CFStream):
     ``0·inf``).  ``_end``, the law's zero, is read off the ints once, when built,
     and bounds ``_walk(k)``, the rule from level k on (after the head level at
     k = 1, on past the zero, none at x = 0), and ``_cleared``'s int loop;
-    ``_level(k)`` (for ``term(k)``) is one level of the rule and its zero flag.
+    ``_level(k)`` (for ``term(k)``) is one level of the rule, the pair ``(a_k, b_k)``.
     A build stores the row and makes no closure; ``_exact()`` is this row at
     ``Fraction(x)`` and ``description`` is formatted when read.  The finiteness
     check comes first, so a generator's domain checks only see finite arguments.
@@ -144,11 +144,10 @@ class _Law(CFStream):
         self._law = (x, alpha, den, beta, power, cast, unit)
         if cast is Fraction:  # x^power = P/Q, unit = U/V (1/1 without a scale)
             self._ratios = (x ** power).as_integer_ratio() + (unit if scale else one).as_integer_ratio()
-        h, d = head or (None, None)  # _top: level 1, (a_1, b_1, zero), where the row has a head
+        h, d = head or (None, None)  # _top: level 1, (a_1, b_1), where the row has a head
         d = d and (Fraction(*d) if cast is Fraction else cast(d[0] / d[1]))
-        self._top = head and (cast(x) if h is None else cast(h) * x, one if d is None else one + d * x,
-                              nil or h == 0)
-        if nil or head is not None and self._top[2]:
+        self._top = head and (cast(x) if h is None else cast(h) * x, one if d is None else one + d * x)
+        if nil or h == 0:
             self._end = 1
         elif e := n is not None and n.denominator == 1 and abs(n.numerator):  # α(j) = 0 only at e, 2e-1, 2e
             self._end = next((j + (head is not None) for j in (e, 2 * e - 1, 2 * e) if alpha(j) == 0), None)
@@ -181,20 +180,19 @@ class _Law(CFStream):
             a, b = cast(alpha(j) / den) * x, cast(2 * j + 1 if beta is None else beta(j))
             yield a * x if power == 2 else a, b if unit is None else b * unit
 
-    def _level(self, k: int) -> tuple[Scalar, Scalar, bool]:
-        if k == 1 and self._top is not None:
-            return self._top
-        return (*next(self._rule((k - (self._top is not None),))), self._law[0] == 0 or k == self._end)
+    def _level(self, k: int) -> tuple[Scalar, Scalar]:
+        top = self._top
+        return top if k == 1 and top is not None else next(self._rule((k - (top is not None),)))
 
     def _walk(self, k: int = 1) -> Iterator[tuple[Scalar, Scalar]]:  # levels k, k+1, ... up to the zero
         top = self._top
-        return self._rule(self._inner(k), (top[:2],) if k == 1 and top is not None and self._end != 1 else ())
+        return self._rule(self._inner(k), (top,) if k == 1 and top is not None and self._end != 1 else ())
 
     def _cleared(self) -> Iterator[tuple[int, int, int]]:  # the engine's _integral of _walk(), off the law
         (_, alpha, den, beta, _, _, unit), (P, Q, U, V), top = self._law, self._ratios, self._top
         c, M, wide, gcd = 1, den * Q, unit is not None, math.gcd  # c_0 = 1, as b0 is an int
         if top is not None and self._end != 1:  # the engine's rule on the head's Fractions
-            (a, b), c = top[:2], math.lcm(top[0].denominator, top[1].denominator)
+            (a, b), c = top, math.lcm(top[0].denominator, top[1].denominator)
             yield c, a.numerator * (c // a.denominator), b.numerator * (c // b.denominator)
         for j in self._inner():  # M/gcd(α(j)·P·c, M) is _integral's den a/gcd(den a, c) on a = α(j)·P/M
             a, b = alpha(j) * P * c, 2 * j + 1 if beta is None else beta(j)

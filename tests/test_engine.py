@@ -555,11 +555,14 @@ class TestLawThatEnds:
         cf = lagrange_binomial(-7, Fraction(3, 10))
         assert eval_convergents(cf, EXACT) == ended(Fraction(10_000_000, 62_748_517), 14)
         assert eval_backward(cf, 15) == Fraction(10_000_000, 62_748_517)
-        # the zero scale is never read, as termination_level skips it: the wrapped law's value
+        # termination_level reads no scale factor, but the answer folds every one, as the twin does
         cf = equivalence_transform(lagrange_binomial(3, 0.3), lambda k: 0.0 if k == 2 else 1.0)
+        assert cf.termination_level(10) == 6
         with pytest.raises(ValueError, match="zero scale factor at level 2"):
             cf.term(2)
-        assert eval_lentz(cf) == eval_convergents(cf) == ended(2.197, 5)
+        for route in (eval_lentz, eval_convergents, lambda cf: eval_backward(cf, 1000)):
+            with pytest.raises(ValueError, match="zero scale factor at level 2"):
+                route(cf)
 
     @FLOAT_WALKS
     def test_walk_capped_before_the_zero_is_not_converged(self, evaluate):
@@ -1077,7 +1080,9 @@ class TestStreamLifetime:
         lambda: symmetric_binomial(Fraction(5, 2), Fraction(1, 5)),
         lambda: tail(arctan_cf(0.5), 2),
         lambda: CFStream.from_terms(1.0, [(1.0, 2.0)]),  # terminated: the walk builds _exact()
-    ], ids=["float-family", "rational-family", "tail", "user"])
+        lambda: equivalence_transform(arctan_cf(0.5), lambda k: 2.0),
+        lambda: tail(equivalence_transform(arctan_cf(0.5), lambda k: 2.0), 2),
+    ], ids=["float-family", "rational-family", "tail", "user", "transform", "tail-of-transform"])
     def test_stream_is_freed_without_the_cyclic_collector(self, build):
         # a stream that held its own bound method in __dict__ would be a cycle, and
         # every evaluation builds a fresh stream
@@ -1091,6 +1096,60 @@ class TestStreamLifetime:
             assert freed() is None
         finally:
             gc.enable()
+
+    def test_tails_and_transforms_store_no_function_they_made(self):
+        # a tail's and a transform's level, walk and exact form are their class's methods;
+        # the one function a derived stream keeps is the caller's scale
+        scale = lambda k: 1.0 + k
+        user = CFStream.from_terms(1.0, [(0.1, 0.3), (0.7, 0.9), (0.2, 0.6)])
+        for parent in (arctan_cf(0.5), lagrange_binomial(3, 0.3), user):
+            scaled = equivalence_transform(parent, scale, 3.0)
+            derived = [tail(parent, 1), scaled, tail(scaled, 1), equivalence_transform(tail(parent, 1), scale)]
+            if parent._end is not None:
+                derived += [cf._exact() for cf in derived]
+            for cf in derived:
+                for name in ("_walk", "_level", "_exact", "_cleared"):
+                    assert name not in vars(cf), name
+                assert [v for v in vars(cf).values() if callable(v)] == ([scale] if "_scale" in vars(cf) else [])
+
+
+class TestExactFormOfDerivedStreams:
+    """A tail's and a transform's exact form is the same stream at exact arguments, level
+    for level, a transform's factors read exactly: so an ending law answers, on every route,
+    its rational twin's value rounded once, and a factor that fails raises in both modes."""
+
+    LAWS = {"lagrange": lambda x: lagrange_binomial(3, x), "uniform": lambda x: uniform_binomial(-2, x),
+            "symmetric": lambda x: symmetric_binomial(4, x), "tan-multiple": lambda x: tan_multiple(3, x)}
+    STEPS = {"tail-1": lambda cf, one: tail(cf, 1), "tail-2": lambda cf, one: tail(cf, 2),
+             "scale-2": lambda cf, one: equivalence_transform(cf, lambda k: 2 * one),
+             "scale-1+k": lambda cf, one: equivalence_transform(cf, lambda k: (1 + k) * one, 3 * one)}
+
+    @pytest.mark.parametrize("law", list(LAWS))
+    def test_compositions_of_an_ending_law_answer_the_exact_value(self, law):
+        # a tail of a transform is c_s times the wrapped tail (Jones & Thron 1980, ch. 2): an
+        # exact form that drops the factors answered the wrapped tail's value
+        checked, wrong = 0, []
+        for first, second in ((f, s) for f in self.STEPS for s in self.STEPS):
+            build = lambda x, one: self.STEPS[second](self.STEPS[first](self.LAWS[law](x), one), one)
+            cf, twin = build(0.3, 1.0), build(Fraction(0.3), Fraction(1))
+            if cf._end is None:  # a tail from the law's zero on: a fraction of its own
+                continue
+            want, checked = float(eval_convergents(twin, EXACT).value), checked + 1
+            reports = [eval_lentz(cf), eval_convergents(cf), _backward_report(cf, 50, TIGHT)]
+            got = [r.value for r in reports] + [eval_backward(cf, 50)]
+            if got != [want] * 4 or not all(r.terminated for r in reports):
+                wrong.append((first, second, got, want))
+        assert wrong == []
+        assert checked == {"lagrange": 16, "uniform": 13, "symmetric": 15, "tan-multiple": 15}[law]
+
+    @pytest.mark.parametrize("x", [0.3, Fraction(3, 10)], ids=["float", "rational"])
+    def test_a_zero_factor_raises_on_every_route_in_both_modes(self, x):
+        zero, one = type(x)(0), type(x)(1)
+        cf = equivalence_transform(lagrange_binomial(3, x), lambda k: zero if k == 2 else one)
+        routes = [eval_convergents, lambda cf: _backward_report(cf, 50, TIGHT), lambda cf: eval_backward(cf, 50)]
+        for route in routes + [eval_lentz] * (cf.mode is Mode.FLOAT):
+            with pytest.raises(ValueError, match="zero scale factor at level 2"):
+                route(cf)
 
 
 class TestTerminationSemantics:
@@ -1218,7 +1277,11 @@ class TestOneWalkFromAnyLevel:
 
     def test_the_stream_base_has_no_binary_copy(self):
         assert not hasattr(CFStream, "_exact") and not hasattr(CFStream, "_ints")
-        assert not hasattr(tail(coth_scaled_cf(0.5), 2), "_exact")
+        with pytest.raises(AttributeError):  # a user stream has no exact form, nor has its tail
+            tail(CFStream.from_terms(1.0, [(0.1, 0.3), (0.7, 0.9)]), 1)._exact()
+        exact, twin = tail(coth_scaled_cf(0.5), 2)._exact(), tail(coth_scaled_cf(Fraction(1, 2)), 2)
+        assert exact.mode is Mode.RATIONAL and exact.b0 == twin.b0 == 5  # the law's tail, not a binary copy
+        assert list(islice(exact._walk(), 8)) == list(islice(twin._walk(), 8))
 
     def test_a_terminated_float_stream_folds_its_binary_coefficients(self):
         # the exact fold of the binary coefficients, rounded once; the plain float fold
