@@ -19,13 +19,14 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence, TextIO
 
 from .engine import (
     DEFAULT_MAX_DEPTH,
+    EvalReport,
     _backward_report,
     convergents,
     eval_convergents,
@@ -35,7 +36,7 @@ from .errors import DomainError, ModeMismatchError, PoleError
 from .families import Family, FamilySpec, oracle_value
 from .scalars import DEFAULT_TOLERANCE, Mode, Scalar, ToleranceSpec
 
-EVAL_HEADER = "value,depth_used,converged,terminated,residual,tiny_substitutions"
+EVAL_HEADER = ",".join(f.name for f in fields(EvalReport))
 TABLE_HEADER = "k,p,q,value,abs_err,rel_err"
 COMPARE_HEADER = "depth,cf_value,oracle_value,rel_err"
 
@@ -86,8 +87,8 @@ def _format_scalar(value: Scalar) -> str:
 
 
 def _json_scalar(value: Scalar):
-    # JSON has no inf or nan: non-finite floats are text, as complex are.
-    if isinstance(value, float) and math.isfinite(value):
+    # JSON has no inf or nan: non-finite floats are text, as complex and Fractions are; ints and bools pass.
+    if isinstance(value, int) or isinstance(value, float) and math.isfinite(value):
         return value
     return _format_scalar(value)
 
@@ -174,14 +175,7 @@ def run_eval(cfg: CommandConfig, out: TextIO) -> int:
         max_depth = cfg.depth if cfg.depth is not None else DEFAULT_MAX_DEPTH
         evaluate = eval_convergents if cfg.method == "convergents" else eval_lentz
         report = evaluate(stream, cfg.tol, max_depth)
-    row = {
-        "value": _json_scalar(report.value),
-        "depth_used": report.depth_used,
-        "converged": report.converged,
-        "terminated": report.terminated,
-        "residual": _json_scalar(report.residual),
-        "tiny_substitutions": report.tiny_substitutions,
-    }
+    row = {name: _json_scalar(getattr(report, name)) for name in EVAL_HEADER.split(",")}
     _emit_rows(cfg, out, EVAL_HEADER, [row], row)
     return 0 if report.converged or report.terminated else 2
 

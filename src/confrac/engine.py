@@ -560,11 +560,11 @@ class _Tail(CFStream):
 
 class _Scaled(CFStream):
     # equivalence_transform(cf, scale, c0): cf's levels by _rule; an exact form reads each c_k exactly.
+    # _factor checks every c_k, c0 when built and the others when read: 0 raises ValueError, and an inf
+    # or nan float or complex factor DomainError naming its level, on every route and in term(k).
     def __init__(self, cf: CFStream, scale: Callable[[int], Scalar], c0: Scalar, exact: bool = False):
         self._parent, self._scale, self._c0, self._exact_factors = cf, scale, c0, exact
-        if isinstance(self._factor(0), (float, complex)) and not cmath.isfinite(c0):  # as a zero c0 fails
-            raise DomainError(f"c0 must be finite, got {c0!r}")
-        if mode_of(c0 * cf.b0) is not cf.mode:  # as each scaled level would be
+        if mode_of(self._factor(0) * cf.b0) is not cf.mode:  # c0 checked as every factor, then as each level
             raise ModeMismatchError(f"c0={c0!r} takes {cf.description or 'the stream'} out of {cf.mode} mode")
         self.b0, self.mode = cf.b0 if c0 == 1 else c0 * cf.b0, cf.mode
         self.description, self._end = f"equivalence({cf.description or 'cf'})", cf._end
@@ -573,6 +573,8 @@ class _Scaled(CFStream):
         v = self._c0 if k == 0 else self._scale(k)
         if v == 0:
             raise ValueError(f"zero scale factor at level {k}")
+        if isinstance(v, (float, complex)) and not cmath.isfinite(v):
+            raise DomainError(f"{'c0' if k == 0 else f'scale factor at level {k}'} must be finite, got {v!r}")
         return as_fraction(v) if self._exact_factors else v
 
     def _rule(self, k: int, levels: Iterable[tuple[Scalar, Scalar]]) -> Iterator[tuple[Scalar, Scalar]]:

@@ -80,7 +80,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .engine import CFStream
+from .engine import CFStream, _integral
 from .errors import DomainError
 from .oracles import (
     OracleResult,
@@ -127,7 +127,8 @@ class _Law(CFStream):
     ``cast(num / den)·x·x`` (``x·x`` first rounds differently, and overflows to
     ``0·inf``).  ``_end``, the law's zero, is read off the ints once, when built,
     and bounds ``_walk(k)``, the rule from level k on (after the head level at
-    k = 1, on past the zero, none at x = 0), and ``_cleared``'s int loop;
+    k = 1, on past the zero, none at x = 0), and ``_cleared``'s int loop, which
+    takes the head level's clearing from the engine's ``_integral`` and continues;
     ``_level(k)`` (for ``term(k)``) is one level of the rule, the pair ``(a_k, b_k)``.
     A build stores the row and makes no closure; ``_exact()`` is this row at
     ``Fraction(x)`` and ``description`` is formatted when read.  The finiteness
@@ -191,9 +192,9 @@ class _Law(CFStream):
     def _cleared(self) -> Iterator[tuple[int, int, int]]:  # the engine's _integral of _walk(), off the law
         (_, alpha, den, beta, _, _, unit), (P, Q, U, V), top = self._law, self._ratios, self._top
         c, M, wide, gcd = 1, den * Q, unit is not None, math.gcd  # c_0 = 1, as b0 is an int
-        if top is not None and self._end != 1:  # the engine's rule on the head's Fractions
-            (a, b), c = top, math.lcm(top[0].denominator, top[1].denominator)
-            yield c, a.numerator * (c // a.denominator), b.numerator * (c // b.denominator)
+        if top is not None and self._end != 1:  # the head's Fractions, cleared by the engine's rule
+            c = (head := next(_integral(self.b0, (top,))))[0]
+            yield head
         for j in self._inner():  # M/gcd(α(j)·P·c, M) is _integral's den a/gcd(den a, c) on a = α(j)·P/M
             a, b = alpha(j) * P * c, 2 * j + 1 if beta is None else beta(j)
             c = M // (g := gcd(a, M))

@@ -1,0 +1,151 @@
+"""Behaviour sweep: one sha256 per category over canonical outcomes.
+
+Run from a checkout, with no arguments:
+
+    python tests/parity_sweep.py
+
+It imports ``confrac`` from the checkout's own ``src`` and prints one line per
+category, ``<category> <sha256> <records>``.  Two checkouts that print the same
+lines behave alike on every case the sweep makes, so a change that claims to keep
+behaviour quotes both sets of lines.  pytest does not collect this file.
+
+Cases: the 8 families (the exponent families at n = 3, -2 and 5/2) in float,
+rational and complex mode, bare, as tails (from levels 1 and 2), as transforms
+(by a constant 2, and by 1 + k with c0 = 3) and as every two-step composition of
+those four steps, all factors finite.  Each case records, in order, ``term(k)``
+for k <= 40, ``termination_level``, ``convergents()`` and every route
+(``eval_lentz``, ``eval_convergents``, the CLI's backward report and
+``eval_backward``) at caps around the law's end (1, 7 and 40 where no law ends
+it) at the default and at zero tolerance, and at the default cap.  The ``cli``
+category records the exit code, stdout and stderr of ``eval`` (every method,
+CSV and JSON), ``table`` and ``compare`` for each bare case, and ``verify``
+records ``run_checks()`` once.  An outcome is the ``repr`` of the result or the
+type and message of the error raised, labelled with the call that made it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from confrac import (  # noqa: E402
+    DEFAULT_TOLERANCE,
+    EXACT,
+    Family,
+    FamilySpec,
+    convergents,
+    equivalence_transform,
+    eval_backward,
+    eval_convergents,
+    eval_lentz,
+    tail,
+)
+from confrac.cli import main  # noqa: E402
+from confrac.engine import _backward_report  # noqa: E402
+from confrac.verify import run_checks  # noqa: E402
+
+EXPONENTS = ("3", "-2", "5/2")
+ARGS = {"float": "0.3", "rational": "3/10", "complex": "0.3+0.1j"}
+STEPS = {
+    "tail-1": lambda cf, one: tail(cf, 1),
+    "tail-2": lambda cf, one: tail(cf, 2),
+    "scale-2": lambda cf, one: equivalence_transform(cf, lambda k: 2 * one),
+    "scale-1+k": lambda cf, one: equivalence_transform(cf, lambda k: (1 + k) * one, 3 * one),
+}
+COMPOSITIONS = {
+    "bare": [()],
+    "tail": [("tail-1",), ("tail-2",)],
+    "transform": [("scale-2",), ("scale-1+k",)],
+    "composition": [(first, second) for first in STEPS for second in STEPS],
+}
+
+
+def outcome(call) -> str:
+    try:
+        return repr(call())
+    except Exception as exc:  # an error is an outcome too
+        return f"{type(exc).__name__}: {exc}"
+
+
+def specs():
+    """(label, spec text for the CLI, mode, FamilySpec builder) for every bare case."""
+    for family in Family:
+        for mode, arg in ARGS.items():
+            if mode == "complex" and family in (Family.TAN_MULTIPLE, Family.ARCTAN, Family.TAN,
+                                                Family.LOG_RATIO):
+                arg = "0.3+0j"  # these take a real argument only
+            cast = {"float": float, "rational": Fraction, "complex": complex}[mode]
+            for n in EXPONENTS if family.takes_n else (None,):
+                argv = ["--family", family.value, "--arg", arg, "--mode", mode] + (["--n", n] if n else [])
+                yield (f"{family.value} n={n} {mode}", argv, mode,
+                       lambda family=family, arg=cast(arg), n=n: FamilySpec(family, arg, n and Fraction(n)))
+
+
+def stream_records(build):
+    """Every outcome of one stream: its levels, its end and every route at caps around the end."""
+    records = [f"term({k}) {outcome(lambda: build().term(k))}" for k in range(1, 41)]
+    records.append(f"termination_level(40) {outcome(lambda: build().termination_level(40))}")
+    try:
+        end = build()._end
+    except Exception:  # the build's error is recorded with every outcome
+        end = None
+    caps = [1, 7, 40] if end is None else sorted({max(end + d, 1) for d in (-2, -1, 0, 1)})
+    for cap in caps:
+        records.append(f"convergents {cap} {outcome(lambda: convergents(build(), cap))}")
+        for tol in (DEFAULT_TOLERANCE, EXACT):
+            records += [f"lentz {cap} {tol.rel_tol} {outcome(lambda: eval_lentz(build(), tol, cap))}",
+                        f"forward {cap} {tol.rel_tol} {outcome(lambda: eval_convergents(build(), tol, cap))}",
+                        f"backward {cap} {tol.rel_tol} {outcome(lambda: _backward_report(build(), cap, tol))}"]
+        records.append(f"eval_backward {cap} {outcome(lambda: eval_backward(build(), cap))}")
+    return records + [f"lentz default {outcome(lambda: eval_lentz(build()))}",
+                      f"forward default {outcome(lambda: eval_convergents(build()))}"]
+
+
+def cli_records(argv, mode):
+    def run(*args):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(args))
+        return f"{' '.join(args)} -> {code}\n{out.getvalue()}{err.getvalue()}"
+
+    methods = ["convergents", "backward"] + ([] if mode == "rational" else ["lentz"])
+    records = []
+    for fmt in ("json", "csv"):
+        records.append(run("eval", *argv, "--format", fmt))
+        for method in methods:
+            for depth in ("1", "5", "8"):
+                records.append(run("eval", *argv, "--method", method, "--depth", depth, "--format", fmt))
+    for depth in ("0", "5", "8"):
+        records.append(run("table", *argv, "--depth", depth))
+    records.append(run("compare", *argv, "--depth", "8"))
+    return records
+
+
+def sweep() -> dict[str, list[str]]:
+    categories = {name: [] for name in [*COMPOSITIONS, "cli", "verify"]}
+    for label, argv, mode, spec in specs():
+        one = {"float": 1.0, "rational": Fraction(1), "complex": complex(1)}[mode]
+        for category, compositions in COMPOSITIONS.items():
+            for steps in compositions:
+                def build(spec=spec, steps=steps, one=one):
+                    cf = spec().stream()
+                    for step in steps:
+                        cf = STEPS[step](cf, one)
+                    return cf
+                categories[category] += [f"{label} {'/'.join(steps)} {record}"
+                                         for record in stream_records(build)]
+        categories["cli"] += cli_records(argv, mode)
+    categories["verify"] = [repr(result) for result in run_checks()]
+    return categories
+
+
+if __name__ == "__main__":
+    for name, records in sweep().items():
+        digest = hashlib.sha256("".join(record + "\n" for record in records).encode()).hexdigest()
+        print(f"{name} {digest} {len(records)}")

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import confrac
-from confrac import Family, convergents
+from confrac import EvalReport, Family, convergents
 from confrac.cli import TABLE_HEADER, main
 
 
@@ -28,6 +29,23 @@ def strict_json(text):
     def reject(constant):
         raise ValueError(f"{constant} is not JSON")
     return json.loads(text, parse_constant=reject)
+
+
+class TestEvalSchema:
+    """eval's columns are EvalReport's fields, in order, in CSV and JSON and in every mode."""
+
+    @pytest.mark.parametrize("argv", [
+        ("--family", "arctan", "--arg", "1"),
+        ("--family", "symmetric-binomial", "--n", "5/2", "--arg", "1/5", "--mode", "rational"),
+        ("--family", "symmetric-binomial", "--n", "0.77", "--arg", "0.5j", "--mode", "complex"),
+    ], ids=["float", "rational", "complex"])
+    def test_header_and_keys_are_the_report_fields(self, capsys, argv):
+        names = [f.name for f in fields(EvalReport)]
+        code, out, _ = run_cli(capsys, "eval", *argv, "--format", "csv")
+        header, row = out.splitlines()
+        assert code == 0 and header.split(",") == names and len(row.split(",")) == len(names)
+        code, out, _ = run_cli(capsys, "eval", *argv, "--format", "json")
+        assert code == 0 and list(strict_json(out)) == names
 
 
 class TestEval:

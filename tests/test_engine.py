@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confrac import (
@@ -1152,6 +1152,86 @@ class TestExactFormOfDerivedStreams:
                 route(cf)
 
 
+COMPOSITION_STEPS = [("tail", 1), ("tail", 2), ("tail", 3), ("scale", 2), ("scale", -3), ("scale", Fraction(3, 4)),
+                     ("scale", Fraction(-1, 2)), ("scale-1+k", 3), ("scale-1+k", Fraction(-1, 4)),
+                     ("scale-1+k", Fraction(5, 2))]
+
+
+class TestCompositionsAgainstAPlainFold:
+    """A family at a rational argument under up to two steps from {tail s, scale by a constant,
+    scale by 1 + k with c0}: every rational route equals a plain Fraction fold written here, over
+    the bare law's levels with each step applied here; for an ending law every float route equals
+    that fold at the float's binary arguments, rounded once."""
+
+    @staticmethod
+    def build(cf, steps, cast):
+        for kind, v in steps:
+            if kind == "tail":
+                cf = tail(cf, v)
+            elif kind == "scale":
+                cf = equivalence_transform(cf, lambda k, c=cast(v): c)
+            else:
+                cf = equivalence_transform(cf, lambda k: cast(1 + k), cast(v))
+        return cf
+
+    @staticmethod
+    def plain(spec, steps, cast, cap):
+        # (value or None at a pole, depth): b0 + a_1/(b_1 + ...) to the cap or the level before the first
+        # zero, of the bare levels, each step applied: a tail drops s levels, a scale (c_0, c_1, ...) takes
+        # b0 to c_0·b0 and level k to (c_k·c_{k-1}·a_k, c_k·b_k)
+        bare = spec.stream()
+        b0, levels = bare.b0, [(t.a, t.b) for t in map(bare.term, range(1, cap + 8))]
+        for kind, v in steps:
+            if kind == "tail":
+                b0, levels = levels[v - 1][1], levels[v:]
+                continue
+            v = Fraction(cast(v))
+            c = [1 if kind == "scale" else v] + [v if kind == "scale" else Fraction(1 + k)
+                                                  for k in range(1, len(levels) + 1)]
+            b0, levels = c[0] * b0, [(c[k] * c[k - 1] * a, c[k] * b) for k, (a, b) in enumerate(levels, 1)]
+        depth = min(cap, next((k for k, (a, _) in enumerate(levels) if a == 0), len(levels)))
+        bs = [b0] + [b for _, b in levels[:depth]]
+        num, den = bs[depth], Fraction(1)  # the assumed-zero tail below level depth
+        for k in range(depth, 0, -1):
+            num, den = bs[k - 1] * num + levels[k - 1][0] * den, num
+        return (None if den == 0 else num / den), depth
+
+    @staticmethod
+    def check(routes, want, depth):
+        for route in routes:
+            if want is None:
+                with pytest.raises(PoleError):
+                    route()
+                continue
+            got = route()
+            if isinstance(got, EvalReport):
+                assert (got.value, got.depth_used) == (want, depth)
+            else:
+                assert got == want
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.sampled_from(list(Family)), st.sampled_from([Fraction(i, d) for d in (1, 2, 3) for i in range(-9, 10)]),
+           st.sampled_from([Fraction(i, d) for d in range(1, 11) for i in range(1 - d, d)]),
+           st.sampled_from([()] + [(s,) for s in COMPOSITION_STEPS] +
+                           [(s, t) for s in COMPOSITION_STEPS for t in COMPOSITION_STEPS]), st.integers(1, 24))
+    def test_every_route_is_the_plain_fold(self, family, n, x, steps, cap):
+        n = n if family.takes_n else None
+        cf = self.build(FamilySpec(family, x, n).stream(), steps, Fraction)
+        want, depth = self.plain(FamilySpec(family, x, n), steps, Fraction, cap)
+        self.check([lambda: eval_convergents(cf, EXACT, cap), lambda: _backward_report(cf, cap, EXACT),
+                    lambda: eval_backward(cf, cap)], want, depth)
+        last = convergents(cf, cap)[-1]
+        assert last.k == depth and (last.is_pole if want is None else last.value == want)
+        cf = self.build(FamilySpec(family, float(x), n).stream(), steps, float)
+        if cf._end is None:  # no law ends it: a float walk is no exact fold
+            return
+        want, depth = self.plain(FamilySpec(family, Fraction(float(x)), n), steps, float, cf._end)
+        self.check([lambda: eval_lentz(cf), lambda: eval_convergents(cf),
+                    lambda: _backward_report(cf, engine.DEFAULT_MAX_DEPTH, TIGHT),
+                    lambda: eval_backward(cf, engine.DEFAULT_MAX_DEPTH)],
+                   None if want is None else float(want), depth)
+
+
 class TestTerminationSemantics:
     def test_deeper_requests_repeat_the_terminal_convergents(self):
         cf = symmetric_binomial(3, Fraction(1, 2))
@@ -1210,6 +1290,47 @@ class TestNonFiniteLeadingFactor:
             equivalence_transform(lagrange_binomial(3, 0.3), lambda k: 1.0, 0.0)
         finite = equivalence_transform(lagrange_binomial(3, 0.3), lambda k: 1.0, 2.0)
         assert eval_lentz(finite).value == 2 * eval_lentz(lagrange_binomial(3, 0.3)).value
+
+
+class TestNonFiniteFactor:
+    """A factor past c0 is checked as c0 is: an inf or nan one raises a DomainError that names its
+    level on every route that reads it, whether the law answers or a walk meets it."""
+
+    BUILDS = {
+        "inf": lambda: equivalence_transform(lagrange_binomial(3, 0.3), lambda k: math.inf if k == 2 else 1.0),
+        "nan": lambda: equivalence_transform(lagrange_binomial(3, 0.3), lambda k: math.nan if k == 2 else 1.0),
+        "complex": lambda: equivalence_transform(symmetric_binomial(0.77, 0.5j),
+                                                 lambda k: complex(math.inf, 0.0) if k == 2 else 1.0),
+    }
+    ROUTES = {
+        "lentz": lambda cf, cap: eval_lentz(cf, DEFAULT_TOLERANCE, cap),
+        "convergents": lambda cf, cap: eval_convergents(cf, DEFAULT_TOLERANCE, cap),
+        "backward-report": lambda cf, cap: _backward_report(cf, cap, DEFAULT_TOLERANCE),
+        "backward": eval_backward,
+    }
+
+    @pytest.mark.parametrize("build", list(BUILDS))
+    @pytest.mark.parametrize("route", list(ROUTES))
+    @pytest.mark.parametrize("cap", [3, engine.DEFAULT_MAX_DEPTH], ids=["cap-3", "default-cap"])
+    def test_every_route_names_the_level(self, build, route, cap):
+        # the law answered DomainError("value must be finite, got inf") and a walk reported nan
+        with pytest.raises(DomainError, match="scale factor at level 2 must be finite"):
+            self.ROUTES[route](self.BUILDS[build](), cap)
+
+    @pytest.mark.parametrize("build", list(BUILDS))
+    def test_single_levels_and_convergents_name_the_level(self, build):
+        # term(2) was CFTerm(a=-inf, b=inf) and convergent 4 nan
+        cf = self.BUILDS[build]()
+        for read in (lambda: cf.term(2), lambda: convergents(cf, 4)):
+            with pytest.raises(DomainError, match="scale factor at level 2 must be finite"):
+                read()
+
+    @pytest.mark.parametrize("build", list(BUILDS))
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_a_walk_that_stops_before_the_level_reports(self, build, route):
+        cf = self.BUILDS[build]()
+        report = self.ROUTES[route](cf, 1)
+        assert (report if route == "backward" else report.value) == cf.b0 + cf.term(1).a / cf.term(1).b
 
 
 class TestTransformKeepsTheMode:
