@@ -266,13 +266,13 @@ class EvalReport:
 
 
 def _settle(cf: CFStream, steps: Iterable[tuple[int, Optional[Scalar], int]],
-            tol: ToleranceSpec, max_depth: int) -> EvalReport:
-    # The one stopping rule (see the module docstring).  ``steps`` yields
-    # (k, value, substitutions), value None at a pole, and runs out before
-    # max_depth only when the fraction terminates.  Floats compare inline, as
-    # _within would, with rel_tol·max(|v|, |u|) the larger of the two products.
+            tol: ToleranceSpec, max_depth: int, cap: str = "max_depth") -> EvalReport:
+    # The one stopping rule (see the module docstring).  ``steps`` yields (k, value,
+    # substitutions), value None at a pole, and runs out before max_depth (named cap in
+    # its error) only when the fraction terminates.  Floats compare inline, as _within
+    # would, with rel_tol·max(|v|, |u|) the larger of the two products.
     if max_depth < 1:
-        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
+        raise ValueError(f"{cap} must be >= 1, got {max_depth}")
     finite, rel_tol, agree = cf.mode.isfinite, _rel_tol(cf.mode, tol), cf._end is None
     floats, inf, value, substitutions = cf.mode is Mode.FLOAT, math.inf, None, 0
     law = not agree and cf._end <= max_depth and cf.mode is not Mode.COMPLEX  # ends within the cap
@@ -530,12 +530,12 @@ def eval_backward(cf: CFStream, depth: int) -> Scalar:
     reports its exact value, and :class:`PoleError` is raised only when
     the value to report is infinite.
     """
-    return _settle(cf, _backward(cf, depth), DEFAULT_TOLERANCE, depth).value
+    return _settle(cf, _backward(cf, depth), DEFAULT_TOLERANCE, depth, "depth").value
 
 
 def _backward_report(cf: CFStream, depth: int, tol: ToleranceSpec) -> EvalReport:
     # The folds at depth - 1 and depth, or the one terminated fold.
-    return _settle(cf, _backward(cf, depth, both=True), tol, depth)
+    return _settle(cf, _backward(cf, depth, both=True), tol, depth, "depth")
 
 
 class _Tail(CFStream):

@@ -42,19 +42,20 @@ numerator over the stream's denominator, with N/D = n in lowest terms
     family              b0  head (level 1)     α(j)                   p  β(j)       s
     lagrange-binomial   1   nx/1               ((j+1)/2·D - N)/D odd, 1  2 odd,     -
                                                (j/2·D + N)/D even        j+1 even
-    uniform-binomial    1   nx/(1 + (1-n)x/2)  (N-jD)(N+jD)/4D²       2  2j+1       1/2
-    symmetric-binomial  1   -                  (N-jD)(N+jD)/D²        2  2j+1       -
-    tan-multiple        0   nt/1               (jD-N)(jD+N)/D²        2  2j+1       -
+    uniform-binomial    1   nx/(1 + (1-n)x/2)  (N²-j²D²)/4D²          2  2j+1       1/2
+    symmetric-binomial  1   -                  (N²-j²D²)/D²           2  2j+1       -
+    tan-multiple        0   nt/1               (j²D²-N²)/D²           2  2j+1       -
     arctan              0   t/1                j²/1                   2  2j+1       -
     tan                 0   θ/1                -1                     2  2j+1       -
     log-ratio           0   2z/1               -j²/1                  2  2j+1       -
     coth-scaled         1   -                  1                      2  2j+1       -
 
-In rational mode a coefficient is ``num·P/(den·Q)`` (x^p = P/Q) in lowest
-terms, one gcd; the exact kernels read the engine's least clearing of these,
-``_cleared()``, off the ints, again one gcd a level.  Otherwise it is
-``num / den`` correctly rounded and cast to ``float`` or ``complex``: a rule
-fixed per stream, stated once per arithmetic, read by every walk and ``term(k)``.
+A generator reads n once as the int pair (N, D), and N², D² once: α(j) is one wide
+product a level.  In rational mode a coefficient is ``num·P/(den·Q)`` (x^p = P/Q) in
+lowest terms, one gcd; the exact kernels read the engine's least clearing of these,
+``_cleared()``, off the ints, again one gcd a level.  Otherwise it is ``num / den``
+by int true division, correctly rounded, cast to ``float`` or ``complex`` (the head's
+and the scale's int pairs too): a rule fixed per stream, stated once per arithmetic.
 Termination is read off the ints, never a rounded product: a level is the
 exact zero where α(j), the head's h or x is 0, so an underflowed numerator
 (``x·x`` at x = 1e-200) does not end the fraction.  α(j) is 0 only at a
@@ -92,16 +93,17 @@ from .oracles import (
     tan_lhs,
     tan_multiple_lhs,
 )
-from .scalars import Mode, Scalar, as_fraction, mode_of
+from .scalars import Mode, Scalar, _ratio, as_fraction, mode_of
 
 #: Reject tan_cf arguments closer than this to an odd multiple of pi/2.
 TAN_POLE_GUARD = 1e-8
-_HALF = Fraction(1, 2)  # uniform-binomial's s
+_HALF = (1, 2)  # uniform-binomial's s
 
 
-def _require_finite(value: Scalar, name: str) -> None:
-    if not mode_of(value).isfinite(value):
+def _require_finite(value: Scalar, name: str) -> Mode:  # the mode of a finite value
+    if not (mode := mode_of(value)).isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
+    return mode
 
 
 def _require_real(value: Scalar, name: str) -> None:
@@ -113,14 +115,19 @@ def _require_real(value: Scalar, name: str) -> None:
 _Rule = Callable[[int], int]
 
 
+def _coefficient(cast: Callable, num: int, den: int) -> Scalar:  # an int pair's coefficient, by the mode rule
+    return Fraction(num, den) if cast is Fraction else cast(num / den)
+
+
 class _Law(CFStream):
     """A family stream: a row of the law table, read by the class's methods.
 
     Inner level j is ``(alpha(j)/den)·x^power / (beta(j)·(1 + scale·x))`` by
     x's mode rule (module docstring), ``beta(j)`` 2j+1 by default and
     ``(1 + scale·x)`` there only when ``scale`` is given.  With ``head = (h, d)``,
-    d an int pair (num, den), level 1 is ``h·x / (1 + d·x)`` and inner level j
-    is level j+1; without a head it is level j.  ``h = None`` puts x itself on
+    level 1 is ``h·x / (1 + d·x)`` and inner level j is level j+1; without a
+    head it is level j.  ``n``, ``scale``, h and d are int pairs (num, den),
+    each cast by the mode rule (``_coefficient``).  ``h = None`` puts x itself on
     top, cast to its mode (``complex(1)·x`` would turn a ``-0.0`` imaginary part
     into ``+0.0``), and ``d = None`` leaves the bare 1.  ``_rule`` states each
     arithmetic's rule once; float and complex levels multiply in the order
@@ -130,33 +137,32 @@ class _Law(CFStream):
     k = 1, on past the zero, none at x = 0), and ``_cleared``'s int loop, which
     takes the head level's clearing from the engine's ``_integral`` and continues;
     ``_level(k)`` (for ``term(k)``) is one level of the rule, the pair ``(a_k, b_k)``.
-    A build stores the row and makes no closure; ``_exact()`` is this row at
-    ``Fraction(x)`` and ``description`` is formatted when read.  The finiteness
-    check comes first, so a generator's domain checks only see finite arguments.
+    A build stores the row, makes no closure and no ``Fraction`` outside rational mode;
+    ``_exact()`` is this row at ``Fraction(x)`` and ``description`` is formatted when
+    read.  The finiteness check comes first, so a generator's domain checks see finite x.
     """
 
     def __init__(self, family: str, name: str, x: Scalar, b0: int, alpha: _Rule, den: int = 1,
-                 n: Optional[Fraction] = None, beta: Optional[_Rule] = None, power: int = 2,
-                 scale: Optional[Fraction] = None, head: Optional[tuple] = None):
-        _require_finite(x, name)
-        self.mode, self._args = mode_of(x), (family, name, b0, n, scale, head)
-        cast, nil, one = self.mode.cast, x == 0, self.mode.cast(1)
-        self.b0, unit = cast(b0), None if scale is None else one + cast(scale) * x
+                 n: Optional[tuple] = None, beta: Optional[_Rule] = None, power: int = 2,
+                 scale: Optional[tuple] = None, head: Optional[tuple] = None):
+        mode = self.mode = _require_finite(x, name)
+        self._args, cast, one = (family, name, b0, n, scale, head), mode.cast, mode.cast(1)
+        self.b0, unit = cast(b0), None if scale is None else one + _coefficient(cast, *scale) * x
         self._law = (x, alpha, den, beta, power, cast, unit)
         if cast is Fraction:  # x^power = P/Q, unit = U/V (1/1 without a scale)
             self._ratios = (x ** power).as_integer_ratio() + (unit if scale else one).as_integer_ratio()
         h, d = head or (None, None)  # _top: level 1, (a_1, b_1), where the row has a head
-        d = d and (Fraction(*d) if cast is Fraction else cast(d[0] / d[1]))
-        self._top = head and (cast(x) if h is None else cast(h) * x, one if d is None else one + d * x)
-        if nil or h == 0:
+        self._top = head and (cast(x) if h is None else _coefficient(cast, *h) * x,
+                              one if d is None else one + _coefficient(cast, *d) * x)
+        if x == 0 or h is not None and h[0] == 0:
             self._end = 1
-        elif e := n is not None and n.denominator == 1 and abs(n.numerator):  # α(j) = 0 only at e, 2e-1, 2e
+        elif e := n is not None and n[1] == 1 and abs(n[0]):  # α(j) = 0 only at e, 2e-1, 2e
             self._end = next((j + (head is not None) for j in (e, 2 * e - 1, 2 * e) if alpha(j) == 0), None)
 
     @property
     def description(self) -> str:
         (family, name, _, n), x = self._args[:4], self._law[0]
-        return f"{family}({x!r})" if n is None else f"{family}(n={n}, {name}={x!r})"
+        return f"{family}({x!r})" if n is None else f"{family}(n={Fraction(*n)}, {name}={x!r})"
 
     def _exact(self) -> "_Law":
         (x, alpha, den, beta, power, _, _), (family, name, b0, n, scale, head) = self._law, self._args
@@ -168,8 +174,9 @@ class _Law(CFStream):
             return range(k - shift or 1, end - shift)
         return () if self._law[0] == 0 else count(k - shift or 1)  # walks on past the zero; x = 0 zeroes all
 
-    def _rule(self, js: Iterable[int], head: tuple = ()) -> Iterator[tuple[Scalar, Scalar]]:  # head, then the j
-        yield from head
+    def _rule(self, js: Iterable[int], top: Optional[tuple] = None) -> Iterator[tuple[Scalar, Scalar]]:
+        if top is not None:  # the head level, then the j
+            yield top
         x, alpha, den, beta, power, cast, unit = self._law
         if cast is Fraction:  # num·P/(den·Q) and β·U/V in lowest terms
             P, Q, U, V = self._ratios
@@ -182,12 +189,10 @@ class _Law(CFStream):
             yield a * x if power == 2 else a, b if unit is None else b * unit
 
     def _level(self, k: int) -> tuple[Scalar, Scalar]:
-        top = self._top
-        return top if k == 1 and top is not None else next(self._rule((k - (top is not None),)))
+        return next(self._rule((k - (self._top is not None),), self._top if k == 1 else None))
 
     def _walk(self, k: int = 1) -> Iterator[tuple[Scalar, Scalar]]:  # levels k, k+1, ... up to the zero
-        top = self._top
-        return self._rule(self._inner(k), (top,) if k == 1 and top is not None and self._end != 1 else ())
+        return self._rule(self._inner(k), self._top if k == 1 and self._end != 1 else None)
 
     def _cleared(self) -> Iterator[tuple[int, int, int]]:  # the engine's _integral of _walk(), off the law
         (_, alpha, den, beta, _, _, unit), (P, Q, U, V), top = self._law, self._ratios, self._top
@@ -213,8 +218,7 @@ def lagrange_binomial(n: Union[int, float, Fraction], x: Scalar) -> CFStream:
     the binomial oracle keep x > -1; the stream itself exists for any
     finite x.
     """
-    n = as_fraction(n)
-    N, D = n.as_integer_ratio()
+    N, D = n = _ratio(n)
     return _Law("lagrange-binomial", "x", x, 1,
                 lambda j: (j + 1) // 2 * D - N if j % 2 else j // 2 * D + N, den=D,
                 n=n, beta=lambda j: 2 if j % 2 else j + 1, power=1, head=(n, None))
@@ -222,9 +226,9 @@ def lagrange_binomial(n: Union[int, float, Fraction], x: Scalar) -> CFStream:
 
 def uniform_binomial(n: Union[int, float, Fraction], x: Scalar) -> CFStream:
     """Uniform-law stream for (1+x)^n; terminates at level |n|+1 for integer n."""
-    n = as_fraction(n)
-    N, D = n.as_integer_ratio()
-    return _Law("uniform-binomial", "x", x, 1, lambda j: (N - j * D) * (N + j * D), den=4 * D * D,
+    N, D = n = _ratio(n)
+    N2, D2 = N * N, D * D
+    return _Law("uniform-binomial", "x", x, 1, lambda j: N2 - j * j * D2, den=4 * D2,
                 n=n, scale=_HALF, head=(n, (D - N, 2 * D)))
 
 
@@ -235,9 +239,9 @@ def symmetric_binomial(n: Union[int, float, Fraction], z: Scalar) -> CFStream:
     terminates at level |n|.  Complex z is allowed (the terms stay real for
     purely imaginary z since z only appears squared).
     """
-    n = as_fraction(n)
-    N, D = n.as_integer_ratio()
-    return _Law("symmetric-binomial", "z", z, 1, lambda j: (N - j * D) * (N + j * D), den=D * D, n=n)
+    N, D = n = _ratio(n)
+    N2, D2 = N * N, D * D
+    return _Law("symmetric-binomial", "z", z, 1, lambda j: N2 - j * j * D2, den=D2, n=n)
 
 
 def tan_multiple(n: Union[int, float, Fraction], t: Scalar) -> CFStream:
@@ -247,10 +251,9 @@ def tan_multiple(n: Union[int, float, Fraction], t: Scalar) -> CFStream:
     A pole of tan(nφ) shows up at evaluation time as a vanishing
     denominator, not here.
     """
-    n = as_fraction(n)
-    N, D = n.as_integer_ratio()
-    stream = _Law("tan-multiple", "t", t, 0, lambda j: (j * D - N) * (j * D + N), den=D * D,
-                  n=n, head=(n, None))
+    N, D = n = _ratio(n)
+    N2, D2 = N * N, D * D
+    stream = _Law("tan-multiple", "t", t, 0, lambda j: j * j * D2 - N2, den=D2, n=n, head=(n, None))
     _require_real(t, "t")
     return stream
 
@@ -284,7 +287,7 @@ def log_ratio_cf(z: Scalar) -> CFStream:
 
     Requires real |z| < 1, mirroring the left-hand side's domain.
     """
-    stream = _Law("log-ratio", "z", z, 0, lambda j: -j * j, head=(2, None))
+    stream = _Law("log-ratio", "z", z, 0, lambda j: -j * j, head=((2, 1), None))
     _require_real(z, "z")
     if abs(z) >= 1:
         raise DomainError(f"log_ratio_cf requires |z| < 1, got {z!r}")

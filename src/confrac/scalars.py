@@ -100,6 +100,13 @@ def as_fraction(value: Scalar) -> Fraction:
     return Fraction(value)
 
 
+def _ratio(value: Scalar) -> tuple[int, int]:
+    # as_fraction(value)'s int pair in lowest terms, same checks and errors; an int or float builds no Fraction
+    if type(value) in (int, Fraction) or type(value) is float and math.isfinite(value):
+        return value.as_integer_ratio()
+    return as_fraction(value).as_integer_ratio()
+
+
 @dataclass(frozen=True)
 class ToleranceSpec:
     """Relative tolerance for :func:`nearly_equal`, the one stopping

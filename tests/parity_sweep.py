@@ -7,19 +7,22 @@ Run from a checkout, with no arguments:
 It imports ``confrac`` from the checkout's own ``src`` and prints one line per
 category, ``<category> <sha256> <records>``.  Two checkouts that print the same
 lines behave alike on every case the sweep makes, so a change that claims to keep
-behaviour quotes both sets of lines.  pytest does not collect this file.
+behaviour quotes both sets of lines.  ``tests/data/parity_sweep.txt`` holds the
+expected lines, and CI (Python 3.11) diffs a fresh run against it; a change that
+alters behaviour on purpose updates that file.  pytest does not collect this file.
 
-Cases: the 8 families (the exponent families at n = 3, -2 and 5/2) in float,
-rational and complex mode, bare, as tails (from levels 1 and 2), as transforms
-(by a constant 2, and by 1 + k with c0 = 3) and as every two-step composition of
-those four steps, all factors finite.  Each case records, in order, ``term(k)``
-for k <= 40, ``termination_level``, ``convergents()`` and every route
-(``eval_lentz``, ``eval_convergents``, the CLI's backward report and
-``eval_backward``) at caps around the law's end (1, 7 and 40 where no law ends
-it) at the default and at zero tolerance, and at the default cap.  The ``cli``
-category records the exit code, stdout and stderr of ``eval`` (every method,
-CSV and JSON), ``table`` and ``compare`` for each bare case, and ``verify``
-records ``run_checks()`` once.  An outcome is the ``repr`` of the result or the
+Cases: the 8 families (the exponent families at n = 3, -2 and 5/2, and at the
+float 0.37, whose exact ratio has a 2^53 denominator, in float and complex mode
+only; the CLI gets that ratio as p/q) in float, rational and complex mode, bare,
+as tails (from levels 1 and 2), as transforms (by a constant 2, and by 1 + k
+with c0 = 3) and as every two-step composition of those four steps, all factors
+finite.  Each case records, in order, ``term(k)`` for k <= 40,
+``termination_level``, ``convergents()`` and every route (``eval_lentz``,
+``eval_convergents``, the CLI's backward report and ``eval_backward``) at caps
+around the law's end (1, 7 and 40 where no law ends it) at the default and at
+zero tolerance, and at the default cap.  The ``cli`` category records the exit
+code, stdout and stderr of ``eval`` (every method, CSV and JSON), ``table`` and
+``compare`` for each bare case, and ``verify`` records ``run_checks()`` once.  An outcome is the ``repr`` of the result or the
 type and message of the error raised, labelled with the call that made it.
 """
 
@@ -50,7 +53,8 @@ from confrac.cli import main  # noqa: E402
 from confrac.engine import _backward_report  # noqa: E402
 from confrac.verify import run_checks  # noqa: E402
 
-EXPONENTS = ("3", "-2", "5/2")
+#: label -> exponent; a float one (a wide binary ratio) runs in float and complex mode only
+EXPONENTS = {"3": Fraction(3), "-2": Fraction(-2), "5/2": Fraction(5, 2), "0.37": 0.37}
 ARGS = {"float": "0.3", "rational": "3/10", "complex": "0.3+0.1j"}
 STEPS = {
     "tail-1": lambda cf, one: tail(cf, 1),
@@ -82,9 +86,13 @@ def specs():
                 arg = "0.3+0j"  # these take a real argument only
             cast = {"float": float, "rational": Fraction, "complex": complex}[mode]
             for n in EXPONENTS if family.takes_n else (None,):
-                argv = ["--family", family.value, "--arg", arg, "--mode", mode] + (["--n", n] if n else [])
+                exponent = n and EXPONENTS[n]
+                if isinstance(exponent, float) and mode == "rational":
+                    continue
+                argv = ["--family", family.value, "--arg", arg, "--mode", mode] + (
+                    ["--n", str(Fraction(exponent))] if n else [])
                 yield (f"{family.value} n={n} {mode}", argv, mode,
-                       lambda family=family, arg=cast(arg), n=n: FamilySpec(family, arg, n and Fraction(n)))
+                       lambda family=family, arg=cast(arg), n=exponent: FamilySpec(family, arg, n))
 
 
 def stream_records(build):

@@ -714,6 +714,17 @@ class TestEvalBackward:
         with pytest.raises(ValueError):
             eval_backward(coth_scaled_cf(1.0), 0)
 
+    @pytest.mark.parametrize("route", [lambda cf, cap: eval_backward(cf, cap),
+                                       lambda cf, cap: _backward_report(cf, cap, TIGHT)],
+                             ids=["eval_backward", "backward_report"])
+    def test_zero_depth_names_the_depth_parameter(self, route):
+        # the backward routes take depth, not max_depth, and their error says so
+        for cf in (coth_scaled_cf(1.0), coth_scaled_cf(Fraction(1, 2)), lagrange_binomial(3, 0.3)):
+            with pytest.raises(ValueError, match=r"^depth must be >= 1, got 0$"):
+                route(cf, 0)
+        with pytest.raises(ValueError, match=r"^max_depth must be >= 1, got 0$"):
+            eval_lentz(coth_scaled_cf(1.0), TIGHT, 0)
+
 
 EXACT_SCALARS = st.one_of(
     st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=7)

@@ -577,3 +577,64 @@ class TestOneLawObject:
     ], ids=["lagrange", "arctan", "symmetric", "tail", "exact-form"])
     def test_description_is_unchanged(self, stream, label):
         assert stream().description == label
+
+
+#: Float exponents whose exact ratios are wide: N/D with D = 2^53, 2^51 and 2^41.
+WIDE_EXPONENTS = [0.37, -2.77, 1234.56]
+WIDE_ARGS = [0.3, -0.45, complex(0.3, 0.4), complex(-0.45, 0.0), complex(0.0, 0.5)]
+
+
+class TestWideExponentRatios:
+    """At a float exponent with a wide exact ratio, every level is the exact
+    coefficient α(j)/den, a Fraction written out here, rounded once and
+    multiplied in the order ``cast(num/den)·x·x``; the walk yields the same
+    bits, and the rational twin's cleared walk is the engine's clearing."""
+
+    @pytest.mark.parametrize("n", WIDE_EXPONENTS)
+    @pytest.mark.parametrize("family", [f for f in Family if f.takes_n], ids=lambda f: f.value)
+    def test_levels_round_the_exact_coefficient_once(self, family, n):
+        for x in WIDE_ARGS:
+            if family in REAL_ONLY and isinstance(x, complex) and x.imag:
+                continue
+            stream = family.generator(n, x)
+            assert stream.termination_level(60) is None
+            want = [tuple(map(_bits, _reference_term(family, Fraction(n), x, k))) for k in range(1, 61)]
+            assert [(_bits(t.a), _bits(t.b)) for t in map(stream.term, range(1, 61))] == want, x
+            assert [(_bits(a), _bits(b)) for a, b in islice(stream._walk(), 60)] == want, x
+
+    @pytest.mark.parametrize("n", WIDE_EXPONENTS)
+    @pytest.mark.parametrize("family", [f for f in Family if f.takes_n], ids=lambda f: f.value)
+    def test_rational_twin_clears_as_the_engine_does(self, family, n):
+        for x in (x for x in WIDE_ARGS if isinstance(x, float)):
+            twin = family.generator(n, x)._exact()
+            assert twin.mode.value == "rational" and twin.b0 == family.generator(n, Fraction(x)).b0
+            cleared = list(islice(twin._cleared(), 60))
+            assert cleared == list(islice(_integral(twin.b0, twin._walk()), 60))
+            assert cleared == list(islice(family.generator(n, Fraction(x))._cleared(), 60))
+
+
+class TestNoFractionOutsideRationalMode:
+    """Building and evaluating a float or complex family stream at a float
+    exponent constructs no Fraction: the exponent is read as an int pair."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: lagrange_binomial(-2.77, 0.3),
+        lambda: uniform_binomial(1.37, -0.4),
+        lambda: tan_multiple(0.63, 0.8),
+        lambda: symmetric_binomial(0.77, 0.5j),
+    ], ids=["lagrange", "uniform", "tan-multiple", "symmetric-complex"])
+    def test_build_and_evaluate_make_no_fraction(self, build):
+        made, new = [], Fraction.__dict__["__new__"]
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return new.__func__(cls, *args, **kwargs)
+
+        Fraction.__new__ = counting
+        try:
+            reports = [eval_lentz(build(), TOL), eval_convergents(build(), TOL)]
+        finally:
+            Fraction.__new__ = new
+        assert made == []
+        assert Fraction.__dict__["__new__"] is new and Fraction(3, 6) == Fraction(1, 2)
+        assert all(r.converged and not r.terminated for r in reports)
