@@ -48,14 +48,14 @@ common content, a divisor of ``±c_0·A_1···A_k``, is divided out at a few ch
 of a deep walk (``_divided``).  A value is reduced, to one ``Fraction``, when read.
 
 Every route's report comes from one stopping rule, ``_settle``, and so does
-:func:`eval_backward`'s bare value.  A float or rational law that ends within
-the cap (``cf._end``, the level of its zero) is answered before a step is
-pulled, by one fold on ints (``_law_value``) of its cleared levels, reduced
-once, or, in float mode, of ``cf._exact()``, the stream at exact arguments (a
-family's law at ``Fraction(x)``), rounded once by int true division, as a float
-walk with no law that terminates is, from its own binary coefficients.  Other
-walks stop at the first two successive values that agree, unless a law ends
-them, or at the first non-finite one (not converged); a walk that runs out has
+:func:`eval_backward`'s bare value.  A fraction that ends has one answer,
+``_law_value``: a fold on ints of the stream's cleared levels, reduced once, or
+in float mode of its exact form ``cf._exact()`` (its coefficients' exact binary
+values; a family's law at ``Fraction(x)``), rounded once by int true division.
+It answers a law that ends within the cap (``cf._end``, the level of its zero)
+before a step is pulled, and a float walk with no law once it terminates.  Other
+walks stop at the first two successive values that agree, unless a law ends them,
+or at the first non-finite one (not converged); a walk that runs out has
 terminated, unless at the cap.  Complex mode keeps the route's value (no exact
 complex type).  Every route marks a pole (``q_k = 0``, an infinite fold) as
 ``None``; only ``_settle`` raises :class:`PoleError`, for one it would report.
@@ -158,10 +158,14 @@ class CFStream:
                 return
             yield ab
 
-    def _cleared(self) -> Iterator[tuple[int, int, int]]:
-        # The walk made integral, (c_k, A_k, B_k) of _integral: the rational kernels' way in,
-        # and a float walk's exact binary coefficients.  A family's is read off its law.
-        return _integral(self.b0, self._walk())
+    def _cleared(self) -> Iterator[tuple[int, int, int]]:  # the rational kernels' way in; a family's reads its law
+        return _integral(self.b0, self._walk())  # the walk made integral, (c_k, A_k, B_k)
+
+    def _exact(self) -> "CFStream":  # a rational user stream at the binary values; inf or nan raises DomainError
+        return CFStream(as_fraction(self.b0), self._exact_term, self.description)
+
+    def _exact_term(self, k: int) -> Optional[CFTerm]:  # the exact form's term_fn, this stream's level k
+        return None if (ab := self._level(k)) is None else CFTerm(*map(as_fraction, ab))
 
     def _in_mode(self, k: int, a: Scalar, b: Scalar) -> tuple[Scalar, Scalar]:
         # The one mode check: (a, b) of level k, both in the mode of b0.
@@ -311,27 +315,27 @@ def _rescale(p, q, p_prev, q_prev):
     return p, q, p_prev, q_prev
 
 
-def _forward(cf: CFStream, depth: int) -> Iterator[tuple[int, Scalar, Scalar]]:
-    # The forward recurrence (float and complex modes): yields (k, p_k, q_k)
+def _forward(cf: CFStream, depth: int) -> Iterator[tuple[Scalar, Scalar, int]]:
+    # The forward recurrence (float and complex modes): yields Convergent's (p_k, q_k, k)
     # for k = 0..depth along the walk, so a last k below depth means termination.
     one_ = cf.mode.cast(1)
     p_prev, q_prev = one_, cf.mode.cast(0)
     p, q = cf.b0, one_
     floats, low, high = cf.mode is Mode.FLOAT, 1 / _RESCALE_BOUND, _RESCALE_BOUND
-    yield 0, p, q
+    yield p, q, 0
     for k, (a, b) in zip(range(1, depth + 1), cf._walk()):
         p, p_prev = b * p + a * p_prev, p
         q, q_prev = b * q + a * q_prev, q
         if not (floats and low < abs(q) < high and abs(p) < high):  # else inside the window
             p, q, p_prev, q_prev = _rescale(p, q, p_prev, q_prev)
-        yield k, p, q
+        yield p, q, k
 
 
 def _integral(b0: Scalar, walk: Iterable[tuple[Scalar, Scalar]]) -> Iterator[tuple[int, int, int]]:
-    # The levels of a walk, each coefficient's exact ratio (inf and nan raise), made integral by the
-    # least factors (an equivalence transform): yields (c_k, c_k·c_{k-1}·a_k, c_k·b_k), with c_0 =
-    # denominator(b0) and c_k = lcm(den b_k, den a_k / gcd(den a_k, c_{k-1})), so c_{k-1} clears what
-    # it can of a_k first.  At a constant a-denominator d and integral b, c_k alternates d and 1.
+    # The levels of a walk, each coefficient's exact ratio, made integral by the least factors (an
+    # equivalence transform): yields (c_k, c_k·c_{k-1}·a_k, c_k·b_k), with c_0 = denominator(b0) and
+    # c_k = lcm(den b_k, den a_k / gcd(den a_k, c_{k-1})), so c_{k-1} clears what it can of a_k first.
+    # At a constant a-denominator d and integral b, c_k alternates d and 1.
     c = b0.as_integer_ratio()[1]
     for a, b in walk:
         (a_num, a_den), (b_num, b_den) = a.as_integer_ratio(), b.as_integer_ratio()
@@ -384,9 +388,7 @@ def convergents(cf: CFStream, depth: int) -> list[Convergent]:
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    if cf.mode is Mode.RATIONAL:
-        return list(starmap(Convergent, _forward_exact(cf, depth)))
-    return [Convergent(p=p, q=q, k=k) for k, p, q in _forward(cf, depth)]
+    return list(starmap(Convergent, (_forward_exact if cf.mode is Mode.RATIONAL else _forward)(cf, depth)))
 
 
 def eval_convergents(
@@ -404,7 +406,7 @@ def eval_convergents(
     if cf.mode is Mode.RATIONAL:
         steps = ((k, None if q == 0 else Fraction(p, q), 0) for p, q, k, _ in _forward_exact(cf, max_depth))
     else:  # q_0 = 1: convergent 0 is b0 itself
-        steps = ((k, None if q == 0 else p / q if k else p, 0) for k, p, q in _forward(cf, max_depth))
+        steps = ((k, None if q == 0 else p / q if k else p, 0) for p, q, k in _forward(cf, max_depth))
     return _settle(cf, steps, tol, max_depth)
 
 
@@ -493,15 +495,14 @@ def _fold_exact(b0: Scalar, levels: list[tuple[int, int, int]]) -> tuple[int, in
 
 
 def _law_value(cf: CFStream, depth: int, value: Optional[float] = math.nan) -> Optional[Scalar]:
-    # The value of a fraction that ends after depth levels, one fold of exact cleared levels: a rational
-    # stream's own, reduced once; a float law's at exact arguments, cf._exact(), else the walk's binary
-    # ones, rounded once by int true division, as float(Fraction) rounds.  None at an exact pole, ±inf
-    # past the float range; a float level with an inf or nan coefficient, no exact form, keeps value.
+    # The one answer of a fraction that ends after depth levels: a fold of a rational stream's cleared levels,
+    # reduced once, or of a float stream's exact form's, cf._exact(), rounded once by int true division; None at an
+    # exact pole, ±inf past the float range.  A walked stream (no _end) with an inf or nan level keeps value.
     rational = cf.mode is Mode.RATIONAL
-    exact = cf if rational or cf._end is None else cf._exact()
     try:
+        exact = cf if rational else cf._exact()
         num, den = _fold_exact(exact.b0, list(islice(exact._cleared(), depth)))
-    except ((OverflowError, ValueError) if exact is cf and not rational else ()):  # a float walk's own levels
+    except (DomainError if cf._end is None else ()):
         return value
     try:
         return None if den == 0 else Fraction(num, den) if rational else num / den

@@ -16,8 +16,10 @@ float 0.37, whose exact ratio has a 2^53 denominator, in float and complex mode
 only; the CLI gets that ratio as p/q) in float, rational and complex mode, bare,
 as tails (from levels 1 and 2), as transforms (by a constant 2, and by 1 + k
 with c0 = 3) and as every two-step composition of those four steps, all factors
-finite.  Each case records, in order, ``term(k)`` for k <= 40,
-``termination_level``, ``convergents()`` and every route (``eval_lentz``,
+finite.  The ``user`` category takes the same steps and compositions over a
+float ``CFStream.from_terms`` root with binary coefficients (``USER``) and over
+its rational twin, the coefficients' exact ratios.  Each case records, in order,
+``term(k)`` for k <= 40, ``termination_level``, ``convergents()`` and every route (``eval_lentz``,
 ``eval_convergents``, the CLI's backward report and ``eval_backward``) at caps
 around the law's end (1, 7 and 40 where no law ends it) at the default and at
 zero tolerance, and at the default cap.  The ``cli`` category records the exit
@@ -39,6 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from confrac import (  # noqa: E402
     DEFAULT_TOLERANCE,
+    CFStream,
     EXACT,
     Family,
     FamilySpec,
@@ -62,6 +65,8 @@ STEPS = {
     "scale-2": lambda cf, one: equivalence_transform(cf, lambda k: 2 * one),
     "scale-1+k": lambda cf, one: equivalence_transform(cf, lambda k: (1 + k) * one, 3 * one),
 }
+#: b0 and the levels of the user root; a float one's exact ratios make its rational twin
+USER = (1.0, [(0.1, 0.3), (0.7, 0.9), (0.2, 0.6), (1.3, -0.4), (0.3, 2.5)])
 COMPOSITIONS = {
     "bare": [()],
     "tail": [("tail-1",), ("tail-2",)],
@@ -136,7 +141,7 @@ def cli_records(argv, mode):
 
 
 def sweep() -> dict[str, list[str]]:
-    categories = {name: [] for name in [*COMPOSITIONS, "cli", "verify"]}
+    categories = {name: [] for name in [*COMPOSITIONS, "cli", "verify", "user"]}
     for label, argv, mode, spec in specs():
         one = {"float": 1.0, "rational": Fraction(1), "complex": complex(1)}[mode]
         for category, compositions in COMPOSITIONS.items():
@@ -150,6 +155,15 @@ def sweep() -> dict[str, list[str]]:
                                          for record in stream_records(build)]
         categories["cli"] += cli_records(argv, mode)
     categories["verify"] = [repr(result) for result in run_checks()]
+    for cast in (float, Fraction):
+        for steps in [steps for group in COMPOSITIONS.values() for steps in group]:
+            def build(cast=cast, steps=steps):
+                cf = CFStream.from_terms(cast(USER[0]), [(cast(a), cast(b)) for a, b in USER[1]])
+                for step in steps:
+                    cf = STEPS[step](cf, cast(1))
+                return cf
+            categories["user"] += [f"user {cast.__name__} {'/'.join(steps)} {record}"
+                                   for record in stream_records(build)]
     return categories
 
 

@@ -1172,7 +1172,8 @@ class TestCompositionsAgainstAPlainFold:
     """A family at a rational argument under up to two steps from {tail s, scale by a constant,
     scale by 1 + k with c0}: every rational route equals a plain Fraction fold written here, over
     the bare law's levels with each step applied here; for an ending law every float route equals
-    that fold at the float's binary arguments, rounded once."""
+    that fold at the float's binary arguments, rounded once, and so does every float route of a
+    float user stream under the same steps, at its binary coefficients and factors."""
 
     @staticmethod
     def build(cf, steps, cast):
@@ -1187,11 +1188,16 @@ class TestCompositionsAgainstAPlainFold:
 
     @staticmethod
     def plain(spec, steps, cast, cap):
-        # (value or None at a pole, depth): b0 + a_1/(b_1 + ...) to the cap or the level before the first
-        # zero, of the bare levels, each step applied: a tail drops s levels, a scale (c_0, c_1, ...) takes
-        # b0 to c_0·b0 and level k to (c_k·c_{k-1}·a_k, c_k·b_k)
         bare = spec.stream()
-        b0, levels = bare.b0, [(t.a, t.b) for t in map(bare.term, range(1, cap + 8))]
+        return TestCompositionsAgainstAPlainFold.fold(
+            bare.b0, [(t.a, t.b) for t in map(bare.term, range(1, cap + 8))], steps, cast, cap)
+
+    @staticmethod
+    def fold(b0, levels, steps, cast, cap):
+        # (value or None at a pole, depth): b0 + a_1/(b_1 + ...) to the cap or the level before the first
+        # zero, of the bare levels read exactly, each step applied: a tail drops s levels, a scale (c_0, c_1,
+        # ...) takes b0 to c_0·b0 and level k to (c_k·c_{k-1}·a_k, c_k·b_k)
+        b0, levels = Fraction(b0), [(Fraction(a), Fraction(b)) for a, b in levels]
         for kind, v in steps:
             if kind == "tail":
                 b0, levels = levels[v - 1][1], levels[v:]
@@ -1240,6 +1246,25 @@ class TestCompositionsAgainstAPlainFold:
         self.check([lambda: eval_lentz(cf), lambda: eval_convergents(cf),
                     lambda: _backward_report(cf, engine.DEFAULT_MAX_DEPTH, TIGHT),
                     lambda: eval_backward(cf, engine.DEFAULT_MAX_DEPTH)],
+                   None if want is None else float(want), depth)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.sampled_from([1.0, 0.0, 0.1, -0.7]),
+           st.lists(st.tuples(st.sampled_from([0.1, 0.7, 0.3, -0.2, 1.3, -0.9, 0.0]),
+                              st.sampled_from([0.1, 0.3, 0.9, -0.6, 1.1, 2.5])), min_size=1, max_size=6),
+           st.sampled_from([()] + [(s,) for s in COMPOSITION_STEPS] +
+                           [(s, t) for s in COMPOSITION_STEPS for t in COMPOSITION_STEPS]), st.integers(1, 3))
+    def test_a_float_user_root_answers_its_binary_values(self, b0, terms, steps, past):
+        # caps at or past the end: a walk that terminates answers the fold of its exact form, not its own
+        left = len(terms)
+        for kind, v in steps:
+            if kind == "tail" and (left := left - v) < 0:
+                return  # the stream ends before the tail's level
+        cf = self.build(CFStream.from_terms(b0, terms), steps, float)
+        want, depth = self.fold(b0, terms, steps, float, len(terms))
+        cap = depth + past
+        self.check([lambda: eval_lentz(cf, EXACT, cap), lambda: eval_convergents(cf, EXACT, cap),
+                    lambda: _backward_report(cf, cap, EXACT), lambda: eval_backward(cf, cap)],
                    None if want is None else float(want), depth)
 
 
@@ -1377,8 +1402,8 @@ class TestTerminationLevelBound:
 class TestOneWalkFromAnyLevel:
     """A law's levels are read in order by one walk that starts at any level:
     a family's walk, a tail's and a transform's never call the law's per-level
-    function, and a float stream's exact value is read off its own binary
-    coefficients, with no second stream built to fold."""
+    function, and a float stream's exact value is read off its one exact form,
+    ``cf._exact()``, its coefficients' binary values where no law gives them."""
 
     def test_walks_read_no_single_level_of_the_law(self, monkeypatch):
         family = symmetric_binomial(Fraction(5, 2), Fraction(3, 10))
@@ -1407,13 +1432,25 @@ class TestOneWalkFromAnyLevel:
                 assert list(islice(cf._walk(k), 6)) == [(t.a, t.b) for t in levels[:stop]]
         assert [list(tail(lagrange_binomial(0.37, 0.0), 2)._walk(k)) for k in (1, 3)] == [[], []]
 
-    def test_the_stream_base_has_no_binary_copy(self):
-        assert not hasattr(CFStream, "_exact") and not hasattr(CFStream, "_ints")
-        with pytest.raises(AttributeError):  # a user stream has no exact form, nor has its tail
-            tail(CFStream.from_terms(1.0, [(0.1, 0.3), (0.7, 0.9)]), 1)._exact()
+    def test_every_stream_has_one_exact_form(self):
+        # a user stream's is a rational user stream at its coefficients' binary values, read through a
+        # bound method of the original; a tail's and a transform's compose over it as over a law's
+        user = CFStream.from_terms(1.0, [(0.1, 0.3), (0.7, 0.9)], "u")
+        exact, bits = user._exact(), Fraction  # bits(v): the exact binary value of the float v
+        assert type(exact) is CFStream and exact.mode is Mode.RATIONAL and exact.description == "u"
+        assert (exact.b0, [exact.term(k) for k in (1, 2, 3)]) == (
+            1, [CFTerm(bits(0.1), bits(0.3)), CFTerm(bits(0.7), bits(0.9)), None])
+        assert exact._term_fn.__self__ is user and not hasattr(CFStream, "_ints")
+        derived = tail(equivalence_transform(user, lambda k: 0.3, 2.0), 1)._exact()
+        assert derived.mode is Mode.RATIONAL and derived.b0 == bits(0.3) * bits(0.3)
+        assert list(derived._walk()) == [(bits(0.3) ** 2 * bits(0.7), bits(0.3) * bits(0.9))]
         exact, twin = tail(coth_scaled_cf(0.5), 2)._exact(), tail(coth_scaled_cf(Fraction(1, 2)), 2)
         assert exact.mode is Mode.RATIONAL and exact.b0 == twin.b0 == 5  # the law's tail, not a binary copy
         assert list(islice(exact._walk(), 8)) == list(islice(twin._walk(), 8))
+        with pytest.raises(DomainError, match="finite"):  # an inf or nan coefficient has no exact form
+            CFStream.from_terms(math.inf, [])._exact()
+        with pytest.raises(DomainError, match="finite"):
+            list(tail(CFStream.from_terms(1.0, [(0.1, 0.3), (0.2, math.nan)]), 1)._exact()._walk())
 
     def test_a_terminated_float_stream_folds_its_binary_coefficients(self):
         # the exact fold of the binary coefficients, rounded once; the plain float fold
