@@ -20,7 +20,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
-from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence, TextIO
 
@@ -34,7 +33,7 @@ from .engine import (
 )
 from .errors import DomainError, ModeMismatchError, PoleError
 from .families import Family, FamilySpec, oracle_value
-from .scalars import DEFAULT_TOLERANCE, Mode, Scalar, ToleranceSpec
+from .scalars import DEFAULT_TOLERANCE, Mode, Scalar, ToleranceSpec, _text
 
 EVAL_HEADER = ",".join(f.name for f in fields(EvalReport))
 TABLE_HEADER = "k,p,q,value,abs_err,rel_err"
@@ -76,11 +75,7 @@ def _format_scalar(value: Scalar) -> str:
     """Text form that round-trips: exact fractions verbatim, floats with 17
     significant digits, complex as re+imj."""
     if isinstance(value, (int, Fraction)):
-        # Decimal writes an int of any size exactly; str() stops at the
-        # interpreter's limit on int-to-text digits.
-        value = Fraction(value)
-        text = str(Decimal(value.numerator))
-        return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
+        return _text(value, spelled=False)
     if isinstance(value, complex):
         return f"{value.real:.17g}{value.imag:+.17g}j"
     return f"{value:.17g}"

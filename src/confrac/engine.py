@@ -66,7 +66,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from itertools import count, islice, starmap
 from typing import Callable, Iterable, Iterator, Optional, Union
@@ -79,6 +78,7 @@ from .scalars import (
     ToleranceSpec,
     _rel_tol,
     _relative_change,
+    _text,
     _within,
     as_fraction,
     mode_of,
@@ -194,7 +194,7 @@ class CFStream:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = f" {self.description!r}" if self.description else ""
-        return f"CFStream(b0={self.b0!r}, mode={self.mode}{label})"
+        return f"CFStream(b0={_text(self.b0)}, mode={self.mode}{label})"
 
 
 class Convergent:
@@ -238,10 +238,8 @@ class Convergent:
     def __hash__(self) -> int:
         return hash((self.p, self.q, self.k))
 
-    def __repr__(self) -> str:  # a Fraction's ints through Decimal: repr stops at the digit limit
-        text = lambda v: (f"Fraction({Decimal(v.numerator)}, {Decimal(v.denominator)})"
-                          if type(v) is Fraction else repr(v))
-        return f"Convergent(p={text(self.p)}, q={text(self.q)}, k={self.k!r})"
+    def __repr__(self) -> str:
+        return f"Convergent(p={_text(self.p)}, q={_text(self.q)}, k={self.k!r})"
 
 
 @dataclass(frozen=True)
@@ -546,8 +544,10 @@ class _Tail(CFStream):
             raise ValueError(f"start_level must be >= 1, got {s}")
         if (head := next(cf._walk(s), None) or cf._level(s)) is None:  # _level only at a zero
             raise ValueError(f"stream ends before level {s}")
-        self.b0, self.mode, self.description = head[1], cf.mode, f"tail({cf.description or 'cf'}, {s})"
-        self._parent, self._start, self._end = cf, s, cf._end - s if (cf._end or 0) > s else None
+        self.b0, self.mode, self._parent, self._start = head[1], cf.mode, cf, s
+        self._end = cf._end - s if (cf._end or 0) > s else None
+
+    description = property(lambda self: f"tail({self._parent.description or 'cf'}, {self._start})")
 
     def _level(self, k: int) -> Optional[tuple[Scalar, Scalar]]:
         return self._parent._level(self._start + k)
@@ -567,8 +567,9 @@ class _Scaled(CFStream):
         self._parent, self._scale, self._c0, self._exact_factors = cf, scale, c0, exact
         if mode_of(self._factor(0) * cf.b0) is not cf.mode:  # c0 checked as every factor, then as each level
             raise ModeMismatchError(f"c0={c0!r} takes {cf.description or 'the stream'} out of {cf.mode} mode")
-        self.b0, self.mode = cf.b0 if c0 == 1 else c0 * cf.b0, cf.mode
-        self.description, self._end = f"equivalence({cf.description or 'cf'})", cf._end
+        self.b0, self.mode, self._end = cf.b0 if c0 == 1 else c0 * cf.b0, cf.mode, cf._end
+
+    description = property(lambda self: f"equivalence({self._parent.description or 'cf'})")
 
     def _factor(self, k: int) -> Scalar:
         v = self._c0 if k == 0 else self._scale(k)

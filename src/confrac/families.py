@@ -51,11 +51,12 @@ numerator over the stream's denominator, with N/D = n in lowest terms
     coth-scaled         1   -                  1                      2  2j+1       -
 
 A generator reads n once as the int pair (N, D), and N², D² once: α(j) is one wide
-product a level.  In rational mode a coefficient is ``num·P/(den·Q)`` (x^p = P/Q) in
-lowest terms, one gcd; the exact kernels read the engine's least clearing of these,
-``_cleared()``, off the ints, again one gcd a level.  Otherwise it is ``num / den``
-by int true division, correctly rounded, cast to ``float`` or ``complex`` (the head's
-and the scale's int pairs too): a rule fixed per stream, stated once per arithmetic.
+product a level.  A mode fixes only the quotient of an int pair, ``div(num, den)``:
+``Fraction`` in rational mode, in lowest terms, and otherwise int true division,
+correctly rounded (a complex x promotes the float as ``complex(q)``).  One loop then
+states a level for every arithmetic, ``div(α(j), den)·x·x`` over ``β(j)·(1 + div(s)·x)``,
+and the head takes the same products; the exact kernels read the engine's least
+clearing of the rational levels, ``_cleared()``, off the ints, one gcd a level.
 Termination is read off the ints, never a rounded product: a level is the
 exact zero where α(j), the head's h or x is 0, so an underflowed numerator
 (``x·x`` at x = 1e-200) does not end the fraction.  α(j) is 0 only at a
@@ -79,6 +80,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from operator import truediv
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .engine import CFStream, _integral
@@ -93,7 +95,7 @@ from .oracles import (
     tan_lhs,
     tan_multiple_lhs,
 )
-from .scalars import Mode, Scalar, _ratio, as_fraction, mode_of
+from .scalars import Mode, Scalar, _ratio, _text, as_fraction, mode_of
 
 #: Reject tan_cf arguments closer than this to an odd multiple of pi/2.
 TAN_POLE_GUARD = 1e-8
@@ -115,29 +117,23 @@ def _require_real(value: Scalar, name: str) -> None:
 _Rule = Callable[[int], int]
 
 
-def _coefficient(cast: Callable, num: int, den: int) -> Scalar:  # an int pair's coefficient, by the mode rule
-    return Fraction(num, den) if cast is Fraction else cast(num / den)
-
-
 class _Law(CFStream):
     """A family stream: a row of the law table, read by the class's methods.
 
-    Inner level j is ``(alpha(j)/den)·x^power / (beta(j)·(1 + scale·x))`` by
-    x's mode rule (module docstring), ``beta(j)`` 2j+1 by default and
-    ``(1 + scale·x)`` there only when ``scale`` is given.  With ``head = (h, d)``,
-    level 1 is ``h·x / (1 + d·x)`` and inner level j is level j+1; without a
-    head it is level j.  ``n``, ``scale``, h and d are int pairs (num, den),
-    each cast by the mode rule (``_coefficient``).  ``h = None`` puts x itself on
-    top, cast to its mode (``complex(1)·x`` would turn a ``-0.0`` imaginary part
-    into ``+0.0``), and ``d = None`` leaves the bare 1.  ``_rule`` states each
-    arithmetic's rule once; float and complex levels multiply in the order
-    ``cast(num / den)·x·x`` (``x·x`` first rounds differently, and overflows to
-    ``0·inf``).  ``_end``, the law's zero, is read off the ints once, when built,
-    and bounds ``_walk(k)``, the rule from level k on (after the head level at
-    k = 1, on past the zero, none at x = 0), and ``_cleared``'s int loop, which
-    takes the head level's clearing from the engine's ``_integral`` and continues;
-    ``_level(k)`` (for ``term(k)``) is one level of the rule, the pair ``(a_k, b_k)``.
-    A build stores the row, makes no closure and no ``Fraction`` outside rational mode;
+    Inner level j is ``div(alpha(j), den)·x^power / (cast(beta(j))·unit)`` (module
+    docstring), ``beta(j)`` 2j+1 by default and ``unit = 1 + div(*scale)·x`` only when
+    ``scale`` is given.  With ``head = (h, d)``, level 1 is ``div(*h)·x / (1 + div(*d)·x)``
+    and inner level j is level j+1; without a head it is level j.  ``n``, ``scale``, h
+    and d are int pairs (num, den).  ``h = None`` puts x itself on top, cast to its mode
+    (``complex(1)·x`` would turn a ``-0.0`` imaginary part into ``+0.0``), and
+    ``d = None`` leaves the bare 1.  ``_rule`` is the one level loop, multiplying in the
+    order ``div(num, den)·x·x`` (``x·x`` first rounds differently, and overflows to
+    ``0·inf``).  ``_end``, the law's zero, is read off the ints once, when built, and
+    bounds ``_walk(k)``, the rule from level k on (after the head level at k = 1, on past
+    the zero, none at x = 0), and ``_cleared``'s int loop, which takes the head level's
+    clearing from the engine's ``_integral`` and continues on ``_ratios``, the int pairs
+    of x^power and unit; ``_level(k)`` (for ``term(k)``) is one level of the rule.  A
+    build stores the row, makes no closure and no ``Fraction`` outside rational mode;
     ``_exact()`` is this row at ``Fraction(x)`` and ``description`` is formatted when
     read.  The finiteness check comes first, so a generator's domain checks see finite x.
     """
@@ -147,13 +143,13 @@ class _Law(CFStream):
                  scale: Optional[tuple] = None, head: Optional[tuple] = None):
         mode = self.mode = _require_finite(x, name)
         self._args, cast, one = (family, name, b0, n, scale, head), mode.cast, mode.cast(1)
-        self.b0, unit = cast(b0), None if scale is None else one + _coefficient(cast, *scale) * x
-        self._law = (x, alpha, den, beta, power, cast, unit)
+        div = Fraction if cast is Fraction else truediv
+        self.b0, unit = cast(b0), None if scale is None else one + div(*scale) * x
+        self._law = (x, alpha, den, beta, power, cast, unit, div)
         if cast is Fraction:  # x^power = P/Q, unit = U/V (1/1 without a scale)
             self._ratios = (x ** power).as_integer_ratio() + (unit if scale else one).as_integer_ratio()
         h, d = head or (None, None)  # _top: level 1, (a_1, b_1), where the row has a head
-        self._top = head and (cast(x) if h is None else _coefficient(cast, *h) * x,
-                              one if d is None else one + _coefficient(cast, *d) * x)
+        self._top = head and (cast(x) if h is None else div(*h) * x, one if d is None else one + div(*d) * x)
         if x == 0 or h is not None and h[0] == 0:
             self._end = 1
         elif e := n is not None and n[1] == 1 and abs(n[0]):  # α(j) = 0 only at e, 2e-1, 2e
@@ -162,10 +158,10 @@ class _Law(CFStream):
     @property
     def description(self) -> str:
         (family, name, _, n), x = self._args[:4], self._law[0]
-        return f"{family}({x!r})" if n is None else f"{family}(n={Fraction(*n)}, {name}={x!r})"
+        return f"{family}({_text(x)})" if n is None else f"{family}(n={_text(Fraction(*n), False)}, {name}={_text(x)})"
 
     def _exact(self) -> "_Law":
-        (x, alpha, den, beta, power, _, _), (family, name, b0, n, scale, head) = self._law, self._args
+        (x, alpha, den, beta, power, *_), (family, name, b0, n, scale, head) = self._law, self._args
         return _Law(family, name, Fraction(x), b0, alpha, den, n, beta, power, scale, head)
 
     def _inner(self, k: int = 1) -> Iterable[int]:  # the j of levels k, k+1, ... before the zero
@@ -177,15 +173,9 @@ class _Law(CFStream):
     def _rule(self, js: Iterable[int], top: Optional[tuple] = None) -> Iterator[tuple[Scalar, Scalar]]:
         if top is not None:  # the head level, then the j
             yield top
-        x, alpha, den, beta, power, cast, unit = self._law
-        if cast is Fraction:  # num·P/(den·Q) and β·U/V in lowest terms
-            P, Q, U, V = self._ratios
-            for j in js:
-                b = 2 * j + 1 if beta is None else beta(j)
-                yield Fraction(alpha(j) * P, den * Q), Fraction(b * U, V)
-            return
+        x, alpha, den, beta, power, cast, unit, div = self._law
         for j in js:
-            a, b = cast(alpha(j) / den) * x, cast(2 * j + 1 if beta is None else beta(j))
+            a, b = div(alpha(j), den) * x, cast(2 * j + 1 if beta is None else beta(j))
             yield a * x if power == 2 else a, b if unit is None else b * unit
 
     def _level(self, k: int) -> tuple[Scalar, Scalar]:
@@ -195,7 +185,7 @@ class _Law(CFStream):
         return self._rule(self._inner(k), self._top if k == 1 and self._end != 1 else None)
 
     def _cleared(self) -> Iterator[tuple[int, int, int]]:  # the engine's _integral of _walk(), off the law
-        (_, alpha, den, beta, _, _, unit), (P, Q, U, V), top = self._law, self._ratios, self._top
+        (_, alpha, den, beta, _, _, unit, _), (P, Q, U, V), top = self._law, self._ratios, self._top
         c, M, wide, gcd = 1, den * Q, unit is not None, math.gcd  # c_0 = 1, as b0 is an int
         if top is not None and self._end != 1:  # the head's Fractions, cleared by the engine's rule
             c = (head := next(_integral(self.b0, (top,))))[0]

@@ -29,6 +29,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Union
 
@@ -105,6 +106,17 @@ def _ratio(value: Scalar) -> tuple[int, int]:
     if type(value) in (int, Fraction) or type(value) is float and math.isfinite(value):
         return value.as_integer_ratio()
     return as_fraction(value).as_integer_ratio()
+
+
+def _text(value: Scalar, spelled: bool = True) -> str:
+    # repr(value), or str(value) where not spelled, an exact value's ints written through Decimal:
+    # repr and str stop at the interpreter's limit on int-to-text digits.
+    if not isinstance(value, (int, Fraction)):
+        return repr(value)
+    num, den = map(Decimal, value.as_integer_ratio())
+    if spelled and isinstance(value, Fraction):
+        return f"Fraction({num}, {den})"
+    return f"{num}" if den == 1 else f"{num}/{den}"
 
 
 @dataclass(frozen=True)

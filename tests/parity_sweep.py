@@ -24,7 +24,8 @@ its rational twin, the coefficients' exact ratios.  Each case records, in order,
 around the law's end (1, 7 and 40 where no law ends it) at the default and at
 zero tolerance, and at the default cap.  The ``cli`` category records the exit
 code, stdout and stderr of ``eval`` (every method, CSV and JSON), ``table`` and
-``compare`` for each bare case, and ``verify`` records ``run_checks()`` once.  An outcome is the ``repr`` of the result or the
+``compare`` for each bare case, ``verify`` records ``run_checks()`` once, and ``description`` records
+the ``description`` of every bare, tail, transform and composition case.  An outcome is the ``repr`` of the result or the
 type and message of the error raised, labelled with the call that made it.
 """
 
@@ -141,7 +142,7 @@ def cli_records(argv, mode):
 
 
 def sweep() -> dict[str, list[str]]:
-    categories = {name: [] for name in [*COMPOSITIONS, "cli", "verify", "user"]}
+    categories = {name: [] for name in [*COMPOSITIONS, "cli", "verify", "user", "description"]}
     for label, argv, mode, spec in specs():
         one = {"float": 1.0, "rational": Fraction(1), "complex": complex(1)}[mode]
         for category, compositions in COMPOSITIONS.items():
@@ -153,6 +154,7 @@ def sweep() -> dict[str, list[str]]:
                     return cf
                 categories[category] += [f"{label} {'/'.join(steps)} {record}"
                                          for record in stream_records(build)]
+                categories["description"].append(f"{label} {'/'.join(steps)} {outcome(lambda: build().description)}")
         categories["cli"] += cli_records(argv, mode)
     categories["verify"] = [repr(result) for result in run_checks()]
     for cast in (float, Fraction):

@@ -991,6 +991,21 @@ class TestTail:
         with pytest.raises(ValueError, match="start_level must be >= 1"):
             tail(arctan_cf(1.0), 0)
 
+    def test_a_law_past_the_digit_limit_labels_its_tail_and_transform(self):
+        # an exponent or argument of over 4 300 digits, past which str and repr of an int raise ValueError
+        big = lagrange_binomial(10**5000, Fraction(1, 2))
+        t = tail(big, 1)
+        assert t.description.startswith("tail(lagrange-binomial(n=1000") and t.description.endswith(
+            "000, x=Fraction(1, 2)), 1)")
+        assert repr(t).startswith("CFStream(b0=Fraction(1, 1), mode=rational 'tail(lagrange-binomial(n=1000")
+        assert int(Decimal(t.description[len("tail(lagrange-binomial(n="):].split(",")[0])) == 10**5000
+        # level 7 of the law is 1 + (n·x)/(the tail's convergent 6)
+        assert convergents(big, 7)[-1].value == 1 + Fraction(10**5000, 2) / eval_convergents(t, EXACT, 6).value
+        scaled = equivalence_transform(lagrange_binomial(3, Fraction(10**5000 + 1, 3)), lambda k: 2)
+        label = re.fullmatch(r"equivalence\(lagrange-binomial\(n=3, x=Fraction\((\d+), 3\)\)\)", scaled.description)
+        assert label and int(Decimal(label[1])) == 10**5000 + 1
+        assert repr(scaled).endswith(f"{scaled.description!r})")
+
 
 class TestEquivalenceTransform:
     def test_identity_scale_keeps_terms(self):

@@ -309,6 +309,16 @@ class TestFamilySpec:
                 values += [t.a, t.b]
             assert all(type(v) is want for v in values), (family, arg)
 
+    @pytest.mark.parametrize("n", [Fraction(5, 2), 3])
+    @pytest.mark.parametrize("family", list(Family))
+    def test_an_int_argument_gives_the_levels_of_its_fraction(self, family, n):
+        # the one level rule reads an int argument as the equal Fraction, in term(k) and in the cleared walk
+        whole = 0 if family is Family.LOG_RATIO else 2  # log-ratio needs |z| < 1
+        at_int, at_fraction = (family.generator(n, arg) if family.takes_n else family.generator(arg)
+                               for arg in (whole, Fraction(whole)))
+        assert [at_int.term(k) for k in range(1, 41)] == [at_fraction.term(k) for k in range(1, 41)]
+        assert list(islice(at_int._cleared(), 40)) == list(islice(at_fraction._cleared(), 40))
+
     def test_unknown_family_name(self):
         with pytest.raises(DomainError):
             Family.from_name("nope")
