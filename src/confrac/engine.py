@@ -88,9 +88,9 @@ from .scalars import (
 #: converge in far fewer steps; the bound exists to catch divergence.
 DEFAULT_MAX_DEPTH = 10_000
 
-# Forward-recurrence rescaling window (floating-point modes only).  Keeping
-# max(|p|, |q|) inside [2^-256, 2^256] leaves headroom for one step with
-# term magnitudes up to about 1e230 before anything can overflow.
+# Forward-recurrence rescaling window (float and complex modes).  Keeping max(|p|, |q|) inside [2^-256, 2^256]
+# leaves headroom for one step with term magnitudes up to about 1e230 before anything can overflow.  A modulus
+# is at most √2 times the larger part, so _forward skips _rescale for |q| in (2^-255, 2^256) and |p| < 2^256.
 _RESCALE_BOUND = 2.0**256
 
 #: Stand-in the Lentz iteration puts in place of an exactly-zero
@@ -269,28 +269,32 @@ class EvalReport:
 
 def _settle(cf: CFStream, steps: Iterable[tuple[int, Optional[Scalar], int]],
             tol: ToleranceSpec, max_depth: int, cap: str = "max_depth") -> EvalReport:
-    # The one stopping rule (see the module docstring).  ``steps`` yields (k, value,
-    # substitutions), value None at a pole, and runs out before max_depth (named cap in
-    # its error) only when the fraction terminates.  Floats compare inline, as _within
-    # would, with rel_tol·max(|v|, |u|) the larger of the two products.
+    # The one stopping rule (see the module docstring).  ``steps`` yields (k, value, substitutions),
+    # value None at a pole, and runs out before max_depth (named cap in its error) only when the fraction
+    # terminates.  Every mode compares inline, as _within would, with rel_tol·max(|v|, |u|) the larger of
+    # two products (a Fraction is below inf); _within takes a complex modulus past the float range.
     if max_depth < 1:
         raise ValueError(f"{cap} must be >= 1, got {max_depth}")
     finite, rel_tol, agree = cf.mode.isfinite, _rel_tol(cf.mode, tol), cf._end is None
-    floats, inf, value, substitutions = cf.mode is Mode.FLOAT, math.inf, None, 0
+    inf, value, substitutions = math.inf, None, 0
     law = not agree and cf._end <= max_depth and cf.mode is not Mode.COMPLEX  # ends within the cap
     for k, step, substitutions in () if law else steps:
         prev, value = value, step
         if value is None:
             continue
-        if not finite(value) or agree and prev is not None and (
-                (d := abs(value - prev)) < inf and (d <= rel_tol * abs(value) or d <= rel_tol * abs(prev))
-                if floats else _within(value, prev, rel_tol, finite)):
-            converged, terminated = finite(value), False
-            break
+        try:  # an `if`, not a flag: comparisons fused with their jumps are the cheap ones
+            if not finite(value) or agree and prev is not None and (d := abs(value - prev)) < inf and (
+                    d <= rel_tol * abs(value) or d <= rel_tol * abs(prev)):
+                converged, terminated = finite(value), False
+                break
+        except OverflowError:
+            if _within(value, prev, rel_tol, finite):
+                converged, terminated = finite(value), False
+                break
     else:
         if law:  # answered before any step is pulled; a non-finite answer's residual is |v - v|/|v|, nan
             value = prev = _law_value(cf, k := cf._end - 1)
-        elif k < max_depth and floats:  # a float walk with no law that terminated
+        elif k < max_depth and cf.mode is Mode.FLOAT:  # a float walk with no law that terminated
             value = _law_value(cf, k, value)
         if value is None:
             raise PoleError(f"convergent {k}, the value to report, is a pole (q = 0)")
@@ -319,12 +323,15 @@ def _forward(cf: CFStream, depth: int) -> Iterator[tuple[Scalar, Scalar, int]]:
     one_ = cf.mode.cast(1)
     p_prev, q_prev = one_, cf.mode.cast(0)
     p, q = cf.b0, one_
-    floats, low, high = cf.mode is Mode.FLOAT, 1 / _RESCALE_BOUND, _RESCALE_BOUND
+    low, high = 2 / _RESCALE_BOUND, _RESCALE_BOUND
     yield p, q, 0
     for k, (a, b) in zip(range(1, depth + 1), cf._walk()):
         p, p_prev = b * p + a * p_prev, p
         q, q_prev = b * q + a * q_prev, q
-        if not (floats and low < abs(q) < high and abs(p) < high):  # else inside the window
+        try:
+            if not (low < abs(q) < high and abs(p) < high):
+                p, q, p_prev, q_prev = _rescale(p, q, p_prev, q_prev)
+        except OverflowError:  # a complex modulus past the float range
             p, q, p_prev, q_prev = _rescale(p, q, p_prev, q_prev)
         yield p, q, k
 
@@ -565,8 +572,11 @@ class _Scaled(CFStream):
     # or nan float or complex factor DomainError naming its level, on every route and in term(k).
     def __init__(self, cf: CFStream, scale: Callable[[int], Scalar], c0: Scalar, exact: bool = False):
         self._parent, self._scale, self._c0, self._exact_factors = cf, scale, c0, exact
-        if mode_of(self._factor(0) * cf.b0) is not cf.mode:  # c0 checked as every factor, then as each level
-            raise ModeMismatchError(f"c0={c0!r} takes {cf.description or 'the stream'} out of {cf.mode} mode")
+        try:  # c0 checked as every factor, then as each level
+            if mode_of(self._factor(0) * cf.b0) is not cf.mode:
+                raise ModeMismatchError(f"c0={c0!r} takes {cf.description or 'the stream'} out of {cf.mode} mode")
+        except OverflowError:  # an exact c0 past the float range, times a float or complex b0
+            raise DomainError(f"c0 is past the float range, so it has no {cf.mode} value") from None
         self.b0, self.mode, self._end = cf.b0 if c0 == 1 else c0 * cf.b0, cf.mode, cf._end
 
     description = property(lambda self: f"equivalence({self._parent.description or 'cf'})")

@@ -50,13 +50,13 @@ numerator over the stream's denominator, with N/D = n in lowest terms
     log-ratio           0   2z/1               -j²/1                  2  2j+1       -
     coth-scaled         1   -                  1                      2  2j+1       -
 
-A generator reads n once as the int pair (N, D), and N², D² once: α(j) is one wide
-product a level.  A mode fixes only the quotient of an int pair, ``div(num, den)``:
-``Fraction`` in rational mode, in lowest terms, and otherwise int true division,
-correctly rounded (a complex x promotes the float as ``complex(q)``).  One loop then
-states a level for every arithmetic, ``div(α(j), den)·x·x`` over ``β(j)·(1 + div(s)·x)``,
-and the head takes the same products; the exact kernels read the engine's least
-clearing of the rational levels, ``_cleared()``, off the ints, one gcd a level.
+A generator reads n once as the int pair (N, D), and N², D² once: α(j) is one wide product a level.
+A mode fixes only the quotient of an int pair, ``div(num, den)``: ``Fraction`` in rational mode, in
+lowest terms, and otherwise int true division, correctly rounded (a complex x promotes the float as
+``complex(q)``), which the rule gets cheaper at den = 2^s in (2^53, 2^899] and |N| < 2^450 as float(α(j))
+times 1/den: α(j) < 2^1023 converts correctly rounded and the quotient is normal.  One loop states a level
+for every arithmetic, ``div(α(j), den)·x·x`` over ``β(j)·(1 + div(s)·x)``, and the head takes the same
+products; the exact kernels read the engine's least clearing of the rational levels, ``_cleared()``, off the ints.
 Termination is read off the ints, never a rounded product: a level is the
 exact zero where α(j), the head's h or x is 0, so an underflowed numerator
 (``x·x`` at x = 1e-200) does not end the fraction.  α(j) is 0 only at a
@@ -80,7 +80,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from operator import truediv
+from operator import mul, truediv
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .engine import CFStream, _integral
@@ -143,9 +143,11 @@ class _Law(CFStream):
                  scale: Optional[tuple] = None, head: Optional[tuple] = None):
         mode = self.mode = _require_finite(x, name)
         self._args, cast, one = (family, name, b0, n, scale, head), mode.cast, mode.cast(1)
-        div = Fraction if cast is Fraction else truediv
+        div = Fraction if cast is Fraction else truediv  # the rule's quotient (module docstring): a den > 1 has an n
+        dyadic = div is truediv and den > 1 << 53 and den.bit_length() <= 900 and den.bit_count() == 1 and (
+            n[0].bit_length() <= 450)  # up to 2^53, int true division takes its fast path
         self.b0, unit = cast(b0), None if scale is None else one + div(*scale) * x
-        self._law = (x, alpha, den, beta, power, cast, unit, div)
+        self._law = (x, alpha, den, beta, power, cast, unit, mul if dyadic else div, 1.0 / den if dyadic else den)
         if cast is Fraction:  # x^power = P/Q, unit = U/V (1/1 without a scale)
             self._ratios = (x ** power).as_integer_ratio() + (unit if scale else one).as_integer_ratio()
         h, d = head or (None, None)  # _top: level 1, (a_1, b_1), where the row has a head
@@ -173,9 +175,9 @@ class _Law(CFStream):
     def _rule(self, js: Iterable[int], top: Optional[tuple] = None) -> Iterator[tuple[Scalar, Scalar]]:
         if top is not None:  # the head level, then the j
             yield top
-        x, alpha, den, beta, power, cast, unit, div = self._law
+        x, alpha, _, beta, power, cast, unit, quotient, by = self._law
         for j in js:
-            a, b = div(alpha(j), den) * x, cast(2 * j + 1 if beta is None else beta(j))
+            a, b = quotient(alpha(j), by) * x, cast(2 * j + 1 if beta is None else beta(j))
             yield a * x if power == 2 else a, b if unit is None else b * unit
 
     def _level(self, k: int) -> tuple[Scalar, Scalar]:
@@ -185,7 +187,7 @@ class _Law(CFStream):
         return self._rule(self._inner(k), self._top if k == 1 and self._end != 1 else None)
 
     def _cleared(self) -> Iterator[tuple[int, int, int]]:  # the engine's _integral of _walk(), off the law
-        (_, alpha, den, beta, _, _, unit, _), (P, Q, U, V), top = self._law, self._ratios, self._top
+        (_, alpha, den, beta, _, _, unit, *_), (P, Q, U, V), top = self._law, self._ratios, self._top
         c, M, wide, gcd = 1, den * Q, unit is not None, math.gcd  # c_0 = 1, as b0 is an int
         if top is not None and self._end != 1:  # the head's Fractions, cleared by the engine's rule
             c = (head := next(_integral(self.b0, (top,))))[0]
@@ -264,10 +266,13 @@ def tan_cf(theta: Scalar) -> CFStream:
     """
     stream = _Law("tan", "theta", theta, 0, lambda j: -1, head=(None, None))
     _require_real(theta, "theta")
-    residue = math.fmod(abs(float(theta.real if isinstance(theta, complex) else theta)), math.pi)
+    try:
+        residue = math.fmod(abs(float(theta.real if isinstance(theta, complex) else theta)), math.pi)
+    except OverflowError:  # an exact theta past the float range
+        raise DomainError("theta is past the float range: its distance to a tangent pole cannot be decided") from None
     if abs(residue - math.pi / 2) < TAN_POLE_GUARD:
         raise DomainError(
-            f"theta={theta!r} is within {TAN_POLE_GUARD} of an odd multiple of pi/2 (tangent pole)"
+            f"theta={_text(theta)} is within {TAN_POLE_GUARD} of an odd multiple of pi/2 (tangent pole)"
         )
     return stream
 
@@ -280,7 +285,7 @@ def log_ratio_cf(z: Scalar) -> CFStream:
     stream = _Law("log-ratio", "z", z, 0, lambda j: -j * j, head=((2, 1), None))
     _require_real(z, "z")
     if abs(z) >= 1:
-        raise DomainError(f"log_ratio_cf requires |z| < 1, got {z!r}")
+        raise DomainError(f"log_ratio_cf requires |z| < 1, got {_text(z)}")
     return stream
 
 

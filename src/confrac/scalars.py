@@ -15,8 +15,8 @@ silently: an operation that meets two different modes raises
 :class:`~confrac.errors.ModeMismatchError` instead of promoting, because
 the exactness guarantees downstream rest on rational computations staying
 rational.  The stopping comparison lives in the private ``_within``, which
-:func:`nearly_equal` and the evaluators share, and a report's residual in
-``_relative_change``; both hold where a complex modulus overflows.
+:func:`nearly_equal` calls and the evaluators inline (calling it where a complex
+modulus overflows), and a report's residual in ``_relative_change``; both hold there.
 
 Division by an exact zero is an error in every mode (Python's native
 behaviour), never an infinity; pole detection in the fraction engine

@@ -136,13 +136,13 @@ class TestConvergents:
         assert report.value == 1e100 and report.terminated
 
     def test_float_walk_inside_the_window_is_not_rescaled(self, monkeypatch):
-        # floats test the window on |p| and |q| inline; complex values keep the call
+        # the window is tested on |p| and |q| inline, in float and complex modes alike
         calls, rescale = [], engine._rescale
         monkeypatch.setattr(engine, "_rescale", lambda *pq: calls.append(pq) or rescale(*pq))
         convergents(arctan_cf(0.5), 30)
         assert calls == []
         convergents(symmetric_binomial(2.5, 0.5j), 30)
-        assert len(calls) == 30
+        assert calls == []
 
     def test_termination_level_scan(self):
         assert symmetric_binomial(3, Fraction(1, 2)).termination_level(30) == 3
@@ -642,6 +642,14 @@ class TestOneComparison:
             report = evaluate(cf, spec, 1)
             assert report.depth_used == 1
             assert report.converged is nearly_equal(report.value, b0, spec) is want
+
+    @pytest.mark.parametrize("evaluate", [eval_lentz, eval_convergents], ids=["lentz", "convergents"])
+    def test_complex_walk_compares_inline(self, evaluate, monkeypatch):
+        # every mode takes the inline comparison; _within is the fallback for a modulus past the range
+        calls, within = [], engine._within
+        monkeypatch.setattr(engine, "_within", lambda *args: calls.append(args) or within(*args))
+        report = evaluate(symmetric_binomial(0.77, 0.5j), TIGHT)
+        assert report.converged and report.depth_used == 11 and calls == []
 
 
 class TestUserStreamModeCheck:
@@ -1398,6 +1406,13 @@ class TestTransformKeepsTheMode:
         cf = equivalence_transform(lagrange_binomial(3, 0.3), lambda k: Fraction(1), c0)
         assert cf.mode is Mode.FLOAT
         assert eval_lentz(cf).value == eval_convergents(cf).value == want
+
+    @pytest.mark.parametrize("c0", [Fraction(10**5000 + 1, 3), 10**400], ids=["fraction", "int"])
+    @pytest.mark.parametrize("cf", [arctan_cf(0.5), symmetric_binomial(0.77, 0.5j)], ids=["float", "complex"])
+    def test_an_exact_leading_factor_past_the_float_range_fails_when_built(self, cf, c0):
+        # c0·b0 raised an untyped OverflowError
+        with pytest.raises(DomainError, match=f"c0 is past the float range, so it has no {cf.mode} value"):
+            equivalence_transform(cf, lambda k: 1.0, c0)
 
 
 class TestTerminationLevelBound:

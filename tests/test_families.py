@@ -1,6 +1,7 @@
 """Family generator tests: term laws, exact termination, oracle agreement."""
 
 import math
+import re
 from fractions import Fraction
 from itertools import islice
 
@@ -217,9 +218,16 @@ class TestTan:
         value = convergents(tan_cf(math.pi / 4), 30)[-1].value
         assert abs(value - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("theta", [math.pi / 2, -math.pi / 2, 3 * math.pi / 2, math.pi / 2 + 1e-9])
+    @pytest.mark.parametrize("theta", [math.pi / 2, -math.pi / 2, 3 * math.pi / 2, math.pi / 2 + 1e-9,
+                                       Fraction(math.pi / 2) + Fraction(1, 10**5000)])
     def test_pole_guard(self, theta):
         with pytest.raises(DomainError):
+            tan_cf(theta)
+
+    @pytest.mark.parametrize("theta", [Fraction(10**5000), -(10**400)], ids=["fraction", "int"])
+    def test_pole_guard_past_the_float_range(self, theta):
+        # float(theta) raised an untyped OverflowError
+        with pytest.raises(DomainError, match="theta is past the float range"):
             tan_cf(theta)
 
 
@@ -236,10 +244,17 @@ class TestLogRatio:
         value = convergents(log_ratio_cf(0.5), 100)[-1].value
         assert abs(value - math.log(3)) < 1e-11
 
-    @pytest.mark.parametrize("z", [1.5, 1.0, -1.0, -2.0])
-    def test_domain_guard(self, z):
-        with pytest.raises(DomainError):
+    @pytest.mark.parametrize("z, text", [(1.5, "1.5"), (1.0, "1.0"), (-1.0, "-1.0"), (-2.0, "-2.0"), (2, "2"),
+                                         (Fraction(-3, 2), "Fraction(-3, 2)")])
+    def test_domain_guard(self, z, text):
+        with pytest.raises(DomainError, match=rf"^log_ratio_cf requires \|z\| < 1, got {re.escape(text)}$"):
             log_ratio_cf(z)
+
+    def test_domain_guard_past_the_digit_limit(self):
+        # repr of a Fraction of over 4 300 digits raised ValueError
+        with pytest.raises(DomainError, match=r"got Fraction\(1000") as caught:
+            log_ratio_cf(Fraction(10**5000))
+        assert caught.value.args[0].endswith("000, 1)") and len(caught.value.args[0]) > 5000
 
 
 class TestCothScaled:
@@ -592,6 +607,10 @@ class TestOneLawObject:
 #: Float exponents whose exact ratios are wide: N/D with D = 2^53, 2^51 and 2^41.
 WIDE_EXPONENTS = [0.37, -2.77, 1234.56]
 WIDE_ARGS = [0.3, -0.45, complex(0.3, 0.4), complex(-0.45, 0.0), complex(0.0, 0.5)]
+#: Exponents M·2^-e, M odd, so D = 2^e, on both sides of the bounds within which a level's quotient is a
+#: product by 1/den: den = 2^s in (2^53, 2^899] (den is D, D² or 4D² by family) and |N| < 2^450. The last
+#: is the integer M·2^398, whose N is past 2^452.
+POWER_OF_TWO_EXPONENTS = [math.ldexp(6004799503160661, -e) for e in (0, 1, 26, 27, 51, 449, 450, 600, -398)]
 
 
 class TestWideExponentRatios:
@@ -621,6 +640,21 @@ class TestWideExponentRatios:
             cleared = list(islice(twin._cleared(), 60))
             assert cleared == list(islice(_integral(twin.b0, twin._walk()), 60))
             assert cleared == list(islice(family.generator(n, Fraction(x))._cleared(), 60))
+
+    @pytest.mark.parametrize("n", POWER_OF_TWO_EXPONENTS)
+    @pytest.mark.parametrize("family", [f for f in Family if f.takes_n], ids=lambda f: f.value)
+    def test_power_of_two_denominators_round_as_int_true_division(self, family, n):
+        # a quotient by den = 2^s may be a product by the exact 1/den only where it has the same bits
+        for x in WIDE_ARGS:
+            if family in REAL_ONLY and isinstance(x, complex) and x.imag:
+                continue
+            stream = family.generator(n, x)
+            want = [tuple(map(_bits, _reference_term(family, Fraction(n), x, k))) for k in range(1, 41)]
+            assert [(_bits(t.a), _bits(t.b)) for t in map(stream.term, range(1, 41))] == want, x
+
+    def test_a_quotient_past_the_float_range_still_overflows(self):
+        with pytest.raises(OverflowError, match="^integer division result too large for a float$"):
+            symmetric_binomial(1e200, 0.1).term(1)
 
 
 class TestNoFractionOutsideRationalMode:
