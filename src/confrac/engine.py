@@ -16,8 +16,8 @@ stream's reads ``term_fn(k)`` for k, k+1, ... and tests ``a == 0``;
 :func:`tail` (the sub-fraction hanging off a level) walks the wrapped
 stream from the level below its start, and :func:`equivalence_transform`
 (a level-wise rescaling that keeps every convergent value) rescales the
-wrapped walk; both keep its end, and the exact form of either is the same
-operation on the wrapped exact form.  ``term(k)`` keeps O(1) random access
+wrapped walk; both keep its end, and read their exact levels off the wrapped
+stream's (see below).  ``term(k)`` keeps O(1) random access
 through the level function, ``_level(k) -> (a_k, b_k)``, for callers that
 pull single levels (a per-level probe) and would pay a walk for each.
 The stream's :class:`~confrac.scalars.Mode` supplies the seeds and the
@@ -37,28 +37,28 @@ Three evaluation routes with different trade-offs:
   fixed depth; reproduces the depth-truncated convergent exactly in
   rational mode, also when an inner partial value is infinite.
 
-Rational routes run on Python ints, read off the cleared walk ``cf._cleared()``:
-the levels made integral by the least clearing factors (an equivalence
-transform), ``(c_k, A_k = c_k·c_{k-1}·a_k, B_k = c_k·b_k)``, with ``c_0`` the
-denominator of ``b0`` and ``c_k = lcm(den b_k, den a_k / gcd(den a_k, c_{k-1}))``:
-``c_{k-1}``, which the row above already carries, clears what it can of ``a_k``
-first.  A stream's cleared walk is ``_integral`` of its walk, each coefficient
-read as its exact ratio; a family's reads the same levels off its law.  The rows'
-common content, a divisor of ``±c_0·A_1···A_k``, is divided out at a few checks
-of a deep walk (``_divided``).  A value is reduced, to one ``Fraction``, when read.
+Exact work runs on Python ints, read off every stream's one exact interface,
+``cf._cleared(k)`` (k = 0 by default): ``((B, C), rows)``, the exact ``b_k = B/C``
+and the levels below it made integral (an equivalence transform), ``(c_j, A_j =
+c_j·c_{j-1}·a_j, B_j = c_j·b_j)`` from ``c_k = C``.  Each stream reads them off its
+own data: a user stream's are ``_integral`` of its walk's exact ratios, cleared by
+the least ``c_j = lcm(den b_j, den a_j / gcd(den a_j, c_{j-1}))``; a family's are the
+same, off its law's ints; a tail's are its parent's, a transform's its parent's times
+each factor.  The rows' common content, a divisor of ``±C·A_1···A_j``, is divided out
+at a few checks of a deep walk (``_divided``).  A value is reduced, to one ``Fraction``,
+when read.
 
 Every route's report comes from one stopping rule, ``_settle``, and so does
 :func:`eval_backward`'s bare value.  A fraction that ends has one answer,
 ``_law_value``: a fold on ints of the stream's cleared levels, reduced once, or
-in float mode of its exact form ``cf._exact()`` (its coefficients' exact binary
-values; a family's law at ``Fraction(x)``), rounded once by int true division.
-It answers a law that ends within the cap (``cf._end``, the level of its zero)
-before a step is pulled, and a float walk with no law once it terminates.  Other
-walks stop at the first two successive values that agree, unless a law ends them,
-or at the first non-finite one (not converged); a walk that runs out has
-terminated, unless at the cap.  Complex mode keeps the route's value (no exact
-complex type).  Every route marks a pole (``q_k = 0``, an infinite fold) as
-``None``; only ``_settle`` raises :class:`PoleError`, for one it would report.
+in float mode rounded once by int true division.  It answers a law that ends
+within the cap (``cf._end``, the level of its zero) before a step is pulled, and
+a float walk with no law once it terminates.  Other walks stop at the first two
+successive values that agree, unless a law ends them, or at the first non-finite
+one (not converged); a walk that runs out has terminated, unless at the cap.
+Complex mode keeps the route's value (no exact complex type).  Every route marks
+a pole (``q_k = 0``, an infinite fold) as ``None``; only ``_settle`` raises
+:class:`PoleError`, for one it would report.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice, starmap
+from itertools import count, islice, pairwise, starmap
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import DomainError, ModeMismatchError, PoleError
@@ -76,11 +76,11 @@ from .scalars import (
     Mode,
     Scalar,
     ToleranceSpec,
+    _ratio,
     _rel_tol,
     _relative_change,
     _text,
     _within,
-    as_fraction,
     mode_of,
 )
 
@@ -158,14 +158,10 @@ class CFStream:
                 return
             yield ab
 
-    def _cleared(self) -> Iterator[tuple[int, int, int]]:  # the rational kernels' way in; a family's reads its law
-        return _integral(self.b0, self._walk())  # the walk made integral, (c_k, A_k, B_k)
-
-    def _exact(self) -> "CFStream":  # a rational user stream at the binary values; inf or nan raises DomainError
-        return CFStream(as_fraction(self.b0), self._exact_term, self.description)
-
-    def _exact_term(self, k: int) -> Optional[CFTerm]:  # the exact form's term_fn, this stream's level k
-        return None if (ab := self._level(k)) is None else CFTerm(*map(as_fraction, ab))
+    def _cleared(self, k: int = 0) -> tuple[tuple[int, int], Iterator[tuple[int, int, int]]]:
+        # The one exact interface (module docstring): b_k's ratio, and the walk from k + 1 made integral below it.
+        b = self.b0 if k == 0 else self._level(k)[1]  # the pair at a zero level too
+        return _ratio(b), _integral(b, self._walk(k + 1))
 
     def _in_mode(self, k: int, a: Scalar, b: Scalar) -> tuple[Scalar, Scalar]:
         # The one mode check: (a, b) of level k, both in the mode of b0.
@@ -337,13 +333,13 @@ def _forward(cf: CFStream, depth: int) -> Iterator[tuple[Scalar, Scalar, int]]:
 
 
 def _integral(b0: Scalar, walk: Iterable[tuple[Scalar, Scalar]]) -> Iterator[tuple[int, int, int]]:
-    # The levels of a walk, each coefficient's exact ratio, made integral by the least factors (an
-    # equivalence transform): yields (c_k, c_k·c_{k-1}·a_k, c_k·b_k), with c_0 = denominator(b0) and
-    # c_k = lcm(den b_k, den a_k / gcd(den a_k, c_{k-1})), so c_{k-1} clears what it can of a_k first.
-    # At a constant a-denominator d and integral b, c_k alternates d and 1.
-    c = b0.as_integer_ratio()[1]
+    # The levels of a walk below b0, each coefficient's exact ratio (inf or nan raises DomainError), made
+    # integral by the least factors (an equivalence transform): yields (c_k, c_k·c_{k-1}·a_k, c_k·b_k), with
+    # c_0 = denominator(b0) and c_k = lcm(den b_k, den a_k / gcd(den a_k, c_{k-1})), so c_{k-1} clears what it
+    # can of a_k first.  At a constant a-denominator d and integral b, c_k alternates d and 1.
+    c = _ratio(b0)[1]
     for a, b in walk:
-        (a_num, a_den), (b_num, b_den) = a.as_integer_ratio(), b.as_integer_ratio()
+        (a_num, a_den), (b_num, b_den) = _ratio(a), _ratio(b)
         d = a_den // (g := math.gcd(a_den, c))
         c_k = math.lcm(d, b_den)
         yield c_k, a_num * (c // g) * (c_k // d), b_num * (c_k // b_den)
@@ -367,8 +363,8 @@ def _divided(rows: tuple[int, ...], k: int, span: int, size: int, depth: int) ->
 def _forward_exact(cf: CFStream, depth: int) -> Iterator[tuple[int, int, int, Union[int, tuple[int, int]]]]:
     # _forward on Python ints over the cleared levels, 4 big products by small ints a level: yields
     # Convergent's (s·p_k/G, s·q_k/G, k, s or (s, G)), s = c_0···c_k, G the content checks removed.
-    p_prev, q_prev, p, s = 1, 0, cf.b0.numerator, cf.b0.denominator
-    q, content, size, k, last, walk = s, 1, 0, 0, 0, cf._cleared()
+    (p, s), walk = cf._cleared()
+    p_prev, q_prev, q, content, size, k, last = 1, 0, s, 1, 0, 0, 0
     due = _FIRST_CHECK if depth >= _CHECKED_DEPTH else None
     yield p, q, 0, s
     while True:
@@ -466,10 +462,10 @@ def eval_lentz(
     return _settle(cf, _lentz(cf, max_depth), tol, max_depth)
 
 
-def _fold(b0: Scalar, levels: list[tuple], rational: bool) -> Optional[Scalar]:
+def _fold(b0: Union[Scalar, tuple[int, int]], levels: list[tuple], rational: bool) -> Optional[Scalar]:
     # Backward fold of b0 + a_1/(b_1 + ... + a_m/b_m), the (a_k, b_k) of the walk
-    # (rational: its cleared levels), from an assumed-zero tail.  r is None where
-    # a partial value is infinite; the level above folds to its b (a/inf = 0),
+    # (rational: _cleared()'s pair and levels), from an assumed-zero tail.  r is None
+    # where a partial value is infinite; the level above folds to its b (a/inf = 0),
     # and a None result is a pole, the marker _forward yields at q = 0.
     if rational:
         num, den = _fold_exact(b0, levels)
@@ -481,11 +477,11 @@ def _fold(b0: Scalar, levels: list[tuple], rational: bool) -> Optional[Scalar]:
     return r
 
 
-def _fold_exact(b0: Scalar, levels: list[tuple[int, int, int]]) -> tuple[int, int]:
-    # _fold on the cleared levels (c_k, A_k, B_k) of _cleared(): (num, den), the value
-    # num/den unreduced with den >= 0 (0 / -5 would round to -0.0), and a pole is den = 0.
-    # The cleared fraction B_0 + A_1/(B_1 + ...) is c_0 times the value, B_0 = numerator(b0).
-    tops, ups = [a for _, a, _ in levels], [b0.as_integer_ratio()[0]] + [b for _, _, b in levels]  # A_k, B_{k-1}
+def _fold_exact(head: tuple[int, int], levels: list[tuple[int, int, int]]) -> tuple[int, int]:
+    # _fold on _cleared()'s pair (B, C) and levels (c_k, A_k, B_k): (num, den), the value num/den
+    # unreduced with den >= 0 (0 / -5 would round to -0.0), and a pole is den = 0.  The cleared
+    # fraction B + A_1/(B_1 + ...) is C times the value.
+    tops, ups = [a for _, a, _ in levels], [head[0]] + [b for _, _, b in levels]  # A_k, B_{k-1}
     num, den = ups.pop(), 1  # r = num/den, 2 big products by small ints a level
     above, folded, size, m = zip(reversed(tops), reversed(ups)), 0, 0, len(tops)
     due = _FIRST_CHECK if m >= _CHECKED_DEPTH else None  # checks count the levels folded
@@ -495,18 +491,18 @@ def _fold_exact(b0: Scalar, levels: list[tuple[int, int, int]]) -> tuple[int, in
         if due is None:
             break
         folded, ((num, den), _, size, due) = due, _divided((num, den), due, due - folded, size, m)
-    den *= b0.as_integer_ratio()[1]
+    den *= head[1]
     return (num, den) if den >= 0 else (-num, -den)
 
 
 def _law_value(cf: CFStream, depth: int, value: Optional[float] = math.nan) -> Optional[Scalar]:
-    # The one answer of a fraction that ends after depth levels: a fold of a rational stream's cleared levels,
-    # reduced once, or of a float stream's exact form's, cf._exact(), rounded once by int true division; None at an
-    # exact pole, ±inf past the float range.  A walked stream (no _end) with an inf or nan level keeps value.
+    # The one answer of a fraction that ends after depth levels: the fold of its cleared levels, cf._cleared(),
+    # reduced once in rational mode and rounded once by int true division in float mode; None at an exact pole,
+    # ±inf past the float range.  A walked stream (no _end) with an inf or nan level keeps value.
     rational = cf.mode is Mode.RATIONAL
     try:
-        exact = cf if rational else cf._exact()
-        num, den = _fold_exact(exact.b0, list(islice(exact._cleared(), depth)))
+        head, rows = cf._cleared()
+        num, den = _fold_exact(head, list(islice(rows, depth)))
     except (DomainError if cf._end is None else ()):
         return value
     try:
@@ -520,9 +516,10 @@ def _backward(cf: CFStream, depth: int,
     # The backward route's steps for _settle: the fold at depth, or the
     # terminated fold, after the fold at depth - 1 when both are asked for.
     rational = cf.mode is Mode.RATIONAL
-    levels = list(islice(cf._cleared() if rational else cf._walk(), depth))
+    b0, walk = cf._cleared() if rational else (cf.b0, cf._walk())
+    levels = list(islice(walk, depth))
     for f in [levels[:-1], levels] if both and len(levels) == depth else [levels]:
-        yield len(f), _fold(cf.b0, f, rational), 0
+        yield len(f), _fold(b0, f, rational), 0
 
 
 def eval_backward(cf: CFStream, depth: int) -> Scalar:
@@ -545,7 +542,7 @@ def _backward_report(cf: CFStream, depth: int, tol: ToleranceSpec) -> EvalReport
 
 
 class _Tail(CFStream):
-    # tail(cf, s): level k is cf's level s + k, and the walk from level k is cf's from s + k.
+    # tail(cf, s): level k is cf's level s + k, and the walk and cleared levels from level k are cf's from s + k.
     def __init__(self, cf: CFStream, s: int):
         if s < 1:
             raise ValueError(f"start_level must be >= 1, got {s}")
@@ -562,16 +559,16 @@ class _Tail(CFStream):
     def _walk(self, k: int = 1) -> Iterator[tuple[Scalar, Scalar]]:
         return self._parent._walk(self._start + k)
 
-    def _exact(self) -> "_Tail":  # the tail of the wrapped exact form
-        return _Tail(self._parent._exact(), self._start)
+    def _cleared(self, k: int = 0) -> tuple[tuple[int, int], Iterator[tuple[int, int, int]]]:
+        return self._parent._cleared(self._start + k)
 
 
 class _Scaled(CFStream):
-    # equivalence_transform(cf, scale, c0): cf's levels by _rule; an exact form reads each c_k exactly.
+    # equivalence_transform(cf, scale, c0): cf's levels by _rule, its cleared levels by _cleared.
     # _factor checks every c_k, c0 when built and the others when read: 0 raises ValueError, and an inf
     # or nan float or complex factor DomainError naming its level, on every route and in term(k).
-    def __init__(self, cf: CFStream, scale: Callable[[int], Scalar], c0: Scalar, exact: bool = False):
-        self._parent, self._scale, self._c0, self._exact_factors = cf, scale, c0, exact
+    def __init__(self, cf: CFStream, scale: Callable[[int], Scalar], c0: Scalar):
+        self._parent, self._scale, self._c0 = cf, scale, c0
         try:  # c0 checked as every factor, then as each level
             if mode_of(self._factor(0) * cf.b0) is not cf.mode:
                 raise ModeMismatchError(f"c0={c0!r} takes {cf.description or 'the stream'} out of {cf.mode} mode")
@@ -587,7 +584,13 @@ class _Scaled(CFStream):
             raise ValueError(f"zero scale factor at level {k}")
         if isinstance(v, (float, complex)) and not cmath.isfinite(v):
             raise DomainError(f"{'c0' if k == 0 else f'scale factor at level {k}'} must be finite, got {v!r}")
-        return as_fraction(v) if self._exact_factors else v
+        return v
+
+    def _pair(self, k: int) -> tuple[int, int]:
+        # c_k's exact ratio, checked as the walk checks the level it scales: a factor that takes it out of the mode
+        if mode_of(v := self._factor(k)) not in (self.mode, Mode.RATIONAL):
+            self._in_mode(k, v, v)  # raises
+        return _ratio(v)
 
     def _rule(self, k: int, levels: Iterable[tuple[Scalar, Scalar]]) -> Iterator[tuple[Scalar, Scalar]]:
         # cf's levels k, k+1, ... as (c_k·c_{k-1}·a_k, c_k·b_k), mode-checked: each c_k made once
@@ -602,8 +605,11 @@ class _Scaled(CFStream):
     def _walk(self, k: int = 1) -> Iterator[tuple[Scalar, Scalar]]:
         return self._rule(k, self._parent._walk(k))
 
-    def _exact(self) -> "_Scaled":  # the transform of the wrapped exact form, by the exact factors
-        return _Scaled(self._parent._exact(), self._scale, as_fraction(self._c0), True)
+    def _cleared(self, k: int = 0) -> tuple[tuple[int, int], Iterator[tuple[int, int, int]]]:
+        # cf's cleared levels times each c_j = n_j/d_j, cleared by c_j·d_j (no gcd): b_k is n_k·B/(d_k·C)
+        (B, C), rows = self._parent._cleared(k)
+        (n, d), pairs = self._pair(k), pairwise(map(self._pair, count(k)))  # (c_{j-1}, c_j), j = k + 1, ...
+        return (n * B, d * C), ((c * dj, nj * ni * A, nj * B) for (c, A, B), ((ni, _), (nj, dj)) in zip(rows, pairs))
 
 
 def tail(cf: CFStream, start_level: int) -> CFStream:

@@ -56,7 +56,7 @@ lowest terms, and otherwise int true division, correctly rounded (a complex x pr
 ``complex(q)``), which the rule gets cheaper at den = 2^s in (2^53, 2^899] and |N| < 2^450 as float(α(j))
 times 1/den: α(j) < 2^1023 converts correctly rounded and the quotient is normal.  One loop states a level
 for every arithmetic, ``div(α(j), den)·x·x`` over ``β(j)·(1 + div(s)·x)``, and the head takes the same
-products; the exact kernels read the engine's least clearing of the rational levels, ``_cleared()``, off the ints.
+products; the exact levels, ``_cleared()``, are the engine's least clearing read off the ints and x's exact ratio.
 Termination is read off the ints, never a rounded product: a level is the
 exact zero where α(j), the head's h or x is 0, so an underflowed numerator
 (``x·x`` at x = 1e-200) does not end the fraction.  α(j) is 0 only at a
@@ -65,7 +65,7 @@ nonzero integer n, at level |n| (symmetric), |n|+1 (uniform, tan-multiple),
 at level 1.  So a stream reads, when built, the level at which its law
 ends it, ``_end``: it answers ``termination_level``; a float or rational
 evaluation capped at or past it walks nothing and reports the law's one
-exact fold (a float one read at ``Fraction(x)``, rounded once), and every
+exact fold (a float one read at x's exact ratio, rounded once), and every
 other walk is the law's loop over j, which ``_end`` bounds.
 
 :class:`Family` is the one table that maps each family to its generator
@@ -83,7 +83,7 @@ from itertools import count
 from operator import mul, truediv
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .engine import CFStream, _integral
+from .engine import CFStream
 from .errors import DomainError
 from .oracles import (
     OracleResult,
@@ -130,12 +130,12 @@ class _Law(CFStream):
     order ``div(num, den)·x·x`` (``x·x`` first rounds differently, and overflows to
     ``0·inf``).  ``_end``, the law's zero, is read off the ints once, when built, and
     bounds ``_walk(k)``, the rule from level k on (after the head level at k = 1, on past
-    the zero, none at x = 0), and ``_cleared``'s int loop, which takes the head level's
-    clearing from the engine's ``_integral`` and continues on ``_ratios``, the int pairs
-    of x^power and unit; ``_level(k)`` (for ``term(k)``) is one level of the rule.  A
-    build stores the row, makes no closure and no ``Fraction`` outside rational mode;
-    ``_exact()`` is this row at ``Fraction(x)`` and ``description`` is formatted when
-    read.  The finiteness check comes first, so a generator's domain checks see finite x.
+    the zero, none at x = 0), and ``_rows``, its int loop on x's exact ratio, which clears
+    the levels by the engine's ``_integral`` rule in every mode for ``_cleared(k)``;
+    ``_level(k)`` (for ``term(k)``) is one level of the rule.  A build stores the row,
+    makes no closure and no ``Fraction`` outside rational mode, and ``description`` is
+    formatted when read.  The finiteness check comes first, so a generator's domain
+    checks see finite x.
     """
 
     def __init__(self, family: str, name: str, x: Scalar, b0: int, alpha: _Rule, den: int = 1,
@@ -148,8 +148,6 @@ class _Law(CFStream):
             n[0].bit_length() <= 450)  # up to 2^53, int true division takes its fast path
         self.b0, unit = cast(b0), None if scale is None else one + div(*scale) * x
         self._law = (x, alpha, den, beta, power, cast, unit, mul if dyadic else div, 1.0 / den if dyadic else den)
-        if cast is Fraction:  # x^power = P/Q, unit = U/V (1/1 without a scale)
-            self._ratios = (x ** power).as_integer_ratio() + (unit if scale else one).as_integer_ratio()
         h, d = head or (None, None)  # _top: level 1, (a_1, b_1), where the row has a head
         self._top = head and (cast(x) if h is None else div(*h) * x, one if d is None else one + div(*d) * x)
         if x == 0 or h is not None and h[0] == 0:
@@ -161,10 +159,6 @@ class _Law(CFStream):
     def description(self) -> str:
         (family, name, _, n), x = self._args[:4], self._law[0]
         return f"{family}({_text(x)})" if n is None else f"{family}(n={_text(Fraction(*n), False)}, {name}={_text(x)})"
-
-    def _exact(self) -> "_Law":
-        (x, alpha, den, beta, power, *_), (family, name, b0, n, scale, head) = self._law, self._args
-        return _Law(family, name, Fraction(x), b0, alpha, den, n, beta, power, scale, head)
 
     def _inner(self, k: int = 1) -> Iterable[int]:  # the j of levels k, k+1, ... before the zero
         shift, end = self._top is not None, self._end
@@ -186,13 +180,25 @@ class _Law(CFStream):
     def _walk(self, k: int = 1) -> Iterator[tuple[Scalar, Scalar]]:  # levels k, k+1, ... up to the zero
         return self._rule(self._inner(k), self._top if k == 1 and self._end != 1 else None)
 
-    def _cleared(self) -> Iterator[tuple[int, int, int]]:  # the engine's _integral of _walk(), off the law
-        (_, alpha, den, beta, _, _, unit, *_), (P, Q, U, V), top = self._law, self._ratios, self._top
-        c, M, wide, gcd = 1, den * Q, unit is not None, math.gcd  # c_0 = 1, as b0 is an int
-        if top is not None and self._end != 1:  # the head's Fractions, cleared by the engine's rule
-            c = (head := next(_integral(self.b0, (top,))))[0]
-            yield head
-        for j in self._inner():  # M/gcd(α(j)·P·c, M) is _integral's den a/gcd(den a, c) on a = α(j)·P/M
+    def _cleared(self, k: int = 0) -> tuple[tuple[int, int], Iterator[tuple[int, int, int]]]:
+        # b_k in lowest terms (B_k/c_k of level k's row below 1, a zero level's too) and the rows below it
+        (xn, xd), shift = self._law[0].as_integer_ratio(), self._top is not None
+        if k == 0:
+            return (self._args[2], 1), self._rows(self._inner(1), 1, xn, xd, shift and self._end != 1)
+        c, _, B = next(self._rows((k - shift,), 1, xn, xd, k == 1 and shift))
+        return (B // (g := math.gcd(B, c)), c // g), self._rows(self._inner(k + 1), c // g, xn, xd)
+
+    def _rows(self, js: Iterable[int], c: int, xn: int, xd: int, top: bool = False) -> Iterator[tuple[int, int, int]]:
+        # _integral's rows of the inner levels js below c, after the head level's where top
+        (_, alpha, den, beta, power, *_), (*_, scale, head), gcd = self._law, self._args, math.gcd
+        U, V = (scale[1] * xd + scale[0] * xn, scale[1] * xd) if scale else (1, 1)  # unit = 1 + s·x
+        if top:  # a_1 = h·x over b_1 = 1 + d·x, as int ratios a/M over b/W in any terms
+            (hn, hd), (dn, dd) = head[0] or (1, 1), head[1] or (0, 1)
+            a, M, b, W = hn * xn * c, hd * xd, dd * xd + dn * xn, dd * xd
+            c = math.lcm(d := M // (g := gcd(a, M)), W // gcd(b, W))
+            yield c, a // g * (c // d), b * c // W
+        P, M, wide = xn ** power, den * xd ** power, scale is not None
+        for j in js:  # M/gcd(α(j)·P·c, M) is _integral's den a/gcd(den a, c) on a = α(j)·P/M
             a, b = alpha(j) * P * c, 2 * j + 1 if beta is None else beta(j)
             c = M // (g := gcd(a, M))
             if wide:  # uniform's b_j = βU/V: c_k = lcm(d, V/gcd(βU, V)); else U = V = 1

@@ -829,9 +829,12 @@ class TestExactKernel:
         # read off the law against the engine's clearing of a user copy's int walk,
         # read off the Fractions of term(k), and both kernels over each
         copy = CFStream.from_terms(cf.b0, [cf.term(k) for k in range(1, 151)])
-        assert list(islice(cf._cleared(), 150)) == list(_integral(copy.b0, copy._walk()))
+        (head, rows), (copy_head, _) = cf._cleared(), copy._cleared()
+        assert head == copy_head == cf.b0.as_integer_ratio()
+        assert list(islice(rows, 150)) == list(_integral(copy.b0, copy._walk()))
         assert list(_forward_exact(cf, 150)) == list(_forward_exact(copy, 150))
-        folds = [_fold(s.b0, list(islice(s._cleared(), 150)), rational=True) for s in (cf, copy)]
+        folds = [_fold(head, list(islice(rows, 150)), rational=True)
+                 for head, rows in (cf._cleared(), copy._cleared())]
         assert folds[0] == folds[1] and type(folds[0]) is Fraction
 
     @pytest.mark.parametrize("cf", [coth_scaled_cf(Fraction(4, 3)), tan_cf(Fraction(2, 3))],
@@ -852,11 +855,16 @@ class TestExactKernel:
         assert type(eval_convergents(cf, EXACT, 5).value) is Fraction
 
 
+def _listed(head, rows, depth=None):
+    # _cleared()'s pair and its first depth rows, all of them by default
+    return head, list(islice(rows, depth))
+
+
 def _plain_rows(cf, depth):
     # the forward recurrence on the cleared levels, no content divided out: (P_k, Q_k, s_k)
-    p_prev, q_prev, p, s = 1, 0, cf.b0.numerator, cf.b0.denominator
-    rows, q = [(p, s, s)], s
-    for c, a, b in islice(cf._cleared(), depth):
+    (p, s), levels = cf._cleared()
+    p_prev, q_prev, rows, q = 1, 0, [(p, s, s)], s
+    for c, a, b in islice(levels, depth):
         p, p_prev = b * p + a * p_prev, p
         q, q_prev = b * q + a * q_prev, q
         s *= c
@@ -866,12 +874,13 @@ def _plain_rows(cf, depth):
 
 def _plain_fold(cf, depth):
     # the fold of the cleared levels, no content divided out; None is a pole
-    levels = list(islice(cf._cleared(), depth))
-    ups = [cf.b0.numerator] + [b for _, _, b in levels]
+    (top, bottom), levels = cf._cleared()
+    levels = list(islice(levels, depth))
+    ups = [top] + [b for _, _, b in levels]
     num, den = ups[-1], 1
     for k in range(len(levels), 0, -1):
         num, den = ups[k - 1] * num + levels[k - 1][1] * den, num
-    return Fraction(num, den * cf.b0.denominator) if den else None
+    return Fraction(num, den * bottom) if den else None
 
 
 def _row_zero_at_a_check(row, depth):
@@ -967,7 +976,8 @@ class TestRowContent:
         # shared 13 355 bits when no content was divided out; under a quarter is left
         cf = symmetric_binomial(Fraction(5, 2), Fraction(3, 5))
         *_, (p, q, k, _) = _forward_exact(cf, 1400)
-        num, den = _fold_exact(cf.b0, list(islice(cf._cleared(), 1400)))
+        head, rows = cf._cleared()
+        num, den = _fold_exact(head, list(islice(rows, 1400)))
         assert k == 1400
         assert math.gcd(p, q).bit_length() < 13_355 / 4
         assert math.gcd(num, den).bit_length() < 13_355 / 4
@@ -1113,7 +1123,7 @@ class TestStreamLifetime:
         lambda: arctan_cf(0.5),
         lambda: symmetric_binomial(Fraction(5, 2), Fraction(1, 5)),
         lambda: tail(arctan_cf(0.5), 2),
-        lambda: CFStream.from_terms(1.0, [(1.0, 2.0)]),  # terminated: the walk builds _exact()
+        lambda: CFStream.from_terms(1.0, [(1.0, 2.0)]),  # terminated: the walk reads _cleared()
         lambda: equivalence_transform(arctan_cf(0.5), lambda k: 2.0),
         lambda: tail(equivalence_transform(arctan_cf(0.5), lambda k: 2.0), 2),
     ], ids=["float-family", "rational-family", "tail", "user", "transform", "tail-of-transform"])
@@ -1132,24 +1142,22 @@ class TestStreamLifetime:
             gc.enable()
 
     def test_tails_and_transforms_store_no_function_they_made(self):
-        # a tail's and a transform's level, walk and exact form are their class's methods;
+        # a tail's and a transform's level, walk and cleared levels are their class's methods;
         # the one function a derived stream keeps is the caller's scale
         scale = lambda k: 1.0 + k
         user = CFStream.from_terms(1.0, [(0.1, 0.3), (0.7, 0.9), (0.2, 0.6)])
         for parent in (arctan_cf(0.5), lagrange_binomial(3, 0.3), user):
             scaled = equivalence_transform(parent, scale, 3.0)
             derived = [tail(parent, 1), scaled, tail(scaled, 1), equivalence_transform(tail(parent, 1), scale)]
-            if parent._end is not None:
-                derived += [cf._exact() for cf in derived]
             for cf in derived:
-                for name in ("_walk", "_level", "_exact", "_cleared"):
+                for name in ("_walk", "_level", "_cleared"):
                     assert name not in vars(cf), name
                 assert [v for v in vars(cf).values() if callable(v)] == ([scale] if "_scale" in vars(cf) else [])
 
 
 class TestExactFormOfDerivedStreams:
-    """A tail's and a transform's exact form is the same stream at exact arguments, level
-    for level, a transform's factors read exactly: so an ending law answers, on every route,
+    """A tail's and a transform's exact form is the same operation on the wrapped stream's
+    cleared levels, a transform's factors read exactly: so an ending law answers, on every route,
     its rational twin's value rounded once, and a factor that fails raises in both modes."""
 
     LAWS = {"lagrange": lambda x: lagrange_binomial(3, x), "uniform": lambda x: uniform_binomial(-2, x),
@@ -1175,6 +1183,16 @@ class TestExactFormOfDerivedStreams:
                 wrong.append((first, second, got, want))
         assert wrong == []
         assert checked == {"lagrange": 16, "uniform": 13, "symmetric": 15, "tan-multiple": 15}[law]
+
+    @pytest.mark.parametrize("cap", [3, engine.DEFAULT_MAX_DEPTH])
+    def test_a_factor_out_of_mode_names_its_level_on_every_route_and_cap(self, cap):
+        # a complex c_3 takes level 3 out of float mode: the law's exact answer and a walk to level 3 say so
+        cf = equivalence_transform(lagrange_binomial(3, 0.3), lambda k: 1j if k == 3 else 1.0)
+        message = re.escape("term 3 of equivalence(lagrange-binomial(n=3, x=0.3)) is not in float mode")
+        for route in (eval_lentz, eval_convergents, lambda cf, tol, cap: _backward_report(cf, cap, tol),
+                      lambda cf, tol, cap: eval_backward(cf, cap)):
+            with pytest.raises(ModeMismatchError, match=message):
+                route(cf, TIGHT, cap)
 
     @pytest.mark.parametrize("x", [0.3, Fraction(3, 10)], ids=["float", "rational"])
     def test_a_zero_factor_raises_on_every_route_in_both_modes(self, x):
@@ -1433,7 +1451,8 @@ class TestOneWalkFromAnyLevel:
     """A law's levels are read in order by one walk that starts at any level:
     a family's walk, a tail's and a transform's never call the law's per-level
     function, and a float stream's exact value is read off its one exact form,
-    ``cf._exact()``, its coefficients' binary values where no law gives them."""
+    ``cf._cleared()``, which every stream reads off its own data: a law's int row,
+    else its coefficients' binary values, with no copy of the stream."""
 
     def test_walks_read_no_single_level_of_the_law(self, monkeypatch):
         family = symmetric_binomial(Fraction(5, 2), Fraction(3, 10))
@@ -1452,6 +1471,18 @@ class TestOneWalkFromAnyLevel:
         assert eval_lentz(tail(arctan_cf(1.0), 2)) == EvalReport(
             3.659792366325022, 16, True, False, 8.663871173409364e-13)
 
+    def test_a_rational_tail_reads_no_walk_of_the_law(self, monkeypatch):
+        # its kernels read the law's own rows from the tail's start, not a walk of the law made integral
+        cf = tail(symmetric_binomial(Fraction(5, 2), Fraction(1, 5)), 3)
+        want = convergents(cf, 50)
+
+        def refuse(self, k=1):
+            raise AssertionError(f"the law walked from level {k}")
+
+        monkeypatch.setattr(families._Law, "_walk", refuse)
+        monkeypatch.setattr(families._Law, "_level", refuse)
+        assert convergents(cf, 50) == want and len(want) == 51
+
     def test_a_walk_starts_at_any_level(self):
         for cf in (arctan_cf(0.5), lagrange_binomial(3, Fraction(3, 10)), tail(coth_scaled_cf(0.5), 2),
                    equivalence_transform(uniform_binomial(2.5, 0.3), lambda k: 1.0 + k, 2.0),
@@ -1463,24 +1494,27 @@ class TestOneWalkFromAnyLevel:
         assert [list(tail(lagrange_binomial(0.37, 0.0), 2)._walk(k)) for k in (1, 3)] == [[], []]
 
     def test_every_stream_has_one_exact_form(self):
-        # a user stream's is a rational user stream at its coefficients' binary values, read through a
-        # bound method of the original; a tail's and a transform's compose over it as over a law's
-        user = CFStream.from_terms(1.0, [(0.1, 0.3), (0.7, 0.9)], "u")
-        exact, bits = user._exact(), Fraction  # bits(v): the exact binary value of the float v
-        assert type(exact) is CFStream and exact.mode is Mode.RATIONAL and exact.description == "u"
-        assert (exact.b0, [exact.term(k) for k in (1, 2, 3)]) == (
-            1, [CFTerm(bits(0.1), bits(0.3)), CFTerm(bits(0.7), bits(0.9)), None])
-        assert exact._term_fn.__self__ is user and not hasattr(CFStream, "_ints")
-        derived = tail(equivalence_transform(user, lambda k: 0.3, 2.0), 1)._exact()
-        assert derived.mode is Mode.RATIONAL and derived.b0 == bits(0.3) * bits(0.3)
-        assert list(derived._walk()) == [(bits(0.3) ** 2 * bits(0.7), bits(0.3) * bits(0.9))]
-        exact, twin = tail(coth_scaled_cf(0.5), 2)._exact(), tail(coth_scaled_cf(Fraction(1, 2)), 2)
-        assert exact.mode is Mode.RATIONAL and exact.b0 == twin.b0 == 5  # the law's tail, not a binary copy
-        assert list(islice(exact._walk(), 8)) == list(islice(twin._walk(), 8))
+        # a user stream's is its coefficients' binary values cleared as a rational copy's are; a tail's
+        # and a transform's compose over it as over a law's, whose tail reads the law at Fraction(x)
+        user, bits = CFStream.from_terms(1.0, [(0.1, 0.3), (0.7, 0.9)], "u"), Fraction  # bits(v): v's binary value
+        copy = lambda one: CFStream.from_terms(one, [(bits(0.1), bits(0.3)), (bits(0.7), bits(0.9))])
+        exact = lambda cf: _listed(*cf._cleared())
+        assert exact(user) == exact(copy(1)) == exact(copy(Fraction(1)))
+        assert exact(user)[0] == (1, 1) and len(exact(user)[1]) == 2
+        assert not any(hasattr(CFStream, name) for name in ("_exact", "_exact_term"))
+        derived = lambda cf, one: tail(equivalence_transform(cf, lambda k: bits(0.3) * one, 2 * one), 1)
+        head, rows = exact(derived(user, 1.0))
+        assert (head, rows) == exact(derived(copy(Fraction(1)), Fraction(1)))
+        assert Fraction(*head) == bits(0.3) * bits(0.3) and len(rows) == 1
+        c1, c2 = bits(0.3), bits(0.3)  # the factors of levels 1 and 2
+        assert Fraction(*_fold_exact(head, rows)) == c1 * bits(0.3) + c2 * c1 * bits(0.7) / (c2 * bits(0.9))
+        law, twin = tail(coth_scaled_cf(0.5), 2)._cleared(), tail(coth_scaled_cf(Fraction(1, 2)), 2)._cleared()
+        assert law[0] == twin[0] == (5, 1)  # the law's tail, not a binary copy
+        assert list(islice(law[1], 8)) == list(islice(twin[1], 8))
         with pytest.raises(DomainError, match="finite"):  # an inf or nan coefficient has no exact form
-            CFStream.from_terms(math.inf, [])._exact()
+            CFStream.from_terms(math.inf, [])._cleared()
         with pytest.raises(DomainError, match="finite"):
-            list(tail(CFStream.from_terms(1.0, [(0.1, 0.3), (0.2, math.nan)]), 1)._exact()._walk())
+            list(tail(CFStream.from_terms(1.0, [(0.1, 0.3), (0.2, math.nan)]), 1)._cleared()[1])
 
     def test_a_terminated_float_stream_folds_its_binary_coefficients(self):
         # the exact fold of the binary coefficients, rounded once; the plain float fold

@@ -332,7 +332,7 @@ class TestFamilySpec:
         at_int, at_fraction = (family.generator(n, arg) if family.takes_n else family.generator(arg)
                                for arg in (whole, Fraction(whole)))
         assert [at_int.term(k) for k in range(1, 41)] == [at_fraction.term(k) for k in range(1, 41)]
-        assert list(islice(at_int._cleared(), 40)) == list(islice(at_fraction._cleared(), 40))
+        assert _listed(*at_int._cleared(), 40) == _listed(*at_fraction._cleared(), 40)
 
     def test_unknown_family_name(self):
         with pytest.raises(DomainError):
@@ -413,13 +413,18 @@ TERMINATION_LEVEL = {
 REAL_ONLY = (Family.TAN_MULTIPLE, Family.ARCTAN, Family.TAN, Family.LOG_RATIO)
 
 
+def _listed(head, rows, depth=None):
+    # _cleared()'s pair and its first depth rows, all of them by default
+    return head, list(islice(rows, depth))
+
+
 def _assert_int_walk_reads_the_terms(stream, levels=40):
     # a rational family's cleared walk, read off its law, against the engine's least
     # clearing of the default int walk of a user copy, read off the lowest-terms
     # Fractions of term(k) for k = 1..levels: the same (c_k, A_k, B_k), all ints
     copy = CFStream.from_terms(stream.b0, [stream.term(k) for k in range(1, levels + 1)])
-    cleared = list(islice(stream._cleared(), levels))
-    assert cleared == list(_integral(copy.b0, copy._walk()))
+    head, cleared = _listed(*stream._cleared(), levels)
+    assert head == stream.b0.as_integer_ratio() and cleared == list(_integral(copy.b0, copy._walk()))
     assert all(type(i) is int for level in cleared for i in level)
 
 
@@ -489,6 +494,19 @@ class TestIntegerLaws:
         # 150 levels where the factor carried from the level before shares content
         # with the law's den·Q, or uniform's b_j is not integral; and x = 0
         _assert_int_walk_reads_the_terms(stream, 150)
+
+    @pytest.mark.parametrize("build", [
+        lambda x: lagrange_binomial(3, x), lambda x: uniform_binomial(-2, x),
+        lambda x: symmetric_binomial(Fraction(5, 2), x), lambda x: arctan_cf(x), lambda x: coth_scaled_cf(x),
+    ], ids=["lagrange", "uniform", "symmetric", "arctan", "coth-scaled"])
+    def test_cleared_levels_from_any_level(self, build):
+        # _cleared(k), past the law's zero too, is b_k in lowest terms and the least clearing below it
+        # of a user copy of levels k + 1, ...; a float law's is its rational twin's, read off x's binary ratio
+        cf, twin = build(0.3), build(Fraction(0.3))
+        for k in range(10):
+            b = twin.b0 if k == 0 else twin.term(k).b
+            copy = CFStream.from_terms(b, [twin.term(j) for j in range(k + 1, k + 31)])
+            assert _listed(*cf._cleared(k), 30) == _listed(*twin._cleared(k), 30) == _listed(*copy._cleared(), 30)
 
     @pytest.mark.parametrize("mode", list(LAW_ARGS))
     @pytest.mark.parametrize("family", list(TERMINATION_LEVEL), ids=lambda f: f.value)
@@ -588,7 +606,7 @@ class TestOneLawObject:
             x = complex(x.real, 0.0)
         stream = family.generator(Fraction(5, 2), x) if family.takes_n else family.generator(x)
         assert stream.mode.value == mode
-        for name in ("_walk", "_level", "_exact", "_cleared"):
+        for name in ("_walk", "_level", "_cleared"):
             assert name not in vars(stream), name
 
     @pytest.mark.parametrize("stream, label", [
@@ -597,7 +615,7 @@ class TestOneLawObject:
         (lambda: symmetric_binomial(Fraction(5, 2), Fraction(1, 5)),
          "symmetric-binomial(n=5/2, z=Fraction(1, 5))"),
         (lambda: tail(arctan_cf(0.5), 2), "tail(arctan(0.5), 2)"),
-        (lambda: lagrange_binomial(3, 0.3)._exact(),
+        (lambda: lagrange_binomial(3, Fraction(0.3)),
          "lagrange-binomial(n=3, x=Fraction(5404319552844595, 18014398509481984))"),
     ], ids=["lagrange", "arctan", "symmetric", "tail", "exact-form"])
     def test_description_is_unchanged(self, stream, label):
@@ -635,11 +653,10 @@ class TestWideExponentRatios:
     @pytest.mark.parametrize("family", [f for f in Family if f.takes_n], ids=lambda f: f.value)
     def test_rational_twin_clears_as_the_engine_does(self, family, n):
         for x in (x for x in WIDE_ARGS if isinstance(x, float)):
-            twin = family.generator(n, x)._exact()
-            assert twin.mode.value == "rational" and twin.b0 == family.generator(n, Fraction(x)).b0
-            cleared = list(islice(twin._cleared(), 60))
-            assert cleared == list(islice(_integral(twin.b0, twin._walk()), 60))
-            assert cleared == list(islice(family.generator(n, Fraction(x))._cleared(), 60))
+            twin = family.generator(n, Fraction(x))
+            cleared = _listed(*family.generator(n, x)._cleared(), 60)
+            assert cleared == (twin.b0.as_integer_ratio(), list(islice(_integral(twin.b0, twin._walk()), 60)))
+            assert cleared == _listed(*twin._cleared(), 60)
 
     @pytest.mark.parametrize("n", POWER_OF_TWO_EXPONENTS)
     @pytest.mark.parametrize("family", [f for f in Family if f.takes_n], ids=lambda f: f.value)
@@ -657,9 +674,28 @@ class TestWideExponentRatios:
             symmetric_binomial(1e200, 0.1).term(1)
 
 
+def _assert_no_fraction_made(run):
+    # run() with Fraction construction counted: none may be made; returns what run() returned
+    made, new = [], Fraction.__dict__["__new__"]
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = counting
+    try:
+        result = run()
+    finally:
+        Fraction.__new__ = new
+    assert made == []
+    assert Fraction.__dict__["__new__"] is new and Fraction(3, 6) == Fraction(1, 2)
+    return result
+
+
 class TestNoFractionOutsideRationalMode:
     """Building and evaluating a float or complex family stream at a float
-    exponent constructs no Fraction: the exponent is read as an int pair."""
+    exponent constructs no Fraction: the exponent is read as an int pair; nor
+    does a float law's exact answer, its tail's or its transform's."""
 
     @pytest.mark.parametrize("build", [
         lambda: lagrange_binomial(-2.77, 0.3),
@@ -668,17 +704,18 @@ class TestNoFractionOutsideRationalMode:
         lambda: symmetric_binomial(0.77, 0.5j),
     ], ids=["lagrange", "uniform", "tan-multiple", "symmetric-complex"])
     def test_build_and_evaluate_make_no_fraction(self, build):
-        made, new = [], Fraction.__dict__["__new__"]
-
-        def counting(cls, *args, **kwargs):
-            made.append(args)
-            return new.__func__(cls, *args, **kwargs)
-
-        Fraction.__new__ = counting
-        try:
-            reports = [eval_lentz(build(), TOL), eval_convergents(build(), TOL)]
-        finally:
-            Fraction.__new__ = new
-        assert made == []
-        assert Fraction.__dict__["__new__"] is new and Fraction(3, 6) == Fraction(1, 2)
+        reports = _assert_no_fraction_made(lambda: [eval_lentz(build(), TOL), eval_convergents(build(), TOL)])
         assert all(r.converged and not r.terminated for r in reports)
+
+    @pytest.mark.parametrize("build", [
+        lambda: lagrange_binomial(3, 0.3),
+        lambda: uniform_binomial(3, 0.3),
+        lambda: tail(uniform_binomial(3, 0.3), 1),
+        lambda: equivalence_transform(uniform_binomial(3, 0.3), lambda k: 0.7),
+        lambda: equivalence_transform(tail(uniform_binomial(3, 0.3), 1), lambda k: 0.7),
+    ], ids=["lagrange", "uniform", "tail", "transform", "transform-of-tail"])
+    def test_a_law_answer_makes_no_fraction(self, build):
+        # the exact fold reads x's and each factor's int ratio, and rounds once by int true division
+        reports = _assert_no_fraction_made(lambda: [eval_lentz(build(), TOL), eval_convergents(build(), TOL)])
+        assert all(r.converged and r.terminated for r in reports)
+        assert reports[0].value == reports[1].value
