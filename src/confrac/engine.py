@@ -67,7 +67,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice, pairwise, starmap
+from itertools import chain, count, islice, pairwise, starmap
+from operator import index
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import DomainError, ModeMismatchError, PoleError
@@ -172,7 +173,7 @@ class CFStream:
 
     def term(self, k: int) -> Optional[CFTerm]:
         """Level-``k`` term, or ``None`` past the end of a finite stream."""
-        if k < 1:
+        if (k := index(k)) < 1:  # a level is an int, as a range bound is
             raise ValueError(f"term levels start at 1, got {k}")
         ab = self._level(k)
         return None if ab is None else CFTerm(*ab)
@@ -544,7 +545,7 @@ def _backward_report(cf: CFStream, depth: int, tol: ToleranceSpec) -> EvalReport
 class _Tail(CFStream):
     # tail(cf, s): level k is cf's level s + k, and the walk and cleared levels from level k are cf's from s + k.
     def __init__(self, cf: CFStream, s: int):
-        if s < 1:
+        if (s := index(s)) < 1:
             raise ValueError(f"start_level must be >= 1, got {s}")
         if (head := next(cf._walk(s), None) or cf._level(s)) is None:  # _level only at a zero
             raise ValueError(f"stream ends before level {s}")
@@ -564,17 +565,10 @@ class _Tail(CFStream):
 
 
 class _Scaled(CFStream):
-    # equivalence_transform(cf, scale, c0): cf's levels by _rule, its cleared levels by _cleared.
-    # _factor checks every c_k, c0 when built and the others when read: 0 raises ValueError, and an inf
-    # or nan float or complex factor DomainError naming its level, on every route and in term(k).
+    # equivalence_transform(cf, scale, c0): cf's levels by _rule, cleared levels by _cleared, each factor by _factor.
     def __init__(self, cf: CFStream, scale: Callable[[int], Scalar], c0: Scalar):
-        self._parent, self._scale, self._c0 = cf, scale, c0
-        try:  # c0 checked as every factor, then as each level
-            if mode_of(self._factor(0) * cf.b0) is not cf.mode:
-                raise ModeMismatchError(f"c0={c0!r} takes {cf.description or 'the stream'} out of {cf.mode} mode")
-        except OverflowError:  # an exact c0 past the float range, times a float or complex b0
-            raise DomainError(f"c0 is past the float range, so it has no {cf.mode} value") from None
-        self.b0, self.mode, self._end = cf.b0 if c0 == 1 else c0 * cf.b0, cf.mode, cf._end
+        self._parent, self._scale, self._c0, self.mode, self._end = cf, scale, c0, cf.mode, cf._end
+        self.b0 = cf.b0 if self._factor(0) == 1 else c0 * cf.b0
 
     description = property(lambda self: f"equivalence({self._parent.description or 'cf'})")
 
@@ -582,22 +576,27 @@ class _Scaled(CFStream):
         v = self._c0 if k == 0 else self._scale(k)
         if v == 0:
             raise ValueError(f"zero scale factor at level {k}")
-        if isinstance(v, (float, complex)) and not cmath.isfinite(v):
+        if not (mode := mode_of(v)).isfinite(v):  # mode_of raises on a value that is no scalar
             raise DomainError(f"{'c0' if k == 0 else f'scale factor at level {k}'} must be finite, got {v!r}")
+        if mode is Mode.RATIONAL is not self.mode:  # an exact factor on a float or complex stream
+            try:
+                self.mode.cast(v)
+            except OverflowError:
+                raise DomainError(f"{'c0' if k == 0 else f'scale factor at level {k}'} is past the float range, "
+                                  f"so it has no {self.mode} value") from None
+        elif mode is not self.mode and self.mode is not Mode.COMPLEX:  # any other mode but float on complex
+            if k == 0:
+                raise ModeMismatchError(f"c0={v!r} takes {self._parent.description or 'the stream'} "
+                                        f"out of {self.mode} mode")
+            self._in_mode(k, v, v)  # raises
         return v
 
-    def _pair(self, k: int) -> tuple[int, int]:
-        # c_k's exact ratio, checked as the walk checks the level it scales: a factor that takes it out of the mode
-        if mode_of(v := self._factor(k)) not in (self.mode, Mode.RATIONAL):
-            self._in_mode(k, v, v)  # raises
-        return _ratio(v)
-
     def _rule(self, k: int, levels: Iterable[tuple[Scalar, Scalar]]) -> Iterator[tuple[Scalar, Scalar]]:
-        # cf's levels k, k+1, ... as (c_k·c_{k-1}·a_k, c_k·b_k), mode-checked: each c_k made once
+        # cf's levels k, k+1, ... as (c_k·c_{k-1}·a_k, c_k·b_k), each c_k read once, after its level
         ck = self._factor(k - 1)
         for k, (a, b) in enumerate(levels, k):
             cj, ck = ck, self._factor(k)
-            yield self._in_mode(k, ck * cj * a, ck * b)
+            yield ck * cj * a, ck * b
 
     def _level(self, k: int) -> Optional[tuple[Scalar, Scalar]]:
         return None if (ab := self._parent._level(k)) is None else next(self._rule(k, (ab,)))
@@ -608,7 +607,8 @@ class _Scaled(CFStream):
     def _cleared(self, k: int = 0) -> tuple[tuple[int, int], Iterator[tuple[int, int, int]]]:
         # cf's cleared levels times each c_j = n_j/d_j, cleared by c_j·d_j (no gcd): b_k is n_k·B/(d_k·C)
         (B, C), rows = self._parent._cleared(k)
-        (n, d), pairs = self._pair(k), pairwise(map(self._pair, count(k)))  # (c_{j-1}, c_j), j = k + 1, ...
+        ratios = map(_ratio, map(self._factor, count(k)))  # c_j's exact ratio, j = k, k + 1, ...
+        (n, d), pairs = (head := next(ratios)), pairwise(chain([head], ratios))  # (c_{j-1}, c_j), j = k + 1, ...
         return (n * B, d * C), ((c * dj, nj * ni * A, nj * B) for (c, A, B), ((ni, _), (nj, dj)) in zip(rows, pairs))
 
 
@@ -630,6 +630,6 @@ def equivalence_transform(cf: CFStream, scale: Callable[[int], Scalar], c0: Scal
     original's.  A non-unit ``c0`` additionally multiplies the leading term
     and the first partial numerator -- the classical "divide every partial
     fraction top and bottom" manipulation -- scaling the fraction's value
-    by ``c0``.  Termination is the original's; the scaled pair is mode-checked.
+    by ``c0``.  Termination is the original's; each factor is checked once, when read.
     """
     return _Scaled(cf, scale, c0)

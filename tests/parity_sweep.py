@@ -8,8 +8,10 @@ It imports ``confrac`` from the checkout's own ``src`` and prints one line per
 category, ``<category> <sha256> <records>``.  Two checkouts that print the same
 lines behave alike on every case the sweep makes, so a change that claims to keep
 behaviour quotes both sets of lines.  ``tests/data/parity_sweep.txt`` holds the
-expected lines, and CI (Python 3.11) diffs a fresh run against it; a change that
-alters behaviour on purpose updates that file.  pytest does not collect this file.
+expected lines, and CI diffs a fresh run against it on Python 3.10, 3.11 and 3.12
+(on 3.12 every line but ``verify``, whose float errors move with that interpreter's
+float math); a change that alters behaviour on purpose updates that file.  pytest
+does not collect this file.
 
 Cases: the 8 families (the exponent families at n = 3, -2 and 5/2, and at the
 float 0.37, whose exact ratio has a 2^53 denominator, in float and complex mode
@@ -25,7 +27,11 @@ around the law's end (1, 7 and 40 where no law ends it) at the default and at
 zero tolerance, and at the default cap.  The ``cli`` category records the exit
 code, stdout and stderr of ``eval`` (every method, CSV and JSON), ``table`` and
 ``compare`` for each bare case, ``verify`` records ``run_checks()`` once, and ``description`` records
-the ``description`` of every bare, tail, transform and composition case.  An outcome is the ``repr`` of the result or the
+the ``description`` of every bare, tail, transform and composition case.  The ``factor`` category records
+every route (``term(2)``, ``convergents`` to 5, ``eval_convergents`` and ``eval_lentz`` at cap 3 and at the
+default cap, ``eval_backward`` and the backward report at depth 4) of transforms of a law that ends
+(``lagrange_binomial(3, x)``) and one that does not (``arctan_cf(x)``), in float and rational mode, with
+each of ``FACTORS`` at c0 and at level 2.  An outcome is the ``repr`` of the result or the
 type and message of the error raised, labelled with the call that made it.
 """
 
@@ -34,7 +40,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,11 +54,13 @@ from confrac import (  # noqa: E402
     EXACT,
     Family,
     FamilySpec,
+    arctan_cf,
     convergents,
     equivalence_transform,
     eval_backward,
     eval_convergents,
     eval_lentz,
+    lagrange_binomial,
     tail,
 )
 from confrac.cli import main  # noqa: E402
@@ -68,6 +78,19 @@ STEPS = {
 }
 #: b0 and the levels of the user root; a float one's exact ratios make its rational twin
 USER = (1.0, [(0.1, 0.3), (0.7, 0.9), (0.2, 0.6), (1.3, -0.4), (0.3, 2.5)])
+#: scale factors that fail in one mode or both, or pass: zero, not finite, no scalar, of another mode, past floats
+FACTORS = {"0": 0, "inf": math.inf, "nan": math.nan, "True": True, "Decimal(2)": Decimal(2), "1j": 1j, "0.5": 0.5,
+           "10^400": Fraction(10**400)}
+FACTOR_ROUTES = {
+    "term(2)": lambda cf: cf.term(2),
+    "convergents 5": lambda cf: convergents(cf, 5),
+    "forward 3": lambda cf: eval_convergents(cf, DEFAULT_TOLERANCE, 3),
+    "forward default": eval_convergents,
+    "eval_backward 4": lambda cf: eval_backward(cf, 4),
+    "backward 4": lambda cf: _backward_report(cf, 4, DEFAULT_TOLERANCE),
+    "lentz 3": lambda cf: eval_lentz(cf, DEFAULT_TOLERANCE, 3),
+    "lentz default": eval_lentz,
+}
 COMPOSITIONS = {
     "bare": [()],
     "tail": [("tail-1",), ("tail-2",)],
@@ -141,8 +164,23 @@ def cli_records(argv, mode):
     return records
 
 
+def factor_records():
+    """Every route of a transform with one bad factor, at c0 or at level 2, built inside the call."""
+    records = []
+    for law, family in (("lagrange-binomial(3, x)", lambda x: lagrange_binomial(3, x)), ("arctan(x)", arctan_cf)):
+        for x in (0.3, Fraction(3, 10)):
+            one = type(x)(1)
+            for label, v in FACTORS.items():
+                builds = {"c0": lambda: equivalence_transform(family(x), lambda k: one, v),
+                          "level-2": lambda: equivalence_transform(family(x), lambda k: v if k == 2 else one)}
+                for position, build in builds.items():
+                    records += [f"{law} x={x!r} {label} {position} {route} {outcome(lambda: call(build()))}"
+                                for route, call in FACTOR_ROUTES.items()]
+    return records
+
+
 def sweep() -> dict[str, list[str]]:
-    categories = {name: [] for name in [*COMPOSITIONS, "cli", "verify", "user", "description"]}
+    categories = {name: [] for name in [*COMPOSITIONS, "cli", "verify", "user", "description", "factor"]}
     for label, argv, mode, spec in specs():
         one = {"float": 1.0, "rational": Fraction(1), "complex": complex(1)}[mode]
         for category, compositions in COMPOSITIONS.items():
@@ -166,6 +204,7 @@ def sweep() -> dict[str, list[str]]:
                 return cf
             categories["user"] += [f"user {cast.__name__} {'/'.join(steps)} {record}"
                                    for record in stream_records(build)]
+    categories["factor"] = factor_records()
     return categories
 
 

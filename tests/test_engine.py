@@ -1433,6 +1433,118 @@ class TestTransformKeepsTheMode:
             equivalence_transform(cf, lambda k: 1.0, c0)
 
 
+class TestOneFactorRule:
+    """Every factor meets one check, c0 when the transform is built and c_k when a route reads it, in
+    this order: zero, not a scalar, not finite, out of the stream's mode, and an exact factor with no
+    float value on a float stream.  Each bad factor raises one error, on every route and at every cap."""
+
+    FLOAT, RATIONAL = "lagrange-binomial(n=3, x=0.3)", "lagrange-binomial(n=3, x=Fraction(3, 10))"
+    # factor -> {mode: (error type, message at c0, message at level 2)}
+    CASES = {
+        "zero": (0, {m: (ValueError, "zero scale factor at level 0", "zero scale factor at level 2")
+                     for m in ("float", "rational")}),
+        "inf": (math.inf, {m: (DomainError, "c0 must be finite, got inf",
+                               "scale factor at level 2 must be finite, got inf") for m in ("float", "rational")}),
+        "nan": (math.nan, {m: (DomainError, "c0 must be finite, got nan",
+                               "scale factor at level 2 must be finite, got nan") for m in ("float", "rational")}),
+        "bool": (True, {m: (ModeMismatchError, "not a scalar: True", "not a scalar: True")
+                        for m in ("float", "rational")}),
+        "decimal": (Decimal(2), {m: (ModeMismatchError, "unsupported scalar type Decimal",
+                                     "unsupported scalar type Decimal") for m in ("float", "rational")}),
+        "complex": (1j, {"float": (ModeMismatchError, f"c0=1j takes {FLOAT} out of float mode",
+                                   f"term 2 of equivalence({FLOAT}) is not in float mode")}),
+        "float": (0.5, {"rational": (ModeMismatchError, f"c0=0.5 takes {RATIONAL} out of rational mode",
+                                     f"term 2 of equivalence({RATIONAL}) is not in rational mode")}),
+        "past-float": (Fraction(10**400), {"float": (
+            DomainError, "c0 is past the float range, so it has no float value",
+            "scale factor at level 2 is past the float range, so it has no float value")}),
+    }
+    ROUTES = {
+        "term-2": lambda cf: cf.term(2),
+        "convergents-5": lambda cf: convergents(cf, 5),
+        "forward-cap-3": lambda cf: eval_convergents(cf, DEFAULT_TOLERANCE, 3),
+        "forward-default-cap": eval_convergents,
+        "backward-4": lambda cf: eval_backward(cf, 4),
+        "backward-report-4": lambda cf: _backward_report(cf, 4, DEFAULT_TOLERANCE),
+        "lentz-cap-3": lambda cf: eval_lentz(cf, DEFAULT_TOLERANCE, 3),
+        "lentz-default-cap": eval_lentz,
+    }
+
+    @pytest.mark.parametrize("factor, mode", [(f, m) for f, (_, modes) in CASES.items() for m in modes])
+    @pytest.mark.parametrize("position", ["c0", "level-2"])
+    def test_a_bad_factor_raises_one_error_on_every_route(self, factor, mode, position):
+        # True and Decimal(2) passed a walk or raised TypeError from a product, and 10^400 at level 2
+        # raised OverflowError from a walk while the law answered 2.197
+        v, modes = self.CASES[factor]
+        error, *messages = modes[mode]
+        message = messages[position == "level-2"]
+        x, one = (0.3, 1.0) if mode == "float" else (Fraction(3, 10), Fraction(1))
+        if position == "c0":
+            with pytest.raises(error) as raised:
+                equivalence_transform(lagrange_binomial(3, x), lambda k: one, v)
+            assert (type(raised.value), str(raised.value)) == (error, message)
+            return
+        cf = equivalence_transform(lagrange_binomial(3, x), lambda k: v if k == 2 else one)
+        routes = [name for name in self.ROUTES if mode == "float" or not name.startswith("lentz")]
+        for name in routes:
+            with pytest.raises(error) as raised:
+                self.ROUTES[name](cf)
+            assert (name, type(raised.value), str(raised.value)) == (name, error, message)
+
+    @pytest.mark.parametrize("x, factors", [
+        (0.3, [2.0, 3, Fraction(1, 3)]),
+        (Fraction(3, 10), [Fraction(2), 3, Fraction(1, 3), Fraction(10**400)]),
+        (0.3 + 0.1j, [2 + 0j, 2.0, 3, Fraction(1, 3)]),
+    ], ids=["float", "rational", "complex"])
+    def test_accepted_factors_keep_the_mode(self, x, factors):
+        # an own-mode factor, exact ones and a float one on a complex stream; 10^400 has no range to leave
+        # in rational mode
+        want = eval_convergents(lagrange_binomial(3, x)).value
+        for c in factors:
+            cf = equivalence_transform(lagrange_binomial(3, x), lambda k: c, c)
+            assert cf.mode is mode_of(x) and mode_of(cf.term(2).a) is mode_of(x)
+            assert eval_convergents(cf).value == (c * want if cf.mode is Mode.RATIONAL else pytest.approx(c * want, rel=1e-14))
+
+    def test_each_factor_is_read_once_by_a_tail_of_a_transform(self):
+        # the exact form read c_k twice, once for b_k and once as the first pair: {2: 2, 3: 1, ...}
+        calls = []
+        scale = lambda k: calls.append(k) or Fraction(k + 1, 3)
+        cf = tail(equivalence_transform(arctan_cf(Fraction(1, 2)), scale), 2)
+        calls.clear()
+        convergents(cf, 5)
+        assert calls == [2, 3, 4, 5, 6, 7]
+
+
+class TestIntegralLevels:
+    """A level is an int, read by ``operator.index`` as a range bound is: a float or Fraction level
+    raises Python's own TypeError from every stream, and ``True`` is level 1."""
+
+    STREAMS = {
+        "family": lambda: arctan_cf(0.5),
+        "rational-family": lambda: arctan_cf(Fraction(1, 2)),
+        "user": lambda: CFStream.from_terms(1.0, [(0.1, 0.3), (0.7, 0.9)]),
+        "tail": lambda: tail(arctan_cf(0.5), 1),
+        "transform": lambda: equivalence_transform(arctan_cf(0.5), lambda k: 2.0),
+    }
+
+    @pytest.mark.parametrize("stream", list(STREAMS))
+    @pytest.mark.parametrize("level", [1.5, 2.0, Fraction(3, 2)], ids=["1.5", "2.0", "3/2"])
+    def test_a_level_that_is_no_int_raises_type_error(self, stream, level):
+        # arctan_cf(0.5).term(1.5) was CFTerm(a=0.0625, b=2.0), and tail(arctan_cf(0.5), 1.5) a
+        # fraction of b0 = 2.0 that reported 2.1324892228933114, converged
+        cf = self.STREAMS[stream]()
+        for read in (lambda: cf.term(level), lambda: tail(cf, level)):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                read()
+
+    @pytest.mark.parametrize("stream", list(STREAMS))
+    def test_true_is_level_one(self, stream):
+        cf = self.STREAMS[stream]()
+        assert cf.term(True) == cf.term(1)
+        assert tail(cf, True).description == tail(cf, 1).description
+        assert tail(cf, True).b0 == tail(cf, 1).b0
+
+
 class TestTerminationLevelBound:
     @pytest.mark.parametrize("build", [
         lambda: lagrange_binomial(3, 0.3),
