@@ -33,7 +33,7 @@ from .engine import (
 )
 from .errors import DomainError, ModeMismatchError, PoleError
 from .families import Family, FamilySpec, oracle_value
-from .scalars import DEFAULT_TOLERANCE, Mode, Scalar, ToleranceSpec, _text
+from .scalars import DEFAULT_TOLERANCE, Mode, Scalar, ToleranceSpec, _double, _ratio, _text
 
 EVAL_HEADER = ",".join(f.name for f in fields(EvalReport))
 TABLE_HEADER = "k,p,q,value,abs_err,rel_err"
@@ -68,7 +68,7 @@ def _parse_scalar(text: str, mode: Mode, what: str) -> Scalar:
     try:
         return mode.cast(text)
     except ValueError:
-        return mode.cast(_parse_exact(text, what, reject_decimal=False))
+        return mode.cast(_double(_ratio(_parse_exact(text, what, reject_decimal=False)), what, mode))
 
 
 def _format_scalar(value: Scalar) -> str:
@@ -148,15 +148,9 @@ def build_config(args: argparse.Namespace) -> CommandConfig:
         raise UsageError("--method backward requires --depth")
     if args.command in ("table", "compare") and args.depth is None:
         raise UsageError(f"{args.command} requires --depth")
-    if args.depth is not None:
-        floor = 0 if args.command == "table" else 1
-        if args.depth < floor:
-            raise UsageError(f"--depth must be >= {floor} for {args.command}")
-
-    try:
-        tol = DEFAULT_TOLERANCE if args.tol is None else ToleranceSpec(rel_tol=args.tol)
-    except ValueError as exc:
-        raise UsageError(f"bad tolerance: {exc}") from None
+    if args.command == "compare" and args.depth < 1:  # the library checks every other depth
+        raise UsageError("--depth must be >= 1 for compare")
+    tol = DEFAULT_TOLERANCE if args.tol is None else ToleranceSpec(rel_tol=args.tol)
 
     fmt = args.fmt or ("json" if args.command == "eval" else "csv")
     return CommandConfig(spec=spec, method=method, depth=args.depth, tol=tol, fmt=fmt)
@@ -178,9 +172,11 @@ def run_eval(cfg: CommandConfig, out: TextIO) -> int:
 def _error_columns(value: Optional[Scalar], oracle: Optional[Scalar]):
     if value is None or oracle is None:
         return None, None
+    if isinstance(value, Fraction) and isinstance(oracle, float):  # a mixed difference needs the value's double
+        value = _double(_ratio(value), "the value")
     abs_err = abs(value - oracle)
     rel_err = abs_err / abs(oracle) if oracle != 0 else None
-    return _json_scalar(float(abs_err)), None if rel_err is None else _json_scalar(float(rel_err))
+    return _number_cell(abs_err, "abs_err"), None if rel_err is None else _number_cell(rel_err, "rel_err")
 
 
 def _rows_document(cfg: CommandConfig, rows: list[dict]) -> dict:
@@ -211,19 +207,19 @@ def run_rows(cfg: CommandConfig, out: TextIO, header: str) -> int:
         c = convs[min(depth, len(convs) - 1)]
         value = None if c.is_pole else c.value
         abs_err, rel_err = _error_columns(value, oracle)
-        cell = None if value is None else _number_cell(value)
+        cell = None if value is None else _number_cell(value, "the value")
         rows.append({"k": c.k, "p": _format_scalar(c.p), "q": _format_scalar(c.q), "value": cell,
                      "abs_err": abs_err, "rel_err": rel_err} if table else
-                    {"depth": depth, "cf_value": cell, "oracle_value": _number_cell(oracle),
+                    {"depth": depth, "cf_value": cell, "oracle_value": _number_cell(oracle, "the oracle value"),
                      "rel_err": rel_err})
     _emit_rows(cfg, out, header, rows, _rows_document(cfg, rows))
     return 0
 
 
-def _number_cell(value: Scalar):
+def _number_cell(value: Scalar, what: str):
     # Table cells are decimal (floats); exact values are shown as their
     # nearest double, full fractions stay in the p/q columns.
-    return _json_scalar(value if isinstance(value, complex) else float(value))
+    return _json_scalar(value if isinstance(value, (float, complex)) else _double(_ratio(value), what))
 
 
 def _emit_rows(cfg: CommandConfig, out: TextIO, header: str, rows: list[dict],

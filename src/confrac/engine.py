@@ -51,7 +51,7 @@ when read.
 Every route's report comes from one stopping rule, ``_settle``, and so does
 :func:`eval_backward`'s bare value.  A fraction that ends has one answer,
 ``_law_value``: a fold on ints of the stream's cleared levels, reduced once, or
-in float mode rounded once by int true division.  It answers a law that ends
+in float mode rounded once by int true division (±inf past the float range).  It answers a law that ends
 within the cap (``cf._end``, the level of its zero) before a step is pulled, and
 a float walk with no law once it terminates.  Other walks stop at the first two
 successive values that agree, unless a law ends them, or at the first non-finite
@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, islice, pairwise, starmap
@@ -77,6 +78,8 @@ from .scalars import (
     Mode,
     Scalar,
     ToleranceSpec,
+    _count,
+    _double,
     _ratio,
     _rel_tol,
     _relative_change,
@@ -182,8 +185,7 @@ class CFStream:
         """Level of the stream's termination zero: ``_end`` where its law
         records one, else scanned for; the end of a finite stream counts
         too.  ``None`` if the stream runs past ``within`` levels without it."""
-        if within < 0:
-            raise ValueError(f"within must be >= 0, got {within}")
+        within = _count(within, "within", 0)
         if self._end is not None:
             return self._end if self._end <= within else None
         levels = sum(1 for _ in islice(self._walk(), within))
@@ -270,8 +272,8 @@ def _settle(cf: CFStream, steps: Iterable[tuple[int, Optional[Scalar], int]],
     # value None at a pole, and runs out before max_depth (named cap in its error) only when the fraction
     # terminates.  Every mode compares inline, as _within would, with rel_tol·max(|v|, |u|) the larger of
     # two products (a Fraction is below inf); _within takes a complex modulus past the float range.
-    if max_depth < 1:
-        raise ValueError(f"{cap} must be >= 1, got {max_depth}")
+    if not 1 <= (max_depth := index(max_depth)) <= sys.maxsize:  # _count's rule, inline: it runs per evaluation
+        _count(max_depth, cap, 1)
     finite, rel_tol, agree = cf.mode.isfinite, _rel_tol(cf.mode, tol), cf._end is None
     inf, value, substitutions = math.inf, None, 0
     law = not agree and cf._end <= max_depth and cf.mode is not Mode.COMPLEX  # ends within the cap
@@ -388,8 +390,7 @@ def convergents(cf: CFStream, depth: int) -> list[Convergent]:
     ``depth + 1`` entries.  Convergents with ``q == 0`` are kept in the
     sequence as poles.
     """
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
+    depth = _count(depth, "depth", 0)
     return list(starmap(Convergent, (_forward_exact if cf.mode is Mode.RATIONAL else _forward)(cf, depth)))
 
 
@@ -498,18 +499,14 @@ def _fold_exact(head: tuple[int, int], levels: list[tuple[int, int, int]]) -> tu
 
 def _law_value(cf: CFStream, depth: int, value: Optional[float] = math.nan) -> Optional[Scalar]:
     # The one answer of a fraction that ends after depth levels: the fold of its cleared levels, cf._cleared(),
-    # reduced once in rational mode and rounded once by int true division in float mode; None at an exact pole,
-    # ±inf past the float range.  A walked stream (no _end) with an inf or nan level keeps value.
-    rational = cf.mode is Mode.RATIONAL
+    # reduced once in rational mode and in float mode a double (±inf past the float range); None at an exact
+    # pole.  A walked stream (no _end) with an inf or nan level keeps value.
     try:
         head, rows = cf._cleared()
         num, den = _fold_exact(head, list(islice(rows, depth)))
     except (DomainError if cf._end is None else ()):
         return value
-    try:
-        return None if den == 0 else Fraction(num, den) if rational else num / den
-    except OverflowError:  # num / den raises past the float range
-        return math.inf if num > 0 else -math.inf
+    return None if den == 0 else Fraction(num, den) if cf.mode is Mode.RATIONAL else _double((num, den))
 
 
 def _backward(cf: CFStream, depth: int,
@@ -579,11 +576,7 @@ class _Scaled(CFStream):
         if not (mode := mode_of(v)).isfinite(v):  # mode_of raises on a value that is no scalar
             raise DomainError(f"{'c0' if k == 0 else f'scale factor at level {k}'} must be finite, got {v!r}")
         if mode is Mode.RATIONAL is not self.mode:  # an exact factor on a float or complex stream
-            try:
-                self.mode.cast(v)
-            except OverflowError:
-                raise DomainError(f"{'c0' if k == 0 else f'scale factor at level {k}'} is past the float range, "
-                                  f"so it has no {self.mode} value") from None
+            _double(_ratio(v), 'c0' if k == 0 else f'scale factor at level {k}', self.mode)
         elif mode is not self.mode and self.mode is not Mode.COMPLEX:  # any other mode but float on complex
             if k == 0:
                 raise ModeMismatchError(f"c0={v!r} takes {self._parent.description or 'the stream'} "
@@ -592,11 +585,17 @@ class _Scaled(CFStream):
         return v
 
     def _rule(self, k: int, levels: Iterable[tuple[Scalar, Scalar]]) -> Iterator[tuple[Scalar, Scalar]]:
-        # cf's levels k, k+1, ... as (c_k·c_{k-1}·a_k, c_k·b_k), each c_k read once, after its level
+        # cf's levels k, k+1, ... as (c_k·c_{k-1}·a_k, c_k·b_k), each c_k read once, after its level; none made 0
         ck = self._factor(k - 1)
         for k, (a, b) in enumerate(levels, k):
             cj, ck = ck, self._factor(k)
-            yield ck * cj * a, ck * b
+            try:
+                scaled = ck * cj * a, ck * b
+            except OverflowError:  # an exact c_k·c_{k-1} past the float range
+                _double(_ratio(ck * cj), f"c_{k}·c_{k - 1}", self.mode)
+            if scaled[0] == 0 != a or scaled[1] == 0 != b:
+                raise DomainError(f"level {k} scales a nonzero coefficient to 0 in {self.mode} mode")
+            yield scaled
 
     def _level(self, k: int) -> Optional[tuple[Scalar, Scalar]]:
         return None if (ab := self._parent._level(k)) is None else next(self._rule(k, (ab,)))

@@ -54,7 +54,8 @@ A generator reads n once as the int pair (N, D), and N², D² once: α(j) is one
 A mode fixes only the quotient of an int pair, ``div(num, den)``: ``Fraction`` in rational mode, in
 lowest terms, and otherwise int true division, correctly rounded (a complex x promotes the float as
 ``complex(q)``), which the rule gets cheaper at den = 2^s in (2^53, 2^899] and |N| < 2^450 as float(α(j))
-times 1/den: α(j) < 2^1023 converts correctly rounded and the quotient is normal.  One loop states a level
+times 1/den: α(j) < 2^1023 converts correctly rounded and the quotient is normal.  A quotient or an n past the
+float range raises DomainError naming its level or n (``scalars._double``).  One loop states a level
 for every arithmetic, ``div(α(j), den)·x·x`` over ``β(j)·(1 + div(s)·x)``, and the head takes the same
 products; the exact levels, ``_cleared()``, are the engine's least clearing read off the ints and x's exact ratio.
 Termination is read off the ints, never a rounded product: a level is the
@@ -95,7 +96,7 @@ from .oracles import (
     tan_lhs,
     tan_multiple_lhs,
 )
-from .scalars import Mode, Scalar, _ratio, _text, as_fraction, mode_of
+from .scalars import Mode, Scalar, _double, _ratio, _text, as_fraction, mode_of
 
 #: Reject tan_cf arguments closer than this to an odd multiple of pi/2.
 TAN_POLE_GUARD = 1e-8
@@ -148,8 +149,9 @@ class _Law(CFStream):
             n[0].bit_length() <= 450)  # up to 2^53, int true division takes its fast path
         self.b0, unit = cast(b0), None if scale is None else one + div(*scale) * x
         self._law = (x, alpha, den, beta, power, cast, unit, mul if dyadic else div, 1.0 / den if dyadic else den)
-        h, d = head or (None, None)  # _top: level 1, (a_1, b_1), where the row has a head
-        self._top = head and (cast(x) if h is None else div(*h) * x, one if d is None else one + div(*d) * x)
+        h, d = head or (None, None)  # _top: level 1, (a_1, b_1), where the row has a head; d is in range where h is
+        self._top = head and (cast(x) if h is None else (Fraction(*h) if div is Fraction else _double(h, "n")) * x,
+                              one if d is None else one + div(*d) * x)
         if x == 0 or h is not None and h[0] == 0:
             self._end = 1
         elif e := n is not None and n[1] == 1 and abs(n[0]):  # α(j) = 0 only at e, 2e-1, 2e
@@ -169,9 +171,12 @@ class _Law(CFStream):
     def _rule(self, js: Iterable[int], top: Optional[tuple] = None) -> Iterator[tuple[Scalar, Scalar]]:
         if top is not None:  # the head level, then the j
             yield top
-        x, alpha, _, beta, power, cast, unit, quotient, by = self._law
+        x, alpha, den, beta, power, cast, unit, quotient, by = self._law
         for j in js:
-            a, b = quotient(alpha(j), by) * x, cast(2 * j + 1 if beta is None else beta(j))
+            try:
+                a, b = quotient(alpha(j), by) * x, cast(2 * j + 1 if beta is None else beta(j))
+            except OverflowError:  # α(j)/den past the float range
+                _double((alpha(j), den), f"level {j + (self._top is not None)}", self.mode)
             yield a * x if power == 2 else a, b if unit is None else b * unit
 
     def _level(self, k: int) -> tuple[Scalar, Scalar]:
@@ -272,10 +277,7 @@ def tan_cf(theta: Scalar) -> CFStream:
     """
     stream = _Law("tan", "theta", theta, 0, lambda j: -1, head=(None, None))
     _require_real(theta, "theta")
-    try:
-        residue = math.fmod(abs(float(theta.real if isinstance(theta, complex) else theta)), math.pi)
-    except OverflowError:  # an exact theta past the float range
-        raise DomainError("theta is past the float range: its distance to a tangent pole cannot be decided") from None
+    residue = math.fmod(abs(t if isinstance(t := theta.real, float) else _double(_ratio(t), "theta")), math.pi)
     if abs(residue - math.pi / 2) < TAN_POLE_GUARD:
         raise DomainError(
             f"theta={_text(theta)} is within {TAN_POLE_GUARD} of an odd multiple of pi/2 (tangent pole)"
@@ -377,7 +379,10 @@ class FamilySpec:
 def oracle_value(spec: FamilySpec) -> Scalar:
     """Reference value for a family spec via the family's oracle.
 
-    Raises :class:`DomainError` where no oracle applies (complex-mode
-    arguments, or parameter combinations outside the oracle's domain).
+    Raises :class:`DomainError` where no oracle applies (complex-mode arguments,
+    outside the oracle's domain, or a closed form failing in float arithmetic).
     """
-    return spec.family.oracle(*spec._params()).value
+    try:
+        return spec.family.oracle(*spec._params()).value
+    except ArithmeticError as exc:  # libm's range error, or a zero division, in float arithmetic
+        raise DomainError(f"oracle {spec.family.oracle.__name__} fails in float arithmetic: {exc}") from None

@@ -11,7 +11,7 @@ scaled cotangent) are 0/0 forms and raise :class:`DomainError`: an oracle
 returns formula values only, never a limit value.
 
 Each formula is written once; exact or float only picks the argument,
-``Fraction(x)`` or a float, and the exponent, ``int(n)`` or ``float(n)``.
+``Fraction(x)`` or a float, and the exponent, ``int(n)`` or its double.
 This module holds only the closed forms; which one serves which family is
 decided by the family table in :mod:`confrac.families`.
 """
@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import DomainError
-from .scalars import Mode, Scalar, as_fraction, mode_of
+from .scalars import Mode, Scalar, _count, _double, _ratio, as_fraction, mode_of
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class OracleResult:
 def _real(value: Scalar, name: str) -> float:
     if isinstance(value, complex):
         raise DomainError(f"{name} must be real for this oracle, got {value!r}")
-    return float(value)
+    return value if isinstance(value, float) else _double(value.as_integer_ratio(), name)
 
 
 def binomial_power(n: Union[int, float, Fraction], x: Scalar) -> OracleResult:
@@ -51,7 +51,7 @@ def binomial_power(n: Union[int, float, Fraction], x: Scalar) -> OracleResult:
     xf = _real(x, "x")
     if 1 + xf <= 0:
         raise DomainError(f"1 + x must be positive for non-integer n, got x={x!r}")
-    return OracleResult(math.pow(1 + xf, float(n)))
+    return OracleResult(math.pow(1 + xf, _double(_ratio(n), "n")))
 
 
 def symmetric_lhs(n: Union[int, float, Fraction], z: Scalar) -> OracleResult:
@@ -72,14 +72,14 @@ def symmetric_lhs(n: Union[int, float, Fraction], z: Scalar) -> OracleResult:
     if n.denominator == 1 and mode_of(z) is Mode.RATIONAL:
         z, n = Fraction(z), int(n)
     else:
-        z, n = _real(z, "z"), float(n)
+        z, n = _real(z, "z"), _double(_ratio(n), "n")
     plus, minus = (1 + z) ** n, (1 - z) ** n
     return OracleResult(n * z * (plus + minus) / (plus - minus))
 
 
 def tan_multiple_lhs(n: Union[int, float, Fraction], t: Scalar) -> OracleResult:
     """tan(n * arctan t), the multiple-angle tangent with t = tan φ."""
-    nf = float(as_fraction(n))
+    nf = _double(_ratio(n), "n")
     tf = _real(t, "t")
     angle = nf * math.atan(tf)
     if abs(math.cos(angle)) < 1e-12:
@@ -111,6 +111,8 @@ def coth_scaled_lhs(v: Scalar) -> OracleResult:
     if v == 0:
         raise DomainError("v = 0 is a 0/0 form with limit 1")
     vf = _real(v, "v")
+    if vf > 512 * math.log(2):  # the form is even, and expm1 raises where e^{2v} > 2^1024, past the float range
+        vf = -vf
     em = math.expm1(2 * vf)
     return OracleResult(vf * (em + 2) / em)
 
@@ -121,8 +123,7 @@ def series_ratio_coth(v: Scalar, terms: int) -> OracleResult:
     Both sums take ``terms`` terms (k = 0..terms-1).  Converges to the
     scaled cotangent; exact rational for rational v.
     """
-    if terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
+    terms = _count(terms, "terms", 1)
     v = Fraction(v) if mode_of(v) is Mode.RATIONAL else _real(v, "v")
     v2 = v * v  # not v ** 2, which raises OverflowError where v * v is inf
     num = sum(v2**k / math.factorial(2 * k) for k in range(terms))

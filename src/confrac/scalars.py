@@ -20,7 +20,7 @@ modulus overflows), and a report's residual in ``_relative_change``; both hold t
 
 Division by an exact zero is an error in every mode (Python's native
 behaviour), never an infinity; pole detection in the fraction engine
-depends on that.
+depends on that.  An exact value becomes a double in one place, ``_double``.
 """
 
 from __future__ import annotations
@@ -28,10 +28,12 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Union
+from operator import index
+from typing import Callable, Optional, Union
 
 from .errors import DomainError, ModeMismatchError
 
@@ -108,6 +110,24 @@ def _ratio(value: Scalar) -> tuple[int, int]:
     return as_fraction(value).as_integer_ratio()
 
 
+def _double(ratio: tuple[int, int], what: Optional[str] = None, mode: Mode = Mode.FLOAT) -> float:
+    # The one float-range rule: an int ratio (num, den > 0) rounded once, as num / den does; past the float range
+    # ±inf where nothing is named (a value to report), else DomainError naming what (an input or a level)
+    try:
+        return ratio[0] / ratio[1]
+    except OverflowError:
+        if what is None:
+            return math.inf if ratio[0] > 0 else -math.inf
+        raise DomainError(f"{what} is past the float range, so it has no {mode} value") from None
+
+
+def _count(value: int, name: str, least: int) -> int:
+    # A count (a depth, a cap, a number of terms) is an int, as a level is, from least up to islice's sys.maxsize
+    if not least <= (value := index(value)) <= sys.maxsize:
+        raise DomainError(f"{name} must be {f'>= {least}' if value < least else f'<= {sys.maxsize}'}, got {value}")
+    return value
+
+
 def _text(value: Scalar, spelled: bool = True) -> str:
     # repr(value), or str(value) where not spelled, an exact value's ints written through Decimal:
     # repr and str stop at the interpreter's limit on int-to-text digits.
@@ -132,9 +152,9 @@ class ToleranceSpec:
     def __post_init__(self) -> None:
         v = self.rel_tol
         if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"rel_tol must be a number, got {v!r}")
+            raise DomainError(f"rel_tol must be a number, got {v!r}")
         if not math.isfinite(v) or v < 0:
-            raise ValueError(f"rel_tol must be finite and nonnegative, got {v!r}")
+            raise DomainError(f"rel_tol must be finite and nonnegative, got {v!r}")
 
 
 #: Tolerance the evaluators and the CLI use when none is given: comfortably

@@ -63,7 +63,7 @@ from .oracles import (
     symmetric_lhs,
     tan_multiple_lhs,
 )
-from .scalars import EXACT, Scalar, ToleranceSpec, mode_of
+from .scalars import EXACT, Scalar, ToleranceSpec, _double, _ratio, mode_of
 
 _TOL = ToleranceSpec(rel_tol=1e-13)
 
@@ -89,7 +89,7 @@ def _float_diff(got: Scalar, want: Scalar, relative: bool) -> float:
     diff = abs(got - want)
     if relative and want != 0:
         diff /= abs(want)
-    return float(diff)
+    return diff if isinstance(diff, float) else _double(_ratio(diff))
 
 
 def _exact(name: str, got: Scalar, want: Scalar) -> Fact:

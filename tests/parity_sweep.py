@@ -31,8 +31,12 @@ the ``description`` of every bare, tail, transform and composition case.  The ``
 every route (``term(2)``, ``convergents`` to 5, ``eval_convergents`` and ``eval_lentz`` at cap 3 and at the
 default cap, ``eval_backward`` and the backward report at depth 4) of transforms of a law that ends
 (``lagrange_binomial(3, x)``) and one that does not (``arctan_cf(x)``), in float and rational mode, with
-each of ``FACTORS`` at c0 and at level 2.  An outcome is the ``repr`` of the result or the
-type and message of the error raised, labelled with the call that made it.
+each of ``FACTORS`` at c0 and at level 2.  The ``range`` category records the float range's edges: every route
+(``RANGE_ROUTES``) of streams with an exponent, a level, a product of factors or a value past the float range
+or a level scaled to 0 (``RANGE_STREAMS``), every route with each count of ``COUNTS``, the oracles at exact
+arguments past the float range and where libm's closed form fails (``RANGE_ORACLES``), and the CLI commands
+``RANGE_COMMANDS``.  An outcome is the ``repr`` of the result or the type and message of the error raised,
+labelled with the call that made it.
 """
 
 from __future__ import annotations
@@ -55,16 +59,27 @@ from confrac import (  # noqa: E402
     Family,
     FamilySpec,
     arctan_cf,
+    binomial_power,
     convergents,
+    coth_scaled_lhs,
     equivalence_transform,
     eval_backward,
     eval_convergents,
     eval_lentz,
     lagrange_binomial,
+    oracle_value,
+    series_ratio_coth,
+    symmetric_binomial,
+    symmetric_lhs,
     tail,
+    tan_cf,
+    tan_multiple,
+    tan_multiple_lhs,
+    uniform_binomial,
 )
 from confrac.cli import main  # noqa: E402
 from confrac.engine import _backward_report  # noqa: E402
+from confrac.oracles import arctan_lhs, tan_lhs  # noqa: E402
 from confrac.verify import run_checks  # noqa: E402
 
 #: label -> exponent; a float one (a wide binary ratio) runs in float and complex mode only
@@ -91,6 +106,86 @@ FACTOR_ROUTES = {
     "lentz 3": lambda cf: eval_lentz(cf, DEFAULT_TOLERANCE, 3),
     "lentz default": eval_lentz,
 }
+RANGE_ROUTES = dict(FACTOR_ROUTES, **{
+    "term(1)": lambda cf: cf.term(1),
+    "termination_level 40": lambda cf: cf.termination_level(40),
+    "tail 1 lentz": lambda cf: eval_lentz(tail(cf, 1)),
+})
+BIG = Fraction(10**400)
+RANGE_STREAMS = {
+    "lagrange n=10^400": lambda: lagrange_binomial(BIG, 0.5),
+    "uniform n=10^400": lambda: uniform_binomial(BIG, 0.5),
+    "tan-multiple n=-10^400": lambda: tan_multiple(-BIG, 0.5),
+    "lagrange n=10^400+1/3 complex": lambda: lagrange_binomial(BIG + Fraction(1, 3), 0.5 + 0.5j),
+    "symmetric n=1e200": lambda: symmetric_binomial(1e200, 0.1),
+    "symmetric n=10^200/3 complex": lambda: symmetric_binomial(Fraction(10**200, 3), 0.1j),
+    "tan-multiple n=1e200": lambda: tan_multiple(1e200, 0.1),
+    "tan theta=10^5000": lambda: tan_cf(Fraction(10**5000)),
+    "tan theta=-10^400 rational": lambda: tan_cf(-(10**400)),
+    "arctan c_k=10^200": lambda: equivalence_transform(arctan_cf(0.5), lambda k: Fraction(10**200)),
+    "arctan c_k=10^160 int": lambda: equivalence_transform(arctan_cf(0.5), lambda k: 10**160),
+    "lagrange(3) c_k=10^200": lambda: equivalence_transform(lagrange_binomial(3, 0.3), lambda k: Fraction(10**200)),
+    "arctan c_k=1e-200": lambda: equivalence_transform(arctan_cf(0.5), lambda k: 1e-200),
+    "arctan c_k=10^-400": lambda: equivalence_transform(arctan_cf(0.5), lambda k: Fraction(1, 10**400)),
+    "lagrange(3) c_k=1e-200": lambda: equivalence_transform(lagrange_binomial(3, 0.3), lambda k: 1e-200),
+    "lagrange n=400 x=1e300": lambda: lagrange_binomial(400, 1e300),
+    "lagrange n=401 x=-1e300": lambda: lagrange_binomial(401, -1e300),
+}
+#: counts that are no int, below each least value, at and past islice's sys.maxsize
+COUNTS = {"6.5": 6.5, "3.0": 3.0, "Fraction(3)": Fraction(3), "True": True, "-1": -1, "0": 0,
+          "maxsize": sys.maxsize, "maxsize+1": sys.maxsize + 1}
+COUNT_ROUTES = {
+    "lentz": lambda cf, n: eval_lentz(cf, DEFAULT_TOLERANCE, n),
+    "forward": lambda cf, n: eval_convergents(cf, DEFAULT_TOLERANCE, n),
+    "eval_backward": eval_backward,
+    "backward": lambda cf, n: _backward_report(cf, n, DEFAULT_TOLERANCE),
+    "convergents": convergents,
+    "termination_level": lambda cf, n: cf.termination_level(n),
+}
+#: streams that end, so that a cap of sys.maxsize returns at once
+COUNT_STREAMS = {"lagrange(3, 0.3)": lambda: lagrange_binomial(3, 0.3),
+                 "user": lambda: CFStream.from_terms(1.0, [(1.0, 2.0)]),
+                 "user rational": lambda: CFStream.from_terms(Fraction(1), [(Fraction(1), Fraction(2))])}
+RANGE_ORACLES = {
+    "arctan spec 10^400": lambda: oracle_value(FamilySpec(Family.ARCTAN, BIG)),
+    "arctan_lhs 10^400": lambda: arctan_lhs(BIG),
+    "tan_lhs -10^400": lambda: tan_lhs(-BIG),
+    "coth_scaled_lhs 10^400/3": lambda: coth_scaled_lhs(BIG / 3),
+    "binomial_power 1/2 10^400": lambda: binomial_power(Fraction(1, 2), BIG),
+    "binomial_power 10^400+1/2 0.5": lambda: binomial_power(BIG + Fraction(1, 2), 0.5),
+    "symmetric_lhs 10^400+1/2 0.5": lambda: symmetric_lhs(BIG + Fraction(1, 2), 0.5),
+    "tan_multiple_lhs 10^400 0.5": lambda: tan_multiple_lhs(BIG, 0.5),
+    **{f"coth_scaled_lhs {v!r}": (lambda v=v: coth_scaled_lhs(v))
+       for v in (400.0, -400.0, 354.8913564466921, 354.891356446692, 354.5, 20.25, 1e308)},
+    "symmetric spec 5/2 1e-20": lambda: oracle_value(FamilySpec(Family.SYMMETRIC_BINOMIAL, 1e-20, Fraction(5, 2))),
+    "symmetric spec 4001/2 0.9": lambda: oracle_value(FamilySpec(Family.SYMMETRIC_BINOMIAL, 0.9, Fraction(4001, 2))),
+    "lagrange spec 400 10.0": lambda: oracle_value(FamilySpec(Family.LAGRANGE_BINOMIAL, 10.0, 400)),
+    "uniform spec 801/2 10.0": lambda: oracle_value(FamilySpec(Family.UNIFORM_BINOMIAL, 10.0, Fraction(801, 2))),
+    **{f"series_ratio_coth 0.7 {label}": (lambda n=n: series_ratio_coth(0.7, n)) for label, n in COUNTS.items()
+       if n != sys.maxsize},
+}
+RANGE_COMMANDS = [
+    "compare --family lagrange-binomial --n 400 --arg 10 --mode rational --depth 3",
+    "table --family lagrange-binomial --n 400 --arg 10 --mode rational --depth 3",
+    f"table --family coth-scaled --arg 1{'0' * 200}/1 --mode rational --depth 1",
+    f"eval --family arctan --arg 1{'0' * 400}/1",
+    f"eval --family arctan --arg 1{'0' * 400}/3 --mode complex",
+    "eval --family symmetric-binomial --n 1e200 --arg 0.5",
+    "eval --family lagrange-binomial --n 1e400 --arg 0.5",
+    "eval --family uniform-binomial --n 1e400 --arg 0.5 --mode complex",
+    "table --family tan-multiple --n 1e300 --arg 0.5 --depth 2",
+    *[f"{command} --family {family} --depth 3" for command in ("table", "compare") for family in (
+        "coth-scaled --arg 400", "symmetric-binomial --n 5/2 --arg 1e-20", "symmetric-binomial --n 2000.5 --arg 0.9",
+        "lagrange-binomial --n 400 --arg 10")],
+    "table --family lagrange-binomial --n 400 --arg 10 --depth 800",
+    f"eval --family arctan --arg 0.5 --method backward --depth {'9' * 20}",
+    "eval --family arctan --arg 0.5 --depth 0",
+    "eval --family arctan --arg 0.5 --method backward --depth 0",
+    "table --family arctan --arg 0.5 --depth -1",
+    "compare --family arctan --arg 0.5 --depth 0",
+    "eval --family arctan --arg 0.5 --tol -1",
+    "eval --family arctan --arg 0.5 --tol nan",
+]
 COMPOSITIONS = {
     "bare": [()],
     "tail": [("tail-1",), ("tail-2",)],
@@ -144,23 +239,24 @@ def stream_records(build):
                       f"forward default {outcome(lambda: eval_convergents(build()))}"]
 
 
-def cli_records(argv, mode):
-    def run(*args):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(list(args))
-        return f"{' '.join(args)} -> {code}\n{out.getvalue()}{err.getvalue()}"
+def run_cli(*args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(args))
+    return f"{' '.join(args)} -> {code}\n{out.getvalue()}{err.getvalue()}"
 
+
+def cli_records(argv, mode):
     methods = ["convergents", "backward"] + ([] if mode == "rational" else ["lentz"])
     records = []
     for fmt in ("json", "csv"):
-        records.append(run("eval", *argv, "--format", fmt))
+        records.append(run_cli("eval", *argv, "--format", fmt))
         for method in methods:
             for depth in ("1", "5", "8"):
-                records.append(run("eval", *argv, "--method", method, "--depth", depth, "--format", fmt))
+                records.append(run_cli("eval", *argv, "--method", method, "--depth", depth, "--format", fmt))
     for depth in ("0", "5", "8"):
-        records.append(run("table", *argv, "--depth", depth))
-    records.append(run("compare", *argv, "--depth", "8"))
+        records.append(run_cli("table", *argv, "--depth", depth))
+    records.append(run_cli("compare", *argv, "--depth", "8"))
     return records
 
 
@@ -179,8 +275,19 @@ def factor_records():
     return records
 
 
+def range_records():
+    """The float range's edges: every route of each stream, every count on every route, the oracles, the CLI."""
+    records = [f"{label} {route} {outcome(lambda: call(build()))}"
+               for label, build in RANGE_STREAMS.items() for route, call in RANGE_ROUTES.items()]
+    records += [f"{label} {route} {count} {outcome(lambda: call(build(), n))}"
+                for label, build in COUNT_STREAMS.items() for route, call in COUNT_ROUTES.items()
+                for count, n in COUNTS.items()]
+    records += [f"{label} {outcome(call)}" for label, call in RANGE_ORACLES.items()]
+    return records + [outcome(lambda: run_cli(*command.split())) for command in RANGE_COMMANDS]
+
+
 def sweep() -> dict[str, list[str]]:
-    categories = {name: [] for name in [*COMPOSITIONS, "cli", "verify", "user", "description", "factor"]}
+    categories = {name: [] for name in [*COMPOSITIONS, "cli", "verify", "user", "description", "factor", "range"]}
     for label, argv, mode, spec in specs():
         one = {"float": 1.0, "rational": Fraction(1), "complex": complex(1)}[mode]
         for category, compositions in COMPOSITIONS.items():
@@ -205,6 +312,7 @@ def sweep() -> dict[str, list[str]]:
             categories["user"] += [f"user {cast.__name__} {'/'.join(steps)} {record}"
                                    for record in stream_records(build)]
     categories["factor"] = factor_records()
+    categories["range"] = range_records()
     return categories
 
 

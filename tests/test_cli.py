@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -495,6 +496,65 @@ class TestCompare:
         )
         assert code == 1
         assert err.startswith("error:")
+
+
+class TestFloatRange:
+    """Every exact number the CLI shows or reads as a double is in the float range, or the command exits 1
+    with one error line naming what is past it; it was Python's untyped OverflowError text."""
+
+    @pytest.mark.parametrize("argv, what", [
+        (("compare", "--family", "lagrange-binomial", "--n", "400", "--arg", "10", "--mode", "rational",
+          "--depth", "3"), "abs_err"),
+        (("table", "--family", "lagrange-binomial", "--n", "400", "--arg", "10", "--mode", "rational",
+          "--depth", "3"), "abs_err"),
+        (("table", "--family", "coth-scaled", "--arg", "1" + "0" * 200 + "/1", "--mode", "rational", "--depth", "1"),
+         "the value"),
+        (("eval", "--family", "arctan", "--arg", "1" + "0" * 400 + "/1"), "--arg"),
+        (("eval", "--family", "arctan", "--arg", "1" + "0" * 400 + "/3", "--mode", "complex"), "--arg"),
+        (("eval", "--family", "symmetric-binomial", "--n", "1e200", "--arg", "0.5"), "level 1"),
+        (("table", "--family", "tan-multiple", "--n", "1e300", "--arg", "0.5", "--depth", "2"), "level 2"),
+        (("eval", "--family", "uniform-binomial", "--n", "1e400", "--arg", "0.5", "--mode", "complex"), "n"),
+    ], ids=["compare-oracle", "table-error-cells", "table-value", "eval-arg", "eval-complex-arg",
+            "eval-level", "table-level", "eval-n"])
+    def test_a_number_past_the_float_range_exits_one(self, capsys, argv, what):
+        code, out, err = run_cli(capsys, *argv)
+        mode = "complex" if "complex" in argv and what != "n" else "float"
+        assert (code, out) == (1, "")
+        assert err == f"error: {what} is past the float range, so it has no {mode} value\n"
+
+    @pytest.mark.parametrize("argv, value", [
+        (("--family", "coth-scaled", "--arg", "400"), "400"),
+        (("--family", "symmetric-binomial", "--n", "5/2", "--arg", "1e-20"), None),
+        (("--family", "symmetric-binomial", "--n", "2000.5", "--arg", "0.9"), None),
+        (("--family", "lagrange-binomial", "--n", "400", "--arg", "10"), None),
+    ], ids=["coth-scaled", "symmetric-difference-rounds-to-0", "symmetric-overflows", "binomial-overflows"])
+    def test_an_oracle_failing_in_float_arithmetic_leaves_the_error_cells_empty(self, capsys, argv, value):
+        # each exited 1 with libm's message ("math range error", "float division by zero", "(34, ...)")
+        code, out, _ = run_cli(capsys, "table", *argv, "--depth", "3")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert code == 0 and len(rows) == 4
+        assert all((r["abs_err"] == r["rel_err"] == "") is (value is None) for r in rows)
+        code, out, err = run_cli(capsys, "compare", *argv, "--depth", "3")
+        if value is None:
+            assert (code, out) == (1, "")
+            assert re.fullmatch(r"error: oracle (symmetric_lhs|binomial_power) fails in float arithmetic: .+\n", err)
+        else:
+            assert code == 0 and {r["oracle_value"] for r in csv.DictReader(io.StringIO(out))} == {value}
+
+    @pytest.mark.parametrize("argv, message", [
+        (("eval", "--family", "arctan", "--arg", "0.5", "--method", "backward", "--depth", "9" * 20),
+         f"depth must be <= {sys.maxsize}, got {'9' * 20}"),
+        (("eval", "--family", "arctan", "--arg", "0.5", "--depth", "0"), "max_depth must be >= 1, got 0"),
+        (("eval", "--family", "arctan", "--arg", "0.5", "--method", "backward", "--depth", "0"),
+         "depth must be >= 1, got 0"),
+        (("table", "--family", "arctan", "--arg", "0.5", "--depth", "-1"), "depth must be >= 0, got -1"),
+        (("compare", "--family", "arctan", "--arg", "0.5", "--depth", "0"), "--depth must be >= 1 for compare"),
+        (("eval", "--family", "arctan", "--arg", "0.5", "--tol", "-1"),
+         "rel_tol must be finite and nonnegative, got -1.0"),
+    ], ids=["backward-past-islice", "lentz-cap", "backward-depth", "table-depth", "compare-depth", "tolerance"])
+    def test_the_library_checks_counts_and_tolerances(self, capsys, argv, message):
+        # a backward depth past sys.maxsize printed islice's ValueError traceback
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 class TestVerify:

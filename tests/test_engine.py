@@ -1639,3 +1639,113 @@ class TestOneWalkFromAnyLevel:
         assert all(r.terminated and r.converged and r.residual == 0.0 for r in reports)
         assert eval_backward(cf, 10) == 1.1152647975077883
         assert eval_backward(cf, 3) == 1.0 + 0.1 / (0.3 + 0.7 / (0.9 + 0.2 / 0.6)) == 1.115264797507788
+
+
+class TestOneFloatRangeRule:
+    """An exact number becomes a double in one place.  Past the float range an input or a level raises
+    one DomainError, naming what has no double, on every route that reaches it; a value to report is ±inf."""
+
+    ROUTES = {
+        "term": lambda cf: [cf.term(k) for k in (1, 2)],
+        "convergents": lambda cf: convergents(cf, 5),
+        "forward": eval_convergents,
+        "forward-cap-3": lambda cf: eval_convergents(cf, DEFAULT_TOLERANCE, 3),
+        "lentz": eval_lentz,
+        "lentz-cap-3": lambda cf: eval_lentz(cf, DEFAULT_TOLERANCE, 3),
+        "backward": lambda cf: eval_backward(cf, 4),
+        "backward-report": lambda cf: _backward_report(cf, 4, DEFAULT_TOLERANCE),
+        "tail": lambda cf: eval_lentz(tail(cf, 1)),
+    }
+    # row -> (build, what has no double, in which mode); each raised Python's untyped OverflowError at the parent
+    ROWS = {
+        "lagrange-n": (lambda: lagrange_binomial(Fraction(10**400), 0.5), "n", "float"),
+        "uniform-n": (lambda: uniform_binomial(Fraction(10**400), 0.5), "n", "float"),
+        "tan-multiple-n": (lambda: tan_multiple(-Fraction(10**400), 0.5), "n", "float"),
+        "lagrange-n-of-complex-x": (lambda: lagrange_binomial(10**400 + Fraction(1, 3), 0.5 + 0.5j), "n", "float"),
+        "spec-n": (lambda: FamilySpec(Family.UNIFORM_BINOMIAL, 0.5, 10**400).stream(), "n", "float"),
+        "symmetric-level": (lambda: symmetric_binomial(1e200, 0.1), "level 1", "float"),
+        "symmetric-level-complex": (lambda: symmetric_binomial(Fraction(10**200, 3), 0.1j), "level 1", "complex"),
+        "tan-multiple-level": (lambda: tan_multiple(1e200, 0.1), "level 2", "float"),
+        "product-of-factors": (lambda: equivalence_transform(arctan_cf(0.5), lambda k: Fraction(10**200)),
+                               "c_2·c_1", "float"),
+        "product-of-int-factors": (lambda: equivalence_transform(symmetric_binomial(0.37, 0.5j),
+                                                                 lambda k: 10**160), "c_2·c_1", "complex"),
+    }
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("row", ROWS)
+    def test_an_input_or_a_level_past_the_float_range_raises_one_error(self, row, route):
+        build, what, mode = self.ROWS[row]
+        with pytest.raises(DomainError, match=f"^{what} is past the float range, so it has no {mode} value$"):
+            self.ROUTES[route](build())
+
+    def test_a_law_answers_without_a_double_of_its_levels(self):
+        # the exact fold reads ints only: a transform whose levels have no double still has a value
+        cf = equivalence_transform(lagrange_binomial(3, 0.3), lambda k: Fraction(10**200))
+        assert eval_lentz(cf).value == eval_convergents(cf).value == 2.197
+        assert symmetric_binomial(1e200, 0.1).termination_level(40) is None
+
+    @pytest.mark.parametrize("n, x, sign", [(400, 1e300, 1), (401, -1e300, -1)])
+    def test_a_value_to_report_past_the_float_range_is_infinite(self, n, x, sign):
+        for report in (eval_lentz(lagrange_binomial(n, x)), eval_convergents(lagrange_binomial(n, x))):
+            assert report.value == sign * math.inf and not report.converged and not report.terminated
+
+
+class TestScaledLevelsKeepTheirZeros:
+    # a float factor whose product underflowed turned level 2 into (0.0, 0.0): eval_lentz gave 0.5,
+    # converged, for arctan 0.5 = 0.4636476090008061; the exact 1/10^400 ended at a PoleError at the cap
+    @pytest.mark.parametrize("factor, level", [(1e-200, 2), (Fraction(1, 10**400), 1), (1e-170 + 0j, 2)],
+                             ids=["float", "exact", "complex"])
+    @pytest.mark.parametrize("route", TestOneFloatRangeRule.ROUTES)
+    def test_a_nonzero_level_scaled_to_zero_raises(self, factor, level, route):
+        parent = arctan_cf(0.5 + 0j if isinstance(factor, complex) else 0.5)
+        cf = equivalence_transform(parent, lambda k: factor)
+        with pytest.raises(DomainError, match=f"^level {level} scales a nonzero coefficient to 0 in {cf.mode} mode$"):
+            TestOneFloatRangeRule.ROUTES[route](cf)
+
+    def test_a_zero_level_stays_a_zero(self):
+        cf = equivalence_transform(lagrange_binomial(3, 0.3), lambda k: 1e-200)
+        assert cf.term(6).a == 0.0 != cf.term(6).b  # the law's zero, at level 2n
+        assert eval_lentz(cf).value == 2.197
+
+
+class TestCountsAreIntegral:
+    """A depth, a cap and a bound are ints from their least value up to sys.maxsize, read once with
+    operator.index on every route; each bad count raises one error."""
+
+    CALLS = {
+        "lentz": lambda cf, n: eval_lentz(cf, DEFAULT_TOLERANCE, n),
+        "forward": lambda cf, n: eval_convergents(cf, DEFAULT_TOLERANCE, n),
+        "backward": eval_backward,
+        "backward-report": lambda cf, n: _backward_report(cf, n, DEFAULT_TOLERANCE),
+        "convergents": convergents,
+        "termination-level": lambda cf, n: cf.termination_level(n),
+    }
+    STREAMS = {"law": lambda: lagrange_binomial(3, 0.3), "walked": lambda: arctan_cf(0.5),
+               "user": lambda: CFStream.from_terms(1.0, [(1.0, 2.0)])}
+
+    @pytest.mark.parametrize("stream", STREAMS)
+    @pytest.mark.parametrize("call", CALLS)
+    def test_a_count_that_is_no_int_raises_type_error(self, call, stream):
+        # the law answered 2.197 at a cap of 6.5 where a walk raised TypeError, and the backward route
+        # and a scanned termination_level raised islice's ValueError
+        for bad in (6.5, 3.0, Fraction(3)):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                self.CALLS[call](self.STREAMS[stream](), bad)
+
+    @pytest.mark.parametrize("call, name, least", [
+        ("lentz", "max_depth", 1), ("forward", "max_depth", 1), ("backward", "depth", 1),
+        ("backward-report", "depth", 1), ("convergents", "depth", 0), ("termination-level", "within", 0)])
+    def test_a_count_out_of_range_raises_domain_error(self, call, name, least):
+        for stream in self.STREAMS.values():
+            with pytest.raises(DomainError, match=f"^{name} must be >= {least}, got {least - 1}$"):
+                self.CALLS[call](stream(), least - 1)
+            with pytest.raises(DomainError, match=f"^{name} must be <= {sys.maxsize}, got {sys.maxsize + 1}$"):
+                self.CALLS[call](stream(), sys.maxsize + 1)
+
+    def test_the_largest_count_reaches_no_limit(self):
+        user = CFStream.from_terms(1.0, [(1.0, 2.0)])
+        assert user.termination_level(sys.maxsize) == 2
+        assert eval_backward(user, sys.maxsize) == 1.5
+        assert eval_lentz(arctan_cf(0.5), DEFAULT_TOLERANCE, sys.maxsize).converged
+        assert lagrange_binomial(3, 0.3).termination_level(True) is None  # a bool is the int it is

@@ -17,6 +17,7 @@ from confrac import (
     symmetric_lhs,
     tan_multiple_lhs,
 )
+from confrac.oracles import arctan_lhs, tan_lhs
 
 
 class TestBinomialPower:
@@ -172,3 +173,52 @@ class TestOracleValue:
     def test_complex_mode_has_no_oracle(self):
         with pytest.raises(DomainError):
             oracle_value(FamilySpec(Family.SYMMETRIC_BINOMIAL, 0.4j, n=Fraction(5, 2)))
+
+
+class TestOraclesInTheFloatRange:
+    @pytest.mark.parametrize("v", [400.0, 354.8913564466921, 1e308])
+    def test_the_scaled_cotangent_past_the_range_of_its_exponential(self, v):
+        # expm1(2v) raised OverflowError ("math range error") where -v gave the value
+        assert coth_scaled_lhs(v).value == coth_scaled_lhs(-v).value == v
+
+    def test_the_scaled_cotangent_keeps_its_bits_below_that_range(self):
+        # only the branch that raised changed: every v with a finite e^{2v} keeps the closed form's bits
+        for v in [0.5, 1.0, 19.5, 20.25, 300.0, 354.5, 354.8913564466920, -354.8913564466921, -400.0]:
+            em = math.expm1(2 * v)
+            assert coth_scaled_lhs(v).value == v * (em + 2) / em
+
+    @pytest.mark.parametrize("spec, message", [
+        (FamilySpec(Family.SYMMETRIC_BINOMIAL, 1e-20, n=Fraction(5, 2)), "float division by zero"),
+        (FamilySpec(Family.SYMMETRIC_BINOMIAL, 0.9, n=Fraction(4001, 2)), "Numerical result out of range"),
+        (FamilySpec(Family.LAGRANGE_BINOMIAL, 10.0, n=400), "Numerical result out of range"),
+        (FamilySpec(Family.UNIFORM_BINOMIAL, 10.0, n=Fraction(801, 2)), "math range error"),
+    ], ids=["symmetric-difference-rounds-to-0", "symmetric-overflows", "binomial-overflows",
+            "binomial-pow-overflows"])
+    def test_a_closed_form_failing_in_float_arithmetic_has_no_oracle(self, spec, message):
+        # libm's ZeroDivisionError and OverflowError reached table and compare untyped
+        oracle = spec.family.oracle.__name__
+        with pytest.raises(DomainError, match=rf"^oracle {oracle} fails in float arithmetic: .*{message}"):
+            oracle_value(spec)
+
+    @pytest.mark.parametrize("oracle, args, name", [
+        (arctan_lhs, (Fraction(10**400),), "t"),
+        (tan_lhs, (-(10**400),), "theta"),
+        (coth_scaled_lhs, (Fraction(10**400, 3),), "v"),
+        (binomial_power, (Fraction(1, 2), Fraction(10**400)), "x"),
+        (binomial_power, (Fraction(10**400 + 1, 2), 0.5), "n"),
+        (symmetric_lhs, (Fraction(10**400 + 1, 2), 0.5), "n"),
+        (tan_multiple_lhs, (Fraction(10**400), 0.5), "n"),
+    ], ids=["arctan", "tan", "coth-scaled", "binomial-x", "binomial-n", "symmetric-n", "tan-multiple-n"])
+    def test_an_exact_argument_past_the_float_range_raises(self, oracle, args, name):
+        # float() raised OverflowError
+        with pytest.raises(DomainError, match=f"^{name} is past the float range, so it has no float value$"):
+            oracle(*args)
+        if oracle is arctan_lhs:
+            with pytest.raises(DomainError, match="^t is past the float range"):
+                oracle_value(FamilySpec(Family.ARCTAN, *args))
+
+    def test_the_number_of_terms_is_a_count(self):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            series_ratio_coth(0.7, 3.0)
+        with pytest.raises(DomainError, match="^terms must be >= 1, got 0$"):
+            series_ratio_coth(0.7, 0)

@@ -1,6 +1,7 @@
 """Kernel tests: scalar modes, exact construction, tolerance comparison."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from confrac import (
     mode_of,
     nearly_equal,
 )
-from confrac.scalars import _rel_tol, _relative_change, _within, coerce
+from confrac.scalars import _double, _rel_tol, _relative_change, _within, coerce
 
 
 class TestModeOf:
@@ -273,3 +274,35 @@ class TestFieldAxioms:
     @pytest.mark.parametrize("a,b,c", FLOAT_TRIPLES)
     def test_float_distributivity_within_4_ulp(self, a, b, c):
         assert _within_ulps(a * (b + c), a * b + a * c, 4)
+
+
+class TestDouble:
+    """The one float-range rule: an int ratio rounds once, as int true division does; past the float
+    range a value to report is ±inf and anything named raises DomainError."""
+
+    @given(st.fractions(), st.integers(min_value=-1100, max_value=1100), st.integers(min_value=1, max_value=99))
+    def test_rounds_once_as_int_true_division(self, q, shift, common):
+        q *= Fraction(2) ** shift
+        num, den = q.numerator * common, q.denominator * common  # an unreduced ratio rounds alike
+        try:
+            want = q.numerator / q.denominator
+        except OverflowError:
+            assert _double((num, den)) == (math.inf if q > 0 else -math.inf)
+            with pytest.raises(DomainError, match="^q is past the float range, so it has no complex value$"):
+                _double((num, den), "q", Mode.COMPLEX)
+        else:
+            assert _double((num, den)) == _double((num, den), "q") == want
+
+    def test_the_edges_of_the_range(self):
+        top = Fraction(sys.float_info.max)
+        assert _double(top.as_integer_ratio(), "x") == sys.float_info.max
+        assert _double((2**1024 - 2**970 - 1, 1), "x") == sys.float_info.max  # rounds down, in range
+        assert _double((-(2**1024 - 2**970), 1)) == -math.inf
+        with pytest.raises(DomainError, match="^x is past the float range, so it has no float value$"):
+            _double((2**1024 - 2**970, 1), "x")  # rounds to 2^1024
+        assert _double((1, 10**400), "x") == 0.0  # underflow is no error here
+
+    @pytest.mark.parametrize("rel_tol", [-1.0, math.inf, math.nan, "1e-3", True])
+    def test_a_bad_tolerance_is_a_domain_error(self, rel_tol):
+        with pytest.raises(DomainError, match="^rel_tol must be"):
+            ToleranceSpec(rel_tol=rel_tol)
