@@ -176,9 +176,7 @@ class CFStream:
 
     def term(self, k: int) -> Optional[CFTerm]:
         """Level-``k`` term, or ``None`` past the end of a finite stream."""
-        if (k := index(k)) < 1:  # a level is an int, as a range bound is
-            raise ValueError(f"term levels start at 1, got {k}")
-        ab = self._level(k)
+        ab = self._level(_count(k, "level", 1))  # a level is a count, as a depth is
         return None if ab is None else CFTerm(*ab)
 
     def termination_level(self, within: int) -> Optional[int]:
@@ -542,8 +540,7 @@ def _backward_report(cf: CFStream, depth: int, tol: ToleranceSpec) -> EvalReport
 class _Tail(CFStream):
     # tail(cf, s): level k is cf's level s + k, and the walk and cleared levels from level k are cf's from s + k.
     def __init__(self, cf: CFStream, s: int):
-        if (s := index(s)) < 1:
-            raise ValueError(f"start_level must be >= 1, got {s}")
+        s = _count(s, "start_level", 1)
         if (head := next(cf._walk(s), None) or cf._level(s)) is None:  # _level only at a zero
             raise ValueError(f"stream ends before level {s}")
         self.b0, self.mode, self._parent, self._start = head[1], cf.mode, cf, s
@@ -592,7 +589,7 @@ class _Scaled(CFStream):
             try:
                 scaled = ck * cj * a, ck * b
             except OverflowError:  # an exact c_k·c_{k-1} past the float range
-                _double(_ratio(ck * cj), f"c_{k}·c_{k - 1}", self.mode)
+                scaled = _double(_ratio(ck * cj), f"c_{k}·c_{k - 1}", self.mode) * a, ck * b
             if scaled[0] == 0 != a or scaled[1] == 0 != b:
                 raise DomainError(f"level {k} scales a nonzero coefficient to 0 in {self.mode} mode")
             yield scaled

@@ -53,11 +53,11 @@ numerator over the stream's denominator, with N/D = n in lowest terms
 A generator reads n once as the int pair (N, D), and N², D² once: α(j) is one wide product a level.
 A mode fixes only the quotient of an int pair, ``div(num, den)``: ``Fraction`` in rational mode, in
 lowest terms, and otherwise int true division, correctly rounded (a complex x promotes the float as
-``complex(q)``), which the rule gets cheaper at den = 2^s in (2^53, 2^899] and |N| < 2^450 as float(α(j))
-times 1/den: α(j) < 2^1023 converts correctly rounded and the quotient is normal.  A quotient or an n past the
-float range raises DomainError naming its level or n (``scalars._double``).  One loop states a level
-for every arithmetic, ``div(α(j), den)·x·x`` over ``β(j)·(1 + div(s)·x)``, and the head takes the same
-products; the exact levels, ``_cleared()``, are the engine's least clearing read off the ints and x's exact ratio.
+``complex(q)``), which the rule gets cheaper at den = 2^s in [2, 2^899] as float(α(j)) times 1/den (both round
+α(j) once, the quotient being normal), falling back where float(α(j)) overflows to ``scalars._double``'s
+α(j)/den: that, or DomainError naming the level (or n) past the float range.  One loop states a level for every
+arithmetic, ``div(α(j), den)·x·x`` over ``β(j)·(1 + div(s)·x)``, and the head takes the same products; the
+exact levels, ``_cleared()``, are the engine's least clearing read off the ints and x's exact ratio.
 Termination is read off the ints, never a rounded product: a level is the
 exact zero where α(j), the head's h or x is 0, so an underflowed numerator
 (``x·x`` at x = 1e-200) does not end the fraction.  α(j) is 0 only at a
@@ -145,8 +145,7 @@ class _Law(CFStream):
         mode = self.mode = _require_finite(x, name)
         self._args, cast, one = (family, name, b0, n, scale, head), mode.cast, mode.cast(1)
         div = Fraction if cast is Fraction else truediv  # the rule's quotient (module docstring): a den > 1 has an n
-        dyadic = div is truediv and den > 1 << 53 and den.bit_length() <= 900 and den.bit_count() == 1 and (
-            n[0].bit_length() <= 450)  # up to 2^53, int true division takes its fast path
+        dyadic = div is truediv and den.bit_count() == 1 and 1 < den.bit_length() <= 900  # rounds as α(j)/den does
         self.b0, unit = cast(b0), None if scale is None else one + div(*scale) * x
         self._law = (x, alpha, den, beta, power, cast, unit, mul if dyadic else div, 1.0 / den if dyadic else den)
         h, d = head or (None, None)  # _top: level 1, (a_1, b_1), where the row has a head; d is in range where h is
@@ -174,9 +173,10 @@ class _Law(CFStream):
         x, alpha, den, beta, power, cast, unit, quotient, by = self._law
         for j in js:
             try:
-                a, b = quotient(alpha(j), by) * x, cast(2 * j + 1 if beta is None else beta(j))
-            except OverflowError:  # α(j)/den past the float range
-                _double((alpha(j), den), f"level {j + (self._top is not None)}", self.mode)
+                a = quotient(alpha(j), by) * x
+            except OverflowError:  # α(j) or α(j)/den past the float range: α(j)/den rounded once, or DomainError
+                a = _double((alpha(j), den), f"level {j + (self._top is not None)}", self.mode) * x
+            b = cast(2 * j + 1 if beta is None else beta(j))
             yield a * x if power == 2 else a, b if unit is None else b * unit
 
     def _level(self, k: int) -> tuple[Scalar, Scalar]:

@@ -74,7 +74,8 @@ def symmetric_lhs(n: Union[int, float, Fraction], z: Scalar) -> OracleResult:
     else:
         z, n = _real(z, "z"), _double(_ratio(n), "n")
     plus, minus = (1 + z) ** n, (1 - z) ** n
-    return OracleResult(n * z * (plus + minus) / (plus - minus))
+    top = n * z * (plus + minus)  # past the float range only where a power nears its end: there divide first
+    return OracleResult(n * z * ((plus + minus) / (plus - minus)) if abs(top) == math.inf else top / (plus - minus))
 
 
 def tan_multiple_lhs(n: Union[int, float, Fraction], t: Scalar) -> OracleResult:
@@ -82,6 +83,8 @@ def tan_multiple_lhs(n: Union[int, float, Fraction], t: Scalar) -> OracleResult:
     nf = _double(_ratio(n), "n")
     tf = _real(t, "t")
     angle = nf * math.atan(tf)
+    if math.isinf(angle):  # math.cos would raise its untyped ValueError
+        raise DomainError(f"n·arctan t = {nf} * arctan {tf} is past the float range")
     if abs(math.cos(angle)) < 1e-12:
         raise DomainError(f"tan({nf} * arctan {tf}) sits on a tangent pole")
     return OracleResult(math.tan(angle))
@@ -114,7 +117,8 @@ def coth_scaled_lhs(v: Scalar) -> OracleResult:
     if vf > 512 * math.log(2):  # the form is even, and expm1 raises where e^{2v} > 2^1024, past the float range
         vf = -vf
     em = math.expm1(2 * vf)
-    return OracleResult(vf * (em + 2) / em)
+    top = vf * (em + 2)  # past the float range only where e^{2v} nears its end: there divide first
+    return OracleResult(vf * ((em + 2) / em) if math.isinf(top) else top / em)
 
 
 def series_ratio_coth(v: Scalar, terms: int) -> OracleResult:

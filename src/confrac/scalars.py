@@ -122,9 +122,10 @@ def _double(ratio: tuple[int, int], what: Optional[str] = None, mode: Mode = Mod
 
 
 def _count(value: int, name: str, least: int) -> int:
-    # A count (a depth, a cap, a number of terms) is an int, as a level is, from least up to islice's sys.maxsize
+    # A count (a depth, a cap, a level, a number of terms) is an int from least up to islice's sys.maxsize
     if not least <= (value := index(value)) <= sys.maxsize:
-        raise DomainError(f"{name} must be {f'>= {least}' if value < least else f'<= {sys.maxsize}'}, got {value}")
+        bound = f">= {least}" if value < least else f"<= {sys.maxsize}"
+        raise DomainError(f"{name} must be {bound}, got {_text(value)}")
     return value
 
 

@@ -32,11 +32,12 @@ every route (``term(2)``, ``convergents`` to 5, ``eval_convergents`` and ``eval_
 default cap, ``eval_backward`` and the backward report at depth 4) of transforms of a law that ends
 (``lagrange_binomial(3, x)``) and one that does not (``arctan_cf(x)``), in float and rational mode, with
 each of ``FACTORS`` at c0 and at level 2.  The ``range`` category records the float range's edges: every route
-(``RANGE_ROUTES``) of streams with an exponent, a level, a product of factors or a value past the float range
-or a level scaled to 0 (``RANGE_STREAMS``), every route with each count of ``COUNTS``, the oracles at exact
-arguments past the float range and where libm's closed form fails (``RANGE_ORACLES``), and the CLI commands
-``RANGE_COMMANDS``.  An outcome is the ``repr`` of the result or the type and message of the error raised,
-labelled with the call that made it.
+(``RANGE_ROUTES``, ``term`` at level 1 and at ``sys.maxsize`` among them) of streams with an exponent, a level, a
+product of factors or a value past the float range, a level scaled to 0, or a numerator past the range over a
+power of two (``RANGE_STREAMS``), every route with each count of ``COUNTS`` (a level, ``term``'s or ``tail``'s,
+is one), the oracles at exact arguments past the float range, where libm's closed form fails and where a
+product inside it passes the range (``RANGE_ORACLES``), and the CLI commands ``RANGE_COMMANDS``.  An outcome
+is the ``repr`` of the result or the type and message of the error raised, labelled with the call that made it.
 """
 
 from __future__ import annotations
@@ -108,6 +109,7 @@ FACTOR_ROUTES = {
 }
 RANGE_ROUTES = dict(FACTOR_ROUTES, **{
     "term(1)": lambda cf: cf.term(1),
+    "term(maxsize)": lambda cf: cf.term(sys.maxsize),
     "termination_level 40": lambda cf: cf.termination_level(40),
     "tail 1 lentz": lambda cf: eval_lentz(tail(cf, 1)),
 })
@@ -130,6 +132,7 @@ RANGE_STREAMS = {
     "lagrange(3) c_k=1e-200": lambda: equivalence_transform(lagrange_binomial(3, 0.3), lambda k: 1e-200),
     "lagrange n=400 x=1e300": lambda: lagrange_binomial(400, 1e300),
     "lagrange n=401 x=-1e300": lambda: lagrange_binomial(401, -1e300),
+    "symmetric n=2^-449": lambda: symmetric_binomial(2.0**-449, 0.5),
 }
 #: counts that are no int, below each least value, at and past islice's sys.maxsize
 COUNTS = {"6.5": 6.5, "3.0": 3.0, "Fraction(3)": Fraction(3), "True": True, "-1": -1, "0": 0,
@@ -141,6 +144,8 @@ COUNT_ROUTES = {
     "backward": lambda cf, n: _backward_report(cf, n, DEFAULT_TOLERANCE),
     "convergents": convergents,
     "termination_level": lambda cf, n: cf.termination_level(n),
+    "term": lambda cf, n: cf.term(n),
+    "tail": tail,
 }
 #: streams that end, so that a cap of sys.maxsize returns at once
 COUNT_STREAMS = {"lagrange(3, 0.3)": lambda: lagrange_binomial(3, 0.3),
@@ -155,6 +160,9 @@ RANGE_ORACLES = {
     "binomial_power 10^400+1/2 0.5": lambda: binomial_power(BIG + Fraction(1, 2), 0.5),
     "symmetric_lhs 10^400+1/2 0.5": lambda: symmetric_lhs(BIG + Fraction(1, 2), 0.5),
     "tan_multiple_lhs 10^400 0.5": lambda: tan_multiple_lhs(BIG, 0.5),
+    "tan_multiple_lhs 1.5e308 10": lambda: tan_multiple_lhs(1.5e308, 10),
+    "coth_scaled_lhs 353.0": lambda: coth_scaled_lhs(353.0),
+    "symmetric_lhs 1100.5 0.9": lambda: symmetric_lhs(1100.5, 0.9),
     **{f"coth_scaled_lhs {v!r}": (lambda v=v: coth_scaled_lhs(v))
        for v in (400.0, -400.0, 354.8913564466921, 354.891356446692, 354.5, 20.25, 1e308)},
     "symmetric spec 5/2 1e-20": lambda: oracle_value(FamilySpec(Family.SYMMETRIC_BINOMIAL, 1e-20, Fraction(5, 2))),

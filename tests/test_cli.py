@@ -541,6 +541,19 @@ class TestFloatRange:
         else:
             assert code == 0 and {r["oracle_value"] for r in csv.DictReader(io.StringIO(out))} == {value}
 
+    def test_an_oracle_past_the_float_range_is_an_error_and_one_that_divides_first_a_value(self, capsys):
+        # compare printed math.cos's ValueError traceback, and an oracle_value inf with rel_err nan, exit 0
+        argv = ("--family", "tan-multiple", "--n", "1.5e308", "--arg", "10", "--depth", "1")
+        assert run_cli(capsys, "compare", *argv) == (
+            1, "", "error: n·arctan t = 1.5e+308 * arctan 10.0 is past the float range\n")
+        code, out, _ = run_cli(capsys, "table", *argv)
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert code == 0 and [(r["abs_err"], r["rel_err"]) for r in rows] == [("", "")] * 2
+        code, out, _ = run_cli(capsys, "compare", "--family", "coth-scaled", "--arg", "353", "--depth", "2")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert code == 0 and [r["oracle_value"] for r in rows] == ["353", "353"]
+        assert all(math.isfinite(float(r["rel_err"])) for r in rows)
+
     @pytest.mark.parametrize("argv, message", [
         (("eval", "--family", "arctan", "--arg", "0.5", "--method", "backward", "--depth", "9" * 20),
          f"depth must be <= {sys.maxsize}, got {'9' * 20}"),

@@ -54,6 +54,7 @@ import confrac.engine as engine
 import confrac.families as families
 from confrac import verify
 from confrac.engine import _backward_report, _fold, _fold_exact, _forward_exact, _integral
+from confrac.scalars import _double
 
 TIGHT = ToleranceSpec(rel_tol=1e-13)
 
@@ -1749,3 +1750,59 @@ class TestCountsAreIntegral:
         assert eval_backward(user, sys.maxsize) == 1.5
         assert eval_lentz(arctan_cf(0.5), DEFAULT_TOLERANCE, sys.maxsize).converged
         assert lagrange_binomial(3, 0.3).termination_level(True) is None  # a bool is the int it is
+
+
+class TestLevelsAreCounts:
+    """A level, term's k or tail's start, is a count as a depth is: an int from 1 up to sys.maxsize, else
+    DomainError; within that range every level of a law has a value or a typed error, never an unbound name."""
+
+    STREAMS = {"law": lambda: arctan_cf(0.5), "ending-law": lambda: lagrange_binomial(3, 0.3),
+               "user": lambda: CFStream.from_terms(1.0, [(1.0, 2.0)]),
+               "transform": lambda: equivalence_transform(arctan_cf(0.5), lambda k: 2.0)}
+    CALLS = {"term": (lambda cf, k: cf.term(k), "level"), "tail": (tail, "start_level"),
+             "tail-lentz": (lambda cf, k: eval_lentz(tail(cf, k)), "start_level")}
+
+    @pytest.mark.parametrize("stream", STREAMS)
+    @pytest.mark.parametrize("call", CALLS)
+    def test_a_level_out_of_range_raises_domain_error(self, call, stream):
+        # term(0) raised ValueError("term levels start at 1, got 0"); past sys.maxsize a level had a value
+        call, name = self.CALLS[call]
+        for k, bound in ((0, ">= 1"), (-1, ">= 1"), (sys.maxsize + 1, f"<= {sys.maxsize}")):
+            with pytest.raises(DomainError, match=f"^{name} must be {bound}, got {k}$"):
+                call(self.STREAMS[stream](), k)
+        with pytest.raises(ValueError):  # DomainError is still a ValueError
+            call(self.STREAMS[stream](), 0)
+
+    def test_the_largest_level_has_a_value(self):
+        k = sys.maxsize
+        assert arctan_cf(0.5).term(k) == CFTerm(float(Fraction(k - 1) ** 2 / 4), float(2 * k - 1))
+        assert tail(arctan_cf(0.5), k).b0 == float(2 * k - 1)
+        assert CFStream.from_terms(1.0, [(1.0, 2.0)]).term(k) is None
+        with pytest.raises(ValueError, match=f"^stream ends before level {k}$"):
+            tail(CFStream.from_terms(1.0, [(1.0, 2.0)]), k)
+
+    @pytest.mark.parametrize("build, j, alpha", [
+        (lambda: symmetric_binomial(2.0**-449, 0.5), sys.maxsize, lambda j: 1 - j * j * 2**898),
+        (lambda: tan_multiple(2.0**-449, 0.5), sys.maxsize - 1, lambda j: j * j * 2**898 - 1),
+    ], ids=["symmetric", "tan-multiple"])
+    def test_a_numerator_past_the_float_range_over_a_power_of_two_rounds_once(self, build, j, alpha):
+        # float(α(j)) overflows though α(j)/2^898 ≈ ∓2^126: this raised UnboundLocalError
+        want = (_double((alpha(j), 2**898)) * 0.5 * 0.5, float(2 * j + 1))
+        assert build().term(sys.maxsize) == CFTerm(*want)
+        assert next(build()._walk(sys.maxsize)) == want
+        assert tail(build(), sys.maxsize - 1).term(1) == CFTerm(*want)
+
+    @pytest.mark.parametrize("call, name, k", [
+        (lambda: uniform_binomial(2.0**-440, 0.5).term(2**73), "level", 2**73),
+        (lambda: coth_scaled_cf(0.5).term(2**1100), "level", 2**1100),
+        (lambda: tail(coth_scaled_cf(0.5), 2**1100), "start_level", 2**1100),
+        (lambda: eval_lentz(tail(coth_scaled_cf(0.5), 2**1100)), "start_level", 2**1100),
+        (lambda: uniform_binomial(0.3, 0.5).term(2**100), "level", 2**100),
+        (lambda: arctan_cf(0.5).term(10**5000), "level", None),
+    ], ids=["uniform-term", "coth-term", "coth-tail", "coth-tail-lentz", "uniform-past-maxsize", "past-str-limit"])
+    def test_a_level_past_the_largest_count_raises_domain_error(self, call, name, k):
+        # the first four raised UnboundLocalError (float(α(j)) or cast(2j + 1) overflowed), the fifth gave a
+        # CFTerm no walk can reach, the last the int-to-text ValueError
+        got = "1" + "0" * 5000 if k is None else k
+        with pytest.raises(DomainError, match=f"^{name} must be <= {sys.maxsize}, got {got}$"):
+            call()

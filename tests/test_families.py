@@ -2,11 +2,12 @@
 
 import math
 import re
+import sys
 from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from confrac import (
@@ -625,9 +626,9 @@ class TestOneLawObject:
 #: Float exponents whose exact ratios are wide: N/D with D = 2^53, 2^51 and 2^41.
 WIDE_EXPONENTS = [0.37, -2.77, 1234.56]
 WIDE_ARGS = [0.3, -0.45, complex(0.3, 0.4), complex(-0.45, 0.0), complex(0.0, 0.5)]
-#: Exponents M·2^-e, M odd, so D = 2^e, on both sides of the bounds within which a level's quotient is a
-#: product by 1/den: den = 2^s in (2^53, 2^899] (den is D, D² or 4D² by family) and |N| < 2^450. The last
-#: is the integer M·2^398, whose N is past 2^452.
+#: Exponents M·2^-e, M odd, so D = 2^e, on both sides of the bound within which a level's quotient is a
+#: product by 1/den: den = 2^s in [2, 2^899] (den is D, D² or 4D² by family). The last is the integer
+#: M·2^398, whose N is past 2^452.
 POWER_OF_TWO_EXPONENTS = [math.ldexp(6004799503160661, -e) for e in (0, 1, 26, 27, 51, 449, 450, 600, -398)]
 
 
@@ -672,6 +673,48 @@ class TestWideExponentRatios:
     def test_a_quotient_past_the_float_range_still_overflows(self):
         with pytest.raises(DomainError, match="^level 1 is past the float range, so it has no float value$"):
             symmetric_binomial(1e200, 0.1).term(1)
+
+
+def _quotient_level(alpha, den, x, power, b):
+    # the reference level's bits: α(j)/den by int true division, rounded once, times x (twice at power 2),
+    # over b; DomainError where the quotient is past the float range
+    try:
+        a = alpha / den * x
+    except OverflowError:
+        return DomainError
+    return _bits(a * x if power == 2 else a), _bits(b)
+
+
+def _level_bits(stream, k):
+    try:
+        term = stream.term(k)
+    except DomainError:
+        return DomainError
+    return _bits(term.a), _bits(term.b)
+
+
+class TestOneQuotientRule:
+    """A float law's level at den = 2^s is α(j)/den rounded once, as int true division rounds it, times x: on
+    the product path by 1/den (den up to 2^899), and on _double's value where float(α(j)) overflows."""
+
+    @given(m=st.integers(-(2**52), 2**52 - 1), s=st.integers(1, 53), k=st.integers(2, sys.maxsize),
+           x=st.floats(-1e3, 1e3))
+    def test_lagrange_at_a_float_n(self, m, s, k, x):
+        # den = D up to 2^53, and α(j) = (j+1)/2·D - N or j/2·D + N passes 53 bits from j ≈ 8 at D = 2^51
+        N, D, j = 2 * m + 1, 2**s, k - 1
+        alpha = (j + 1) // 2 * D - N if j % 2 else j // 2 * D + N
+        want = _quotient_level(alpha, D, x, 1, 2.0 if j % 2 else float(j + 1))
+        assert _level_bits(lagrange_binomial(math.ldexp(N, -s), x), k) == want
+
+    @given(m=st.integers(0, 2**1100), s=st.integers(0, 449), k=st.integers(1, sys.maxsize), z=st.floats(-1, 1))
+    @example(m=(3**700 - 1) // 2, s=20, k=1, z=0.5)  # n = 3^700/2^20: every level is past the float range
+    @example(m=(3**340 - 1) // 2, s=400, k=5, z=0.5)  # float(α(j)) overflows, α(j)/den is about 2^278
+    @example(m=0, s=449, k=sys.maxsize, z=0.5)  # float(α(j)) overflows: this raised UnboundLocalError
+    def test_symmetric_past_450_bits(self, m, s, k, z):
+        # n = N/2^s with N odd, so den = D² = 2^2s up to 2^898, and |N| up to past 1100 bits
+        N, D = 2 * m + 1, 2**s
+        want = _quotient_level(N * N - k * k * D * D, D * D, z, 2, float(2 * k + 1))
+        assert _level_bits(symmetric_binomial(Fraction(N, D), z), k) == want
 
 
 def _assert_no_fraction_made(run):

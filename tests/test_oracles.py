@@ -183,9 +183,33 @@ class TestOraclesInTheFloatRange:
 
     def test_the_scaled_cotangent_keeps_its_bits_below_that_range(self):
         # only the branch that raised changed: every v with a finite e^{2v} keeps the closed form's bits
-        for v in [0.5, 1.0, 19.5, 20.25, 300.0, 354.5, 354.8913564466920, -354.8913564466921, -400.0]:
+        for v in [0.5, 1.0, 19.5, 20.25, 300.0, 351.9, -354.8913564466921, -400.0]:
             em = math.expm1(2 * v)
             assert coth_scaled_lhs(v).value == v * (em + 2) / em
+
+    @pytest.mark.parametrize("v", [352.0, 353.0, 354.5, 354.8913564466920])
+    def test_the_scaled_cotangent_divides_first_where_its_numerator_overflows(self, v):
+        # v·(e^{2v} + 1) passed the float range before the division by e^{2v} - 1: these gave inf
+        em = math.expm1(2 * v)
+        assert math.isinf(v * (em + 2))
+        assert coth_scaled_lhs(v).value == v == oracle_value(FamilySpec(Family.COTH_SCALED, v))
+
+    def test_the_symmetric_form_divides_first_where_its_numerator_overflows(self):
+        # n·z·((1+z)^n + (1-z)^n) passed the float range: this gave inf, where the value is n·z ((1-z)^n is 0)
+        assert symmetric_lhs(1100.5, 0.9).value == 1100.5 * 0.9 == 990.45
+        assert symmetric_lhs(1100.5, -0.9).value == 990.45  # an even function of z: -inf, now the value
+        assert symmetric_lhs(Fraction(2201, 2), 0.9).value == 990.45
+        exact = symmetric_lhs(1100, Fraction(9, 10)).value  # its numerator is past the float range, and exact
+        assert type(exact) is Fraction and 0 < exact - 990 < Fraction(1, 10**300)
+
+    @pytest.mark.parametrize("n", [1.5e308, -1.5e308, Fraction(10**308 * 3, 2)])
+    def test_a_multiple_angle_past_the_float_range_raises(self, n):
+        # n·arctan t overflowed to inf, and math.cos(inf) raised an untyped ValueError ("math domain error")
+        message = r"^n·arctan t = -?1\.5e\+308 \* arctan 10\.0 is past the float range$"
+        with pytest.raises(DomainError, match=message):
+            tan_multiple_lhs(n, 10)
+        with pytest.raises(DomainError, match="past the float range"):
+            oracle_value(FamilySpec(Family.TAN_MULTIPLE, 10.0, n))
 
     @pytest.mark.parametrize("spec, message", [
         (FamilySpec(Family.SYMMETRIC_BINOMIAL, 1e-20, n=Fraction(5, 2)), "float division by zero"),
