@@ -17,9 +17,10 @@ stream's reads ``term_fn(k)`` for k, k+1, ... and tests ``a == 0``;
 stream from the level below its start, and :func:`equivalence_transform`
 (a level-wise rescaling that keeps every convergent value) rescales the
 wrapped walk; both keep its end, and read their exact levels off the wrapped
-stream's (see below).  ``term(k)`` keeps O(1) random access
-through the level function, ``_level(k) -> (a_k, b_k)``, for callers that
-pull single levels (a per-level probe) and would pay a walk for each.
+stream's (see below).  The walk is the one way to a level: ``cf._walk(k, True)``
+goes on through the zero (a user stream's to the end of its terms), and
+``term(k)`` and a tail's head read its first level, the zero level's pair too;
+``term(k)`` stays O(1), since a walk from k starts at k.
 The stream's :class:`~confrac.scalars.Mode` supplies the seeds and the
 stopping rule's finiteness test (``cf.mode.isfinite``).
 
@@ -148,23 +149,17 @@ class CFStream:
         fixed = [t if isinstance(t, CFTerm) else CFTerm(*t) for t in terms]
         return cls(b0, lambda k: fixed[k - 1] if k <= len(fixed) else None, description)
 
-    def _level(self, k: int) -> Optional[tuple[Scalar, Scalar]]:
-        # A user stream's level k, checked: (a_k, b_k), or None past its end.
-        t = self._term_fn(k)
-        return None if t is None else self._in_mode(k, t.a, t.b)
-
-    def _walk(self, k: int = 1) -> Iterator[tuple[Scalar, Scalar]]:
-        # The levels in order, (a_k, b_k) from level k on, up to the zero or the
-        # end of a finite stream: every evaluator's way in; past the zero it walks on.
+    def _walk(self, k: int = 1, through: bool = False) -> Iterator[tuple[Scalar, Scalar]]:
+        # The levels in order, (a_k, b_k) from level k on, each checked, up to the zero or the end of a
+        # finite stream: every evaluator's way in; through the zero, to the end, for a single level.
         for k in count(k):
-            ab = self._level(k)
-            if ab is None or ab[0] == 0:
+            if (t := self._term_fn(k)) is None or (ab := self._in_mode(k, t.a, t.b))[0] == 0 and not through:
                 return
             yield ab
 
     def _cleared(self, k: int = 0) -> tuple[tuple[int, int], Iterator[tuple[int, int, int]]]:
         # The one exact interface (module docstring): b_k's ratio, and the walk from k + 1 made integral below it.
-        b = self.b0 if k == 0 else self._level(k)[1]  # the pair at a zero level too
+        b = self.b0 if k == 0 else next(self._walk(k, True))[1]  # the pair at a zero level too
         return _ratio(b), _integral(b, self._walk(k + 1))
 
     def _in_mode(self, k: int, a: Scalar, b: Scalar) -> tuple[Scalar, Scalar]:
@@ -176,7 +171,7 @@ class CFStream:
 
     def term(self, k: int) -> Optional[CFTerm]:
         """Level-``k`` term, or ``None`` past the end of a finite stream."""
-        ab = self._level(_count(k, "level", 1))  # a level is a count, as a depth is
+        ab = next(self._walk(_count(k, "level", 1), True), None)  # a level is a count, as a depth is
         return None if ab is None else CFTerm(*ab)
 
     def termination_level(self, within: int) -> Optional[int]:
@@ -538,28 +533,25 @@ def _backward_report(cf: CFStream, depth: int, tol: ToleranceSpec) -> EvalReport
 
 
 class _Tail(CFStream):
-    # tail(cf, s): level k is cf's level s + k, and the walk and cleared levels from level k are cf's from s + k.
+    # tail(cf, s): level k is cf's level s + k, a count; the walk and cleared levels from level k are cf's from s + k.
     def __init__(self, cf: CFStream, s: int):
         s = _count(s, "start_level", 1)
-        if (head := next(cf._walk(s), None) or cf._level(s)) is None:  # _level only at a zero
+        if (head := next(cf._walk(s, True), None)) is None:
             raise ValueError(f"stream ends before level {s}")
         self.b0, self.mode, self._parent, self._start = head[1], cf.mode, cf, s
         self._end = cf._end - s if (cf._end or 0) > s else None
 
     description = property(lambda self: f"tail({self._parent.description or 'cf'}, {self._start})")
 
-    def _level(self, k: int) -> Optional[tuple[Scalar, Scalar]]:
-        return self._parent._level(self._start + k)
-
-    def _walk(self, k: int = 1) -> Iterator[tuple[Scalar, Scalar]]:
-        return self._parent._walk(self._start + k)
+    def _walk(self, k: int = 1, through: bool = False) -> Iterator[tuple[Scalar, Scalar]]:
+        return self._parent._walk(_count(self._start + k, "level", 1), through)
 
     def _cleared(self, k: int = 0) -> tuple[tuple[int, int], Iterator[tuple[int, int, int]]]:
-        return self._parent._cleared(self._start + k)
+        return self._parent._cleared(_count(self._start + k, "level", 1))
 
 
 class _Scaled(CFStream):
-    # equivalence_transform(cf, scale, c0): cf's levels by _rule, cleared levels by _cleared, each factor by _factor.
+    # equivalence_transform(cf, scale, c0): cf's levels by _walk, cleared levels by _cleared, each factor by _factor.
     def __init__(self, cf: CFStream, scale: Callable[[int], Scalar], c0: Scalar):
         self._parent, self._scale, self._c0, self.mode, self._end = cf, scale, c0, cf.mode, cf._end
         self.b0 = cf.b0 if self._factor(0) == 1 else c0 * cf.b0
@@ -581,11 +573,11 @@ class _Scaled(CFStream):
             self._in_mode(k, v, v)  # raises
         return v
 
-    def _rule(self, k: int, levels: Iterable[tuple[Scalar, Scalar]]) -> Iterator[tuple[Scalar, Scalar]]:
+    def _walk(self, k: int = 1, through: bool = False) -> Iterator[tuple[Scalar, Scalar]]:
         # cf's levels k, k+1, ... as (c_k·c_{k-1}·a_k, c_k·b_k), each c_k read once, after its level; none made 0
-        ck = self._factor(k - 1)
-        for k, (a, b) in enumerate(levels, k):
-            cj, ck = ck, self._factor(k)
+        ck = None
+        for k, (a, b) in enumerate(self._parent._walk(k, through), k):
+            cj, ck = self._factor(k - 1) if ck is None else ck, self._factor(k)
             try:
                 scaled = ck * cj * a, ck * b
             except OverflowError:  # an exact c_k·c_{k-1} past the float range
@@ -593,12 +585,6 @@ class _Scaled(CFStream):
             if scaled[0] == 0 != a or scaled[1] == 0 != b:
                 raise DomainError(f"level {k} scales a nonzero coefficient to 0 in {self.mode} mode")
             yield scaled
-
-    def _level(self, k: int) -> Optional[tuple[Scalar, Scalar]]:
-        return None if (ab := self._parent._level(k)) is None else next(self._rule(k, (ab,)))
-
-    def _walk(self, k: int = 1) -> Iterator[tuple[Scalar, Scalar]]:
-        return self._rule(k, self._parent._walk(k))
 
     def _cleared(self, k: int = 0) -> tuple[tuple[int, int], Iterator[tuple[int, int, int]]]:
         # cf's cleared levels times each c_j = n_j/d_j, cleared by c_j·d_j (no gcd): b_k is n_k·B/(d_k·C)

@@ -127,16 +127,16 @@ class _Law(CFStream):
     and inner level j is level j+1; without a head it is level j.  ``n``, ``scale``, h
     and d are int pairs (num, den).  ``h = None`` puts x itself on top, cast to its mode
     (``complex(1)·x`` would turn a ``-0.0`` imaginary part into ``+0.0``), and
-    ``d = None`` leaves the bare 1.  ``_rule`` is the one level loop, multiplying in the
+    ``d = None`` leaves the bare 1.  ``_walk(k)`` is the one level loop, multiplying in the
     order ``div(num, den)·x·x`` (``x·x`` first rounds differently, and overflows to
     ``0·inf``).  ``_end``, the law's zero, is read off the ints once, when built, and
-    bounds ``_walk(k)``, the rule from level k on (after the head level at k = 1, on past
-    the zero, none at x = 0), and ``_rows``, its int loop on x's exact ratio, which clears
-    the levels by the engine's ``_integral`` rule in every mode for ``_cleared(k)``;
-    ``_level(k)`` (for ``term(k)``) is one level of the rule.  A build stores the row,
-    makes no closure and no ``Fraction`` outside rational mode, and ``description`` is
-    formatted when read.  The finiteness check comes first, so a generator's domain
-    checks see finite x.
+    bounds ``_walk(k)``, the levels from k on (after the head level at k = 1, on past
+    the zero, none at x = 0), except through the zero (``term(k)``, a tail's head: every
+    level, at x = 0 too), and ``_rows``, its int loop on x's exact ratio, which clears
+    the levels by the engine's ``_integral`` rule in every mode for ``_cleared(k)``.
+    A build stores the row, makes no closure and no ``Fraction`` outside rational mode,
+    and ``description`` is formatted when read.  The finiteness check comes first, so
+    a generator's domain checks see finite x.
     """
 
     def __init__(self, family: str, name: str, x: Scalar, b0: int, alpha: _Rule, den: int = 1,
@@ -167,23 +167,18 @@ class _Law(CFStream):
             return range(k - shift or 1, end - shift)
         return () if self._law[0] == 0 else count(k - shift or 1)  # walks on past the zero; x = 0 zeroes all
 
-    def _rule(self, js: Iterable[int], top: Optional[tuple] = None) -> Iterator[tuple[Scalar, Scalar]]:
-        if top is not None:  # the head level, then the j
-            yield top
-        x, alpha, den, beta, power, cast, unit, quotient, by = self._law
-        for j in js:
+    def _walk(self, k: int = 1, through: bool = False) -> Iterator[tuple[Scalar, Scalar]]:
+        # levels k, k+1, ... up to the zero (after the head level at k = 1, none at x = 0), or on through it
+        shift, (x, alpha, den, beta, power, cast, unit, quotient, by) = self._top is not None, self._law
+        if k == 1 and shift and (through or self._end != 1):
+            yield self._top
+        for j in count(k - shift or 1) if through else self._inner(k):
             try:
                 a = quotient(alpha(j), by) * x
             except OverflowError:  # α(j) or α(j)/den past the float range: α(j)/den rounded once, or DomainError
-                a = _double((alpha(j), den), f"level {j + (self._top is not None)}", self.mode) * x
+                a = _double((alpha(j), den), f"level {j + shift}", self.mode) * x
             b = cast(2 * j + 1 if beta is None else beta(j))
             yield a * x if power == 2 else a, b if unit is None else b * unit
-
-    def _level(self, k: int) -> tuple[Scalar, Scalar]:
-        return next(self._rule((k - (self._top is not None),), self._top if k == 1 else None))
-
-    def _walk(self, k: int = 1) -> Iterator[tuple[Scalar, Scalar]]:  # levels k, k+1, ... up to the zero
-        return self._rule(self._inner(k), self._top if k == 1 and self._end != 1 else None)
 
     def _cleared(self, k: int = 0) -> tuple[tuple[int, int], Iterator[tuple[int, int, int]]]:
         # b_k in lowest terms (B_k/c_k of level k's row below 1, a zero level's too) and the rows below it

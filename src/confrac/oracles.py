@@ -124,12 +124,17 @@ def coth_scaled_lhs(v: Scalar) -> OracleResult:
 def series_ratio_coth(v: Scalar, terms: int) -> OracleResult:
     """Ratio of the truncated series Σ v^{2k}/(2k)! over Σ v^{2k}/(2k+1)!.
 
-    Both sums take ``terms`` terms (k = 0..terms-1).  Converges to the
-    scaled cotangent; exact rational for rational v.
+    Both sums take ``terms`` terms (k = 0..terms-1).  Converges to the scaled cotangent;
+    exact rational for rational v, else :class:`DomainError` where the float sums pass its range.
     """
     terms = _count(terms, "terms", 1)
     v = Fraction(v) if mode_of(v) is Mode.RATIONAL else _real(v, "v")
     v2 = v * v  # not v ** 2, which raises OverflowError where v * v is inf
-    num = sum(v2**k / math.factorial(2 * k) for k in range(terms))
-    den = sum(v2**k / math.factorial(2 * k + 1) for k in range(terms))
+    try:  # in float mode v2**k, or (2k+1)! as a float, may pass the float range
+        num = sum(v2**k / math.factorial(2 * k) for k in range(terms))
+        den = sum(v2**k / math.factorial(2 * k + 1) for k in range(terms))
+    except OverflowError:
+        num = math.inf
+    if num == math.inf:  # as it is where v2, a term or a sum is: every term is >= 0, and den <= num
+        raise DomainError(f"the series at v={v!r} to {terms} terms passes the float range")
     return OracleResult(num / den)

@@ -35,8 +35,9 @@ each of ``FACTORS`` at c0 and at level 2.  The ``range`` category records the fl
 (``RANGE_ROUTES``, ``term`` at level 1 and at ``sys.maxsize`` among them) of streams with an exponent, a level, a
 product of factors or a value past the float range, a level scaled to 0, or a numerator past the range over a
 power of two (``RANGE_STREAMS``), every route with each count of ``COUNTS`` (a level, ``term``'s or ``tail``'s,
-is one), the oracles at exact arguments past the float range, where libm's closed form fails and where a
-product inside it passes the range (``RANGE_ORACLES``), and the CLI commands ``RANGE_COMMANDS``.  An outcome
+is one), tails whose level passes sys.maxsize (``RANGE_TAILS``), the oracles at exact arguments past the float
+range, where libm's closed form fails, where a product inside it passes the range and where a term of the series
+does (``RANGE_ORACLES``), and the CLI commands ``RANGE_COMMANDS``.  An outcome
 is the ``repr`` of the result or the type and message of the error raised, labelled with the call that made it.
 """
 
@@ -151,6 +152,13 @@ COUNT_ROUTES = {
 COUNT_STREAMS = {"lagrange(3, 0.3)": lambda: lagrange_binomial(3, 0.3),
                  "user": lambda: CFStream.from_terms(1.0, [(1.0, 2.0)]),
                  "user rational": lambda: CFStream.from_terms(Fraction(1), [(Fraction(1), Fraction(2))])}
+#: a tail's level k is its root's level s + k, a count: past sys.maxsize an error, as term's is
+RANGE_TAILS = {
+    "tail(arctan 0.5, maxsize) term(1)": lambda: tail(arctan_cf(0.5), sys.maxsize).term(1),
+    "tail(tail(arctan 0.5, maxsize), maxsize) term(1)": lambda: tail(tail(arctan_cf(0.5), sys.maxsize),
+                                                                     sys.maxsize).term(1),
+    "tail(arctan 0.5, maxsize) lentz": lambda: eval_lentz(tail(arctan_cf(0.5), sys.maxsize)),
+}
 RANGE_ORACLES = {
     "arctan spec 10^400": lambda: oracle_value(FamilySpec(Family.ARCTAN, BIG)),
     "arctan_lhs 10^400": lambda: arctan_lhs(BIG),
@@ -171,6 +179,8 @@ RANGE_ORACLES = {
     "uniform spec 801/2 10.0": lambda: oracle_value(FamilySpec(Family.UNIFORM_BINOMIAL, 10.0, Fraction(801, 2))),
     **{f"series_ratio_coth 0.7 {label}": (lambda n=n: series_ratio_coth(0.7, n)) for label, n in COUNTS.items()
        if n != sys.maxsize},
+    "series_ratio_coth 1e100 5": lambda: series_ratio_coth(1e100, 5),
+    "series_ratio_coth 1e160 2": lambda: series_ratio_coth(1e160, 2),
 }
 RANGE_COMMANDS = [
     "compare --family lagrange-binomial --n 400 --arg 10 --mode rational --depth 3",
@@ -290,7 +300,7 @@ def range_records():
     records += [f"{label} {route} {count} {outcome(lambda: call(build(), n))}"
                 for label, build in COUNT_STREAMS.items() for route, call in COUNT_ROUTES.items()
                 for count, n in COUNTS.items()]
-    records += [f"{label} {outcome(call)}" for label, call in RANGE_ORACLES.items()]
+    records += [f"{label} {outcome(call)}" for label, call in (RANGE_TAILS | RANGE_ORACLES).items()]
     return records + [outcome(lambda: run_cli(*command.split())) for command in RANGE_COMMANDS]
 
 

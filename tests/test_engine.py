@@ -1568,33 +1568,91 @@ class TestOneWalkFromAnyLevel:
     else its coefficients' binary values, with no copy of the stream."""
 
     def test_walks_read_no_single_level_of_the_law(self, monkeypatch):
+        # each walk opens the law's one level loop once, and reads the levels term(k) reads
         family = symmetric_binomial(Fraction(5, 2), Fraction(3, 10))
         scaled = lambda: equivalence_transform(family, lambda k: Fraction(k + 1, 2), Fraction(1, 3))
         deep = lambda: convergents(tail(symmetric_binomial(Fraction(5, 2), Fraction(1, 5)), 3), 50)
         want = ([(t.a, t.b) for t in map(family.term, range(1, 21))],
                 [(t.a, t.b) for t in map(scaled().term, range(1, 21))], deep())
+        opened, walk = [], families._Law._walk
 
-        def refuse(self, k):
-            raise AssertionError(f"level {k} read one at a time")
+        def counted(self, k=1, through=False):
+            opened.append((k, through))
+            return walk(self, k, through)
 
-        monkeypatch.setattr(families._Law, "_level", refuse)
-        assert list(islice(family._walk(), 20)) == want[0]
-        assert list(islice(scaled()._walk(), 20)) == want[1]
-        assert deep() == want[2] and len(want[2]) == 51
-        assert eval_lentz(tail(arctan_cf(1.0), 2)) == EvalReport(
-            3.659792366325022, 16, True, False, 8.663871173409364e-13)
+        monkeypatch.setattr(families._Law, "_walk", counted)
+        walks = {"law": lambda: list(islice(family._walk(), 20)) == want[0],
+                 "transform": lambda: list(islice(scaled()._walk(), 20)) == want[1],
+                 "rational tail": lambda: deep() == want[2] and len(want[2]) == 51,  # the head, then the rows
+                 "tail": lambda: eval_lentz(tail(arctan_cf(1.0), 2)) == EvalReport(
+                     3.659792366325022, 16, True, False, 8.663871173409364e-13)}
+        for name, opens in zip(walks, ([(1, False)], [(1, False)], [(3, True)], [(2, True), (3, False)])):
+            opened.clear()
+            assert walks[name]() and opened == opens, name
 
     def test_a_rational_tail_reads_no_walk_of_the_law(self, monkeypatch):
         # its kernels read the law's own rows from the tail's start, not a walk of the law made integral
         cf = tail(symmetric_binomial(Fraction(5, 2), Fraction(1, 5)), 3)
         want = convergents(cf, 50)
 
-        def refuse(self, k=1):
+        def refuse(self, k=1, through=False):
             raise AssertionError(f"the law walked from level {k}")
 
         monkeypatch.setattr(families._Law, "_walk", refuse)
-        monkeypatch.setattr(families._Law, "_level", refuse)
         assert convergents(cf, 50) == want and len(want) == 51
+
+    def test_the_walk_is_the_one_way_to_a_level(self):
+        # term(k) and a tail's head read the walk through the zero: no class keeps a per-level function
+        for cls in (CFStream, engine._Tail, engine._Scaled, families._Law):
+            assert [name for name in ("_level", "_rule") if hasattr(cls, name)] == [], cls.__name__
+
+    @pytest.mark.parametrize("build, zero, pair", [
+        (lambda: lagrange_binomial(3, 0.3), 6, (0.0, 2.0)),
+        (lambda: lagrange_binomial(-2, 0.3), 5, (0.0, 5.0)),
+        (lambda: lagrange_binomial(3, 0.0), 1, (0.0, 1.0)),  # x = 0: the head level is the zero
+        (lambda: uniform_binomial(2, 0.5), 3, (0.0, 6.25)),
+        (lambda: symmetric_binomial(2, Fraction(1, 3)), 2, (Fraction(0), Fraction(5))),
+        (lambda: tail(lagrange_binomial(3, 0.3), 2), 4, (0.0, 2.0)),
+        (lambda: equivalence_transform(lagrange_binomial(3, 0.3), lambda k: 2.0), 6, (0.0, 4.0)),
+        (lambda: CFStream.from_terms(1.0, [(0.5, 1.0), (0.0, 3.0), (0.25, 2.0)]), 2, (0.0, 3.0)),
+    ], ids=["lagrange", "lagrange-negative-n", "lagrange-x=0", "uniform", "symmetric-rational", "tail", "transform",
+         "user"])
+    def test_the_zero_level_answers_term_and_tail(self, build, zero, pair):
+        # the walk stops before the zero; term(k) and tail(cf, k) still read its pair, and the level after it
+        cf = build()
+        assert cf.termination_level(40) == zero and len(list(cf._walk())) == zero - 1
+        assert cf.term(zero) == CFTerm(*pair) and tail(cf, zero).b0 == pair[1]
+        assert tail(cf, zero).term(1) == cf.term(zero + 1) is not None
+
+    def test_a_single_level_past_the_end_reads_no_factor(self):
+        # past a finite stream's end a transform's term(k) is None, with no c_k or c_{k-1} read
+        def scale(k):
+            raise AssertionError(f"factor {k} read")
+
+        cf = equivalence_transform(CFStream.from_terms(1.0, [(0.5, 1.0)]), scale)
+        assert [cf.term(k) for k in (2, 3, 10)] == [None] * 3
+
+    def test_a_tail_past_the_end_reads_no_factor(self):
+        # a tail's head is read as term(k) is: this called scale(2) before finding no level 3
+        def scale(k):
+            raise AssertionError(f"factor {k} read")
+
+        with pytest.raises(ValueError, match="^stream ends before level 3$"):
+            tail(equivalence_transform(CFStream.from_terms(1.0, [(0.5, 1.0)]), scale), 3)
+
+    @pytest.mark.parametrize("one, other", [(1.0, 0j), (Fraction(1), 0.0)], ids=["float", "rational"])
+    def test_a_zero_level_out_of_mode_raises_on_every_route(self, one, other):
+        # a level's mode is checked before its zero test, on term(k), a tail's head and every walk
+        cf = CFStream.from_terms(one, [(one / 2, one), (other, one)], "u")
+        calls = [lambda: cf.term(2), lambda: tail(cf, 2), lambda: cf.termination_level(5),
+                 lambda: convergents(cf, 5), lambda: eval_convergents(cf), lambda: eval_backward(cf, 5),
+                 lambda: _backward_report(cf, 5, DEFAULT_TOLERANCE), lambda: eval_convergents(tail(cf, 1)),
+                 lambda: eval_convergents(equivalence_transform(cf, lambda k: 2 * one))]
+        if mode_of(one) is Mode.FLOAT:
+            calls.append(lambda: eval_lentz(cf))
+        for call in calls:
+            with pytest.raises(ModeMismatchError, match=f"^term 2 of u is not in {mode_of(one)} mode$"):
+                call()
 
     def test_a_walk_starts_at_any_level(self):
         for cf in (arctan_cf(0.5), lagrange_binomial(3, Fraction(3, 10)), tail(coth_scaled_cf(0.5), 2),
@@ -1780,6 +1838,32 @@ class TestLevelsAreCounts:
         assert CFStream.from_terms(1.0, [(1.0, 2.0)]).term(k) is None
         with pytest.raises(ValueError, match=f"^stream ends before level {k}$"):
             tail(CFStream.from_terms(1.0, [(1.0, 2.0)]), k)
+
+    @pytest.mark.parametrize("call, got", [
+        (lambda: tail(arctan_cf(0.5), sys.maxsize).term(1), sys.maxsize + 1),
+        (lambda: tail(tail(arctan_cf(0.5), sys.maxsize), sys.maxsize).term(1), 2 * sys.maxsize),
+        (lambda: eval_lentz(tail(arctan_cf(0.5), sys.maxsize)), sys.maxsize + 1),
+    ], ids=["tail-term", "tail-of-tail", "tail-lentz"])
+    def test_a_tails_level_past_the_largest_count_raises_domain_error(self, call, got):
+        # a tail's level k is its root's level s + k, a count: these gave levels 2^63 and 2^64 - 1, and a report
+        with pytest.raises(DomainError, match=f"^level must be <= {sys.maxsize}, got {got}$"):
+            call()
+
+    def test_a_tails_term_is_its_roots(self):
+        # value or error, tail(cf, s).term(k) gives what cf.term(s + k) gives
+        def outcome(call):
+            try:
+                return call()
+            except DomainError as exc:
+                return str(exc)
+
+        for cf in (arctan_cf(0.5), lagrange_binomial(3, 0.3), CFStream.from_terms(1.0, [(1.0, 2.0)])):
+            for s, k in ((1, 1), (3, 4), (sys.maxsize - 2, 1), (sys.maxsize - 1, 1), (sys.maxsize - 1, 2)):
+                try:
+                    cut = tail(cf, s)
+                except ValueError:  # the user stream ends before level s
+                    continue
+                assert outcome(lambda: cut.term(k)) == outcome(lambda: cf.term(s + k)), (s, k)
 
     @pytest.mark.parametrize("build, j, alpha", [
         (lambda: symmetric_binomial(2.0**-449, 0.5), sys.maxsize, lambda j: 1 - j * j * 2**898),

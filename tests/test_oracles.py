@@ -1,6 +1,7 @@
 """Oracle tests: closed forms, exact-rational paths, the series ratio."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -201,6 +202,24 @@ class TestOraclesInTheFloatRange:
         assert symmetric_lhs(Fraction(2201, 2), 0.9).value == 990.45
         exact = symmetric_lhs(1100, Fraction(9, 10)).value  # its numerator is past the float range, and exact
         assert type(exact) is Fraction and 0 < exact - 990 < Fraction(1, 10**300)
+
+    @pytest.mark.parametrize("v, terms", [(1e100, 5), (-1e100, 5), (1e150, 3), (1e160, 2), (0.7, 100)])
+    def test_the_series_ratio_past_the_float_range_raises(self, v, terms):
+        # v2**k raised Python's OverflowError, at v² = inf the ratio of two infinite sums was nan, and at
+        # 100 terms (2k+1)! as a float raised OverflowError
+        message = rf"^the series at v={re.escape(repr(v))} to {terms} terms passes the float range$"
+        with pytest.raises(DomainError, match=message):
+            series_ratio_coth(v, terms)
+
+    def test_the_series_ratio_keeps_its_bits_within_the_float_range(self):
+        # every finite float result is still the plain sums' ratio, and an exact v past the range stays exact
+        for v, terms in [(0.7, 20), (0.7, 85), (1e154, 2), (1e-200, 5), (300.0, 40), (-2.5, 7)]:
+            v2 = v * v
+            want = sum(v2**k / math.factorial(2 * k) for k in range(terms)) / sum(
+                v2**k / math.factorial(2 * k + 1) for k in range(terms))
+            assert series_ratio_coth(v, terms).value == want
+        big = Fraction(10**200)
+        assert series_ratio_coth(big, 3).value == (1 + big**2 / 2 + big**4 / 24) / (1 + big**2 / 6 + big**4 / 120)
 
     @pytest.mark.parametrize("n", [1.5e308, -1.5e308, Fraction(10**308 * 3, 2)])
     def test_a_multiple_angle_past_the_float_range_raises(self, n):
