@@ -1,12 +1,17 @@
 """Bit parity of float and complex reports against a stored golden file.
 
 ``tests/data/float_parity.json`` holds, for every case below, the reports of
-``eval_lentz``, ``eval_convergents`` and the backward route at depth 30 as
-an earlier revision computed them: the value as ``float.hex`` (both parts of
-a complex value), ``depth_used``, ``converged``, ``terminated``, the
-residual as ``float.hex`` and ``tiny_substitutions``.  No law here ends its
-fraction (the exponents are not integers), so a faster walk has to give the
-same bits.  Regenerate the file from a checkout with
+``eval_lentz`` and ``eval_convergents`` (at the default cap and at caps 1 and 2)
+and the backward route at depth 30 as an earlier revision computed them: the
+value as ``float.hex`` (both parts of a complex value), ``depth_used``,
+``converged``, ``terminated``, the residual as ``float.hex`` and
+``tiny_substitutions``, or the type and message of the error raised.  No law
+here ends its fraction (the exponents are not integers), so a faster walk has
+to give the same bits.  The ``from_terms`` cases with a zero reach the
+branches of each step: a Lentz ``d = 0`` (a pole) and ``c = 0`` (a vanishing
+numerator), a forward inner pole, a forward rescale (levels near 1e200) and a
+complex modulus past the float range in the stopping test.  Regenerate the
+file from a checkout with
 
     PYTHONPATH=src python tests/test_parity.py > tests/data/float_parity.json
 """
@@ -51,7 +56,11 @@ METHODS = {
     "lentz": lambda cf: eval_lentz(cf, TOL),
     "convergents": lambda cf: eval_convergents(cf, TOL),
     "backward30": lambda cf: _backward_report(cf, 30, TOL),
+    **{f"{route}{cap}": lambda cf, evaluate=evaluate, cap=cap: evaluate(cf, TOL, cap)
+       for route, evaluate in (("lentz", eval_lentz), ("convergents", eval_convergents)) for cap in (1, 2)},
 }
+#: levels 2..29 of the zero cases, after a level that makes the zero
+LEVELS = [(0.3 * k, 2.0 * k + 1) for k in range(2, 30)]
 
 
 def _cases():
@@ -73,6 +82,12 @@ def _cases():
         arctan_cf(0.8), lambda k: 1.0 / (k + 1), c0=2.0)
     cases["equivalence(lagrange-binomial(n=-1.6, 0.3))"] = lambda: equivalence_transform(
         lagrange_binomial(-1.6, 0.3), lambda k: 0.5 * k)
+    cases["from_terms b_1=0"] = lambda: CFStream.from_terms(0.5, [(1.0, 0.0)] + LEVELS)  # d = 0, q_1 = 0
+    cases["from_terms p_1=0"] = lambda: CFStream.from_terms(1.0, [(1.0, -1.0)] + LEVELS)  # c = 0
+    cases["from_terms q_2=0"] = lambda: CFStream.from_terms(0.5, [(1.0, 2.0), (1.0, 0.0)] + LEVELS[1:])
+    cases["equivalence(arctan(0.8)) by 1e100"] = lambda: equivalence_transform(arctan_cf(0.8), lambda k: 1e100)
+    cases["from_terms |a_1| past the float range"] = lambda: CFStream.from_terms(
+        0j, [(1.5e308 + 1.5e308j, 1 + 0j)] + [(complex(a), complex(b)) for a, b in LEVELS])
     return cases
 
 
@@ -96,8 +111,15 @@ def _record(report):
     }
 
 
+def _outcome(evaluate, build):
+    try:
+        return _record(evaluate(build()))
+    except Exception as exc:  # an error is an outcome too
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
+
 def _records():
-    return {f"{case} {method}": _record(evaluate(build()))
+    return {f"{case} {method}": _outcome(evaluate, build)
             for case, build in CASES.items() for method, evaluate in METHODS.items()}
 
 
@@ -113,7 +135,7 @@ def test_golden_file_covers_every_case(golden):
 @pytest.mark.parametrize("method", list(METHODS))
 @pytest.mark.parametrize("case", list(CASES))
 def test_report_is_bit_identical(golden, case, method):
-    assert _record(METHODS[method](CASES[case]())) == golden[f"{case} {method}"]
+    assert _outcome(METHODS[method], CASES[case]) == golden[f"{case} {method}"]
 
 
 WALK_ARGS = {"float": 0.3, "rational": Fraction(3, 10), "complex": 0.3 + 0j}
