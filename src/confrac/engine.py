@@ -28,12 +28,12 @@ Three evaluation routes with different trade-offs:
 
 * :func:`convergents` / :func:`eval_convergents` -- the forward three-term
   recurrence ``p_k = b_k p_{k-1} + a_k p_{k-2}`` (likewise ``q_k``), seeded
-  with ``p_{-1} = 1, q_{-1} = 0, p_0 = b0, q_0 = 1``.  In floating point
-  the pair ``(p, q)`` is occasionally rescaled by a power of two to dodge
-  overflow (the factor cancels in ``p/q``).
+  with ``p_{-1} = 1, q_{-1} = 0, p_0 = b0, q_0 = 1``, one loop (``_forward``,
+  ``_forward_exact`` on ints) whose rows both read.  In floating point the pair
+  ``(p, q)`` is occasionally rescaled by a power of two (cancels in ``p/q``).
 * :func:`eval_lentz` -- the modified Lentz iteration, which sidesteps the
-  magnitude growth of the forward recurrence entirely.  Floating-point and
-  complex modes only.
+  magnitude growth of the forward recurrence entirely, a step taken inside
+  ``_settle``'s loop on the walk.  Floating-point and complex modes only.
 * :func:`eval_backward` -- backward folding from an assumed-zero tail at a
   fixed depth; reproduces the depth-truncated convergent exactly in
   rational mode, also when an inner partial value is infinite.
@@ -49,17 +49,16 @@ each factor.  The rows' common content, a divisor of ``±C·A_1···A_j``, is d
 at a few checks of a deep walk (``_divided``).  A value is reduced, to one ``Fraction``,
 when read.
 
-Every route's report comes from one stopping rule, ``_settle``, and so does
-:func:`eval_backward`'s bare value.  A fraction that ends has one answer,
-``_law_value``: a fold on ints of the stream's cleared levels, reduced once, or
-in float mode rounded once by int true division (±inf past the float range).  It answers a law that ends
-within the cap (``cf._end``, the level of its zero) before a step is pulled, and
-a float walk with no law once it terminates.  Other walks stop at the first two
-successive values that agree, unless a law ends them, or at the first non-finite
-one (not converged); a walk that runs out has terminated, unless at the cap.
-Complex mode keeps the route's value (no exact complex type).  Every route marks
-a pole (``q_k = 0``, an infinite fold) as ``None``; only ``_settle`` raises
-:class:`PoleError`, for one it would report.
+Every route's report comes from one stopping rule, ``_settle``, one loop in one frame over the
+Lentz steps, the forward rows (it forms ``p/q``) or the folds, and so does :func:`eval_backward`'s
+bare value.  A fraction that ends has one answer, ``_law_value``: a fold on ints of the stream's
+cleared levels, reduced once, or in float mode rounded once by int true division (±inf past the
+float range).  It answers a law that ends within the cap (``cf._end``, the level of its zero)
+before a step is pulled, and a float walk with no law once it terminates.  Other walks stop at the
+first two successive values that agree, unless a law ends them, or at the first non-finite one
+(not converged); a walk that runs out has terminated, unless at the cap.  Complex mode keeps the
+route's value (no exact complex type).  Every route marks a pole (``q_k = 0``, an infinite fold) as
+``None``; only ``_settle`` raises :class:`PoleError`, for one it would report.
 """
 
 from __future__ import annotations
@@ -76,7 +75,9 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 from .errors import DomainError, ModeMismatchError, PoleError
 from .scalars import (
     DEFAULT_TOLERANCE,
-    Mode,
+    _COMPLEX,
+    _FLOAT,
+    _RATIONAL,
     Scalar,
     ToleranceSpec,
     _count,
@@ -255,28 +256,54 @@ class EvalReport:
     tiny_substitutions: int = 0
 
     def __init__(self, value, depth_used, converged, terminated, residual, tiny_substitutions=0):
-        self.__dict__.update(value=value, depth_used=depth_used, converged=converged,  # no frozen setattrs
-                             terminated=terminated, residual=residual, tiny_substitutions=tiny_substitutions)
+        d = self.__dict__  # no frozen setattrs, and no keyword dict
+        d["value"], d["depth_used"], d["converged"] = value, depth_used, converged  # 3-tuples build no tuple
+        d["terminated"], d["residual"], d["tiny_substitutions"] = terminated, residual, tiny_substitutions
 
 
-def _settle(cf: CFStream, steps: Iterable[tuple[int, Optional[Scalar], int]],
-            tol: ToleranceSpec, max_depth: int, cap: str = "max_depth") -> EvalReport:
-    # The one stopping rule (see the module docstring).  ``steps`` yields (k, value, substitutions),
-    # value None at a pole, and runs out before max_depth (named cap in its error) only when the fraction
-    # terminates.  Every mode compares inline, as _within would, with rel_tol·max(|v|, |u|) the larger of
-    # two products (a Fraction is below inf); _within takes a complex modulus past the float range.
+def _settle(cf: CFStream, rows: Iterable[tuple], tol: ToleranceSpec, max_depth: int, cap: str = "max_depth",
+            lentz: bool = False) -> EvalReport:
+    # The one stopping rule (see the module docstring), in one frame: rows are pulled only where no law answers,
+    # and run out before max_depth (named cap in its error) only when the fraction terminates.  With lentz, cf's walk
+    # is read here, each level's modified Lentz step taken inline; else rows are Convergent's (p_k, q_k, k, _), the
+    # value p_k/q_k (p_0 at k = 0, where q_0 = 1), or a fold's (value, None, k, None).  A value None is a pole.
+    # Every mode compares inline, as _within would, with rel_tol·max(|v|, |u|) the larger of two products (a
+    # Fraction is below inf); _within takes a complex modulus past the float range.
     if not 1 <= (max_depth := index(max_depth)) <= sys.maxsize:  # _count's rule, inline: it runs per evaluation
         _count(max_depth, cap, 1)
-    finite, rel_tol, agree = cf.mode.isfinite, _rel_tol(cf.mode, tol), cf._end is None
-    inf, value, substitutions = math.inf, None, 0
-    law = not agree and cf._end <= max_depth and cf.mode is not Mode.COMPLEX  # ends within the cap
-    for k, step, substitutions in () if law else steps:
-        prev, value = value, step
+    mode, end, inf, value, prev, substitutions, k, vanish = cf.mode, cf._end, math.inf, None, None, 0, 0, False
+    finite, rel_tol, exact, agree = mode.isfinite, _rel_tol(mode, tol), mode is _RATIONAL, end is None
+    law = not agree and end <= max_depth and mode is not _COMPLEX  # ends within the cap
+    if lentz and not law:  # f_0 = C_0 = b0, D_0 = 0; a non-finite b0 is a row of its own, reported unwalked
+        f = c = cf.b0
+        d = zero = mode.cast(0)
+        if lentz := finite(f):
+            rows, value = islice(cf._walk(), max_depth), f
+        else:
+            rows = ((f, None, 0, None),)
+    for row in () if law else rows:
+        if lentz:  # level k, (a_k, b_k): a zero D_k = q_{k-1}/q_k is a pole (None), a zero C_k = p_k/p_{k-1}
+            a, b = row  # is p_k = 0 (0); the stand-in walks on, and each is counted
+            k += 1
+            if pole := (d := b + a * d) == 0:
+                d, substitutions = LENTZ_TINY, substitutions + 1
+            d = 1 / d
+            if k == 1 and f == 0:  # a full fraction (b0 = 0): f_1 = a_1/b_1, C_1 = A_1/A_0 = inf, so C_2 = b_2
+                f, c = a * d, inf
+            else:
+                if vanish := (c := b + a / c) == 0:
+                    c, substitutions = LENTZ_TINY, substitutions + 1
+                f *= c * d
+            prev, value = value, None if pole else zero if vanish else f
+        else:
+            p, q, k, _ = row
+            prev, value = value, (p if q is None else None if q == 0 else Fraction(p, q) if exact
+                                  else p / q if k else p)
         if value is None:
             continue
         try:  # an `if`, not a flag: comparisons fused with their jumps are the cheap ones
-            if not finite(value) or agree and prev is not None and (d := abs(value - prev)) < inf and (
-                    d <= rel_tol * abs(value) or d <= rel_tol * abs(prev)):
+            if not finite(value) or agree and prev is not None and (diff := abs(value - prev)) < inf and (
+                    diff <= rel_tol * abs(value) or diff <= rel_tol * abs(prev)):
                 converged, terminated = finite(value), False
                 break
         except OverflowError:
@@ -284,14 +311,17 @@ def _settle(cf: CFStream, steps: Iterable[tuple[int, Optional[Scalar], int]],
                 converged, terminated = finite(value), False
                 break
     else:
-        if law:  # answered before any step is pulled; a non-finite answer's residual is |v - v|/|v|, nan
-            value = prev = _law_value(cf, k := cf._end - 1)
-        elif k < max_depth and cf.mode is Mode.FLOAT:  # a float walk with no law that terminated
+        if law:  # answered before any row is pulled; a non-finite answer's residual is |v - v|/|v|, nan
+            value = prev = _law_value(cf, k := end - 1)
+        elif k < max_depth and mode is _FLOAT:  # a float walk with no law that terminated
             value = _law_value(cf, k, value)
         if value is None:
             raise PoleError(f"convergent {k}, the value to report, is a pole (q = 0)")
         converged = terminated = k < max_depth and finite(value)
-    residual = 0.0 if terminated else math.inf if prev is None else _relative_change(value, prev)
+    if converged and not terminated and mode is _FLOAT:  # _relative_change's bits, off the test's diff; a nonzero
+        residual = diff / scale if (scale := max(abs(value), abs(prev))) else 0.0  # float step over scale is >= 2^-53
+    else:
+        residual = 0.0 if terminated else inf if prev is None else _relative_change(value, prev)
     return EvalReport(value, k, converged, terminated, residual, substitutions)
 
 
@@ -302,21 +332,21 @@ def _rescale(p, q, p_prev, q_prev):
     # a flushed p, p_prev or q_prev is harmless.
     m = max(abs(p.real), abs(p.imag), abs(q.real), abs(q.imag))  # a modulus can overflow
     if math.isfinite(m) and m != 0 and not 1 / _RESCALE_BOUND < m < _RESCALE_BOUND:
-        factor = math.ldexp(1.0, -math.frexp(m)[1])  # brings m into [0.5, 1)
+        factor = math.ldexp(1.0, -max(math.frexp(m)[1], -1023))  # brings m into [0.5, 1), a subnormal m toward it
         scaled = p * factor, q * factor, p_prev * factor, q_prev * factor
         if (q == 0 or scaled[1] != 0) and all(map(cmath.isfinite, scaled)):
             return scaled
     return p, q, p_prev, q_prev
 
 
-def _forward(cf: CFStream, depth: int) -> Iterator[tuple[Scalar, Scalar, int]]:
-    # The forward recurrence (float and complex modes): yields Convergent's (p_k, q_k, k)
+def _forward(cf: CFStream, depth: int) -> Iterator[tuple[Scalar, Scalar, int, None]]:
+    # The forward recurrence (float and complex modes): yields Convergent's (p_k, q_k, k, None)
     # for k = 0..depth along the walk, so a last k below depth means termination.
     one_ = cf.mode.cast(1)
     p_prev, q_prev = one_, cf.mode.cast(0)
     p, q = cf.b0, one_
     low, high = 2 / _RESCALE_BOUND, _RESCALE_BOUND
-    yield p, q, 0
+    yield p, q, 0, None
     for k, (a, b) in zip(range(1, depth + 1), cf._walk()):
         p, p_prev = b * p + a * p_prev, p
         q, q_prev = b * q + a * q_prev, q
@@ -325,7 +355,7 @@ def _forward(cf: CFStream, depth: int) -> Iterator[tuple[Scalar, Scalar, int]]:
                 p, q, p_prev, q_prev = _rescale(p, q, p_prev, q_prev)
         except OverflowError:  # a complex modulus past the float range
             p, q, p_prev, q_prev = _rescale(p, q, p_prev, q_prev)
-        yield p, q, k
+        yield p, q, k, None
 
 
 def _integral(b0: Scalar, walk: Iterable[tuple[Scalar, Scalar]]) -> Iterator[tuple[int, int, int]]:
@@ -384,7 +414,7 @@ def convergents(cf: CFStream, depth: int) -> list[Convergent]:
     sequence as poles.
     """
     depth = _count(depth, "depth", 0)
-    return list(starmap(Convergent, (_forward_exact if cf.mode is Mode.RATIONAL else _forward)(cf, depth)))
+    return list(starmap(Convergent, (_forward_exact if cf.mode is _RATIONAL else _forward)(cf, depth)))
 
 
 def eval_convergents(
@@ -399,40 +429,7 @@ def eval_convergents(
     is False and that convergent is the value.  Raises :class:`PoleError`
     when the value that would be reported sits on a pole.
     """
-    if cf.mode is Mode.RATIONAL:
-        steps = ((k, None if q == 0 else Fraction(p, q), 0) for p, q, k, _ in _forward_exact(cf, max_depth))
-    else:  # q_0 = 1: convergent 0 is b0 itself
-        steps = ((k, None if q == 0 else p / q if k else p, 0) for p, q, k in _forward(cf, max_depth))
-    return _settle(cf, steps, tol, max_depth)
-
-
-def _lentz(cf: CFStream, depth: int) -> Iterator[tuple[int, Optional[Scalar], int]]:
-    # Modified Lentz along the walk: yields (k, f_k, substitutions so far)
-    # for k = 0..depth.  A full fraction (b0 = 0) starts at level 1 with
-    # f_1 = a_1/b_1 and C_1 = A_1/A_0 = inf, so that C_2 = b_2 exactly.  A zero
-    # d is q_k = 0 (D_k = q_{k-1}/q_k): f_k is None, the stand-in walks on.
-    # A zero c is p_k = 0 (C_k = p_k/p_{k-1}): f_k is 0, the stand-in walks on.
-    substitutions, vanish = 0, False
-    f = c = cf.b0
-    d = zero = cf.mode.cast(0)
-    yield 0, f, substitutions
-    for k, (a, b) in zip(range(1, depth + 1), cf._walk()):
-        d = b + a * d
-        pole = d == 0
-        if pole:
-            d = LENTZ_TINY
-            substitutions += 1
-        d = 1 / d
-        if k == 1 and f == 0:
-            f, c = a * d, math.inf
-        else:
-            c = b + a / c
-            vanish = c == 0
-            if vanish:
-                c = LENTZ_TINY
-                substitutions += 1
-            f *= c * d
-        yield k, None if pole else zero if vanish else f, substitutions
+    return _settle(cf, (_forward_exact if cf.mode is _RATIONAL else _forward)(cf, max_depth), tol, max_depth)
 
 
 def eval_lentz(
@@ -450,11 +447,11 @@ def eval_lentz(
     or raised the same way.  Agrees with :func:`eval_convergents`
     within a small multiple of the tolerance whenever both converge.
     """
-    if cf.mode is Mode.RATIONAL:
+    if cf.mode is _RATIONAL:
         raise ModeMismatchError(
             "eval_lentz needs float or complex mode; use eval_convergents for rational streams"
         )
-    return _settle(cf, _lentz(cf, max_depth), tol, max_depth)
+    return _settle(cf, (), tol, max_depth, lentz=True)
 
 
 def _fold(b0: Union[Scalar, tuple[int, int]], levels: list[tuple], rational: bool) -> Optional[Scalar]:
@@ -499,18 +496,17 @@ def _law_value(cf: CFStream, depth: int, value: Optional[float] = math.nan) -> O
         num, den = _fold_exact(head, list(islice(rows, depth)))
     except (DomainError if cf._end is None else ()):
         return value
-    return None if den == 0 else Fraction(num, den) if cf.mode is Mode.RATIONAL else _double((num, den))
+    return None if den == 0 else Fraction(num, den) if cf.mode is _RATIONAL else _double((num, den))
 
 
-def _backward(cf: CFStream, depth: int,
-              both: bool = False) -> Iterator[tuple[int, Optional[Scalar], int]]:
-    # The backward route's steps for _settle: the fold at depth, or the
+def _backward(cf: CFStream, depth: int, both: bool = False) -> Iterator[tuple[Optional[Scalar], None, int, None]]:
+    # The backward route's rows for _settle, (value, None, k, None): the fold at depth, or the
     # terminated fold, after the fold at depth - 1 when both are asked for.
-    rational = cf.mode is Mode.RATIONAL
+    rational = cf.mode is _RATIONAL
     b0, walk = cf._cleared() if rational else (cf.b0, cf._walk())
     levels = list(islice(walk, depth))
     for f in [levels[:-1], levels] if both and len(levels) == depth else [levels]:
-        yield len(f), _fold(b0, f, rational), 0
+        yield _fold(b0, f, rational), None, len(f), None
 
 
 def eval_backward(cf: CFStream, depth: int) -> Scalar:
@@ -564,9 +560,9 @@ class _Scaled(CFStream):
             raise ValueError(f"zero scale factor at level {k}")
         if not (mode := mode_of(v)).isfinite(v):  # mode_of raises on a value that is no scalar
             raise DomainError(f"{'c0' if k == 0 else f'scale factor at level {k}'} must be finite, got {v!r}")
-        if mode is Mode.RATIONAL is not self.mode:  # an exact factor on a float or complex stream
+        if mode is _RATIONAL is not self.mode:  # an exact factor on a float or complex stream
             _double(_ratio(v), 'c0' if k == 0 else f'scale factor at level {k}', self.mode)
-        elif mode is not self.mode and self.mode is not Mode.COMPLEX:  # any other mode but float on complex
+        elif mode is not self.mode and self.mode is not _COMPLEX:  # any other mode but float on complex
             if k == 0:
                 raise ModeMismatchError(f"c0={v!r} takes {self._parent.description or 'the stream'} "
                                         f"out of {self.mode} mode")

@@ -145,7 +145,7 @@ class _Law(CFStream):
         mode = self.mode = _require_finite(x, name)
         self._args, cast, one = (family, name, b0, n, scale, head), mode.cast, mode.cast(1)
         div = Fraction if cast is Fraction else truediv  # the rule's quotient (module docstring): a den > 1 has an n
-        dyadic = div is truediv and den.bit_count() == 1 and 1 < den.bit_length() <= 900  # rounds as α(j)/den does
+        dyadic = div is truediv and den > 1 and den.bit_count() == 1 and den.bit_length() <= 900  # as α(j)/den rounds
         self.b0, unit = cast(b0), None if scale is None else one + div(*scale) * x
         self._law = (x, alpha, den, beta, power, cast, unit, mul if dyadic else div, 1.0 / den if dyadic else den)
         h, d = head or (None, None)  # _top: level 1, (a_1, b_1), where the row has a head; d is in range where h is

@@ -60,7 +60,8 @@ class Mode(enum.Enum):
         return self.value
 
 
-_MODE_OF_TYPE = {float: Mode.FLOAT, complex: Mode.COMPLEX, int: Mode.RATIONAL, Fraction: Mode.RATIONAL}
+_FLOAT, _RATIONAL, _COMPLEX = Mode.FLOAT, Mode.RATIONAL, Mode.COMPLEX  # read as globals: Mode.X is a descriptor call
+_MODE_OF_TYPE = {float: _FLOAT, complex: _COMPLEX, int: _RATIONAL, Fraction: _RATIONAL}
 
 
 def mode_of(value: Scalar) -> Mode:
@@ -181,7 +182,7 @@ def nearly_equal(a: Scalar, b: Scalar, tol: ToleranceSpec = DEFAULT_TOLERANCE) -
 
 
 def _rel_tol(mode: Mode, tol: ToleranceSpec) -> Scalar:
-    return Fraction(tol.rel_tol) if mode is Mode.RATIONAL else tol.rel_tol
+    return Fraction(tol.rel_tol) if mode is _RATIONAL else tol.rel_tol
 
 
 def _within(a: Scalar, b: Scalar, rel_tol: Scalar, finite: Callable[[Scalar], bool]) -> bool:

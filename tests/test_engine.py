@@ -54,7 +54,7 @@ import confrac.engine as engine
 import confrac.families as families
 from confrac import verify
 from confrac.engine import _backward_report, _fold, _fold_exact, _forward_exact, _integral
-from confrac.scalars import _double
+from confrac.scalars import _double, _relative_change
 
 TIGHT = ToleranceSpec(rel_tol=1e-13)
 
@@ -135,6 +135,12 @@ class TestConvergents:
         assert convergents(cf, 2)[-1].value == 1e100
         report = eval_convergents(cf, TIGHT, 50)
         assert report.value == 1e100 and report.terminated
+
+    def test_subnormal_rows_are_rescaled_by_the_largest_float_factor(self):
+        # level 1's rescale by 2^-464 leaves p_2 = a_2·p_1 = 1.5e-309, subnormal, and q_2 = 0: bringing
+        # it into [0.5, 1) takes 2^1026, past the float range, so the rescale stops at 2^1023
+        cf = CFStream.from_terms(0.0, [(2.3817051317718447e+139, 0.0), (1.5638685167409466e-169, 0.0)])
+        assert convergents(cf, 2)[-1].value == eval_convergents(cf).value == eval_lentz(cf).value == 0.0
 
     def test_float_walk_inside_the_window_is_not_rescaled(self, monkeypatch):
         # the window is tested on |p| and |q| inline, in float and complex modes alike
@@ -372,6 +378,23 @@ class TestStoppingRule:
         if report.converged and not report.terminated:
             assert report.residual <= DEFAULT_TOLERANCE.rel_tol
 
+    @given(st.floats(-1e300, 1e300),
+           st.lists(st.tuples(st.floats(-1e300, 1e300).filter(bool), st.floats(-1e300, 1e300)), min_size=1,
+                    max_size=6),
+           st.sampled_from([eval_lentz, eval_convergents]), st.sampled_from([0.5, 1e-3, 1e-15]))
+    def test_converged_float_residual_is_the_relative_change(self, b0, levels, evaluate, rel_tol):
+        # a converged float report's residual is read off the stopping test's difference; it has
+        # _relative_change's bits, subnormal values too (a nonzero float step is never 0 relative)
+        cf, tol = CFStream.from_terms(b0, levels), ToleranceSpec(rel_tol)
+        try:
+            report = evaluate(cf, tol)
+        except PoleError:
+            return
+        if report.converged and not report.terminated:
+            k = report.depth_used
+            prev = cf.b0 if k == 1 else evaluate(cf, tol, k - 1).value
+            assert report.residual.hex() == _relative_change(report.value, prev).hex()
+
     def test_exact_step_below_float_range_is_not_reported_as_zero(self):
         # the last exact step is nonzero but under 5e-324 relative
         report = eval_convergents(coth_scaled_cf(Fraction(4, 3)), EXACT, 100)
@@ -538,32 +561,39 @@ class TestLawThatEnds:
         assert report == eval_lentz(tail(healthy(), 5), TIGHT)
 
     def test_law_within_the_cap_answers_without_a_walk(self, monkeypatch):
-        # every route's steps raise when pulled: an ending law's report is its one exact fold
+        # no stream class can be walked, and every route's rows raise when pulled: an ending
+        # law's report is its one exact fold, read off its cleared levels
         def refuse(*args, **kwargs):
             raise AssertionError("an ending law was walked")
-            yield  # a generator function, as the routes call these to build their steps
 
-        for name in ("_lentz", "_forward", "_forward_exact", "_backward"):
-            monkeypatch.setattr(engine, name, refuse)
+        def refuse_rows(*args, **kwargs):
+            raise AssertionError("an ending law's rows were pulled")
+            yield  # a generator function, as the routes call these to build their rows
+
         ended = lambda value, depth: EvalReport(value, depth, True, True, 0.0, 0)
-        for cf, want in [(lagrange_binomial(3, 0.3), ended(2.197, 5)),
-                         (uniform_binomial(-2, 1e160), ended(1e-320, 2)),
-                         (tail(lagrange_binomial(400, 0.3), 1), ended(3.175706246730358e-44, 798)),
-                         (equivalence_transform(lagrange_binomial(400, 0.3), lambda k: 2.0, c0=3.0),
-                          ended(1.1336061084700406e+46, 799))]:
+        cases = [(lagrange_binomial(3, 0.3), ended(2.197, 5)),
+                 (uniform_binomial(-2, 1e160), ended(1e-320, 2)),
+                 (tail(lagrange_binomial(400, 0.3), 1), ended(3.175706246730358e-44, 798)),
+                 (equivalence_transform(lagrange_binomial(400, 0.3), lambda k: 2.0, c0=3.0),
+                  ended(1.1336061084700406e+46, 799))]
+        exact = lagrange_binomial(-7, Fraction(3, 10))
+        # termination_level reads no scale factor, but the answer folds every one, as the twin does
+        zeroed = equivalence_transform(lagrange_binomial(3, 0.3), lambda k: 0.0 if k == 2 else 1.0)
+        with pytest.raises(ValueError, match="zero scale factor at level 2"):
+            zeroed.term(2)
+        for cls in (CFStream, families._Law, engine._Tail, engine._Scaled):
+            monkeypatch.setattr(cls, "_walk", refuse)
+        for name in ("_forward", "_forward_exact", "_backward"):
+            monkeypatch.setattr(engine, name, refuse_rows)
+        for cf, want in cases:
             assert eval_lentz(cf) == eval_convergents(cf) == _backward_report(cf, 1000, TIGHT) == want
             assert eval_backward(cf, 1000) == want.value
-        cf = lagrange_binomial(-7, Fraction(3, 10))
-        assert eval_convergents(cf, EXACT) == ended(Fraction(10_000_000, 62_748_517), 14)
-        assert eval_backward(cf, 15) == Fraction(10_000_000, 62_748_517)
-        # termination_level reads no scale factor, but the answer folds every one, as the twin does
-        cf = equivalence_transform(lagrange_binomial(3, 0.3), lambda k: 0.0 if k == 2 else 1.0)
-        assert cf.termination_level(10) == 6
-        with pytest.raises(ValueError, match="zero scale factor at level 2"):
-            cf.term(2)
+        assert eval_convergents(exact, EXACT) == ended(Fraction(10_000_000, 62_748_517), 14)
+        assert eval_backward(exact, 15) == Fraction(10_000_000, 62_748_517)
+        assert zeroed.termination_level(10) == 6
         for route in (eval_lentz, eval_convergents, lambda cf: eval_backward(cf, 1000)):
             with pytest.raises(ValueError, match="zero scale factor at level 2"):
-                route(cf)
+                route(zeroed)
 
     @FLOAT_WALKS
     def test_walk_capped_before_the_zero_is_not_converged(self, evaluate):
