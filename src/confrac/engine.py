@@ -278,7 +278,7 @@ def _settle(cf: CFStream, rows: Iterable[tuple], tol: ToleranceSpec, max_depth: 
         f = c = cf.b0
         d = zero = mode.cast(0)
         if lentz := finite(f):
-            rows, value = islice(cf._walk(), max_depth), f
+            rows, value, full = islice(cf._walk(), max_depth), f, f == 0
         else:
             rows = ((f, None, 0, None),)
     for row in () if law else rows:
@@ -288,8 +288,8 @@ def _settle(cf: CFStream, rows: Iterable[tuple], tol: ToleranceSpec, max_depth: 
             if pole := (d := b + a * d) == 0:
                 d, substitutions = LENTZ_TINY, substitutions + 1
             d = 1 / d
-            if k == 1 and f == 0:  # a full fraction (b0 = 0): f_1 = a_1/b_1, C_1 = A_1/A_0 = inf, so C_2 = b_2
-                f, c = a * d, inf
+            if full:  # level 1 of a full fraction (b0 = 0): f_1 = a_1/b_1, C_1 = A_1/A_0 = inf, so C_2 = b_2
+                f, c, full = a * d, inf, False
             else:
                 if vanish := (c := b + a / c) == 0:
                     c, substitutions = LENTZ_TINY, substitutions + 1
@@ -301,14 +301,17 @@ def _settle(cf: CFStream, rows: Iterable[tuple], tol: ToleranceSpec, max_depth: 
                                   else p / q if k else p)
         if value is None:
             continue
-        try:  # an `if`, not a flag: comparisons fused with their jumps are the cheap ones
-            if not finite(value) or agree and prev is not None and (diff := abs(value - prev)) < inf and (
-                    diff <= rel_tol * abs(value) or diff <= rel_tol * abs(prev)):
-                converged, terminated = finite(value), False
+        try:  # prev is finite (a non-finite value ends the walk), so after a finite step value is finite too
+            if agree and prev is not None and (diff := abs(value - prev)) < inf:
+                if diff <= rel_tol * abs(value) or diff <= rel_tol * abs(prev):
+                    converged, terminated = True, False
+                    break
+            elif not finite(value):
+                converged = terminated = False
                 break
-        except OverflowError:
+        except OverflowError:  # abs() of a complex value with finite parts (an inf or nan part gives inf or nan)
             if _within(value, prev, rel_tol, finite):
-                converged, terminated = finite(value), False
+                converged, terminated = True, False
                 break
     else:
         if law:  # answered before any row is pulled; a non-finite answer's residual is |v - v|/|v|, nan
