@@ -4,16 +4,16 @@ These are the cross-checks for the continued fractions, deliberately
 computed by a different route: platform libm closed forms (trusted to
 about 1 ulp), exact rational arithmetic where integer exponents make it
 possible, and a truncated power-series ratio for the scaled hyperbolic
-cotangent.  Exact-rational paths never touch floating point.
+cotangent, summed exactly in both modes.  Exact-rational paths never
+touch floating point, and a float one rounds its exact ratio once.
 
 The removable singularities (z = 0 for the symmetric form, v = 0 for the
 scaled cotangent) are 0/0 forms and raise :class:`DomainError`: an oracle
 returns formula values only, never a limit value.
 
-Each formula is written once; exact or float only picks the argument,
+Each closed form is written once; exact or float only picks the argument,
 ``Fraction(x)`` or a float, and the exponent, ``int(n)`` or its double.
-This module holds only the closed forms; which one serves which family is
-decided by the family table in :mod:`confrac.families`.
+The family table in :mod:`confrac.families` decides which serves which family.
 """
 
 from __future__ import annotations
@@ -122,19 +122,19 @@ def coth_scaled_lhs(v: Scalar) -> OracleResult:
 
 
 def series_ratio_coth(v: Scalar, terms: int) -> OracleResult:
-    """Ratio of the truncated series Σ v^{2k}/(2k)! over Σ v^{2k}/(2k+1)!.
-
-    Both sums take ``terms`` terms (k = 0..terms-1).  Converges to the scaled cotangent;
-    exact rational for rational v, else :class:`DomainError` where the float sums pass its range.
-    """
+    """Σ v^{2k}/(2k)! over Σ v^{2k}/(2k+1)!, k < terms, tending to the scaled cotangent: exact for a rational v,
+    correctly rounded for a float v, with :class:`DomainError` where a term of a float v has no double."""
     terms = _count(terms, "terms", 1)
-    v = Fraction(v) if mode_of(v) is Mode.RATIONAL else _real(v, "v")
-    v2 = v * v  # not v ** 2, which raises OverflowError where v * v is inf
-    try:  # in float mode v2**k, or (2k+1)! as a float, may pass the float range
-        num = sum(v2**k / math.factorial(2 * k) for k in range(terms))
-        den = sum(v2**k / math.factorial(2 * k + 1) for k in range(terms))
-    except OverflowError:
-        num = math.inf
-    if num == math.inf:  # as it is where v2, a term or a sum is: every term is >= 0, and den <= num
-        raise DomainError(f"the series at v={v!r} to {terms} terms passes the float range")
-    return OracleResult(num / den)
+    exact = mode_of(v) is Mode.RATIONAL
+    p2, q2 = (part * part for part in _ratio(v if exact else _real(v, "v")))  # a nan or inf v raises DomainError
+    num = den = power = scale = 1  # both sums to term k over one denominator, q^{2k}(2k+1)! (scale); power = p^{2k}
+    for j in range(3, 2 * terms, 2):  # j = 2k + 1: term k is term k-1 times v²/((j-1)j)
+        step, power = q2 * (j - 1) * j, power * p2
+        num, den = num * step + power * j, den * step + power
+        if not exact:
+            scale *= step
+            if _double((power * j, scale)) == math.inf:  # term k, v^{2k}/(2k)!, has no double
+                raise DomainError(f"the series at v={v!r} to {terms} terms passes the float range")
+            if 2 * p2 <= q2 * j * (j + 1) and (low := _double((num, den + power))) == _double((num + power * j, den)):
+                return OracleResult(low)  # the term ratio is at most 1/2, so each sum's tail is below its last term
+    return OracleResult(Fraction(num, den) if exact else _double((num, den)))

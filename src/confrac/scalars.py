@@ -106,7 +106,7 @@ def as_fraction(value: Scalar) -> Fraction:
 
 def _ratio(value: Scalar) -> tuple[int, int]:
     # as_fraction(value)'s int pair in lowest terms, same checks and errors; an int or float builds no Fraction
-    if type(value) in (int, Fraction) or type(value) is float and math.isfinite(value):
+    if type(value) is float and math.isfinite(value) or type(value) in (int, Fraction):
         return value.as_integer_ratio()
     return as_fraction(value).as_integer_ratio()
 

@@ -8,10 +8,9 @@ It imports ``confrac`` from the checkout's own ``src`` and prints one line per
 category, ``<category> <sha256> <records>``.  Two checkouts that print the same
 lines behave alike on every case the sweep makes, so a change that claims to keep
 behaviour quotes both sets of lines.  ``tests/data/parity_sweep.txt`` holds the
-expected lines, and CI diffs a fresh run against it on Python 3.10, 3.11 and 3.12
-(on 3.12 every line but ``verify``, whose float errors move with that interpreter's
-float math); a change that alters behaviour on purpose updates that file.  pytest
-does not collect this file.
+expected lines, and CI diffs a fresh run against it on Python 3.10, 3.11 and 3.12;
+a change that alters behaviour on purpose updates that file.  pytest does not
+collect this file.
 
 Cases: the 8 families (the exponent families at n = 3, -2 and 5/2, and at the
 float 0.37, whose exact ratio has a 2^53 denominator, in float and complex mode
