@@ -85,6 +85,7 @@ from .scalars import (
     _ratio,
     _rel_tol,
     _relative_change,
+    _scalar,
     _text,
     _within,
     mode_of,
@@ -457,14 +458,10 @@ def eval_lentz(
     return _settle(cf, (), tol, max_depth, lentz=True)
 
 
-def _fold(b0: Union[Scalar, tuple[int, int]], levels: list[tuple], rational: bool) -> Optional[Scalar]:
-    # Backward fold of b0 + a_1/(b_1 + ... + a_m/b_m), the (a_k, b_k) of the walk
-    # (rational: _cleared()'s pair and levels), from an assumed-zero tail.  r is None
-    # where a partial value is infinite; the level above folds to its b (a/inf = 0),
-    # and a None result is a pole, the marker _forward yields at q = 0.
-    if rational:
-        num, den = _fold_exact(b0, levels)
-        return Fraction(num, den) if den else None
+def _fold(b0: Scalar, levels: list[tuple[Scalar, Scalar]]) -> Optional[Scalar]:
+    # Backward fold of b0 + a_1/(b_1 + ... + a_m/b_m), the (a_k, b_k) of a float or complex
+    # walk, from an assumed-zero tail.  r is None where a partial value is infinite; the level
+    # above folds to its b (a/inf = 0), and a None result is a pole, the marker _forward yields at q = 0.
     b = [b0] + [b for _, b in levels]  # b[k] = b_k
     r, above = b[-1], zip([a for a, _ in reversed(levels)], reversed(b[:-1]))  # (a_k, b_{k-1})
     for a, b_up in above:
@@ -503,13 +500,15 @@ def _law_value(cf: CFStream, depth: int, value: Optional[float] = math.nan) -> O
 
 
 def _backward(cf: CFStream, depth: int, both: bool = False) -> Iterator[tuple[Optional[Scalar], None, int, None]]:
-    # The backward route's rows for _settle, (value, None, k, None): the fold at depth, or the
-    # terminated fold, after the fold at depth - 1 when both are asked for.
+    # The backward route's rows for _settle, (value, None, k, None): the fold at depth, or the terminated fold, after
+    # the fold at depth - 1 when both are asked for; rational: the cleared levels' fold, reduced once (None at den 0).
     rational = cf.mode is _RATIONAL
     b0, walk = cf._cleared() if rational else (cf.b0, cf._walk())
     levels = list(islice(walk, depth))
     for f in [levels[:-1], levels] if both and len(levels) == depth else [levels]:
-        yield _fold(b0, f, rational), None, len(f), None
+        if rational:
+            num, den = _fold_exact(b0, f)
+        yield (Fraction(num, den) if den else None) if rational else _fold(b0, f), None, len(f), None
 
 
 def eval_backward(cf: CFStream, depth: int) -> Scalar:
@@ -557,14 +556,13 @@ class _Scaled(CFStream):
 
     description = property(lambda self: f"equivalence({self._parent.description or 'cf'})")
 
-    def _factor(self, k: int) -> Scalar:
-        v = self._c0 if k == 0 else self._scale(k)
+    def _factor(self, k: int) -> Scalar:  # c_k read by the input rule, its label formatted only when raising
+        v, what = (self._c0, "c0") if k == 0 else (self._scale(k), "scale factor")
+        mode = _scalar(v, what, k)
         if v == 0:
             raise ValueError(f"zero scale factor at level {k}")
-        if not (mode := mode_of(v)).isfinite(v):  # mode_of raises on a value that is no scalar
-            raise DomainError(f"{'c0' if k == 0 else f'scale factor at level {k}'} must be finite, got {v!r}")
         if mode is _RATIONAL is not self.mode:  # an exact factor on a float or complex stream
-            _double(_ratio(v), 'c0' if k == 0 else f'scale factor at level {k}', self.mode)
+            _double(_ratio(v), what, self.mode, k)
         elif mode is not self.mode and self.mode is not _COMPLEX:  # any other mode but float on complex
             if k == 0:
                 raise ModeMismatchError(f"c0={v!r} takes {self._parent.description or 'the stream'} "

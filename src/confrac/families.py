@@ -96,17 +96,11 @@ from .oracles import (
     tan_lhs,
     tan_multiple_lhs,
 )
-from .scalars import Mode, Scalar, _double, _ratio, _text, as_fraction, mode_of
+from .scalars import Mode, Scalar, _double, _ratio, _scalar, _text, mode_of
 
 #: Reject tan_cf arguments closer than this to an odd multiple of pi/2.
 TAN_POLE_GUARD = 1e-8
 _HALF = (1, 2)  # uniform-binomial's s
-
-
-def _require_finite(value: Scalar, name: str) -> Mode:  # the mode of a finite value
-    if not (mode := mode_of(value)).isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return mode
 
 
 def _require_real(value: Scalar, name: str) -> None:
@@ -135,14 +129,14 @@ class _Law(CFStream):
     level, at x = 0 too), and ``_rows``, its int loop on x's exact ratio, which clears
     the levels by the engine's ``_integral`` rule in every mode for ``_cleared(k)``.
     A build stores the row, makes no closure and no ``Fraction`` outside rational mode,
-    and ``description`` is formatted when read.  The finiteness check comes first, so
-    a generator's domain checks see finite x.
+    and ``description`` is formatted when read.  The input rule (``scalars._scalar``)
+    reads x first, so a generator's domain checks see a finite scalar.
     """
 
     def __init__(self, family: str, name: str, x: Scalar, b0: int, alpha: _Rule, den: int = 1,
                  n: Optional[tuple] = None, beta: Optional[_Rule] = None, power: int = 2,
                  scale: Optional[tuple] = None, head: Optional[tuple] = None):
-        mode = self.mode = _require_finite(x, name)
+        mode = self.mode = _scalar(x, name)
         self._args, cast, one = (family, name, b0, n, scale, head), mode.cast, mode.cast(1)
         div = Fraction if cast is Fraction else truediv  # the rule's quotient (module docstring): a den > 1 has an n
         dyadic = div is truediv and den > 1 and den.bit_count() == 1 and den.bit_length() <= 900  # as α(j)/den rounds
@@ -216,7 +210,7 @@ def lagrange_binomial(n: Union[int, float, Fraction], x: Scalar) -> CFStream:
     the binomial oracle keep x > -1; the stream itself exists for any
     finite x.
     """
-    N, D = n = _ratio(n)
+    N, D = n = _ratio(n, "n")
     return _Law("lagrange-binomial", "x", x, 1,
                 lambda j: (j + 1) // 2 * D - N if j % 2 else j // 2 * D + N, den=D,
                 n=n, beta=lambda j: 2 if j % 2 else j + 1, power=1, head=(n, None))
@@ -224,7 +218,7 @@ def lagrange_binomial(n: Union[int, float, Fraction], x: Scalar) -> CFStream:
 
 def uniform_binomial(n: Union[int, float, Fraction], x: Scalar) -> CFStream:
     """Uniform-law stream for (1+x)^n; terminates at level |n|+1 for integer n."""
-    N, D = n = _ratio(n)
+    N, D = n = _ratio(n, "n")
     N2, D2 = N * N, D * D
     return _Law("uniform-binomial", "x", x, 1, lambda j: N2 - j * j * D2, den=4 * D2,
                 n=n, scale=_HALF, head=(n, (D - N, 2 * D)))
@@ -237,7 +231,7 @@ def symmetric_binomial(n: Union[int, float, Fraction], z: Scalar) -> CFStream:
     terminates at level |n|.  Complex z is allowed (the terms stay real for
     purely imaginary z since z only appears squared).
     """
-    N, D = n = _ratio(n)
+    N, D = n = _ratio(n, "n")
     N2, D2 = N * N, D * D
     return _Law("symmetric-binomial", "z", z, 1, lambda j: N2 - j * j * D2, den=D2, n=n)
 
@@ -249,7 +243,7 @@ def tan_multiple(n: Union[int, float, Fraction], t: Scalar) -> CFStream:
     A pole of tan(nφ) shows up at evaluation time as a vanishing
     denominator, not here.
     """
-    N, D = n = _ratio(n)
+    N, D = n = _ratio(n, "n")
     N2, D2 = N * N, D * D
     stream = _Law("tan-multiple", "t", t, 0, lambda j: j * j * D2 - N2, den=D2, n=n, head=(n, None))
     _require_real(t, "t")
@@ -355,10 +349,10 @@ class FamilySpec:
         if self.family.takes_n:
             if self.n is None:
                 raise DomainError(f"family {self.family.value} requires an exponent n")
-            object.__setattr__(self, "n", as_fraction(self.n))
+            object.__setattr__(self, "n", Fraction(*_ratio(self.n, "n")))
         elif self.n is not None:
             raise DomainError(f"family {self.family.value} takes no exponent parameter")
-        _require_finite(self.arg, "arg")
+        _scalar(self.arg, "arg")
 
     @property
     def mode(self) -> Mode:

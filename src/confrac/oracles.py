@@ -12,8 +12,10 @@ scaled cotangent) are 0/0 forms and raise :class:`DomainError`: an oracle
 returns formula values only, never a limit value.
 
 Each closed form is written once; exact or float only picks the argument,
-``Fraction(x)`` or a float, and the exponent, ``int(n)`` or its double.
-The family table in :mod:`confrac.families` decides which serves which family.
+``Fraction(x)`` or a float (``_real``, which reads it by the input rule of
+:mod:`confrac.scalars` and refuses a complex one), and the exponent, read once
+as its int ratio, an int or its double.  The family table in
+:mod:`confrac.families` decides which serves which family.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import DomainError
-from .scalars import Mode, Scalar, _count, _double, _ratio, as_fraction, mode_of
+from .scalars import _COMPLEX, _RATIONAL, Scalar, _count, _double, _ratio, _scalar
 
 
 @dataclass(frozen=True)
@@ -34,24 +36,24 @@ class OracleResult:
     value: Scalar
 
 
-def _real(value: Scalar, name: str) -> float:
-    if isinstance(value, complex):
+def _real(value: Scalar, name: str, exact: bool = False) -> Union[float, Fraction]:
+    # An oracle's argument, read by the input rule (scalars._scalar), real: a float, or an exact one's Fraction if exact
+    if (mode := _scalar(value, name)) is _COMPLEX:
         raise DomainError(f"{name} must be real for this oracle, got {value!r}")
-    return value if isinstance(value, float) else _double(value.as_integer_ratio(), name)
+    return value if mode is not _RATIONAL else Fraction(value) if exact else _double(value.as_integer_ratio(), name)
 
 
 def binomial_power(n: Union[int, float, Fraction], x: Scalar) -> OracleResult:
     """(1+x)^n; exact rational when n is an integer and x is rational."""
-    n = as_fraction(n)
-    if n.denominator == 1:
-        base = 1 + (Fraction(x) if mode_of(x) is Mode.RATIONAL else _real(x, "x"))
-        if n < 0 and base == 0:
+    N, D = _ratio(n, "n")
+    base = 1 + _real(x, "x", D == 1)
+    if D == 1:
+        if N < 0 and base == 0:
             raise DomainError("x = -1 with a negative exponent")
-        return OracleResult(base ** int(n))
-    xf = _real(x, "x")
-    if 1 + xf <= 0:
+        return OracleResult(base ** N)
+    if base <= 0:
         raise DomainError(f"1 + x must be positive for non-integer n, got x={x!r}")
-    return OracleResult(math.pow(1 + xf, _double(_ratio(n), "n")))
+    return OracleResult(math.pow(base, _double((N, D), "n")))
 
 
 def symmetric_lhs(n: Union[int, float, Fraction], z: Scalar) -> OracleResult:
@@ -62,17 +64,15 @@ def symmetric_lhs(n: Union[int, float, Fraction], z: Scalar) -> OracleResult:
     whose limit is the log-ratio form; use :func:`log_ratio_lhs` instead.
     Exact rational for integer n and rational z.
     """
-    n = as_fraction(n)
-    if n == 0:
+    N, D = _ratio(n, "n")
+    real = _real(z, "z", D == 1)
+    if N == 0:
         raise DomainError("n = 0 is a 0/0 form; its limit is 2z/log((1+z)/(1-z))")
     if abs(z) >= 1:
         raise DomainError(f"symmetric form needs |z| < 1, got {z!r}")
     if z == 0:
         raise DomainError("z = 0 is a 0/0 form with limit 1")
-    if n.denominator == 1 and mode_of(z) is Mode.RATIONAL:
-        z, n = Fraction(z), int(n)
-    else:
-        z, n = _real(z, "z"), _double(_ratio(n), "n")
+    z, n = real, N if isinstance(real, Fraction) else _double((N, D), "n")
     plus, minus = (1 + z) ** n, (1 - z) ** n
     top = n * z * (plus + minus)  # past the float range only where a power nears its end: there divide first
     return OracleResult(n * z * ((plus + minus) / (plus - minus)) if abs(top) == math.inf else top / (plus - minus))
@@ -80,7 +80,7 @@ def symmetric_lhs(n: Union[int, float, Fraction], z: Scalar) -> OracleResult:
 
 def tan_multiple_lhs(n: Union[int, float, Fraction], t: Scalar) -> OracleResult:
     """tan(n * arctan t), the multiple-angle tangent with t = tan φ."""
-    nf = _double(_ratio(n), "n")
+    nf = _double(_ratio(n, "n"), "n")
     tf = _real(t, "t")
     angle = nf * math.atan(tf)
     if math.isinf(angle):  # math.cos would raise its untyped ValueError
@@ -102,18 +102,18 @@ def tan_lhs(theta: Scalar) -> OracleResult:
 
 def log_ratio_lhs(z: Scalar) -> OracleResult:
     """log((1+z)/(1-z)) for real |z| < 1."""
+    zf = _real(z, "z")
     if abs(z) >= 1:
         raise DomainError(f"log ratio needs |z| < 1, got {z!r}")
-    zf = _real(z, "z")
     return OracleResult(math.log1p(zf) - math.log1p(-zf))
 
 
 def coth_scaled_lhs(v: Scalar) -> OracleResult:
     """v(e^{2v}+1)/(e^{2v}-1) = v coth v; even in v.  v = 0, a 0/0 form
     with limit 1, raises :class:`DomainError`."""
+    vf = _real(v, "v")
     if v == 0:
         raise DomainError("v = 0 is a 0/0 form with limit 1")
-    vf = _real(v, "v")
     if vf > 512 * math.log(2):  # the form is even, and expm1 raises where e^{2v} > 2^1024, past the float range
         vf = -vf
     em = math.expm1(2 * vf)
@@ -125,8 +125,8 @@ def series_ratio_coth(v: Scalar, terms: int) -> OracleResult:
     """Σ v^{2k}/(2k)! over Σ v^{2k}/(2k+1)!, k < terms, tending to the scaled cotangent: exact for a rational v,
     correctly rounded for a float v, with :class:`DomainError` where a term of a float v has no double."""
     terms = _count(terms, "terms", 1)
-    exact = mode_of(v) is Mode.RATIONAL
-    p2, q2 = (part * part for part in _ratio(v if exact else _real(v, "v")))  # a nan or inf v raises DomainError
+    exact = isinstance(real := _real(v, "v", True), Fraction)
+    p2, q2 = (part * part for part in real.as_integer_ratio())
     num = den = power = scale = 1  # both sums to term k over one denominator, q^{2k}(2k+1)! (scale); power = p^{2k}
     for j in range(3, 2 * terms, 2):  # j = 2k + 1: term k is term k-1 times v²/((j-1)j)
         step, power = q2 * (j - 1) * j, power * p2

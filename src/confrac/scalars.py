@@ -20,7 +20,9 @@ modulus overflows), and a report's residual in ``_relative_change``; both hold t
 
 Division by an exact zero is an error in every mode (Python's native
 behaviour), never an infinity; pole detection in the fraction engine
-depends on that.  An exact value becomes a double in one place, ``_double``.
+depends on that.  An exact value becomes a double in one place, ``_double``, and a
+value a caller passes is read in one, ``_scalar`` (``_ratio`` where it must be exact):
+no scalar raises ``ModeMismatchError``, inf or nan ``DomainError`` naming the argument.
 """
 
 from __future__ import annotations
@@ -89,36 +91,37 @@ def coerce(value: Scalar, mode: Mode) -> Scalar:
 
 
 def as_fraction(value: Scalar) -> Fraction:
-    """Exact rational equal to *value*.
-
-    Finite floats convert through their exact binary expansion, others raise
-    ``DomainError``.  Used wherever a decision (termination, integrality of an
-    exponent) must be exact no matter which mode the evaluation runs in.
-    """
-    if isinstance(value, complex):
-        raise ModeMismatchError("complex value has no exact rational form")
-    if isinstance(value, bool):
-        raise ModeMismatchError(f"not a scalar: {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise DomainError(f"value must be finite, got {value!r}")
-    return Fraction(value)
+    """Exact rational equal to *value*, an int, a ``Fraction`` or a finite float (its exact binary expansion).
+    Used wherever a decision (termination, integrality of an exponent) must be exact in every mode."""
+    return Fraction(*_ratio(value))
 
 
-def _ratio(value: Scalar) -> tuple[int, int]:
-    # as_fraction(value)'s int pair in lowest terms, same checks and errors; an int or float builds no Fraction
+def _scalar(value: Scalar, what: str, level: int = 0) -> Mode:
+    # The one input rule, read before any other test on a value a caller passes: its mode, mode_of's error where it
+    # is no scalar, or DomainError naming what (at level, where given: formatted only when raising) at inf or nan
+    if not (mode := mode_of(value)).isfinite(value):
+        raise DomainError(f"{f'{what} at level {level}' if level else what} must be finite, got {value!r}")
+    return mode
+
+
+def _ratio(value: Scalar, what: str = "value") -> tuple[int, int]:
+    # as_fraction(value)'s int pair in lowest terms, the input rule naming what; an int or float builds no Fraction
     if type(value) is float and math.isfinite(value) or type(value) in (int, Fraction):
         return value.as_integer_ratio()
-    return as_fraction(value).as_integer_ratio()
+    if _scalar(value, what) is _COMPLEX:
+        raise ModeMismatchError("complex value has no exact rational form")
+    return value.as_integer_ratio()
 
 
-def _double(ratio: tuple[int, int], what: Optional[str] = None, mode: Mode = Mode.FLOAT) -> float:
+def _double(ratio: tuple[int, int], what: Optional[str] = None, mode: Mode = Mode.FLOAT, level: int = 0) -> float:
     # The one float-range rule: an int ratio (num, den > 0) rounded once, as num / den does; past the float range
-    # ±inf where nothing is named (a value to report), else DomainError naming what (an input or a level)
+    # ±inf where nothing is named (a value to report), else DomainError naming what (an input or a level), as _scalar
     try:
         return ratio[0] / ratio[1]
     except OverflowError:
         if what is None:
             return math.inf if ratio[0] > 0 else -math.inf
+        what = f"{what} at level {level}" if level else what
         raise DomainError(f"{what} is past the float range, so it has no {mode} value") from None
 
 
@@ -181,8 +184,11 @@ def nearly_equal(a: Scalar, b: Scalar, tol: ToleranceSpec = DEFAULT_TOLERANCE) -
     return _within(a, b, _rel_tol(mode, tol), mode.isfinite)
 
 
-def _rel_tol(mode: Mode, tol: ToleranceSpec) -> Scalar:
-    return Fraction(tol.rel_tol) if mode is _RATIONAL else tol.rel_tol
+def _rel_tol(mode: Mode, tol: ToleranceSpec) -> Scalar:  # tol's one read, in the mode's arithmetic
+    try:
+        return Fraction(tol.rel_tol) if mode is _RATIONAL else tol.rel_tol
+    except AttributeError:
+        raise DomainError(f"tol must be a ToleranceSpec, got {tol!r}") from None
 
 
 def _within(a: Scalar, b: Scalar, rel_tol: Scalar, finite: Callable[[Scalar], bool]) -> bool:

@@ -53,7 +53,7 @@ from confrac import (
 import confrac.engine as engine
 import confrac.families as families
 from confrac import verify
-from confrac.engine import _backward_report, _fold, _fold_exact, _forward_exact, _integral
+from confrac.engine import _backward_report, _fold_exact, _forward_exact, _integral
 from confrac.scalars import _double, _relative_change
 
 TIGHT = ToleranceSpec(rel_tol=1e-13)
@@ -864,9 +864,9 @@ class TestExactKernel:
         assert head == copy_head == cf.b0.as_integer_ratio()
         assert list(islice(rows, 150)) == list(_integral(copy.b0, copy._walk()))
         assert list(_forward_exact(cf, 150)) == list(_forward_exact(copy, 150))
-        folds = [_fold(head, list(islice(rows, 150)), rational=True)
+        folds = [Fraction(*_fold_exact(head, list(islice(rows, 150))))
                  for head, rows in (cf._cleared(), copy._cleared())]
-        assert folds[0] == folds[1] and type(folds[0]) is Fraction
+        assert folds[0] == folds[1] == eval_backward(cf, 150) == eval_backward(copy, 150)
 
     @pytest.mark.parametrize("cf", [coth_scaled_cf(Fraction(4, 3)), tan_cf(Fraction(2, 3))],
                              ids=lambda cf: cf.description)
@@ -1466,8 +1466,9 @@ class TestTransformKeepsTheMode:
 
 class TestOneFactorRule:
     """Every factor meets one check, c0 when the transform is built and c_k when a route reads it, in
-    this order: zero, not a scalar, not finite, out of the stream's mode, and an exact factor with no
-    float value on a float stream.  Each bad factor raises one error, on every route and at every cap."""
+    this order: not a scalar and not finite (the input rule), zero, out of the stream's mode, and an exact
+    factor with no float value on a float stream.  Each bad factor raises one error, on every route and at
+    every cap."""
 
     FLOAT, RATIONAL = "lagrange-binomial(n=3, x=0.3)", "lagrange-binomial(n=3, x=Fraction(3, 10))"
     # factor -> {mode: (error type, message at c0, message at level 2)}
@@ -1480,6 +1481,8 @@ class TestOneFactorRule:
                                "scale factor at level 2 must be finite, got nan") for m in ("float", "rational")}),
         "bool": (True, {m: (ModeMismatchError, "not a scalar: True", "not a scalar: True")
                         for m in ("float", "rational")}),
+        "false": (False, {m: (ModeMismatchError, "not a scalar: False", "not a scalar: False")
+                          for m in ("float", "rational")}),
         "decimal": (Decimal(2), {m: (ModeMismatchError, "unsupported scalar type Decimal",
                                      "unsupported scalar type Decimal") for m in ("float", "rational")}),
         "complex": (1j, {"float": (ModeMismatchError, f"c0=1j takes {FLOAT} out of float mode",

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -15,10 +16,14 @@ from confrac import (
     Mode,
     ModeMismatchError,
     ToleranceSpec,
+    arctan_cf,
     as_fraction,
+    eval_convergents,
+    eval_lentz,
     mode_of,
     nearly_equal,
 )
+from confrac.engine import _backward_report
 from confrac.scalars import _double, _rel_tol, _relative_change, _within, coerce
 
 
@@ -203,6 +208,20 @@ class TestToleranceSpec:
         with pytest.raises(ValueError, match="must be a number"):
             ToleranceSpec(rel_tol="1e-3")
 
+    @pytest.mark.parametrize("tol", [1e-12, None, "1e-12", 0])
+    @pytest.mark.parametrize("call", [
+        lambda tol: eval_lentz(arctan_cf(1.0), tol),
+        lambda tol: eval_convergents(arctan_cf(1.0), tol),
+        lambda tol: eval_convergents(arctan_cf(Fraction(1, 2)), tol, 5),
+        lambda tol: _backward_report(arctan_cf(1.0), 5, tol),
+        lambda tol: nearly_equal(1.0, 1.0, tol),
+    ], ids=["lentz", "forward", "forward-rational", "backward-report", "nearly_equal"])
+    def test_a_tol_that_is_no_spec_is_a_typed_error_naming_it(self, call, tol):
+        # each raised AttributeError: 'float' object has no attribute 'rel_tol'
+        with pytest.raises(DomainError) as raised:
+            call(tol)
+        assert str(raised.value) == f"tol must be a ToleranceSpec, got {tol!r}"
+
 
 class TestCoerce:
     def test_exact_to_all_modes(self):
@@ -233,6 +252,13 @@ class TestAsFraction:
     def test_bool_rejected(self):
         with pytest.raises(ModeMismatchError, match="not a scalar"):
             as_fraction(True)
+
+    @pytest.mark.parametrize("value, kind", [("1/3", "str"), (Decimal("2"), "Decimal")])
+    def test_a_str_or_decimal_is_no_scalar(self, value, kind):
+        # Fraction(value) read them as 1/3 and 2, where every other entry raised
+        with pytest.raises(ModeMismatchError) as raised:
+            as_fraction(value)
+        assert str(raised.value) == f"unsupported scalar type {kind}"
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_float_is_a_domain_error(self, value):
