@@ -41,15 +41,6 @@ from .families import (
     tan_multiple,
     uniform_binomial,
 )
-from .oracles import (
-    OracleResult,
-    binomial_power,
-    coth_scaled_lhs,
-    log_ratio_lhs,
-    series_ratio_coth,
-    symmetric_lhs,
-    tan_multiple_lhs,
-)
 from .scalars import (
     DEFAULT_TOLERANCE,
     EXACT,
@@ -64,11 +55,21 @@ from .scalars import (
 __version__ = "0.1.0"
 
 
+#: Names served from a submodule that loads on first use, as is
+#: ``confrac.oracles`` itself: eval imports neither submodule.
+_LAZY = {
+    **dict.fromkeys(("OracleResult", "binomial_power", "coth_scaled_lhs", "log_ratio_lhs",
+                     "series_ratio_coth", "symmetric_lhs", "tan_multiple_lhs"), "oracles"),
+    "CheckResult": "verify",
+    "run_checks": "verify",
+}
+
+
 def __getattr__(name: str):
-    # confrac.verify loads on first use, so eval, table and compare skip it.
-    if name in ("CheckResult", "run_checks"):
-        from . import verify
-        return getattr(verify, name)
+    if name == "oracles" or name in _LAZY:
+        from importlib import import_module  # not ``from . import``: that would ask this hook for the submodule
+        module = import_module(f"{__name__}.{_LAZY.get(name, name)}")
+        return module if name == "oracles" else getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from fractions import Fraction
 from typing import Optional, Sequence, TextIO
 
@@ -120,16 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@dataclass
-class CommandConfig:
-    spec: FamilySpec
-    method: str
-    depth: Optional[int]
-    tol: ToleranceSpec
-    fmt: str
-
-
-def build_config(args: argparse.Namespace) -> CommandConfig:
+def build_config(args: argparse.Namespace) -> argparse.Namespace:
+    """The command's record: ``spec``, ``method``, ``depth``, ``tol`` and ``fmt``."""
     mode = Mode(args.mode) if args.mode else Mode.FLOAT
 
     for flag in ("family", "arg"):
@@ -153,10 +144,10 @@ def build_config(args: argparse.Namespace) -> CommandConfig:
     tol = DEFAULT_TOLERANCE if args.tol is None else ToleranceSpec(rel_tol=args.tol)
 
     fmt = args.fmt or ("json" if args.command == "eval" else "csv")
-    return CommandConfig(spec=spec, method=method, depth=args.depth, tol=tol, fmt=fmt)
+    return argparse.Namespace(spec=spec, method=method, depth=args.depth, tol=tol, fmt=fmt)
 
 
-def run_eval(cfg: CommandConfig, out: TextIO) -> int:
+def run_eval(cfg: argparse.Namespace, out: TextIO) -> int:
     stream = cfg.spec.stream()
     if cfg.method == "backward":
         report = _backward_report(stream, cfg.depth, cfg.tol)
@@ -179,7 +170,7 @@ def _error_columns(value: Optional[Scalar], oracle: Optional[Scalar]):
     return _number_cell(abs_err, "abs_err"), None if rel_err is None else _number_cell(rel_err, "rel_err")
 
 
-def _rows_document(cfg: CommandConfig, rows: list[dict]) -> dict:
+def _rows_document(cfg: argparse.Namespace, rows: list[dict]) -> dict:
     spec = cfg.spec
     params = {
         "n": None if spec.n is None else str(spec.n),
@@ -190,7 +181,7 @@ def _rows_document(cfg: CommandConfig, rows: list[dict]) -> dict:
     return {"family": spec.family.value, "params": params, "rows": rows}
 
 
-def run_rows(cfg: CommandConfig, out: TextIO, header: str) -> int:
+def run_rows(cfg: argparse.Namespace, out: TextIO, header: str) -> int:
     """``table`` (``TABLE_HEADER``): a row per convergent, with empty error
     cells where no oracle applies.  ``compare``: a row per depth 1..depth,
     where no oracle is a DomainError (exit 1)."""
@@ -222,11 +213,12 @@ def _number_cell(value: Scalar, what: str):
     return _json_scalar(value if isinstance(value, (float, complex)) else _double(_ratio(value), what))
 
 
-def _emit_rows(cfg: CommandConfig, out: TextIO, header: str, rows: list[dict],
+def _emit_rows(cfg: argparse.Namespace, out: TextIO, header: str, rows: list[dict],
                document: dict) -> None:
     """The one writer of command output: JSON writes ``document``, CSV the
     header and one line per row."""
     if cfg.fmt == "json":
+        import json  # only a JSON document needs it: csv and verify output never load it
         out.write(json.dumps(document, indent=2, allow_nan=False) + "\n")
         return
     out.write(header + "\n")

@@ -236,7 +236,7 @@ class Convergent:
         return f"Convergent(p={_text(self.p)}, q={_text(self.q)}, k={self.k!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)  # the class writes its own __init__: the decorator's would be dead work
 class EvalReport:
     """Outcome of an iterative evaluation.
 

@@ -70,8 +70,9 @@ exact fold (a float one read at x's exact ratio, rounded once), and every
 other walk is the law's loop over j, which ``_end`` bounds.
 
 :class:`Family` is the one table that maps each family to its generator
-and its oracle (from :mod:`confrac.oracles`); :class:`FamilySpec` and
-:func:`oracle_value` read it.
+and its oracle's name; ``Family.oracle`` reads that name from
+:mod:`confrac.oracles` on first use, so a command that only evaluates never
+imports the oracles.  :class:`FamilySpec` and :func:`oracle_value` read it.
 """
 
 from __future__ import annotations
@@ -80,23 +81,17 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import count
 from operator import mul, truediv
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
 
 from .engine import CFStream
 from .errors import DomainError
-from .oracles import (
-    OracleResult,
-    arctan_lhs,
-    binomial_power,
-    coth_scaled_lhs,
-    log_ratio_lhs,
-    symmetric_lhs,
-    tan_lhs,
-    tan_multiple_lhs,
-)
 from .scalars import Mode, Scalar, _double, _ratio, _scalar, _text, mode_of
+
+if TYPE_CHECKING:
+    from .oracles import OracleResult
 
 #: Reject tan_cf arguments closer than this to an odd multiple of pi/2.
 TAN_POLE_GUARD = 1e-8
@@ -294,33 +289,33 @@ def coth_scaled_cf(v: Scalar) -> CFStream:
 class Family(enum.Enum):
     """The eight families, named as on the command line.
 
-    This is the family table: each member holds its generator, the oracle
-    for its left-hand side, and whether both take the exponent n ahead of
-    the argument.
+    This is the family table: each member holds its generator, the name of
+    the oracle for its left-hand side (``oracle`` reads it on first use), and
+    whether both take the exponent n ahead of the argument.
     """
 
-    LAGRANGE_BINOMIAL = ("lagrange-binomial", lagrange_binomial, binomial_power, True)
-    UNIFORM_BINOMIAL = ("uniform-binomial", uniform_binomial, binomial_power, True)
-    SYMMETRIC_BINOMIAL = ("symmetric-binomial", symmetric_binomial, symmetric_lhs, True)
-    TAN_MULTIPLE = ("tan-multiple", tan_multiple, tan_multiple_lhs, True)
-    ARCTAN = ("arctan", arctan_cf, arctan_lhs, False)
-    TAN = ("tan", tan_cf, tan_lhs, False)
-    LOG_RATIO = ("log-ratio", log_ratio_cf, log_ratio_lhs, False)
-    COTH_SCALED = ("coth-scaled", coth_scaled_cf, coth_scaled_lhs, False)
+    LAGRANGE_BINOMIAL = ("lagrange-binomial", lagrange_binomial, "binomial_power", True)
+    UNIFORM_BINOMIAL = ("uniform-binomial", uniform_binomial, "binomial_power", True)
+    SYMMETRIC_BINOMIAL = ("symmetric-binomial", symmetric_binomial, "symmetric_lhs", True)
+    TAN_MULTIPLE = ("tan-multiple", tan_multiple, "tan_multiple_lhs", True)
+    ARCTAN = ("arctan", arctan_cf, "arctan_lhs", False)
+    TAN = ("tan", tan_cf, "tan_lhs", False)
+    LOG_RATIO = ("log-ratio", log_ratio_cf, "log_ratio_lhs", False)
+    COTH_SCALED = ("coth-scaled", coth_scaled_cf, "coth_scaled_lhs", False)
 
-    def __new__(
-        cls,
-        name: str,
-        generator: Callable[..., CFStream],
-        oracle: Callable[..., OracleResult],
-        takes_n: bool,
-    ) -> "Family":
+    def __new__(cls, name: str, generator: Callable[..., CFStream], oracle: str, takes_n: bool) -> "Family":
         member = object.__new__(cls)
         member._value_ = name
         member.generator = generator
-        member.oracle = oracle
+        member._oracle = oracle
         member.takes_n = takes_n
         return member
+
+    @cached_property
+    def oracle(self) -> Callable[..., OracleResult]:
+        """The family's oracle, read from :mod:`confrac.oracles` on first use: ``eval`` never loads it."""
+        from . import oracles
+        return getattr(oracles, self._oracle)
 
     @classmethod
     def from_name(cls, name: str) -> "Family":
