@@ -47,14 +47,15 @@ the least ``c_j = lcm(den b_j, den a_j / gcd(den a_j, c_{j-1}))``; a family's ar
 same, off its law's ints; a tail's are its parent's, a transform's its parent's times
 each factor.  The rows' common content, a divisor of ``±C·A_1···A_j``, is divided out
 at a few checks of a deep walk (``_divided``).  A value is reduced, to one ``Fraction``,
-when read.
+when ``_settle`` reads it, the rows of every route, exact folds included.
 
 Every route's report comes from one stopping rule, ``_settle``, one loop in one frame over the
-Lentz steps, the forward rows (it forms ``p/q``) or the folds, and so does :func:`eval_backward`'s
-bare value.  A fraction that ends has one answer, ``_law_value``: a fold on ints of the stream's
-cleared levels, reduced once, or in float mode rounded once by int true division (±inf past the
-float range).  It answers a law that ends within the cap (``cf._end``, the level of its zero)
-before a step is pulled, and a float walk with no law once it terminates.  Other walks stop at the
+Lentz steps, the forward rows or the folds (it forms each row's ``p/q``), and so does
+:func:`eval_backward`'s bare value.  A fraction that ends has one exact answer, ``_law_value``: a
+fold on ints of the stream's cleared levels, reduced once, or in float mode rounded once by int
+true division (±inf past the float range).  It answers a law that ends within the cap (``cf._end``,
+the level of its zero) before a step is pulled, and a float walk with no law once it terminates,
+unless a level is inf or nan (no exact ratio; the walk keeps its value).  Other walks stop at the
 first two successive values that agree, unless a law ends them, or at the first non-finite one
 (not converged); a walk that runs out has terminated, unless at the cap.  Complex mode keeps the
 route's value (no exact complex type).  Every route marks a pole (``q_k = 0``, an infinite fold) as
@@ -194,9 +195,9 @@ class CFStream:
 class Convergent:
     """Numerator/denominator pair of the depth-``k`` truncation.
 
-    ``q == 0`` marks a pole of the truncation, not corruption.  In
-    floating-point modes ``p`` and ``q`` may carry a common power-of-two
-    rescaling; the ratio is unaffected.  In rational mode it holds the ints
+    ``q == 0`` marks a pole of the truncation, not corruption; at k = 0 ``value`` is ``p``
+    itself (``q_0 = 1``).  In floating-point modes ``p`` and ``q`` may carry a common
+    power-of-two rescaling; the ratio is unaffected.  In rational mode it holds the ints
     ``s·p/G``, ``s·q/G`` and ``s`` or ``(s, G)`` (G: content divided out), reduced
     on each read: ``p``, ``q`` in lowest terms, ``value`` one ``Fraction``.  Immutable.
     """
@@ -218,7 +219,7 @@ class Convergent:
     def value(self) -> Scalar:
         if self.is_pole:
             raise PoleError(f"convergent {self.k} is a pole (q = 0)")
-        return self._p / self._q if self._scale is None else Fraction(self._p, self._q)
+        return Fraction(self._p, self._q) if self._scale is not None else self._p / self._q if self._k else self._p
 
     def _unscaled(self, row: Scalar) -> Scalar:  # row/s, or row·G/s where the scale is (s, G)
         s = self._scale
@@ -266,10 +267,10 @@ def _settle(cf: CFStream, rows: Iterable[tuple], tol: ToleranceSpec, max_depth: 
             lentz: bool = False) -> EvalReport:
     # The one stopping rule (see the module docstring), in one frame: rows are pulled only where no law answers,
     # and run out before max_depth (named cap in its error) only when the fraction terminates.  With lentz, cf's walk
-    # is read here, each level's modified Lentz step taken inline; else rows are Convergent's (p_k, q_k, k, _), the
-    # value p_k/q_k (p_0 at k = 0, where q_0 = 1), or a fold's (value, None, k, None).  A value None is a pole.
-    # Every mode compares inline, as _within would, with rel_tol·max(|v|, |u|) the larger of two products (a
-    # Fraction is below inf); _within takes a complex modulus past the float range.
+    # is read here, each level's modified Lentz step taken inline; else rows are (p_k, q_k, k, _), Convergent's or a
+    # rational fold's, read as p_k/q_k (p_0 at k = 0), one Fraction if exact; or a float fold's (value, None, k, None).
+    # A value None is a pole.  Every mode compares inline, as _within would, with rel_tol·max(|v|, |u|) the larger of
+    # two products (a Fraction is below inf); _within takes a complex modulus past the float range.
     if not 1 <= (max_depth := index(max_depth)) <= sys.maxsize:  # _count's rule, inline: it runs per evaluation
         _count(max_depth, cap, 1)
     mode, end, inf, value, prev, substitutions, k, vanish = cf.mode, cf._end, math.inf, None, None, 0, 0, False
@@ -318,7 +319,10 @@ def _settle(cf: CFStream, rows: Iterable[tuple], tol: ToleranceSpec, max_depth: 
         if law:  # answered before any row is pulled; a non-finite answer's residual is |v - v|/|v|, nan
             value = prev = _law_value(cf, k := end - 1)
         elif k < max_depth and mode is _FLOAT:  # a float walk with no law that terminated
-            value = _law_value(cf, k, value)
+            try:
+                value = _law_value(cf, k)
+            except DomainError:  # an inf or nan level: the walked value stands
+                pass
         if value is None:
             raise PoleError(f"convergent {k}, the value to report, is a pole (q = 0)")
         converged = terminated = k < max_depth and finite(value)
@@ -487,28 +491,23 @@ def _fold_exact(head: tuple[int, int], levels: list[tuple[int, int, int]]) -> tu
     return (num, den) if den >= 0 else (-num, -den)
 
 
-def _law_value(cf: CFStream, depth: int, value: Optional[float] = math.nan) -> Optional[Scalar]:
-    # The one answer of a fraction that ends after depth levels: the fold of its cleared levels, cf._cleared(),
-    # reduced once in rational mode and in float mode a double (±inf past the float range); None at an exact
-    # pole.  A walked stream (no _end) with an inf or nan level keeps value.
-    try:
-        head, rows = cf._cleared()
-        num, den = _fold_exact(head, list(islice(rows, depth)))
-    except (DomainError if cf._end is None else ()):
-        return value
+def _law_value(cf: CFStream, depth: int) -> Optional[Scalar]:
+    # The one exact answer of a fraction that ends after depth levels: the fold of its cleared levels, cf._cleared(),
+    # reduced once in rational mode and in float mode a double (±inf past the float range); None at an exact pole.
+    # An inf or nan level has no exact ratio and raises DomainError (_settle keeps a walked value there).
+    head, rows = cf._cleared()
+    num, den = _fold_exact(head, list(islice(rows, depth)))
     return None if den == 0 else Fraction(num, den) if cf.mode is _RATIONAL else _double((num, den))
 
 
-def _backward(cf: CFStream, depth: int, both: bool = False) -> Iterator[tuple[Optional[Scalar], None, int, None]]:
-    # The backward route's rows for _settle, (value, None, k, None): the fold at depth, or the terminated fold, after
-    # the fold at depth - 1 when both are asked for; rational: the cleared levels' fold, reduced once (None at den 0).
+def _backward(cf: CFStream, depth: int, both: bool = False) -> Iterator[tuple]:
+    # The backward route's rows for _settle: the fold at depth, or the terminated fold, after the fold at depth - 1 when
+    # both are asked for; rational: _fold_exact's (num, den, k, None), like a forward row, else (fold, None, k, None).
     rational = cf.mode is _RATIONAL
     b0, walk = cf._cleared() if rational else (cf.b0, cf._walk())
     levels = list(islice(walk, depth))
     for f in [levels[:-1], levels] if both and len(levels) == depth else [levels]:
-        if rational:
-            num, den = _fold_exact(b0, f)
-        yield (Fraction(num, den) if den else None) if rational else _fold(b0, f), None, len(f), None
+        yield (*_fold_exact(b0, f), len(f), None) if rational else (_fold(b0, f), None, len(f), None)
 
 
 def eval_backward(cf: CFStream, depth: int) -> Scalar:

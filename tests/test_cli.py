@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import confrac
-from confrac import EvalReport, Family, convergents
+from confrac import EvalReport, Family, convergents, nearly_equal
 from confrac.cli import TABLE_HEADER, main
 
 
@@ -316,6 +316,21 @@ class TestEval:
         assert payload["value"] == "13/192" and payload["residual"] == 1.0
         _, forward, _ = run_cli(capsys, *argv, "--method", "convergents")
         assert strict_json(forward) == payload
+
+
+class TestBinomialAnswers:
+    """A float binomial answer is right within the default tol, or the command exits 2 (not converged)."""
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    @pytest.mark.parametrize("argv, want", [  # (1+x)^n by mpmath at 40 digits, as literals: CI has no mpmath
+        (("lagrange-binomial", "--n", "20.5", "--arg", "10"), 2.2312593109047982e21),
+        (("uniform-binomial", "--n=-40.5", "--arg", "2"), 4.748858003487216e-20),
+        (("uniform-binomial", "--n", "134.7", "--arg", "0.3"), 2.2293053369750287e15),
+        (("uniform-binomial", "--n=-4.21", "--arg", "8155.57"), 3.408420275487959e-17),
+    ], ids=["lagrange-20.5-10", "uniform--40.5-2", "uniform-134.7-0.3", "uniform--4.21-8155.57"])
+    def test_right_or_not_converged(self, capsys, argv, want):
+        code, out, _ = run_cli(capsys, "eval", "--family", *argv)
+        assert code == 2 or code == 0 and nearly_equal(json.loads(out)["value"], want)
 
 
 class TestUsageErrors:

@@ -166,6 +166,15 @@ class TestConvergents:
         assert c.__eq__(1.0) is NotImplemented
         assert (c == 1.0) is False
 
+    @pytest.mark.parametrize("b0", [complex(-1.0, -0.0), complex(math.inf, 0.0), complex(0.0, math.inf)],
+                             ids=["negative-zero", "inf-real", "inf-imag"])
+    def test_convergent_zero_reads_as_b0(self, b0):
+        # p_0 itself, as eval_lentz and eval_convergents report it: p_0/(1+0j) would flip a zero's sign or make a nan
+        cf = CFStream.from_terms(b0, [])
+        for value in (convergents(cf, 0)[0].value, eval_lentz(cf).value, eval_convergents(cf).value):
+            for got, want in ((value.real, b0.real), (value.imag, b0.imag)):
+                assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
 
 class TestEvalConvergents:
     def test_coth_converges_tightly(self):
