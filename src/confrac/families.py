@@ -96,6 +96,7 @@ if TYPE_CHECKING:
 #: Reject tan_cf arguments closer than this to an odd multiple of pi/2.
 TAN_POLE_GUARD = 1e-8
 _HALF = (1, 2)  # uniform-binomial's s
+_ODD_CARRY = 2**51  # a walk from a first j below this carries 2j+1 exactly: no walk runs 2**51 levels
 
 
 def _require_real(value: Scalar, name: str) -> None:
@@ -116,7 +117,8 @@ class _Law(CFStream):
     and inner level j is level j+1; without a head it is level j.  ``n``, ``scale``, h
     and d are int pairs (num, den).  ``h = None`` puts x itself on top, cast to its mode
     (``complex(1)·x`` would turn a ``-0.0`` imaginary part into ``+0.0``), and
-    ``d = None`` leaves the bare 1.  ``_walk(k)`` is the one level loop, multiplying in the
+    ``d = None`` leaves the bare 1.  ``_walk(k)`` walks the levels in one loop per shape, the
+    odd loop (β, power and unit the defaults) carrying b = 2j+1 by adding 2, and multiplies in the
     order ``div(num, den)·x·x`` (``x·x`` first rounds differently, and overflows to
     ``0·inf``).  ``_end``, the law's zero, is read off the ints once, when built, and
     bounds ``_walk(k)``, the levels from k on (after the head level at k = 1, on past
@@ -161,7 +163,19 @@ class _Law(CFStream):
         shift, (x, alpha, den, beta, power, cast, unit, quotient, by) = self._top is not None, self._law
         if k == 1 and shift and (through or self._end != 1):
             yield self._top
-        for j in count(k - shift or 1) if through else self._inner(k):
+        first = k - shift or 1
+        js = count(first) if through else self._inner(k)
+        if beta is None and unit is None and power == 2 and first < _ODD_CARRY:  # the odd loop: no shape test a level
+            b, two = cast(2 * first + 1), cast(2)  # b = 2j+1, carried exactly: a walk stays below 2**53
+            for j in js:
+                try:
+                    a = quotient(alpha(j), by) * x
+                except OverflowError:  # as in the general loop below
+                    a = _double((alpha(j), den), f"level {j + shift}", self.mode) * x
+                yield a * x, b
+                b += two
+            return
+        for j in js:
             try:
                 a = quotient(alpha(j), by) * x
             except OverflowError:  # α(j) or α(j)/den past the float range: α(j)/den rounded once, or DomainError

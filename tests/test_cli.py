@@ -604,6 +604,14 @@ class TestVerify:
         assert len(lines) > 1
         assert all("error=0.00e+00" in line for line in lines[:-1])
 
+    def test_a_failed_check_prints_its_detail_and_exits_one(self, capsys, monkeypatch):
+        from confrac import verify
+        failing = ("always fails", "rational", False, 1.0, 0.0, "got 1, want 2")
+        monkeypatch.setattr(verify, "GROUPS", {"probe": lambda: iter([failing])})
+        assert run_cli(capsys, "verify") == (1, (
+            "FAIL probe: always fails [rational] error=1.00e+00 bound=0.00e+00  (got 1, want 2)\n"
+            "1 checks, 1 failed\n"), "")
+
     def test_unknown_group_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--only", "bogus")
         assert code == 1

@@ -762,3 +762,39 @@ class TestNoFractionOutsideRationalMode:
         reports = _assert_no_fraction_made(lambda: [eval_lentz(build(), TOL), eval_convergents(build(), TOL)])
         assert all(r.converged and r.terminated for r in reports)
         assert reports[0].value == reports[1].value
+
+
+#: The six families whose inner levels all have b_j = 2j+1: no unit, no β of their own.
+ODD_FAMILIES = [Family.SYMMETRIC_BINOMIAL, Family.TAN_MULTIPLE, Family.ARCTAN, Family.TAN, Family.LOG_RATIO,
+                Family.COTH_SCALED]
+#: Tail starts on both sides of 2^51 and 2^53, and near sys.maxsize: from 2^53 on, 2j+1 has no double.
+ODD_STARTS = [1, 2, 2**51 - 3, 2**52 + 1, 2**54 + 1, sys.maxsize - 40]
+
+
+class TestOddDenominators:
+    """A walk carries b = 2j+1 from level to level by adding 2, which is exact only while 2j+1 is a double;
+    every level's b is still cast(2j+1), bit for bit, where 2j+1 has no double too: from 2^53 on
+    ``float(2**54 + 1) + 2.0`` is 2^54, while 2^54 + 3 rounds to 2^54 + 4.  The four real-only families
+    have a head, level 1 with b = 1, so inner level j is level j + 1."""
+
+    @staticmethod
+    def _stream(family, mode):
+        x = {"float": 0.37, "rational": Fraction(3, 7), "complex": complex(0.3, 0.0 if family in REAL_ONLY else 0.4)}
+        return family.generator(Fraction(5, 2), x[mode]) if family.takes_n else family.generator(x[mode])
+
+    @pytest.mark.parametrize("mode", list(LAW_ARGS))
+    @pytest.mark.parametrize("family", ODD_FAMILIES, ids=lambda f: f.value)
+    def test_a_level_is_two_j_plus_one(self, family, mode):
+        cf, shift = self._stream(family, mode), family in REAL_ONLY
+        for k in (1, 2, 3, 2**51 - 3, 2**52 + 1, 2**54 + 1, sys.maxsize):
+            assert _bits(cf.term(k).b) == _bits(cf.mode.cast(2 * (k - shift) + 1)), k
+
+    @pytest.mark.parametrize("start", ODD_STARTS)
+    @pytest.mark.parametrize("mode", list(LAW_ARGS))
+    @pytest.mark.parametrize("family", ODD_FAMILIES, ids=lambda f: f.value)
+    def test_a_tail_walks_two_j_plus_one(self, family, mode, start):
+        cf, shift = self._stream(family, mode), family in REAL_ONLY
+        levels = list(islice(tail(cf, start)._walk(), 20))
+        assert len(levels) == 20
+        for k, (_, b) in enumerate(levels, start + 1):
+            assert _bits(b) == _bits(cf.mode.cast(2 * (k - shift) + 1)), k

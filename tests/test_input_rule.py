@@ -81,3 +81,28 @@ def test_a_good_scalar_passes(entry):
     # the table's good values are in every domain, so each error above is the bad value's alone
     call, _ = ENTRIES[entry]
     call(0.5)
+
+
+class _Float(float):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("n, sub", [(2.5, _Float), (3, _Int)], ids=["float", "int"])
+@pytest.mark.parametrize("family", [f for f in Family if f.takes_n], ids=lambda f: f.value)
+def test_a_subclassed_exponent_reads_as_its_base_type(family, n, sub):
+    # a float or int subclass is no float or int by type, so the rule reads it through mode_of
+    base, other = family.generator(n, 0.3), family.generator(sub(n), 0.3)
+    assert other.description == base.description
+    assert list(map(other.term, range(1, 21))) == list(map(base.term, range(1, 21)))
+    assert other.termination_level(100) == base.termination_level(100)
+    assert eval_lentz(other).value == eval_lentz(base).value
+
+
+@pytest.mark.parametrize("family", [f for f in Family if f.takes_n], ids=lambda f: f.value)
+def test_an_infinite_float_subclass_exponent_raises_naming_n(family):
+    with pytest.raises(DomainError, match="^n must be finite, got inf$"):
+        family.generator(_Float("inf"), 0.3)
