@@ -97,17 +97,16 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--arg", help="the family argument (x, y/z, t, theta or v)")
     common.add_argument("--mode", choices=[m.value for m in Mode], default=None,
                         help="scalar mode (default: float)")
-    common.add_argument("--method", choices=["convergents", "lentz", "backward"], default=None,
-                        help="evaluator (default: lentz for float/complex, convergents for rational)")
     common.add_argument("--depth", type=int, default=None,
                         help="truncation depth (table/compare/backward) or iteration cap (eval)")
-    common.add_argument("--tol", type=float, default=None,
-                        help="relative tolerance (default 1e-12)")
     common.add_argument("--format", dest="fmt", choices=["csv", "json"], default=None,
                         help="output format (default: json for eval, csv for table/compare)")
     common.add_argument("--output", default=None, help="write output to this path instead of stdout")
 
-    sub.add_parser("eval", parents=[common], help="evaluate one family to a single value")
+    ev = sub.add_parser("eval", parents=[common], help="evaluate one family to a single value")
+    ev.add_argument("--method", choices=["convergents", "lentz", "backward"], default=None,
+                    help="evaluator (default: lentz for float/complex, convergents for rational)")
+    ev.add_argument("--tol", type=float, default=None, help="relative tolerance (default 1e-12)")
     sub.add_parser("table", parents=[common], help="emit a convergent table with error columns")
     sub.add_parser("compare", parents=[common], help="emit error versus truncation depth")
 
@@ -120,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def build_config(args: argparse.Namespace) -> argparse.Namespace:
-    """The command's record: ``spec``, ``method``, ``depth``, ``tol`` and ``fmt``."""
+    """The command's record: ``spec``, ``method``, ``depth``, ``tol`` and ``fmt``
+    (``table`` and ``compare`` have no ``--method`` or ``--tol`` and get the defaults)."""
     mode = Mode(args.mode) if args.mode else Mode.FLOAT
 
     for flag in ("family", "arg"):
@@ -132,7 +132,7 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
     arg = _parse_scalar(args.arg, mode, "--arg")
     spec = FamilySpec(family=family, arg=arg, n=n)
 
-    method = args.method or ("convergents" if mode is Mode.RATIONAL else "lentz")
+    method = getattr(args, "method", None) or ("convergents" if mode is Mode.RATIONAL else "lentz")
     if method == "lentz" and mode is Mode.RATIONAL:
         raise UsageError("--method lentz cannot run in rational mode; use convergents or backward")
     if method == "backward" and args.depth is None:
@@ -141,7 +141,7 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
         raise UsageError(f"{args.command} requires --depth")
     if args.command == "compare" and args.depth < 1:  # the library checks every other depth
         raise UsageError("--depth must be >= 1 for compare")
-    tol = DEFAULT_TOLERANCE if args.tol is None else ToleranceSpec(rel_tol=args.tol)
+    tol = DEFAULT_TOLERANCE if getattr(args, "tol", None) is None else ToleranceSpec(rel_tol=args.tol)
 
     fmt = args.fmt or ("json" if args.command == "eval" else "csv")
     return argparse.Namespace(spec=spec, method=method, depth=args.depth, tol=tol, fmt=fmt)

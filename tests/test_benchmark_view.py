@@ -16,15 +16,22 @@ ROOT = Path(__file__).resolve().parent.parent
 # Importing layers and workloads touches every name perfbench imports.  One
 # block of each in-process workload runs through the workload's own checks,
 # untraced and as ``--trace 1`` runs it (a timed stream under each op), and
-# the traced run's scalar, oracle and wrapper probes run once each; the cli
-# block (subprocess ops) is only built.
+# the traced run's scalar, oracle and wrapper probes run once each; each op of
+# the cli block (subprocess ops) is parsed and configured, as ``cli_probes``
+# does under ``--trace 1``, but not run.
 SCRIPT = """
 import layers, workloads
+from confrac.cli import build_config, build_parser
 ran, failed = 0, []
 traced = layers.TracedRun(1)
 for name in ("float-eval", "exact-deep", "cli"):
     block = next(workloads.WORKLOADS[name][0](1))
     if name == "cli":
+        for op in block:
+            args = build_parser().parse_args(op.argv)
+            if args.command != "verify":
+                build_config(args)
+            ran += 1
         continue
     for op in block:
         _, result, problem = traced.execute_engine(op)

@@ -377,6 +377,13 @@ class TestUsageErrors:
         assert code == 1
         assert err.startswith(f"error: cannot parse --n {n!r}")
 
+    @pytest.mark.parametrize("command", ["table", "compare"])
+    @pytest.mark.parametrize("flags", [("--method", "backward"), ("--tol", "0.5"),
+                                       ("--mode", "rational", "--method", "lentz")])
+    def test_table_and_compare_refuse_method_and_tol(self, capsys, command, flags):
+        code, out, err = run_cli(capsys, command, "--family", "arctan", "--arg", "1", "--depth", "3", *flags)
+        assert (code, out, err) == (1, "", f"error: unrecognized arguments: {' '.join(flags[-2:])}\n")
+
 
 class TestTable:
     def test_header_and_row_count(self, capsys):
