@@ -6,11 +6,16 @@ Run from a checkout, with no arguments:
 
 It imports ``confrac`` from the checkout's own ``src`` and prints one line per
 category, ``<category> <sha256> <records>``.  Two checkouts that print the same
-lines behave alike on every case the sweep makes, so a change that claims to keep
-behaviour quotes both sets of lines.  ``tests/data/parity_sweep.txt`` holds the
-expected lines, and CI diffs a fresh run against it on Python 3.10, 3.11 and 3.12;
-a change that alters behaviour on purpose updates that file.  pytest does not
-collect this file.
+lines behave alike on every case the sweep makes.  ``tests/data/parity_sweep.txt``
+holds the expected lines, and ``tests/test_parity.py`` checks each of them in
+tier-1.  A change that alters behaviour on purpose regenerates that file with
+
+    python tests/parity_sweep.py > tests/data/parity_sweep.txt
+
+and explains the lines that moved.  To find the records that moved, dump a
+category's records at both checkouts and diff them:
+
+    PYTHONPATH=src:tests python -c "import parity_sweep; print(*parity_sweep.sweep()['<category>'], sep='\\n')"
 
 Cases: the 8 families (the exponent families at n = 3, -2 and 5/2, and at the
 float 0.37, whose exact ratio has a 2^53 denominator, in float and complex mode
@@ -36,8 +41,13 @@ product of factors or a value past the float range, a level scaled to 0, or a nu
 power of two (``RANGE_STREAMS``), every route with each count of ``COUNTS`` (a level, ``term``'s or ``tail``'s,
 is one), tails whose level passes sys.maxsize (``RANGE_TAILS``), the oracles at exact arguments past the float
 range, where libm's closed form fails, where a product inside it passes the range and where a term of the series
-does (``RANGE_ORACLES``), and the CLI commands ``RANGE_COMMANDS``.  An outcome
-is the ``repr`` of the result or the type and message of the error raised, labelled with the call that made it.
+does (``RANGE_ORACLES``), and the CLI commands ``RANGE_COMMANDS``.  The ``float-parity`` category records the
+float and complex reports of ``PARITY_METHODS`` (Lentz, forward, each also at caps 1 and 2, and backward at depth
+30, at tol 1e-13) over ``parity_cases()``: no law there ends its fraction (the exponents are not integers), so a
+faster walk has to give the same bits, and the ``from_terms`` cases with a zero reach the branches of each step: a
+Lentz ``d = 0`` (a pole) and ``c = 0`` (a vanishing numerator), a forward inner pole, a forward rescale (levels near
+1e200) and a complex modulus past the float range in the stopping test.  An outcome is the ``repr`` of the result
+(bit-exact for a float or complex) or the type and message of the error raised, labelled with the call that made it.
 """
 
 from __future__ import annotations
@@ -51,7 +61,8 @@ from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+if __name__ == "__main__":  # as a script, import confrac from the checkout's src
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from confrac import (  # noqa: E402
     DEFAULT_TOLERANCE,
@@ -59,6 +70,7 @@ from confrac import (  # noqa: E402
     EXACT,
     Family,
     FamilySpec,
+    ToleranceSpec,
     arctan_cf,
     binomial_power,
     convergents,
@@ -209,6 +221,28 @@ COMPOSITIONS = {
     "transform": [("scale-2",), ("scale-1+k",)],
     "composition": [(first, second) for first in STEPS for second in STEPS],
 }
+PARITY_TOL = ToleranceSpec(rel_tol=1e-13)
+PARITY_EXPONENTS = (0.37, -1.6, 2.5)
+PARITY_ARGS = {  # three arguments per family, inside each family's domain
+    Family.LAGRANGE_BINOMIAL: (0.3, -0.45, 0.8),
+    Family.UNIFORM_BINOMIAL: (0.3, -0.45, 0.8),
+    Family.SYMMETRIC_BINOMIAL: (0.3, -0.45, 0.8),
+    Family.TAN_MULTIPLE: (0.2, -0.35, 0.6),
+    Family.ARCTAN: (0.3, -0.8, 1.0),
+    Family.TAN: (0.3, -0.8, 1.2),
+    Family.LOG_RATIO: (0.3, -0.45, 0.8),
+    Family.COTH_SCALED: (0.3, -1.7, 2.5),
+}
+PARITY_COMPLEX_ARGS = (0.5j, 0.3 + 0.4j, -0.2 + 0.6j)
+PARITY_METHODS = {
+    "lentz": lambda cf: eval_lentz(cf, PARITY_TOL),
+    "convergents": lambda cf: eval_convergents(cf, PARITY_TOL),
+    "backward30": lambda cf: _backward_report(cf, 30, PARITY_TOL),
+    **{f"{route}{cap}": lambda cf, evaluate=evaluate, cap=cap: evaluate(cf, PARITY_TOL, cap)
+       for route, evaluate in (("lentz", eval_lentz), ("convergents", eval_convergents)) for cap in (1, 2)},
+}
+#: levels 2..29 of the zero cases, after a level that makes the zero
+PARITY_LEVELS = [(0.3 * k, 2.0 * k + 1) for k in range(2, 30)]
 
 
 def outcome(call) -> str:
@@ -303,6 +337,35 @@ def range_records():
     return records + [outcome(lambda: run_cli(*command.split())) for command in RANGE_COMMANDS]
 
 
+def parity_cases():
+    """label -> stream builder for every case of the ``float-parity`` category."""
+    cases = {}
+    for family, args in PARITY_ARGS.items():
+        for x in args:
+            if family.takes_n:
+                for n in PARITY_EXPONENTS:
+                    cases[f"{family.value}(n={n}, {x})"] = lambda f=family, n=n, x=x: f.generator(n, x)
+            else:
+                cases[f"{family.value}({x})"] = lambda f=family, x=x: f.generator(x)
+    for n in PARITY_EXPONENTS:
+        for z in PARITY_COMPLEX_ARGS:
+            cases[f"symmetric-binomial(n={n}, {z})"] = lambda n=n, z=z: symmetric_binomial(n, z)
+    cases["from_terms"] = lambda: CFStream.from_terms(
+        0.5, [(0.3 * k, 2.0 * k + 1) for k in range(1, 25)])
+    cases["tail(symmetric-binomial(n=0.37, 0.8), 3)"] = lambda: tail(symmetric_binomial(0.37, 0.8), 3)
+    cases["equivalence(arctan(0.8))"] = lambda: equivalence_transform(
+        arctan_cf(0.8), lambda k: 1.0 / (k + 1), c0=2.0)
+    cases["equivalence(lagrange-binomial(n=-1.6, 0.3))"] = lambda: equivalence_transform(
+        lagrange_binomial(-1.6, 0.3), lambda k: 0.5 * k)
+    cases["from_terms b_1=0"] = lambda: CFStream.from_terms(0.5, [(1.0, 0.0)] + PARITY_LEVELS)  # d = 0, q_1 = 0
+    cases["from_terms p_1=0"] = lambda: CFStream.from_terms(1.0, [(1.0, -1.0)] + PARITY_LEVELS)  # c = 0
+    cases["from_terms q_2=0"] = lambda: CFStream.from_terms(0.5, [(1.0, 2.0), (1.0, 0.0)] + PARITY_LEVELS[1:])
+    cases["equivalence(arctan(0.8)) by 1e100"] = lambda: equivalence_transform(arctan_cf(0.8), lambda k: 1e100)
+    cases["from_terms |a_1| past the float range"] = lambda: CFStream.from_terms(
+        0j, [(1.5e308 + 1.5e308j, 1 + 0j)] + [(complex(a), complex(b)) for a, b in PARITY_LEVELS])
+    return cases
+
+
 def sweep() -> dict[str, list[str]]:
     categories = {name: [] for name in [*COMPOSITIONS, "cli", "verify", "user", "description", "factor", "range"]}
     for label, argv, mode, spec in specs():
@@ -330,10 +393,18 @@ def sweep() -> dict[str, list[str]]:
                                    for record in stream_records(build)]
     categories["factor"] = factor_records()
     categories["range"] = range_records()
+    categories["float-parity"] = [f"{case} {method} {outcome(lambda: evaluate(build()))}"
+                                  for case, build in parity_cases().items()
+                                  for method, evaluate in PARITY_METHODS.items()]
     return categories
+
+
+def line(name: str, records: list[str]) -> str:
+    """A category's line of ``parity_sweep.txt``: ``<category> <sha256> <records>``."""
+    digest = hashlib.sha256("".join(record + "\n" for record in records).encode()).hexdigest()
+    return f"{name} {digest} {len(records)}"
 
 
 if __name__ == "__main__":
     for name, records in sweep().items():
-        digest = hashlib.sha256("".join(record + "\n" for record in records).encode()).hexdigest()
-        print(f"{name} {digest} {len(records)}")
+        print(line(name, records))
